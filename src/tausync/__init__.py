@@ -28,7 +28,7 @@ from .transducer import (TransducerSpec, run_multi, run_naive, run_sparse,
                          zip_multi, zip_pair)
 from .ranksupport import (RankSupport, SelectSupport, VebIndex, build_rank,
                           build_select, build_veb, decompose)
-from .fastpath import FastSyncIndex, preprocess_fast, shift_truncate
+from .fastpath import FastSyncIndex, shift_truncate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

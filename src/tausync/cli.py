@@ -1,12 +1,14 @@
 """Command-line front end: build, query, verify, encode/decode, bench.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed input,
+3 I/O error.
 All commands are thin wrappers over the library.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import random
 import sys
@@ -30,26 +32,43 @@ class UsageError(Exception):
     pass
 
 
-def _read_symbols(args) -> tuple[list[int], int]:
+def _read_text(path) -> str:
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}: not a text file: {exc}") from None
+
+
+def _read_ints(path) -> list[int]:
+    """Whitespace-separated integers of a text file."""
+    tokens = _read_text(path).split()
     try:
-        if args.decimal:
-            pairs = []
-            with open(args.input) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    idx, sym = line.split()
-                    pairs.append((int(idx), int(sym)))
-            pairs.sort()
-            if [i for i, _ in pairs] != list(range(len(pairs))):
-                raise UsageError("decimal input must list indices 0..n-1")
-            symbols = [s for _, s in pairs]
-        else:
-            with open(args.input, "rb") as fh:
-                symbols = list(fh.read())
-    except OSError as exc:
-        raise exc
+        return [int(token) for token in tokens]
+    except ValueError as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
+
+
+def _read_symbols(args) -> tuple[list[int], int]:
+    if args.decimal:
+        pairs = []
+        for lineno, line in enumerate(_read_text(args.input).split("\n"),
+                                      start=1):
+            if not line.strip():
+                continue
+            try:
+                idx, sym = map(int, line.split())
+            except ValueError:
+                raise InvalidInput(f"line {lineno}: expected 'index symbol', "
+                                   f"got {line.strip()!r}") from None
+            pairs.append((idx, sym))
+        pairs.sort()
+        if [i for i, _ in pairs] != list(range(len(pairs))):
+            raise UsageError("decimal input must list indices 0..n-1")
+        symbols = [s for _, s in pairs]
+    else:
+        with open(args.input, "rb") as fh:
+            symbols = list(fh.read())
     sigma = args.sigma
     if sigma is None:
         sigma = (max(symbols) + 1) if args.decimal and symbols else 256
@@ -86,7 +105,7 @@ def cmd_sync(args) -> int:
     t = _packed(args)
     if args.tau < 1 or args.tau > t.n // 2:
         raise UsageError(f"--tau must lie in [1..{t.n // 2}]")
-    handle = fp.FastSyncIndex(t, threshold=args.fallback_threshold)
+    handle = fp.FastSyncIndex(t)
     if args.format == "list":
         members = ss.build_sync_explicit(handle.sync_index, args.tau)
         enc = None
@@ -103,9 +122,6 @@ def cmd_sync(args) -> int:
             print(f"verification failed: {report.condition}: {report.detail}",
                   file=sys.stderr)
             return 1
-    if args.support and args.format == "sparse":
-        support = handle.sync_with_support(args.tau)
-        enc = support.encoding
     if args.format == "list":
         _write_lines(args.out, members)
     else:
@@ -115,7 +131,7 @@ def cmd_sync(args) -> int:
 
 def cmd_recompress(args) -> int:
     t = _packed(args)
-    index = rc.RecompressionIndex(t, threshold=args.fallback_threshold)
+    index = rc.RecompressionIndex(t)
     if args.format == "list":
         _write_lines(args.out, index.level_list(args.level))
     else:
@@ -136,8 +152,7 @@ def cmd_runs(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    with open(args.input) as fh:
-        values = [int(token) for token in fh.read().split()]
+    values = _read_ints(args.input)
     enc = sc.senc_encode(values)
     _write_container(args.out, enc.stream, enc.decoded_len)
     return 0
@@ -200,32 +215,38 @@ def cmd_bench(args) -> int:
         if args.input is None:
             raise UsageError("bench needs an input file or --generate")
         t = _packed(args)
-    taus = [int(x) for x in args.tau_list.split(",")]
-    handle = None
-    writer = csv.writer(sys.stdout if args.out is None else open(args.out, "w"))
-    writer.writerow(["n", "sigma", "tau", "repr", "bits", "build_ns", "query_ns"])
-    start = time.perf_counter_ns()
-    handle = fp.FastSyncIndex(t, threshold=args.fallback_threshold)
-    build_ns = time.perf_counter_ns() - start
-    for tau in taus:
-        if tau < 1 or tau > t.n // 2:
-            continue
+    try:
+        taus = [int(x) for x in args.tau_list.split(",")]
+    except ValueError:
+        raise UsageError(f"--tau-list must be comma-separated integers, "
+                         f"got {args.tau_list!r}") from None
+    out = (contextlib.nullcontext(sys.stdout) if args.out is None
+           else open(args.out, "w"))
+    with out as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "sigma", "tau", "repr", "bits", "build_ns",
+                         "query_ns"])
         start = time.perf_counter_ns()
-        enc = handle.sync_sparse(tau)
-        query_ns = time.perf_counter_ns() - start
-        writer.writerow([t.n, t.sigma_in, tau, "sparse", len(enc.stream),
-                         build_ns, query_ns])
-        start = time.perf_counter_ns()
-        members = ss.build_sync_explicit(handle.sync_index, tau)
-        query_ns = time.perf_counter_ns() - start
-        writer.writerow([t.n, t.sigma_in, tau, "list", 64 * len(members),
-                         build_ns, query_ns])
+        handle = fp.FastSyncIndex(t)
+        build_ns = time.perf_counter_ns() - start
+        for tau in taus:
+            if tau < 1 or tau > t.n // 2:
+                continue
+            start = time.perf_counter_ns()
+            enc = handle.sync_sparse(tau)
+            query_ns = time.perf_counter_ns() - start
+            writer.writerow([t.n, t.sigma_in, tau, "sparse", len(enc.stream),
+                             build_ns, query_ns])
+            start = time.perf_counter_ns()
+            members = ss.build_sync_explicit(handle.sync_index, tau)
+            query_ns = time.perf_counter_ns() - start
+            writer.writerow([t.n, t.sigma_in, tau, "list", 64 * len(members),
+                             build_ns, query_ns])
     return 0
 
 
 def cmd_transduce(args) -> int:
-    with open(args.input) as fh:
-        values = [int(token) for token in fh.read().split()]
+    values = _read_ints(args.input)
     if args.program == "decrement":
         spec = td.TransducerSpec(1, 0, 1,
                                  lambda s, x: (0, x - 1 if x else 0),
@@ -253,7 +274,9 @@ def _add_common(p: argparse.ArgumentParser, needs_text: bool = True,
         p.add_argument("--sigma", type=int, default=None,
                        help="declared alphabet size (default 256 / max+1)")
         p.add_argument("--fallback-threshold", type=int, default=256,
-                       help="packed paths engage when log_sigma(n) reaches this")
+                       help="accepted and ignored: the recompression chain "
+                            "is always built by the linear rounds, which "
+                            "give the same chain as the packed ones")
     p.add_argument("--table-n", type=int, default=1 << 16,
                    help="lookup-table budget parameter N")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -270,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--format", choices=["list", "bitmask", "sparse"],
                    default="list")
-    p.add_argument("--support", action="store_true",
-                   help="attach rank/select support (sparse format)")
     p.add_argument("--verify", action="store_true",
                    help="check the result against the reference conditions")
     p.set_defaults(func=cmd_sync)

@@ -1,12 +1,12 @@
-"""Sparse-output query path: level arrays, run markers, stream shifting,
-and the transducer that emits the synchronizing-set mask directly as a
-sparse encoding, optionally with rank/select support.
+"""Sparse-output query path: run markers, stream shifting, and the
+transducer that emits the synchronizing-set mask directly as a sparse
+encoding, optionally with rank/select support.
 
-The per-text handle precomputes the boundary-level arrays (value at
-position i = how many more levels keep i as a boundary) as sparse
-encodings, plus run tables split by period scale: geometric length ranges
-for large tau and per-position run descriptors for small tau.  A tau
-query then runs a fixed five-stream transducer over shifted markers.
+The per-text handle holds the recompression chain and run tables split
+by period scale: geometric length ranges for large tau and per-position
+run descriptors for small tau.  A tau query encodes the boundary set
+B_k(tau) of the chain, shifted by tau, and runs a fixed five-stream
+transducer over it and the shifted run markers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .ranksupport import RankSupport, SelectSupport
 from .runs import DirectLce, PackedLce, enumerate_runs
 from .sparsecodec import SparseEncoding
 from .syncset import SyncIndex, build_sync_explicit
-from .text import PackedText
+from .text import DEFAULT_TABLE_N, PackedText
 
 RUNS_LENGTH_FACTOR = 2          # queried run lengths stay within [tau..2*tau]
 _TRUNC = 4 * RUNS_LENGTH_FACTOR  # descriptor lengths truncated at 8 * P
@@ -32,101 +32,6 @@ _TRUNC = 4 * RUNS_LENGTH_FACTOR  # descriptor lengths truncated at 8 * P
 def default_small_runs_limit(table_n: int, bits_per_symbol: int) -> int:
     lg_n = max(1, table_n.bit_length() - 1)
     return max(1, lg_n // ((16 * RUNS_LENGTH_FACTOR + 4) * bits_per_symbol))
-
-
-# -- level arrays ---------------------------------------------------------------
-
-def level_array(chain_max_level: dict[int, int], n: int, j: int) -> list[int]:
-    """Dense level array: 0 at position 0, else max(0, maxlevel(i) - j + 1)."""
-    out = [0] * n
-    for i, k in chain_max_level.items():
-        if i >= 1:
-            out[i] = max(0, k - j + 1)
-    if n:
-        out[0] = 0
-    return out
-
-
-_DECREMENT = td.TransducerSpec(
-    1, 0, 1, lambda s, x: (0, x - 1 if x > 0 else 0), key="level:decrement")
-
-
-def _combine_spec(K: int) -> td.TransducerSpec:
-    def delta(s, x, y):
-        return 0, x if y == 0 else y + K
-    return td.TransducerSpec(1, 0, 2, delta, key=f"level:combine:{K}")
-
-
-def build_level0(t: PackedText, recomp: rc.RecompressionIndex,
-                 table_n: int) -> SparseEncoding:
-    """senc of the full level array, blockwise when contexts are available."""
-    n = t.n
-    max_level = recomp.chain.max_level()
-    if recomp.contexts is None or n == 0:
-        return sc.senc_encode(level_array(max_level, n, 0))
-    K = recomp.contexts.K
-    capped = _capped_levels_blockwise(t, recomp.contexts, K)
-    pairs = sorted((i, k - K + 1) for i, k in max_level.items()
-                   if k >= K and i >= 1)
-    high = sc.senc_from_list(n, pairs)
-    return td.run_multi(_combine_spec(K), [capped, high], table_n)
-
-
-def _capped_levels_blockwise(t: PackedText, contexts: rc.ContextSets,
-                             K: int) -> SparseEncoding:
-    """senc of min(K, level + 1) per position, assembled from block tables."""
-    n = t.n
-    a_k = rc.alpha(K)
-    sets = contexts.sets
-    alphas = [rc.alpha(j) for j in range(K)]
-    memo: dict = {}
-    out = BitStream()
-
-    def h_values(block: tuple[int, ...], central_len: int) -> list[int]:
-        vals = []
-        for i in range(central_len):
-            h = 0
-            for j in range(K, 0, -1):
-                aj = alphas[j - 1]
-                if block[i + a_k - aj:i + a_k + aj] in sets[j - 1]:
-                    h = j
-                    break
-            vals.append(h)
-        return vals
-
-    blocks = -(-n // a_k)
-    for h in range(blocks):
-        start = (h - 1) * a_k
-        end = min(n + a_k, (h + 2) * a_k)
-        central_len = min(n, (h + 1) * a_k) - h * a_k
-        block = t.symbols(start, end - start)
-        if h == 0:
-            vals = h_values(block, central_len)
-            vals[0] = 0
-            tokens = tuple(sc._tokens_of(vals))
-        else:
-            key = (block, central_len)
-            tokens = memo.get(key)
-            if tokens is None:
-                tokens = tuple(sc._tokens_of(h_values(block, central_len)))
-                memo[key] = tokens
-        for is_literal, x in tokens:
-            if is_literal:
-                sc.append_literal(out, x)
-            else:
-                sc.append_zero_run(out, x)
-    return SparseEncoding(out, n)
-
-
-def derive_levels(level0: SparseEncoding, table_n: int) -> list[SparseEncoding]:
-    """senc of every level array from level 0 down to the all-zero level."""
-    n = level0.decoded_len
-    zero = sc.senc_from_list(n, [])
-    out = [level0]
-    accel = td.accelerate_single(_DECREMENT, table_n)
-    while out[-1].stream != zero.stream:
-        out.append(accel.run(out[-1]))
-    return out
 
 
 # -- stream shifting -------------------------------------------------------------
@@ -142,7 +47,7 @@ def _shift_spec() -> td.TransducerSpec:
 
 
 def shift_truncate(enc: SparseEncoding, ell: int,
-                   table_n: int = sc.DEFAULT_TABLE_N) -> SparseEncoding:
+                   table_n: int = DEFAULT_TABLE_N) -> SparseEncoding:
     """senc(V[ell..n) . 0^ell) from senc(V), by the three-stream rewrite."""
     n = enc.decoded_len
     if not 1 <= ell < n:
@@ -428,7 +333,7 @@ class RunTables:
 # -- the sync transducer -----------------------------------------------------------
 
 def _sync_spec() -> td.TransducerSpec:
-    def delta(state, s_tau, e_tau, s_2tau, e_2tau, level):
+    def delta(state, s_tau, e_tau, s_2tau, e_2tau, boundary):
         if s_2tau:
             return 1, 0
         if e_2tau:
@@ -437,7 +342,7 @@ def _sync_spec() -> td.TransducerSpec:
             return state, 1
         if state:
             return 1, 0
-        return 0, 1 if level > 0 else 0
+        return 0, 1 if boundary > 0 else 0
 
     return td.TransducerSpec(2, 0, 5, delta, key="sync:main")
 
@@ -472,29 +377,16 @@ class FastSyncIndex:
     """Preprocessed handle answering sparse-output tau queries."""
 
     def __init__(self, t: PackedText, table_n: Optional[int] = None,
-                 threshold: int = 256, small_runs_limit: Optional[int] = None,
-                 force_linear: bool = False):
+                 small_runs_limit: Optional[int] = None):
         self.t = t
         self.table_n = table_n if table_n is not None else t.table_n
-        self.recomp = rc.RecompressionIndex(t, threshold=threshold,
-                                            force_linear=force_linear)
+        self.recomp = rc.RecompressionIndex(t)
         self.sync_index = SyncIndex(t, recomp=self.recomp)
         lce = (PackedLce(t) if t.bits_per_symbol * 4 <= 64 else DirectLce(t))
         self.runs = RunTables(t, self.table_n, small_runs_limit, lce)
-        if t.n:
-            level0 = build_level0(t, self.recomp, self.table_n)
-            self.levels = derive_levels(level0, self.table_n)
-        else:
-            self.levels = [sc.senc_from_list(0, [])]
-
-    def level_encoding(self, j: int) -> SparseEncoding:
-        if j < len(self.levels):
-            return self.levels[j]
-        return sc.senc_from_list(self.t.n, [])
 
     def sync_sparse(self, tau: int) -> SparseEncoding:
-        t = self.t
-        n = t.n
+        n = self.t.n
         if tau < 1 or tau > n // 2:
             raise InvalidArgument(f"tau {tau} outside [1..{n // 2}]")
         lg2 = max(1, n.bit_length() - 1)
@@ -502,8 +394,16 @@ class FastSyncIndex:
             # explicit construction is affordable at this tau
             members = build_sync_explicit(self.sync_index, tau)
             return sc.senc_from_list(n, [(i, 1) for i in members])
-        level = self.level_encoding(self.sync_index.k_of_tau(tau))
-        b_hat = shift_truncate(level, tau, self.table_n)
+        return self._sync_sparse_transducer(tau)
+
+    def _sync_sparse_transducer(self, tau: int) -> SparseEncoding:
+        """The five-stream transducer branch of sync_sparse, for any tau."""
+        n = self.t.n
+        k = self.sync_index.k_of_tau(tau)
+        # B_k shifted left by tau: the sync transducer only tests > 0
+        b_hat = sc.senc_from_list(n, [(f - tau, 1)
+                                      for f in self.recomp.chain.boundaries(k)
+                                      if f >= tau])
         s1, e1 = self.runs.markers(tau, tau)
         s2, e2 = self.runs.markers(tau, 2 * tau)
         s1_hat = shift_truncate(s1, 1, self.table_n)
@@ -531,14 +431,3 @@ class FastSyncIndex:
              + max(1, n * lg_tau // (tau * lg_n)))
         return SyncSupport(enc, SelectSupport(enc, self.table_n),
                            RankSupport(enc, self.table_n, m))
-
-    def sync_handle(self, tau: int, with_support: bool = False):
-        """Sparse-representation SyncSetHandle for one tau."""
-        from .syncset import SyncSetHandle
-        payload = (self.sync_with_support(tau) if with_support
-                   else self.sync_sparse(tau))
-        return SyncSetHandle("sparse", tau, self.t.n, payload)
-
-
-def preprocess_fast(t: PackedText, **kwargs) -> FastSyncIndex:
-    return FastSyncIndex(t, **kwargs)

@@ -22,6 +22,7 @@ from .bitstream import BitStream, W
 from .errors import DecodeError, InvalidArgument
 from . import sparsecodec as sc
 from .sparsecodec import SparseEncoding
+from .text import DEFAULT_TABLE_N
 
 
 # -- plain bitvector rank/select ------------------------------------------------
@@ -114,7 +115,7 @@ class Decomposition:
         return self.enc.stream.slice_bits(self.e[i], self.e[i + 1] - self.e[i])
 
 
-def decompose(enc: SparseEncoding, table_n: int = sc.DEFAULT_TABLE_N) -> Decomposition:
+def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposition:
     """Split senc(A) greedily by longest-valid-prefix windows."""
     tables = sc.parse_tables(table_n)
     stream = enc.stream
@@ -151,7 +152,7 @@ def decompose(enc: SparseEncoding, table_n: int = sc.DEFAULT_TABLE_N) -> Decompo
 class SelectSupport:
     """Constant-window select over a sparse-encoded 0/1 mask."""
 
-    def __init__(self, enc: SparseEncoding, table_n: int = sc.DEFAULT_TABLE_N):
+    def __init__(self, enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N):
         self.enc = enc
         self.decomp = decompose(enc, table_n)
         nbits = len(enc.stream)
@@ -179,7 +180,7 @@ class SelectSupport:
 
 
 def build_select(enc: SparseEncoding,
-                 table_n: int = sc.DEFAULT_TABLE_N) -> SelectSupport:
+                 table_n: int = DEFAULT_TABLE_N) -> SelectSupport:
     return SelectSupport(enc, table_n)
 
 
@@ -392,20 +393,12 @@ def build_veb(keys: list[int], universe_bits: int | None = None,
     return VebIndex(keys, universe_bits, m, word_bits)
 
 
-def veb_rank(index: VebIndex, x: int) -> int:
-    return index.rank(x)
-
-
-def veb_pred(index: VebIndex, x: int):
-    return index.pred(x)
-
-
 # -- rank support ------------------------------------------------------------------
 
 class RankSupport:
     """Rank over a sparse-encoded 0/1 mask via a vEB index on piece starts."""
 
-    def __init__(self, enc: SparseEncoding, table_n: int = sc.DEFAULT_TABLE_N,
+    def __init__(self, enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N,
                  m: int | None = None):
         self.enc = enc
         self.decomp = decompose(enc, table_n)
@@ -436,6 +429,6 @@ class RankSupport:
         return self.decomp.rank_in(i, j)
 
 
-def build_rank(enc: SparseEncoding, table_n: int = sc.DEFAULT_TABLE_N,
+def build_rank(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N,
                m: int | None = None) -> RankSupport:
     return RankSupport(enc, table_n, m)

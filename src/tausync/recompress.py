@@ -2,11 +2,13 @@
 
 Even rounds merge runs of identical short phrases; odd rounds merge
 adjacent short-phrase pairs across an approximate maximum directed cut.
-Two construction paths produce bit-identical chains:
+`RecompressionIndex` builds the chain on the linear path, which runs
+every round on explicit boundary/name/length arrays.
 
-* the linear path operates on explicit boundary/name/length arrays;
-* the packed path simulates the initial rounds on boundary-context sets
-  (one entry per distinct context), then switches to the linear rounds.
+`build_chain_packed` reproduces the paper's packed construction: it
+simulates the initial rounds on boundary-context sets (one entry per
+distinct context), then switches to the linear rounds.  It yields the
+same chain and is kept as a tested reproduction; no index calls it.
 
 Both paths share the cut approximation and order its nodes by the
 canonical (length, content) key, which pins down the whole chain.
@@ -15,7 +17,6 @@ canonical (length, content) key, which pins down the whole chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .bitstream import BitStream
@@ -42,11 +43,6 @@ def lambda_ceil(k: int) -> int:
     return -(-num // den)
 
 
-def lambda_value(k: int) -> Fraction:
-    num, den = lambda_frac(k)
-    return Fraction(num, den)
-
-
 @lru_cache(maxsize=None)
 def alpha(k: int) -> int:
     """Context radius: alpha_0 = 1, alpha_k = alpha_{k-1} + floor(lambda_{k-1})."""
@@ -58,11 +54,6 @@ def alpha(k: int) -> int:
 def len_le_lambda(length: int, k: int) -> bool:
     num, den = lambda_frac(k)
     return length * den <= num
-
-
-def len_le_seven_quarters_lambda(length: int, k: int) -> bool:
-    num, den = lambda_frac(k)
-    return 4 * length * den <= 7 * num
 
 
 def lambda_exceeds_4n(k: int, n: int) -> bool:
@@ -298,39 +289,22 @@ class ChainHandle:
             return []
         return self.levels[k]
 
-    def max_level(self) -> dict[int, int]:
-        """Map position -> largest k with the position in B_k."""
-        out: dict[int, int] = {}
-        for k, bounds in enumerate(self.levels):
-            for f in bounds:
-                out[f] = k
-        return out
+
+def _rounds_from(t: PackedText, level: Level, k: int,
+                 namer: PhraseNamer | None) -> list[list[int]]:
+    """B_k (given as `level`), B_{k+1}, ... up to the first empty level."""
+    levels = [list(level.boundaries)]
+    while level.boundaries:
+        level = next_level(t, level, k, namer)
+        k += 1
+        levels.append(list(level.boundaries))
+    return levels
 
 
 def build_chain_linear(t: PackedText) -> ChainHandle:
     """Run all rounds explicitly until the boundary set empties."""
     namer = PhraseNamer(t) if t.n else None
-    level = level0(t)
-    levels = [list(level.boundaries)]
-    k = 0
-    while level.boundaries:
-        level = next_level(t, level, k, namer)
-        k += 1
-        levels.append(list(level.boundaries))
-    return ChainHandle(levels, t.n)
-
-
-def continue_chain(t: PackedText, boundaries: list[int], k: int) -> list[list[int]]:
-    """Levels B_{k+1}.. from an explicit B_k, via the linear rounds."""
-    namer = PhraseNamer(t) if t.n else None
-    names, lens = _names_for(t, boundaries, k, namer)
-    level = Level(list(boundaries), names, lens)
-    out = []
-    while level.boundaries:
-        level = next_level(t, level, k, namer)
-        k += 1
-        out.append(list(level.boundaries))
-    return out
+    return ChainHandle(_rounds_from(t, level0(t), 0, namer), t.n)
 
 
 # -- packed path: boundary-context sets ---------------------------------------
@@ -422,9 +396,6 @@ class ContextSets:
                 new_set.add(ctx)
         return new_set
 
-    def contains(self, k: int, ctx: tuple[int, ...]) -> bool:
-        return ctx in self.sets[k]
-
     def membership_oracle(self, k: int):
         ck = self.sets[k]
         return lambda window: window in ck
@@ -437,6 +408,36 @@ def build_context_sets(t: PackedText,
     if K is None:
         return None
     return ContextSets(t, K)
+
+
+def build_chain_packed(t: PackedText,
+                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ChainHandle:
+    """The chain by the packed rounds, equal to build_chain_linear(t).
+
+    B_0..B_K are read off the context sets C_0..C_K by a window scan of
+    the padded text; the linear rounds continue from B_K.  When packing
+    is off (see packed_round_count) this is the linear path.
+    """
+    contexts = build_context_sets(t, threshold)
+    if contexts is None:
+        return build_chain_linear(t)
+    K = contexts.K
+    levels = []
+    for k in range(K + 1):
+        pad = [t.sentinel] * alpha(k)
+        mask = oracle_bitmask(pad + t.text() + pad, 2 * len(pad),
+                              contexts.membership_oracle(k))
+        # window i is centred on position i; B_k keeps the interior 1..n-1
+        levels.append([i for i in bitmask_to_list(mask) if 0 < i < t.n])
+    if levels[-1]:
+        namer = PhraseNamer(t)
+        names, lens = _names_for(t, levels[-1], K, namer)
+        levels[-1:] = _rounds_from(t, Level(levels[-1], names, lens), K, namer)
+    else:
+        # trim to the first empty level
+        while len(levels) > 1 and not levels[-2]:
+            levels.pop()
+    return ChainHandle(levels, t.n)
 
 
 # -- bitmask reporting ---------------------------------------------------------
@@ -473,14 +474,6 @@ def oracle_bitmask(symbols, ell: int, oracle) -> BitStream:
     return out
 
 
-def context_to_bitmask(t: PackedText, oracle, ell: int,
-                       start: int = 0, end: int | None = None) -> BitStream:
-    """Oracle bitmask over the logical index range [start..end) of T."""
-    if end is None:
-        end = t.n
-    return oracle_bitmask(t.symbols(start, end - start), ell, oracle)
-
-
 _CHUNK_BITS = 16
 _chunk_positions: list[tuple[int, ...]] | None = None
 
@@ -514,42 +507,9 @@ def bitmask_to_list(mask: BitStream) -> list[int]:
 class RecompressionIndex:
     """Preprocessed access to every level, in list or bitmask form."""
 
-    def __init__(self, t: PackedText,
-                 threshold: int = DEFAULT_FALLBACK_THRESHOLD,
-                 force_linear: bool = False):
+    def __init__(self, t: PackedText):
         self.t = t
-        self.contexts = None if force_linear else build_context_sets(t, threshold)
-        if self.contexts is None:
-            self.chain = build_chain_linear(t)
-        else:
-            K = self.contexts.K
-            levels = [self._level_from_context(k) for k in range(K + 1)]
-            if levels[-1]:
-                levels.extend(continue_chain(t, levels[-1], K))
-            else:
-                # trim to the first empty level
-                while len(levels) > 1 and not levels[-2]:
-                    levels.pop()
-            self.chain = ChainHandle(levels, t.n)
-
-    def _level_from_context(self, k: int) -> list[int]:
-        mask = self.level_bitmask_packed(k)
-        return bitmask_to_list(mask)
-
-    def level_bitmask_packed(self, k: int) -> BitStream:
-        """B_k as an n-bit mask from C_k, via the padded-text window scan."""
-        t = self.t
-        ctxs = self.contexts
-        a = alpha(k)
-        pad = [t.sentinel] * a
-        symbols = pad + t.text() + pad
-        mask = oracle_bitmask(symbols, 2 * a, ctxs.membership_oracle(k))
-        # positions 0..n mark centers; drop 0 and n, keep interior as bit i
-        out = BitStream()
-        out.append_bits(0, 1)
-        for i in range(1, t.n):
-            out.append_bits(mask.get_bit(i), 1)
-        return out
+        self.chain = build_chain_linear(t)
 
     def level_list(self, k: int) -> list[int]:
         if lambda_exceeds_4n(k, self.t.n):
@@ -569,16 +529,12 @@ class RecompressionIndex:
         return out
 
 
-def preprocess_explicit(t: PackedText, **kwargs) -> RecompressionIndex:
-    return RecompressionIndex(t, **kwargs)
-
-
 def bk_explicit(index: RecompressionIndex, k: int) -> list[int]:
     return index.level_list(k)
 
 
 def bk_bitmask(t: PackedText, k: int,
-               index: RecompressionIndex | None = None, **kwargs) -> BitStream:
+               index: RecompressionIndex | None = None) -> BitStream:
     if index is None:
-        index = RecompressionIndex(t, **kwargs)
+        index = RecompressionIndex(t)
     return index.level_bitmask(k)

@@ -165,6 +165,9 @@ def enumerate_runs(t: PackedText, ell: int, p: int,
     prev: Run | None = None
     for i in range((n - 2 * p) // delta + 1):
         start = i * delta
+        if prev is not None and prev.start <= start and start + 2 * p <= prev.end:
+            # a 2p-fragment inside a run of period <= p extends to that run
+            continue
         run = run_extend(t, start, start + 2 * p, lce)
         if run is not None and len(run) >= ell and run != prev:
             out.append(run)

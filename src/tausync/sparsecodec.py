@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
-
-DEFAULT_TABLE_N = 1 << 16
+from .text import DEFAULT_TABLE_N
 
 # Block size for leading-zero scans while decoding gamma codes.
 _SCAN_BLOCK = 32
@@ -33,6 +32,11 @@ def gamma_bits(x: int) -> int:
     return 2 * (x.bit_length() - 1) + 1
 
 
+def _reverse_bits(value: int, width: int) -> int:
+    """The low `width` bits of value in reverse order."""
+    return int(f"{value:0{width}b}"[::-1], 2)
+
+
 # LSB-first bit pattern of gamma(x) and its width, cached for small values
 _gamma_cache: dict[int, tuple[int, int]] = {}
 
@@ -41,8 +45,7 @@ def _gamma_pattern(x: int) -> tuple[int, int]:
     entry = _gamma_cache.get(x)
     if entry is None:
         ell = x.bit_length() - 1
-        rev = int(f"{x:b}"[::-1], 2)
-        entry = (rev << ell, 2 * ell + 1)
+        entry = (_reverse_bits(x, ell + 1) << ell, 2 * ell + 1)
         if x < (1 << 20):
             _gamma_cache[x] = entry
     return entry
@@ -60,10 +63,6 @@ def gamma_encode(x: int) -> BitStream:
     s = BitStream()
     gamma_append(s, x)
     return s
-
-
-def _reverse_bits(value: int, width: int) -> int:
-    return int(f"{value:0{width}b}"[::-1], 2)
 
 
 def gamma_decode(stream: BitStream, offset: int) -> tuple[int, int]:
@@ -168,15 +167,11 @@ def senc_size(values: Sequence[int]) -> int:
     return sum(token_bits(x) for _, x in _tokens_of(values))
 
 
-def decode_token_stream(stream: BitStream, offset: int = 0,
-                        end: int | None = None) -> list[int]:
-    """Decode a whole token stream into the dense sequence.
+def _checked_tokens(stream: BitStream, offset: int, end: int):
+    """Yield (is_literal, x) for each token of stream[offset..end).
 
     Rejects adjacent zero-run tokens and tokens that overrun `end`.
     """
-    if end is None:
-        end = len(stream)
-    values: list[int] = []
     pos = offset
     last_zero_run = False
     while pos < end:
@@ -184,15 +179,26 @@ def decode_token_stream(stream: BitStream, offset: int = 0,
         x, used = gamma_decode(stream, pos + 1)
         if pos + 1 + used > end:
             raise DecodeError("token overruns encoding", pos)
-        if indicator:
-            values.append(x)
-            last_zero_run = False
-        else:
-            if last_zero_run:
-                raise DecodeError("adjacent zero-run tokens", pos)
-            values.extend([0] * x)
-            last_zero_run = True
+        if not indicator and last_zero_run:
+            raise DecodeError("adjacent zero-run tokens", pos)
+        last_zero_run = not indicator
+        yield bool(indicator), x
         pos += 1 + used
+
+
+def decode_token_stream(stream: BitStream, offset: int = 0,
+                        end: int | None = None) -> list[int]:
+    """Decode a whole token stream into the dense sequence.
+
+    Rejects adjacent zero-run tokens and tokens that overrun `end`.
+    """
+    values: list[int] = []
+    for is_literal, x in _checked_tokens(
+            stream, offset, len(stream) if end is None else end):
+        if is_literal:
+            values.append(x)
+        else:
+            values.extend([0] * x)
     return values
 
 
@@ -229,49 +235,15 @@ def senc_to_list(enc: SparseEncoding) -> tuple[int, list[tuple[int, int]]]:
     """Inverse of senc_from_list: (n, sorted (position, value) pairs)."""
     pairs = []
     pos = 0
-    stream, bit = enc.stream, 0
-    end = len(stream)
-    last_zero_run = False
-    while bit < end:
-        indicator = stream.get_bit(bit)
-        x, used = gamma_decode(stream, bit + 1)
-        if bit + 1 + used > end:
-            raise DecodeError("token overruns encoding", bit)
-        if indicator:
+    for is_literal, x in _checked_tokens(enc.stream, 0, len(enc.stream)):
+        if is_literal:
             pairs.append((pos, x))
             pos += 1
-            last_zero_run = False
         else:
-            if last_zero_run:
-                raise DecodeError("adjacent zero-run tokens", bit)
             pos += x
-            last_zero_run = True
-        bit += 1 + used
     if pos != enc.decoded_len:
         raise DecodeError(f"decoded length {pos} != declared {enc.decoded_len}")
     return pos, pairs
-
-
-class DeferredEncoder:
-    """Splits encoding into an O(n) build pass and a fast emit pass."""
-
-    def __init__(self, values: Sequence[int]):
-        self._tokens = list(_tokens_of(values))
-        self._n = len(values)
-
-    def emit(self) -> SparseEncoding:
-        return SparseEncoding(tokens_to_stream(self._tokens), self._n)
-
-    def emit_into(self, stream: BitStream) -> None:
-        for is_literal, x in self._tokens:
-            if is_literal:
-                append_literal(stream, x)
-            else:
-                append_zero_run(stream, x)
-
-
-def deferred_encoder(values: Sequence[int]) -> DeferredEncoder:
-    return DeferredEncoder(values)
 
 
 @dataclass(frozen=True)
@@ -301,6 +273,26 @@ class ParseInfo:
 
 
 _EMPTY_PARSE = ParseInfo(0, 0, 0, 0, (), 0, 0, (), ())
+
+
+def window_tokens(window: int, limit: int):
+    """Yield (token_end, is_literal, x) for each token of the longest prefix
+    of the low `limit` bits of `window` that is a valid sparse encoding."""
+    pos = 0
+    last_zero_run = False
+    while pos < limit:
+        indicator = (window >> pos) & 1
+        rest = window >> (pos + 1)
+        if rest == 0:
+            return
+        z = (rest & -rest).bit_length() - 1
+        token_end = pos + 2 * z + 2
+        if token_end > limit or (last_zero_run and not indicator):
+            return
+        last_zero_run = not indicator
+        payload = (window >> (pos + 1 + z)) & ((1 << (z + 1)) - 1)
+        yield token_end, bool(indicator), _reverse_bits(payload, z + 1)
+        pos = token_end
 
 
 class ParseTables:
@@ -340,29 +332,14 @@ class ParseTables:
     def _parse(self, window: int, limit: int) -> ParseInfo:
         values: list[int] = []
         literal_starts: list[int] = []
-        pos = 0
         b = 0
-        last_zero_run = False
-        while pos < limit:
-            indicator = (window >> pos) & 1
-            rest = window >> (pos + 1)
-            if rest == 0:
-                break
-            z = (rest & -rest).bit_length() - 1
-            token_end = pos + 2 * z + 2
-            if token_end > limit:
-                break
-            payload = (window >> (pos + 1 + z)) & ((1 << (z + 1)) - 1)
-            x = int(f"{payload:0{z + 1}b}"[::-1], 2)
-            if indicator:
-                literal_starts.append(pos)
+        for token_end, is_literal, x in window_tokens(window, limit):
+            if is_literal:
+                literal_starts.append(b)
                 values.append(x)
             else:
-                if last_zero_run:
-                    break
                 values.extend([0] * x)
-            last_zero_run = not indicator
-            pos = b = token_end
+            b = token_end
         if b == 0:
             return _EMPTY_PARSE
         nz_mask = 0
@@ -417,8 +394,7 @@ def stream_to_msb_int(stream: BitStream) -> int:
     for start in range(0, nbits, 63):
         take = min(63, nbits - start)
         chunk = stream.read_bits(start, take)
-        rev = int(f"{chunk:0{take}b}"[::-1], 2)
-        out = (out << take) | rev
+        out = (out << take) | _reverse_bits(chunk, take)
     return out
 
 

@@ -10,19 +10,12 @@ conditions and has fewer than 70n/tau members.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
 from .recompress import RecompressionIndex, lambda_frac
 from .runs import DirectLce, PackedLce, enumerate_runs, runs_bitmask
 from .text import PackedText
-
-
-@dataclass(frozen=True)
-class SyncParams:
-    tau: int
-    k_tau: int
 
 
 def k_of_tau(tau: int) -> int:
@@ -59,9 +52,9 @@ class SyncIndex:
     """Per-text preprocessing shared by all tau queries."""
 
     def __init__(self, t: PackedText, recomp: RecompressionIndex | None = None,
-                 lce=None, **recomp_kwargs):
+                 lce=None):
         self.t = t
-        self.recomp = recomp if recomp is not None else RecompressionIndex(t, **recomp_kwargs)
+        self.recomp = recomp if recomp is not None else RecompressionIndex(t)
         self.lce = lce if lce is not None else (
             PackedLce(t) if t.bits_per_symbol * 4 <= 64 else DirectLce(t))
         self.k_intervals = k_interval_table(max(1, t.n // 2))
@@ -151,49 +144,3 @@ def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:
     out = BitStream()
     out.append_bits_wide(m, n)
     return out
-
-
-def sync_size_bound_ok(n: int, tau: int, size: int) -> bool:
-    """|Sync| < 70 n / tau."""
-    return size * tau < 70 * n
-
-
-@dataclass(frozen=True)
-class SyncSetHandle:
-    """A synchronizing set in one of its representations.
-
-    ``kind`` is "explicit", "bitmask", or "sparse"; sparse payloads may
-    carry rank/select support.
-    """
-
-    kind: str
-    tau: int
-    n: int
-    payload: object
-
-    def positions(self) -> list[int]:
-        if self.kind == "explicit":
-            return list(self.payload)
-        if self.kind == "bitmask":
-            return [i for i in range(self.n) if self.payload.get_bit(i)]
-        from . import sparsecodec as _sc
-        enc = getattr(self.payload, "encoding", self.payload)
-        return [i for i, b in enumerate(_sc.senc_decode(enc)) if b]
-
-    @property
-    def size(self) -> int:
-        if self.kind == "explicit":
-            return len(self.payload)
-        return len(self.positions())
-
-
-def build_sync(index: SyncIndex, tau: int, form: str = "explicit") -> SyncSetHandle:
-    """Uniform front door over the three representations."""
-    t = index.t
-    if form == "explicit":
-        return SyncSetHandle("explicit", tau, t.n,
-                             build_sync_explicit(index, tau))
-    if form == "bitmask":
-        return SyncSetHandle("bitmask", tau, t.n,
-                             build_sync_bitmask(index, tau))
-    raise InvalidArgument(f"unknown representation {form!r}")

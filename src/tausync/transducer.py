@@ -24,8 +24,7 @@ from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
 from . import sparsecodec as sc
 from .sparsecodec import SparseEncoding
-
-DEFAULT_TABLE_N = sc.DEFAULT_TABLE_N
+from .text import DEFAULT_TABLE_N
 
 
 @dataclass(frozen=True)
@@ -411,30 +410,13 @@ class PairZipper:
     def _parses(self, window: int, limit: int) -> list[tuple[int, tuple]]:
         """All (bits, decoded values) sparse-encoding prefixes of the window."""
         out = [(0, ())]
-        pos = 0
         values: list[int] = []
-        last_zero_run = False
-        while pos < limit:
-            indicator = (window >> pos) & 1
-            rest = window >> (pos + 1)
-            if rest == 0:
-                break
-            zbits = (rest & -rest).bit_length() - 1
-            token_end = pos + 2 * zbits + 2
-            if token_end > limit:
-                break
-            payload = (window >> (pos + 1 + zbits)) & ((1 << (zbits + 1)) - 1)
-            v = int(f"{payload:0{zbits + 1}b}"[::-1], 2)
-            if indicator:
+        for token_end, is_literal, v in sc.window_tokens(window, limit):
+            if is_literal:
                 values.append(v)
-                last_zero_run = False
             else:
-                if last_zero_run:
-                    break
                 values.extend([0] * v)
-                last_zero_run = True
-            pos = token_end
-            out.append((pos, tuple(values)))
+            out.append((token_end, tuple(values)))
         return out
 
     @staticmethod

@@ -63,11 +63,9 @@ def handles(corpus):
     out = []
     for idx, (syms, sigma, family, _) in enumerate(corpus):
         n = len(syms)
-        threshold = 2 if idx % 5 == 0 else 256
         small_runs = (4 if idx % 7 == 0 else None)
         t = PackedText(syms, sigma, table_n=(1 << 12 if idx % 2 else 1 << 16))
-        handle = fp.FastSyncIndex(t, threshold=threshold,
-                                  small_runs_limit=small_runs)
+        handle = fp.FastSyncIndex(t, small_runs_limit=small_runs)
         out.append((t, handle, orc.TextIndex(syms)))
     return out
 
@@ -128,10 +126,8 @@ def test_criterion_3_recompression_chain(corpus, handles):
                                   rc.lambda_frac, rc.alpha, tidx)
         assert report.ok, (syms, report)
         if rc.packed_round_count(t.n, t.bits_per_symbol, 2) is not None:
-            linear = rc.RecompressionIndex(t, force_linear=True)
-            packed = rc.RecompressionIndex(t, threshold=2)
-            assert packed.contexts is not None
-            assert linear.chain.levels == packed.chain.levels, syms
+            packed = rc.build_chain_packed(t, 2)
+            assert packed.levels == rc.build_chain_linear(t).levels, syms
             packed_checked += 1
     assert packed_checked >= 100
     print(f"\ncriterion 3: PASS ({len(corpus)} chains verified, "

@@ -30,7 +30,7 @@ def test_sync_sparse_support_roundtrip(tmp_path, text_file, capsys):
     path, symbols = text_file
     cont = tmp_path / "sync.bin"
     assert main(["sync", path, "--sigma", "4", "--tau", "8",
-                 "--format", "sparse", "--support", "--out", str(cont)]) == 0
+                 "--format", "sparse", "--out", str(cont)]) == 0
     listed = tmp_path / "sync.txt"
     assert main(["sync", path, "--sigma", "4", "--tau", "8",
                  "--format", "list", "--out", str(listed)]) == 0
@@ -45,6 +45,31 @@ def test_sync_bad_tau_usage_error(text_file):
     path, symbols = text_file
     assert main(["sync", path, "--sigma", "4", "--tau", "999"]) == 2
     assert main(["sync", path, "--sigma", "4", "--tau", "0"]) == 2
+
+
+def _assert_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_decimal_line_with_three_fields_usage_error(tmp_path, capsys):
+    dec = tmp_path / "text.txt"
+    dec.write_text("0 1\n1 0 7\n")
+    _assert_usage_error(["sync", str(dec), "--decimal", "--tau", "1"], capsys)
+
+
+def test_encode_non_integer_token_usage_error(tmp_path, capsys):
+    arr = tmp_path / "arr.txt"
+    arr.write_text("0 3 x 1\n")
+    _assert_usage_error(["encode", str(arr)], capsys)
+
+
+def test_bench_bad_tau_list_usage_error(text_file, capsys):
+    path, _ = text_file
+    _assert_usage_error(["bench", path, "--sigma", "4", "--tau-list", "4,x"],
+                        capsys)
 
 
 def test_missing_file_io_error(tmp_path):

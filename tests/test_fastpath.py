@@ -4,46 +4,10 @@ from conftest import adversarial_text, make_text
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, verify_sync
 from tausync import fastpath as fp
-from tausync import recompress as rc
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.runs import enumerate_runs
 from tausync.text import PackedText
-
-
-def test_level_array_definition(rng):
-    for _ in range(15):
-        n = rng.randint(1, 100)
-        sigma = rng.choice([1, 2, 4])
-        syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
-        t = PackedText(syms, max(1, sigma))
-        recomp = rc.RecompressionIndex(t, threshold=rng.choice([2, 256]))
-        lvl0 = fp.build_level0(t, recomp, 1 << 12)
-        decoded = sc.senc_decode(lvl0)
-        maxlev = recomp.chain.max_level()
-        for i in range(n):
-            want = 0 if i == 0 else max(0, maxlev.get(i, -1) + 1)
-            assert decoded[i] == want
-        assert decoded[0] == 0
-        levels = fp.derive_levels(lvl0, 1 << 12)
-        for j, enc in enumerate(levels):
-            got = sc.senc_decode(enc)
-            for i in range(n):
-                want = 0 if i == 0 else max(0, maxlev.get(i, -1) + 1 - j)
-                assert got[i] == want
-        assert sc.senc_decode(levels[-1]) == [0] * n
-
-
-def test_level0_n1():
-    t = PackedText([0], 1)
-    recomp = rc.RecompressionIndex(t)
-    assert sc.senc_decode(fp.build_level0(t, recomp, 1 << 12)) == [0]
-
-
-def test_decrement_chain_example():
-    levels = fp.derive_levels(sc.senc_encode([2, 0, 1]), 1 << 12)
-    assert [sc.senc_decode(e) for e in levels] == [[2, 0, 1], [1, 0, 0],
-                                                   [0, 0, 0]]
 
 
 def test_shift_truncate_examples():
@@ -136,8 +100,7 @@ def test_sync_sparse_equals_other_paths(rng):
         sigma = rng.choice([1, 2, 4, 16])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma), table_n=rng.choice([1 << 12, 1 << 16]))
-        handle = fp.FastSyncIndex(t, threshold=rng.choice([2, 256]),
-                                  small_runs_limit=rng.choice([None, 4]))
+        handle = fp.FastSyncIndex(t, small_runs_limit=rng.choice([None, 4]))
         for tau in range(1, n // 2 + 1):
             sparse_bits = sc.senc_decode(handle.sync_sparse(tau))
             got = [i for i, b in enumerate(sparse_bits) if b]
@@ -146,6 +109,28 @@ def test_sync_sparse_equals_other_paths(rng):
             assert got == [i for i in range(n) if mask.get_bit(i)]
             pairs += 1
     assert pairs > 300
+
+
+def test_sync_transducer_branch_every_tau(rng):
+    """The transducer branch, which sync_sparse takes only once
+    tau^2 lg^2 n <= n, run at every tau against the explicit set."""
+    checked = 0
+    for trial in range(12):
+        n = rng.randint(2, 200)
+        kind = ("random", "periodic", "rle")[trial % 3]
+        sigma = rng.choice([2, 4])
+        syms = make_text(rng, n, sigma, kind)
+        t = PackedText(syms, sigma)
+        handle = fp.FastSyncIndex(t, small_runs_limit=(None, 4)[trial % 2])
+        tidx = TextIndex(syms)
+        for tau in range(1, n // 2 + 1):
+            bits = sc.senc_decode(handle._sync_sparse_transducer(tau))
+            got = [i for i, b in enumerate(bits) if b]
+            assert got == ss.build_sync_explicit(handle.sync_index, tau), \
+                (syms, tau)
+            assert verify_sync(syms, tau, got, tidx).ok, (syms, tau)
+            checked += tau >= 3
+    assert checked > 200
 
 
 def test_sync_sparse_adversarial(rng):
@@ -213,7 +198,7 @@ def test_construction_is_deterministic(rng):
     outputs = []
     for _ in range(2):
         t = PackedText(syms, 4)
-        handle = fp.FastSyncIndex(t, threshold=2, small_runs_limit=4)
+        handle = fp.FastSyncIndex(t, small_runs_limit=4)
         outputs.append([handle.sync_sparse(tau).stream.to01()
                         for tau in range(1, 91, 7)])
     assert outputs[0] == outputs[1]

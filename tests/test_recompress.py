@@ -147,10 +147,8 @@ def test_context_sets_match_linear_path(rng):
         if rc.packed_round_count(t.n, t.bits_per_symbol, 2) is None:
             continue
         checked += 1
-        linear = rc.RecompressionIndex(t, force_linear=True)
-        packed = rc.RecompressionIndex(t, threshold=2)
-        assert packed.contexts is not None
-        assert linear.chain.levels == packed.chain.levels, syms
+        packed = rc.build_chain_packed(t, 2)
+        assert packed.levels == rc.build_chain_linear(t).levels, syms
     assert checked >= 10
 
 

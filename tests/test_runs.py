@@ -62,6 +62,20 @@ def test_enumerate_runs_uniform_text():
     assert [(r.start, r.end, r.period) for r in got] == [(0, n, 1)]
 
 
+def test_enumerate_runs_extends_each_run_once(monkeypatch):
+    t = PackedText([0, 1] * 4096, 2)
+    calls = []
+    real = rn.run_extend
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rn, "run_extend", counting)
+    assert rn.enumerate_runs(t, 16, 2) == [rn.Run(0, 8192, 2)]
+    assert len(calls) <= 2
+
+
 def test_enumerate_requires_ell_ge_2p():
     t = PackedText([0, 1] * 8, 2)
     with pytest.raises(InvalidArgument):

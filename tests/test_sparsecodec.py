@@ -155,13 +155,6 @@ def test_list_codec_rejects_bad_input():
         sc.senc_from_list(5, [(0, 0)])
 
 
-def test_deferred_encoder_matches(rng):
-    for vals in ([], WORKED_EXAMPLE,
-                 [rng.choice([0, 0, rng.randint(1, 99)]) for _ in range(80)]):
-        d = sc.deferred_encoder(vals)
-        assert d.emit().stream == sc.senc_encode(vals).stream
-
-
 def test_prefix_parse_example():
     info = sc.prefix_parse(BitStream.from01("10110010"), 8)
     assert info.b == 8 and info.a == 3 and info.a_plus == 1

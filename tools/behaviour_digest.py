@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Digest of tausync's observable behaviour, for comparing two checkouts.
+
+Prints one JSON object mapping item names to SHA-256 digests of:
+
+* the `sync_sparse` stream and the `sync_with_support(...).encoding`
+  stream for every tau in 1..n//2 on a fixed seeded corpus (n <= 512),
+  and for tau in {8, 16, 64, 512} on a sigma=4 text of 2^16 symbols;
+* every recompression chain (`recomp.chain.levels`);
+* the output bytes and exit codes of the CLI `sync` (list, bitmask,
+  sparse) and `recompress` (list, bitmask) commands, with and without
+  `--fallback-threshold 2`.
+
+Run it in each checkout and diff the outputs:
+
+    python3 tools/behaviour_digest.py SRC_DIR > digest.json
+
+where SRC_DIR is the checkout's `src/` directory (default: the `src/`
+next to this script).  `--quick` skips the 2^16 text.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def corpus(rng: random.Random):
+    texts = []
+    for idx in range(48):
+        n = rng.choice([rng.randint(2, 64), rng.randint(65, 200),
+                        rng.randint(201, 512)])
+        sigma = (2, 4, 16)[idx % 3]
+        kind = ("random", "periodic", "rle")[idx % 3]
+        if kind == "random":
+            syms = [rng.randrange(sigma) for _ in range(n)]
+        elif kind == "periodic":
+            base = [rng.randrange(sigma) for _ in range(rng.randint(1, 5))]
+            syms = (base * (n // len(base) + 1))[:n]
+        else:
+            syms = []
+            while len(syms) < n:
+                syms.extend([rng.randrange(sigma)] * rng.randint(1, 9))
+            syms = syms[:n]
+        table_n = (1 << 12) if idx % 2 else (1 << 16)
+        small = 4 if idx % 4 == 1 else None
+        texts.append((f"c{idx}", syms, sigma, table_n, small))
+    return texts
+
+
+def library_items(fp, PackedText, name, syms, sigma, table_n, small, taus):
+    t = PackedText(syms, sigma, table_n=table_n)
+    handle = fp.FastSyncIndex(t, small_runs_limit=small)
+    out = {f"{name}:chain": digest(handle.recomp.chain.levels)}
+    for tau in taus:
+        enc = handle.sync_sparse(tau)
+        sup = handle.sync_with_support(tau)
+        out[f"{name}:sparse:{tau}"] = digest((enc.stream.to01(), enc.decoded_len))
+        out[f"{name}:support:{tau}"] = digest(
+            (sup.encoding.stream.to01(), sup.encoding.decoded_len, sup.size))
+    return out
+
+
+def cli_items(main, name, syms, sigma, tmp):
+    path = os.path.join(tmp, f"{name}.bin")
+    with open(path, "wb") as fh:
+        fh.write(bytes(syms))
+    tau = str(max(1, len(syms) // 16))
+    runs = [("sync", fmt, ["sync", path, "--sigma", str(sigma), "--tau", tau,
+                           "--format", fmt]) for fmt in ("list", "bitmask", "sparse")]
+    runs += [("recompress", f"{fmt}{level}",
+              ["recompress", path, "--sigma", str(sigma), "--level", str(level),
+               "--format", fmt])
+             for fmt in ("list", "bitmask") for level in (0, 2, 5)]
+    out = {}
+    for cmd, tag, argv in runs:
+        for extra in ([], ["--fallback-threshold", "2"]):
+            target = os.path.join(tmp, "out")
+            if os.path.exists(target):
+                os.remove(target)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + extra + ["--out", target])
+            data = open(target, "rb").read() if os.path.exists(target) else None
+            key = f"{name}:cli:{cmd}:{tag}:{'ft2' if extra else 'default'}"
+            out[key] = digest((code, data))
+    return out
+
+
+def main(argv) -> int:
+    quick = "--quick" in argv
+    args = [a for a in argv if a != "--quick"]
+    src = os.path.abspath(args[0]) if args else os.path.join(HERE, "..", "src")
+    sys.path.insert(0, src)
+    from tausync import fastpath as fp
+    from tausync.cli import main as cli_main
+    from tausync.text import PackedText
+
+    items = {}
+    rng = random.Random(0xD16E57)
+    texts = corpus(rng)
+    for name, syms, sigma, table_n, small in texts:
+        items.update(library_items(fp, PackedText, name, syms, sigma, table_n,
+                                   small, range(1, len(syms) // 2 + 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, syms, sigma, *_ in texts[:12]:
+            items.update(cli_items(cli_main, name, syms, sigma, tmp))
+    if not quick:
+        big = [rng.randrange(4) for _ in range(1 << 16)]
+        items.update(library_items(fp, PackedText, "big", big, 4, 1 << 16,
+                                   None, (8, 16, 64, 512)))
+    print(json.dumps(items, indent=0, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
