@@ -203,7 +203,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.generate:
+    if args.generate is not None:
+        if args.generate < 1:
+            raise UsageError(f"--generate must be at least 1, "
+                             f"got {args.generate}")
         rng = random.Random(args.seed)
         sigma = args.sigma if args.sigma else 4
         symbols = [rng.randrange(sigma) for _ in range(args.generate)]

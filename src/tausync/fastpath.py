@@ -1,12 +1,15 @@
-"""Sparse-output query path: run markers, stream shifting, and the
-transducer that emits the synchronizing-set mask directly as a sparse
-encoding, optionally with rank/select support.
+"""Sparse-output query path: the synchronizing set as a sparse encoding,
+optionally with rank/select support.
 
-The per-text handle holds the recompression chain and run tables split
-by period scale: geometric length ranges for large tau and per-position
-run descriptors for small tau.  A tau query encodes the boundary set
-B_k(tau) of the chain, shifted by tau, and runs a fixed five-stream
-transducer over it and the shifted run markers.
+A tau query lists the set explicitly (`build_sync_explicit`) and encodes
+that list with `senc_from_list`.
+
+The paper's construction is kept beside it as a tested reference, off
+the query path: run tables split by period scale (geometric length
+ranges for large tau, per-position run descriptors for small tau), stream
+shifting, and a fixed five-stream transducer over the boundary set
+B_k(tau) of the chain, shifted by tau, and the shifted run markers.  It
+yields the same stream, bit for bit, and only tests call it.
 """
 
 from __future__ import annotations
@@ -374,7 +377,12 @@ class SyncSupport:
 
 
 class FastSyncIndex:
-    """Preprocessed handle answering sparse-output tau queries."""
+    """Preprocessed handle answering sparse-output tau queries.
+
+    `sync_sparse` encodes the explicit set.  `_sync_sparse_transducer` is
+    the paper's five-stream construction of the same stream, kept as a
+    tested reference; `runs` serves only it and builds its tables lazily.
+    """
 
     def __init__(self, t: PackedText, table_n: Optional[int] = None,
                  small_runs_limit: Optional[int] = None):
@@ -386,18 +394,15 @@ class FastSyncIndex:
         self.runs = RunTables(t, self.table_n, small_runs_limit, lce)
 
     def sync_sparse(self, tau: int) -> SparseEncoding:
-        n = self.t.n
-        if tau < 1 or tau > n // 2:
-            raise InvalidArgument(f"tau {tau} outside [1..{n // 2}]")
-        lg2 = max(1, n.bit_length() - 1)
-        if tau * tau * lg2 * lg2 > n:
-            # explicit construction is affordable at this tau
-            members = build_sync_explicit(self.sync_index, tau)
-            return sc.senc_from_list(n, [(i, 1) for i in members])
-        return self._sync_sparse_transducer(tau)
+        """senc of the tau-synchronizing set, encoded from the explicit set."""
+        members = build_sync_explicit(self.sync_index, tau)
+        return sc.senc_from_list(self.t.n, [(i, 1) for i in members])
 
     def _sync_sparse_transducer(self, tau: int) -> SparseEncoding:
-        """The five-stream transducer branch of sync_sparse, for any tau."""
+        """The paper's five-stream transducer construction of sync_sparse.
+
+        Bit-identical to sync_sparse for every tau; only tests call it.
+        """
         n = self.t.n
         k = self.sync_index.k_of_tau(tau)
         # B_k shifted left by tau: the sync transducer only tests > 0

@@ -51,11 +51,6 @@ def alpha(k: int) -> int:
     return alpha(k - 1) + lambda_floor(k - 1)
 
 
-def len_le_lambda(length: int, k: int) -> bool:
-    num, den = lambda_frac(k)
-    return length * den <= num
-
-
 def lambda_exceeds_4n(k: int, n: int) -> bool:
     num, den = lambda_frac(k)
     return num > 4 * n * den
@@ -135,11 +130,15 @@ class Level:
     """Boundary set B_k with aligned phrase names and lengths.
 
     ``boundaries`` lists the interior boundaries f_1 < ... < f_m; phrase i
-    spans [f_i..f_{i+1}) with f_0 = 0 and f_{m+1} = n.
+    spans [f_i..f_{i+1}) with f_0 = 0 and f_{m+1} = n.  Equal ``names``
+    mean equal phrases.  Only an even round compares names, and only
+    between phrases of length <= floor(lambda_k), so an odd round names
+    just those (longer phrases get None) and an even round returns
+    ``names`` = None.
     """
 
     boundaries: list[int]
-    names: list[int]
+    names: list | None
     lens: list[int]
 
 
@@ -184,11 +183,16 @@ def phrase_key(t: PackedText, start: int, length: int, k: int) -> tuple:
     return (length, t.symbols(start, trunc))
 
 
+def _phrase_lens(n: int, boundaries: list[int]) -> list[int]:
+    cuts = [0] + boundaries + [n]
+    return [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
+
+
 def _names_for(t: PackedText, boundaries: list[int], k: int,
                namer: PhraseNamer | None = None) -> tuple[list[int], list[int]]:
-    n = t.n
-    cuts = [0] + boundaries + [n]
-    lens = [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
+    """Dense ranks of the canonical phrase keys, and the phrase lengths."""
+    cuts = [0] + boundaries
+    lens = _phrase_lens(t.n, boundaries)
     if namer is None:
         keys = [phrase_key(t, cuts[i], lens[i], k) for i in range(len(lens))]
     else:
@@ -205,21 +209,15 @@ def level0(t: PackedText) -> Level:
     return Level(boundaries, names, lens)
 
 
-def round_even(t: PackedText, level: Level, k: int,
-               namer: PhraseNamer | None = None) -> Level:
+def round_even(t: PackedText, level: Level, k: int) -> Level:
     """Even round: drop f_i iff both neighbor phrases are short and equal."""
     if k % 2:
         raise InvalidArgument("round_even requires even k")
-    keep = []
-    bounds = level.boundaries
+    lim = lambda_floor(k)
     names, lens = level.names, level.lens
-    for i, f in enumerate(bounds, start=1):
-        short = (len_le_lambda(lens[i - 1], k)
-                 and len_le_lambda(lens[i], k))
-        if not short or names[i - 1] != names[i]:
-            keep.append(f)
-    new_names, new_lens = _names_for(t, keep, k + 1, namer)
-    return Level(keep, new_names, new_lens)
+    keep = [f for i, f in enumerate(level.boundaries, start=1)
+            if lens[i - 1] > lim or lens[i] > lim or names[i - 1] != names[i]]
+    return Level(keep, None, _phrase_lens(t.n, keep))
 
 
 def round_odd(t: PackedText, level: Level, k: int,
@@ -234,7 +232,8 @@ def round_odd(t: PackedText, level: Level, k: int,
     bounds = level.boundaries
     lens = level.lens
     cuts = [0] + bounds + [t.n]
-    short = [len_le_lambda(l, k) for l in lens]
+    lim = lambda_floor(k)
+    short = [l <= lim for l in lens]
     canon: dict = {}
     keys = [None] * len(lens)
 
@@ -263,14 +262,20 @@ def round_odd(t: PackedText, level: Level, k: int,
         if short[i - 1] and short[i] and key_of(i - 1) in L and key_of(i) in R:
             continue
         keep.append(f)
-    new_names, new_lens = _names_for(t, keep, k + 1, namer)
+    # the next (even) round compares names only between phrases of
+    # length <= floor(lambda_{k+1}), so only those get one
+    new_lens = _phrase_lens(t.n, keep)
+    lim_next = lambda_floor(k + 1)
+    ident = namer.window_id if namer is not None else t.symbols
+    new_names = [(l, ident(start, l)) if l <= lim_next else None
+                 for start, l in zip([0] + keep, new_lens)]
     return Level(keep, new_names, new_lens)
 
 
 def next_level(t: PackedText, level: Level, k: int,
                namer: PhraseNamer | None = None) -> Level:
     if k % 2 == 0:
-        return round_even(t, level, k, namer)
+        return round_even(t, level, k)
     return round_odd(t, level, k, namer)
 
 

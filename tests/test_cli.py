@@ -72,6 +72,16 @@ def test_bench_bad_tau_list_usage_error(text_file, capsys):
                         capsys)
 
 
+def test_bench_generate_negative_usage_error(capsys):
+    _assert_usage_error(["bench", "--generate", "-5", "--tau-list", "1"],
+                        capsys)
+
+
+def test_bench_generate_zero_usage_error(capsys):
+    _assert_usage_error(["bench", "--generate", "0", "--tau-list", "1"],
+                        capsys)
+
+
 def test_missing_file_io_error(tmp_path):
     assert main(["sync", str(tmp_path / "absent.bin"), "--tau", "2"]) == 3
 

@@ -112,8 +112,8 @@ def test_sync_sparse_equals_other_paths(rng):
 
 
 def test_sync_transducer_branch_every_tau(rng):
-    """The transducer branch, which sync_sparse takes only once
-    tau^2 lg^2 n <= n, run at every tau against the explicit set."""
+    """The paper's transducer construction at every tau, against the
+    stream of sync_sparse and the explicit set."""
     checked = 0
     for trial in range(12):
         n = rng.randint(2, 200)
@@ -124,13 +124,52 @@ def test_sync_transducer_branch_every_tau(rng):
         handle = fp.FastSyncIndex(t, small_runs_limit=(None, 4)[trial % 2])
         tidx = TextIndex(syms)
         for tau in range(1, n // 2 + 1):
-            bits = sc.senc_decode(handle._sync_sparse_transducer(tau))
+            enc = handle._sync_sparse_transducer(tau)
+            assert enc.stream.to01() == handle.sync_sparse(tau).stream.to01(), \
+                (syms, tau)
+            bits = sc.senc_decode(enc)
             got = [i for i, b in enumerate(bits) if b]
             assert got == ss.build_sync_explicit(handle.sync_index, tau), \
                 (syms, tau)
             assert verify_sync(syms, tau, got, tidx).ok, (syms, tau)
             checked += tau >= 3
     assert checked > 200
+
+
+def _periodic_stretches(rng, n: int) -> list[int]:
+    """sigma=2 text alternating random and short-period stretches."""
+    out: list[int] = []
+    while len(out) < n:
+        out.extend(rng.randrange(2) for _ in range(rng.randint(5, 60)))
+        base = [rng.randrange(2) for _ in range(rng.randint(1, 3))]
+        out.extend((base * 100)[:rng.randint(10, 150)])
+    return out[:n]
+
+
+def test_sync_transducer_large_run_tables(rng, monkeypatch):
+    """At n = 4096 and tau in 3..5, the run markers come from the
+    transducer over the large-range tables, which no smaller test reaches."""
+    keys = []
+    run_multi = fp.td.run_multi
+
+    def recording(spec, streams, table_n):
+        keys.append(spec.key)
+        return run_multi(spec, streams, table_n)
+
+    monkeypatch.setattr(fp.td, "run_multi", recording)
+    n = 4096
+    for syms, sigma in (([rng.randrange(4) for _ in range(n)], 4),
+                        (_periodic_stretches(rng, n), 2)):
+        t = PackedText(syms, sigma)
+        handle = fp.FastSyncIndex(t)
+        tidx = TextIndex(syms)
+        for tau in (3, 4, 5):
+            keys.clear()
+            enc = handle._sync_sparse_transducer(tau)
+            assert any(k.startswith("runs:large:") for k in keys), tau
+            assert enc.stream.to01() == handle.sync_sparse(tau).stream.to01()
+            got = [i for i, b in enumerate(sc.senc_decode(enc)) if b]
+            assert verify_sync(syms, tau, got, tidx).ok, tau
 
 
 def test_sync_sparse_adversarial(rng):
