@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`tausync.bitstream` -- LSB-first bit streams and the container format
-* :mod:`tausync.text` -- packed texts, table-index codes, substring counter
+* :mod:`tausync.text` -- packed texts and the substring counter
 * :mod:`tausync.recompress` -- restricted recompression boundary chains
 * :mod:`tausync.runs` -- periods, run extensions, filtered run families
 * :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
@@ -20,7 +20,7 @@ from .text import PackedText, SubstringCounter, build_substring_counter, remap_a
 from .sparsecodec import (SparseEncoding, gamma_decode, gamma_encode,
                           senc_decode, senc_encode, senc_from_list,
                           senc_size, senc_to_list)
-from .recompress import RecompressionIndex, bk_bitmask, bk_explicit, max_dicut
+from .recompress import RecompressionIndex, max_dicut
 from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask, runs_tau
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,
                       k_of_tau)

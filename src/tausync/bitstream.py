@@ -12,6 +12,8 @@ read-only across threads.
 from __future__ import annotations
 
 import struct
+from itertools import pairwise
+from typing import Sequence
 
 from .errors import DecodeError, InvalidArgument
 
@@ -53,36 +55,53 @@ class BitStream:
     @classmethod
     def from01(cls, bits: str) -> "BitStream":
         """Build a stream from a left-to-right "0101..." string."""
-        s = cls()
-        for ch in bits:
-            if ch not in "01":
-                raise InvalidArgument(f"not a bit: {ch!r}")
-            s.append_bits(int(ch), 1)
-        return s
+        bad = bits.translate({ord("0"): None, ord("1"): None})
+        if bad:
+            raise InvalidArgument(f"not a bit: {bad[0]!r}")
+        return cls.from_int(int(bits[::-1] or "0", 2), len(bits))
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitStream":
         """Build a length-`length` stream whose bit i is bit i of value."""
         if value < 0 or value >> length:
             raise InvalidArgument("value does not fit in length bits")
+        nwords = -(-length // W)
         s = cls()
-        full, rem = divmod(length, W)
-        for _ in range(full):
-            s.append_bits(value & _WORD_MASK, W)
-            value >>= W
-        if rem:
-            s.append_bits(value, rem)
+        s._words = list(struct.unpack(f"<{nwords}Q",
+                                      value.to_bytes(8 * nwords, "little")))
+        s._len = length
         return s
 
+    @classmethod
+    def from_positions(cls, n: int, positions: Sequence[int]) -> "BitStream":
+        """The n-bit mask whose set bits are `positions`.
+
+        Positions must be strictly increasing and lie in [0..n).  Linear in
+        n: the mask is spelled as a digit string and converted once.
+        """
+        if positions and not (positions[0] >= 0 and positions[-1] < n):
+            raise InvalidArgument(f"positions outside [0..{n})")
+        if any(a >= b for a, b in pairwise(positions)):
+            raise InvalidArgument("positions must be strictly increasing")
+        digits = bytearray(b"0") * n
+        for i in positions:
+            digits[i] = ord("1")
+        return cls.from_int(int(digits[::-1] or b"0", 2), n)
+
     def to01(self) -> str:
-        return "".join("1" if self.get_bit(i) else "0" for i in range(self._len))
+        if not self._len:
+            return ""
+        return format(self.to_int(), f"0{self._len}b")[::-1]
 
     def to_int(self) -> int:
         """The whole stream as one integer, bit i of the result = bit i."""
-        out = 0
-        for wi in range(len(self._words) - 1, -1, -1):
-            out = (out << W) | self._words[wi]
-        return out & ((1 << self._len) - 1) if self._len else 0
+        words = self._words
+        return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
+
+    def to_positions(self) -> list[int]:
+        """Positions of the set bits, in increasing order."""
+        digits = format(self.to_int(), "b")[::-1]
+        return [i for i, ch in enumerate(digits) if ch == "1"]
 
     # -- core operations -----------------------------------------------------
 
@@ -187,9 +206,6 @@ class BitStream:
             count -= take
         return out
 
-    def count_ones(self) -> int:
-        return sum(w.bit_count() for w in self._words)
-
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self, decoded_len: int) -> bytes:
@@ -197,11 +213,8 @@ class BitStream:
 
         Bit i is stored at byte i // 8, bit i % 8.
         """
-        nbytes = (self._len + 7) // 8
-        payload = bytearray(nbytes)
-        for bi in range(nbytes):
-            payload[bi] = self.read_bits(8 * bi, min(8, self._len - 8 * bi))
-        return MAGIC + struct.pack("<QQ", decoded_len, self._len) + bytes(payload)
+        payload = self.to_int().to_bytes((self._len + 7) // 8, "little")
+        return MAGIC + struct.pack("<QQ", decoded_len, self._len) + payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> tuple["BitStream", int]:
@@ -212,11 +225,8 @@ class BitStream:
         nbytes = (nbits + 7) // 8
         if len(data) != 20 + nbytes:
             raise DecodeError("container payload length mismatch")
-        s = cls()
-        for bi in range(nbytes):
-            take = min(8, nbits - 8 * bi)
-            byte = data[20 + bi]
-            if byte >> take:
-                raise DecodeError("nonzero padding bits in container", 8 * bi + take)
-            s.append_bits(byte, take)
-        return s, decoded_len
+        value = int.from_bytes(data[20:], "little")
+        if value >> nbits:
+            # only the last byte holds padding, in its bits above nbits
+            raise DecodeError("nonzero padding bits in container", nbits)
+        return cls.from_int(value, nbits), decoded_len

@@ -105,17 +105,7 @@ def cmd_sync(args) -> int:
     t = _packed(args)
     if args.tau < 1 or args.tau > t.n // 2:
         raise UsageError(f"--tau must lie in [1..{t.n // 2}]")
-    handle = fp.FastSyncIndex(t)
-    if args.format == "list":
-        members = ss.build_sync_explicit(handle.sync_index, args.tau)
-        enc = None
-    elif args.format == "bitmask":
-        mask = ss.build_sync_bitmask(handle.sync_index, args.tau)
-        members = [i for i in range(t.n) if mask.get_bit(i)]
-        enc = sc.SparseEncoding(mask, t.n)
-    else:
-        enc = handle.sync_sparse(args.tau)
-        members = [i for i, b in enumerate(sc.senc_decode(enc)) if b]
+    members = ss.build_sync_explicit(ss.SyncIndex(t), args.tau)
     if args.verify:
         report = verify_sync(t.text(), args.tau, members, TextIndex(t.text()))
         if not report.ok:
@@ -124,7 +114,10 @@ def cmd_sync(args) -> int:
             return 1
     if args.format == "list":
         _write_lines(args.out, members)
+    elif args.format == "bitmask":
+        _write_container(args.out, BitStream.from_positions(t.n, members), t.n)
     else:
+        enc = sc.senc_from_list(t.n, [(i, 1) for i in members])
         _write_container(args.out, enc.stream, enc.decoded_len)
     return 0
 
@@ -186,8 +179,8 @@ def cmd_verify(args) -> int:
             data = fh.read()
         if data[:4] == b"SSB1":
             stream, decoded_len = BitStream.from_bytes(data)
-            bits = sc.senc_decode(sc.SparseEncoding(stream, decoded_len))
-            members = [i for i, b in enumerate(bits) if b]
+            _, pairs = sc.senc_to_list(sc.SparseEncoding(stream, decoded_len))
+            members = [i for i, _ in pairs]
         else:
             members = [int(line) for line in data.decode().split()]
     except (DecodeError, UnicodeDecodeError, ValueError) as exc:

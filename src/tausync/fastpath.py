@@ -23,9 +23,9 @@ from . import recompress as rc
 from . import sparsecodec as sc
 from . import transducer as td
 from .ranksupport import RankSupport, SelectSupport
-from .runs import DirectLce, PackedLce, enumerate_runs
+from .runs import DirectLce, enumerate_runs
 from .sparsecodec import SparseEncoding
-from .syncset import SyncIndex, build_sync_explicit
+from .syncset import SyncIndex, build_sync_explicit, k_of_tau
 from .text import DEFAULT_TABLE_N, PackedText
 
 RUNS_LENGTH_FACTOR = 2          # queried run lengths stay within [tau..2*tau]
@@ -390,8 +390,8 @@ class FastSyncIndex:
         self.table_n = table_n if table_n is not None else t.table_n
         self.recomp = rc.RecompressionIndex(t)
         self.sync_index = SyncIndex(t, recomp=self.recomp)
-        lce = (PackedLce(t) if t.bits_per_symbol * 4 <= 64 else DirectLce(t))
-        self.runs = RunTables(t, self.table_n, small_runs_limit, lce)
+        self.runs = RunTables(t, self.table_n, small_runs_limit,
+                              self.sync_index.lce)
 
     def sync_sparse(self, tau: int) -> SparseEncoding:
         """senc of the tau-synchronizing set, encoded from the explicit set."""
@@ -404,7 +404,7 @@ class FastSyncIndex:
         Bit-identical to sync_sparse for every tau; only tests call it.
         """
         n = self.t.n
-        k = self.sync_index.k_of_tau(tau)
+        k = k_of_tau(tau)
         # B_k shifted left by tau: the sync transducer only tests > 0
         b_hat = sc.senc_from_list(n, [(f - tau, 1)
                                       for f in self.recomp.chain.boundaries(k)

@@ -7,7 +7,7 @@ Reported counterexamples are minimal in position order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -216,15 +216,6 @@ def brute_select(bits: Sequence[int], j: int) -> int:
             if seen == j:
                 return i
     raise ValueError("select argument out of range")
-
-
-def brute_pred(keys: Sequence[int], x: int) -> Optional[int]:
-    i = bisect_right(keys, x)
-    return keys[i - 1] if i else None
-
-
-def brute_rank_keys(keys: Sequence[int], x: int) -> int:
-    return bisect_left(keys, x)
 
 
 def run_reference_transducer(delta, start_state: int,

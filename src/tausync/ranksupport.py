@@ -92,10 +92,6 @@ class Decomposition:
     def h(self) -> int:
         return len(self.p) - 1
 
-    def piece_of_position(self, j: int) -> int:
-        """Index i with j in [p_i..p_{i+1})."""
-        return bisect_right(self.p, j) - 1
-
     def _window(self, i: int) -> sc.ParseInfo:
         tables = sc.parse_tables(self.table_n)
         width = self.e[i + 1] - self.e[i]
@@ -156,9 +152,6 @@ class SelectSupport:
         self.enc = enc
         self.decomp = decompose(enc, table_n)
         nbits = len(enc.stream)
-        bmask = 0
-        for ei in self.decomp.e[:-1]:
-            bmask |= 1 << ei
         lmask = 0
         tables = sc.parse_tables(table_n)
         for i in range(self.decomp.h):
@@ -167,7 +160,8 @@ class SelectSupport:
             info = tables.parse_stream(self.enc.stream, self.decomp.e[i],
                                        self.decomp.e[i + 1] - self.decomp.e[i])
             lmask |= info.literal_start_mask << self.decomp.e[i]
-        self.boundary = BitVectorRS(BitStream.from_int(bmask, max(nbits, 1)))
+        self.boundary = BitVectorRS(
+            BitStream.from_positions(max(nbits, 1), self.decomp.e[:-1]))
         self.literal = BitVectorRS(BitStream.from_int(lmask, max(nbits, 1)))
         self.count = self.decomp.r[-1]
 

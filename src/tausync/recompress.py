@@ -433,7 +433,7 @@ def build_chain_packed(t: PackedText,
         mask = oracle_bitmask(pad + t.text() + pad, 2 * len(pad),
                               contexts.membership_oracle(k))
         # window i is centred on position i; B_k keeps the interior 1..n-1
-        levels.append([i for i in bitmask_to_list(mask) if 0 < i < t.n])
+        levels.append([i for i in mask.to_positions() if 0 < i < t.n])
     if levels[-1]:
         namer = PhraseNamer(t)
         names, lens = _names_for(t, levels[-1], K, namer)
@@ -479,34 +479,6 @@ def oracle_bitmask(symbols, ell: int, oracle) -> BitStream:
     return out
 
 
-_CHUNK_BITS = 16
-_chunk_positions: list[tuple[int, ...]] | None = None
-
-
-def bitmask_to_list(mask: BitStream) -> list[int]:
-    """Set-bit positions in increasing order via a per-chunk lookup table."""
-    global _chunk_positions
-    if _chunk_positions is None:
-        table = []
-        for value in range(1 << _CHUNK_BITS):
-            positions = []
-            v = value
-            while v:
-                b = v & -v
-                positions.append(b.bit_length() - 1)
-                v ^= b
-            table.append(tuple(positions))
-        _chunk_positions = table
-    table = _chunk_positions
-    out = []
-    n = len(mask)
-    for base in range(0, n, _CHUNK_BITS):
-        chunk = mask.read_bits(base, min(_CHUNK_BITS, n - base))
-        if chunk:
-            out.extend(base + p for p in table[chunk])
-    return out
-
-
 # -- public level reporting ----------------------------------------------------
 
 class RecompressionIndex:
@@ -522,24 +494,4 @@ class RecompressionIndex:
         return self.chain.boundaries(k)
 
     def level_bitmask(self, k: int) -> BitStream:
-        out = BitStream()
-        n = self.t.n
-        if n == 0:
-            return out
-        bits = [0] * n
-        for f in self.level_list(k):
-            bits[f] = 1
-        for b in bits:
-            out.append_bits(b, 1)
-        return out
-
-
-def bk_explicit(index: RecompressionIndex, k: int) -> list[int]:
-    return index.level_list(k)
-
-
-def bk_bitmask(t: PackedText, k: int,
-               index: RecompressionIndex | None = None) -> BitStream:
-    if index is None:
-        index = RecompressionIndex(t)
-    return index.level_bitmask(k)
+        return BitStream.from_positions(self.t.n, self.level_list(k))

@@ -222,24 +222,19 @@ def runs_bitmask(t: PackedText, ell: int, p: int,
     if p >= ell:
         raise InvalidArgument("period bound must be below the window length")
     width = n - ell + 1
-    out = BitStream()
     if width <= 0:
-        return out
+        return BitStream()
     if p <= 0:
-        out.append_bits_wide(0, width)
-        return out
+        return BitStream.from_positions(width, [])
     budget = max(4, t.table_n.bit_length() - 1)
     if 2 * ell * t.bits_per_symbol <= budget:
         return oracle_bitmask(t.text(), ell, _periodic_window_oracle(ell, p))
     if ell >= 2 * p:
-        bits = [0] * width
-        for run in enumerate_runs(t, ell, p, lce):
-            for i in range(run.start, run.end - ell + 1):
-                bits[i] = 1
-        for b in bits:
-            out.append_bits(b, 1)
-        return out
-    # definitional fill for the remaining (rare) parameter combinations
-    for i in range(width):
-        out.append_bits(1 if period(t, i, i + ell) <= p else 0, 1)
-    return out
+        # distinct runs of period <= p overlap by fewer than 2p <= ell
+        # symbols, so their window ranges are disjoint and in order
+        ones = [i for run in enumerate_runs(t, ell, p, lce)
+                for i in range(run.start, run.end - ell + 1)]
+    else:
+        # definitional fill for the remaining (rare) parameter combinations
+        ones = [i for i in range(width) if period(t, i, i + ell) <= p]
+    return BitStream.from_positions(width, ones)

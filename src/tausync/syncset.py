@@ -5,6 +5,10 @@ highly periodic (per > tau/3) and either i + tau is a boundary of the
 recompression level k(tau), or a tau-run starts at i + 1 or ends at
 i + 2tau - 1.  The result satisfies the consistency and density
 conditions and has fewer than 70n/tau members.
+
+`build_sync_explicit` is the one construction of the set: candidates
+from the boundaries and the tau-runs, then the period filter.  The
+bitmask form is the mask of that list.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from bisect import bisect_right
 from .bitstream import BitStream
 from .errors import InvalidArgument
 from .recompress import RecompressionIndex, lambda_frac
-from .runs import DirectLce, PackedLce, enumerate_runs, runs_bitmask
+from .runs import DirectLce, PackedLce, enumerate_runs
 from .text import PackedText
 
 
@@ -31,23 +35,6 @@ def k_of_tau(tau: int) -> int:
             return j
 
 
-def k_interval_table(tau_max: int) -> list[tuple[int, int, int]]:
-    """Rows (k, lo, hi) with k(tau) = k exactly for tau in [lo..hi]."""
-    rows = []
-    lo = 1
-    k = 0
-    while lo <= tau_max:
-        num, den = lambda_frac(k)
-        # smallest tau with 16 * lambda_k <= tau, i.e. k(tau) >= k + 1
-        nxt = -(-16 * num // den)
-        hi = min(tau_max, nxt - 1)
-        if lo <= hi:
-            rows.append((k, lo, hi))
-        lo = max(lo, nxt)
-        k += 1
-    return rows
-
-
 class SyncIndex:
     """Per-text preprocessing shared by all tau queries."""
 
@@ -57,13 +44,6 @@ class SyncIndex:
         self.recomp = recomp if recomp is not None else RecompressionIndex(t)
         self.lce = lce if lce is not None else (
             PackedLce(t) if t.bits_per_symbol * 4 <= 64 else DirectLce(t))
-        self.k_intervals = k_interval_table(max(1, t.n // 2))
-
-    def k_of_tau(self, tau: int) -> int:
-        for k, lo, hi in reversed(self.k_intervals):
-            if lo <= tau <= hi:
-                return k
-        return k_of_tau(tau)
 
 
 def _check_tau(t: PackedText, tau: int) -> None:
@@ -76,7 +56,7 @@ def sync_candidates(index: SyncIndex, tau: int) -> list[int]:
     t = index.t
     n = t.n
     hi = n - 2 * tau
-    k = index.k_of_tau(tau)
+    k = k_of_tau(tau)
     cands = set()
     for f in index.recomp.level_list(k):
         i = f - tau
@@ -120,27 +100,5 @@ def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
 
 
 def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:
-    """The same set as an n-bit mask, assembled with bitwise operations."""
-    t = index.t
-    _check_tau(t, tau)
-    n = t.n
-    hi = n - 2 * tau
-    domain = (1 << (hi + 1)) - 1
-    k = index.k_of_tau(tau)
-    p = tau // 3
-
-    b_mask = 0
-    for f in index.recomp.level_list(k):
-        b_mask |= 1 << f
-    r2 = runs_bitmask(t, 2 * tau, p, index.lce).to_int() if p >= 1 else 0
-    if p >= 1:
-        r1 = runs_bitmask(t, tau, p, index.lce).to_int()
-        not_r1 = ~r1 & ((1 << (n - tau + 1)) - 1)
-        starts = not_r1 & (r1 >> 1)
-        ends = (r1 >> (tau - 1)) & (not_r1 >> tau)
-    else:
-        starts = ends = 0
-    m = ((b_mask >> tau) | starts | ends) & ~r2 & domain
-    out = BitStream()
-    out.append_bits_wide(m, n)
-    return out
+    """The same set as an n-bit mask: the mask of build_sync_explicit."""
+    return BitStream.from_positions(index.t.n, build_sync_explicit(index, tau))

@@ -23,13 +23,6 @@ def counter_limit(table_n: int, bits_per_symbol: int) -> int:
     return max(1, lg_n // (8 * bits_per_symbol))
 
 
-def int_code_limit(table_n: int, bits_per_symbol: int) -> int:
-    """Maximum substring length representable as an IntCode."""
-    lg_n = max(1, table_n.bit_length() - 1)
-    return max(2 * counter_limit(table_n, bits_per_symbol),
-               lg_n // (4 * bits_per_symbol), 1)
-
-
 class PackedText:
     """Immutable fixed-width text T[-n..2n) = $^n . T . $^n."""
 
@@ -85,45 +78,6 @@ class PackedText:
         if not -self.n <= i or i + length > 2 * self.n:
             raise InvalidArgument("range outside [-n..2n)")
         return self.payload.read_bits((i + self.n) * bits, length * bits)
-
-    def extract_wide(self, i: int, length: int) -> int:
-        """Packed value without the word cap (internal table keys)."""
-        bits = self.bits_per_symbol
-        if length < 0 or not -self.n <= i or i + length > 2 * self.n:
-            raise InvalidArgument("range outside [-n..2n)")
-        return self.payload.read_bits_wide((i + self.n) * bits, length * bits)
-
-    # -- IntCode -------------------------------------------------------------
-
-    @property
-    def int_len_limit(self) -> int:
-        return int_code_limit(self.table_n, self.bits_per_symbol)
-
-    @property
-    def _len_field_bits(self) -> int:
-        limit = self.int_len_limit
-        return max(limit.bit_length(), limit * self.bits_per_symbol)
-
-    def int_code(self, i: int, length: int) -> int:
-        """Table-index code for T[i..i+length): packed content over length.
-
-        The upper half holds the packed symbols, the lower half the length;
-        distinct (content, length) pairs get distinct codes.
-        """
-        if length < 0 or length > self.int_len_limit:
-            raise InvalidArgument(
-                f"length {length} exceeds IntCode limit {self.int_len_limit}")
-        return (self.extract_wide(i, length) << self._len_field_bits) | length
-
-    def int_code_of(self, symbols: Sequence[int], length_ok: bool = False) -> int:
-        """IntCode of an explicit symbol sequence."""
-        if not length_ok and len(symbols) > self.int_len_limit:
-            raise InvalidArgument("length exceeds IntCode limit")
-        packed = 0
-        bits = self.bits_per_symbol
-        for j, s in enumerate(symbols):
-            packed |= s << (j * bits)
-        return (packed << self._len_field_bits) | len(symbols)
 
 
 def remap_alphabet(raw: Sequence[int], sigma_in: int,

@@ -139,3 +139,29 @@ def test_from_int_to_int(rng):
         s = BitStream.from_int(value, length)
         assert len(s) == length
         assert s.to_int() == value
+
+
+def test_positions_roundtrip_word_edges(rng):
+    for n in (0, 1, 63, 64, 65):
+        empty = BitStream.from_positions(n, [])
+        assert empty == BitStream.from01("0" * n)
+        assert empty.to_positions() == []
+        if n:
+            last = BitStream.from_positions(n, [n - 1])
+            assert last == BitStream.from01("0" * (n - 1) + "1")
+            assert last.to_positions() == [n - 1]
+        for _ in range(10):
+            bits = "".join(rng.choice("01") for _ in range(n))
+            ones = [i for i, b in enumerate(bits) if b == "1"]
+            mask = BitStream.from_positions(n, ones)
+            assert mask == BitStream.from01(bits) and len(mask) == n
+            assert mask.to_positions() == ones
+
+
+@pytest.mark.parametrize("n, positions", [
+    (4, [4]), (4, [-1]), (0, [0]), (8, [1, 9, 2]),   # out of range
+    (8, [3, 1]), (8, [2, 2]), (8, [0, 5, 4, 7]),     # not strictly increasing
+])
+def test_positions_rejected(n, positions):
+    with pytest.raises(InvalidArgument):
+        BitStream.from_positions(n, positions)

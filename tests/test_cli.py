@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tausync.bitstream import BitStream
 from tausync.cli import main
 from tausync.oracle import TextIndex, verify_sync
 
@@ -39,6 +40,22 @@ def test_sync_sparse_support_roundtrip(tmp_path, text_file, capsys):
     assert capsys.readouterr().out.strip() == str(first)
     assert main(["verify", path, "--sigma", "4", "--tau", "8",
                  "--set", str(cont)]) == 0
+
+
+def test_sync_bitmask_and_sparse_verified(tmp_path, text_file):
+    path, symbols = text_file
+    listed = tmp_path / "sync.txt"
+    assert main(["sync", path, "--sigma", "4", "--tau", "8",
+                 "--format", "list", "--out", str(listed)]) == 0
+    members = [int(line) for line in listed.read_text().split()]
+    for fmt in ("bitmask", "sparse"):
+        cont = tmp_path / f"sync.{fmt}"
+        assert main(["sync", path, "--sigma", "4", "--tau", "8", "--format",
+                     fmt, "--verify", "--out", str(cont)]) == 0
+    # the bitmask container holds the raw n-bit mask of the list
+    mask, decoded_len = BitStream.from_bytes((tmp_path / "sync.bitmask").read_bytes())
+    assert decoded_len == len(mask) == len(symbols)
+    assert mask.to_positions() == members
 
 
 def test_sync_bad_tau_usage_error(text_file):

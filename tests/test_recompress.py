@@ -182,9 +182,9 @@ def test_oracle_bitmask_against_naive(rng):
 
 
 def test_bitmask_to_list(rng):
-    assert rc.bitmask_to_list(BitStream.from01("0101")) == [1, 3]
-    assert rc.bitmask_to_list(BitStream.from01("0000")) == []
+    assert BitStream.from01("0101").to_positions() == [1, 3]
+    assert BitStream.from01("0000").to_positions() == []
     for _ in range(20):
         bits = "".join(rng.choice("01") for _ in range(rng.randrange(300)))
         mask = BitStream.from01(bits)
-        assert rc.bitmask_to_list(mask) == [i for i, b in enumerate(bits) if b == "1"]
+        assert mask.to_positions() == [i for i, b in enumerate(bits) if b == "1"]

@@ -20,11 +20,6 @@ def test_k_of_tau_monotone():
     assert values == sorted(values)
 
 
-def test_k_interval_table_consistent():
-    for k, lo, hi in ss.k_interval_table(300):
-        assert ss.k_of_tau(lo) == k and ss.k_of_tau(hi) == k
-
-
 def test_boundary_only_construction():
     # all-distinct symbols: no periodic windows, no runs; members are
     # exactly the boundary positions shifted by tau
@@ -33,7 +28,7 @@ def test_boundary_only_construction():
     index = ss.SyncIndex(t)
     tau = 5
     members = ss.build_sync_explicit(index, tau)
-    k = index.k_of_tau(tau)
+    k = ss.k_of_tau(tau)
     want = sorted(f - tau for f in index.recomp.level_list(k)
                   if 0 <= f - tau <= t.n - 2 * tau)
     assert members == want

@@ -56,39 +56,6 @@ def test_extract_width_overflow():
         t.extract(0, 9)  # 9 symbols * 8 bits > 64
 
 
-def test_int_code_zero_and_content():
-    t = remap_alphabet([0, 1, 0, 1], 2)
-    assert t.int_code(0, 0) == 0
-    assert t.int_code(0, 2) == t.int_code(2, 2)
-
-
-def test_int_code_injective_exhaustive():
-    rng = random.Random(1)
-    syms = [rng.randrange(4) for _ in range(256)]
-    t = PackedText(syms, 4)
-    limit = t.int_len_limit
-    seen = {}
-    for length in range(limit + 1):
-        for i in range(t.n - length + 1):
-            code = t.int_code(i, length)
-            key = (length, tuple(syms[i:i + length]))
-            if code in seen:
-                assert seen[code] == key
-            else:
-                seen[code] = key
-    distinct_strings = {(l, tuple(syms[i:i + l]))
-                        for l in range(limit + 1)
-                        for i in range(t.n - l + 1)}
-    assert len({t.int_code_of(list(k[1])) for k in distinct_strings}) \
-        == len(distinct_strings)
-
-
-def test_int_code_limit_enforced():
-    t = remap_alphabet([0, 1] * 20, 2)
-    with pytest.raises(InvalidArgument):
-        t.int_code(0, t.int_len_limit + 1)
-
-
 def test_counter_overlapping():
     c = SubstringCounter([0, 0, 0, 0], 2)
     assert c.count([0, 0]) == 3

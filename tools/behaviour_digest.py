@@ -6,10 +6,17 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * the `sync_sparse` stream and the `sync_with_support(...).encoding`
   stream for every tau in 1..n//2 on a fixed seeded corpus (n <= 512),
   and for tau in {8, 16, 64, 512} on a sigma=4 text of 2^16 symbols;
-* every recompression chain (`recomp.chain.levels`);
+* the `build_sync_explicit` list and the `build_sync_bitmask` mask at
+  the same taus;
+* every recompression chain (`recomp.chain.levels`) and the
+  `level_bitmask` of every level;
+* `runs_bitmask` of every corpus text at (ell, p) pairs that reach each
+  of its branches: the narrow-window table scan, the run enumeration and
+  the definitional fill for ell < 2p;
 * the output bytes and exit codes of the CLI `sync` (list, bitmask,
-  sparse) and `recompress` (list, bitmask) commands, with and without
-  `--fallback-threshold 2`.
+  sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
+  commands, with and without `--fallback-threshold 2`, and of `encode`
+  followed by `decode` of the container it wrote.
 
 Run it in each checkout and diff the outputs:
 
@@ -60,17 +67,53 @@ def corpus(rng: random.Random):
     return texts
 
 
-def library_items(fp, PackedText, name, syms, sigma, table_n, small, taus):
-    t = PackedText(syms, sigma, table_n=table_n)
+# (ell, p): narrow windows at sigma 2 and 4, the run enumeration, and
+# ell < 2p (the definitional fill)
+RUNS_PARAMS = ((2, 1), (3, 1), (8, 2), (16, 5), (5, 3), (7, 4))
+
+
+def mask_digest(mask) -> str:
+    return digest((mask.to01(), len(mask)))
+
+
+def library_items(tausync, name, syms, sigma, table_n, small, taus):
+    fp, ss = tausync.fastpath, tausync.syncset
+    t = tausync.PackedText(syms, sigma, table_n=table_n)
     handle = fp.FastSyncIndex(t, small_runs_limit=small)
-    out = {f"{name}:chain": digest(handle.recomp.chain.levels)}
+    levels = handle.recomp.chain.levels
+    out = {f"{name}:chain": digest(levels)}
+    for k in range(len(levels) + 1):
+        out[f"{name}:level_bitmask:{k}"] = mask_digest(
+            handle.recomp.level_bitmask(k))
     for tau in taus:
+        out[f"{name}:explicit:{tau}"] = digest(
+            ss.build_sync_explicit(handle.sync_index, tau))
+        out[f"{name}:bitmask:{tau}"] = mask_digest(
+            ss.build_sync_bitmask(handle.sync_index, tau))
         enc = handle.sync_sparse(tau)
         sup = handle.sync_with_support(tau)
         out[f"{name}:sparse:{tau}"] = digest((enc.stream.to01(), enc.decoded_len))
         out[f"{name}:support:{tau}"] = digest(
             (sup.encoding.stream.to01(), sup.encoding.decoded_len, sup.size))
     return out
+
+
+def runs_items(tausync, name, syms, sigma, table_n):
+    t = tausync.PackedText(syms, sigma, table_n=table_n)
+    return {f"{name}:runs_bitmask:{ell}:{p}":
+            mask_digest(tausync.runs.runs_bitmask(t, ell, p))
+            for ell, p in RUNS_PARAMS if ell <= len(syms)}
+
+
+def cli_call(main, argv, target):
+    """(exit code, output bytes) of one CLI call writing to `target`."""
+    if os.path.exists(target):
+        os.remove(target)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", target])
+    data = open(target, "rb").read() if os.path.exists(target) else None
+    return code, data
 
 
 def cli_items(main, name, syms, sigma, tmp):
@@ -84,18 +127,24 @@ def cli_items(main, name, syms, sigma, tmp):
               ["recompress", path, "--sigma", str(sigma), "--level", str(level),
                "--format", fmt])
              for fmt in ("list", "bitmask") for level in (0, 2, 5)]
+    runs += [("runs", f"{fmt}{ell}:{p}",
+              ["runs", path, "--sigma", str(sigma), "--ell", str(ell),
+               "--period", str(p), "--format", fmt])
+             for fmt in ("list", "bitmask") for ell, p in ((4, 1), (8, 2))]
+    target = os.path.join(tmp, "out")
     out = {}
     for cmd, tag, argv in runs:
         for extra in ([], ["--fallback-threshold", "2"]):
-            target = os.path.join(tmp, "out")
-            if os.path.exists(target):
-                os.remove(target)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(argv + extra + ["--out", target])
-            data = open(target, "rb").read() if os.path.exists(target) else None
             key = f"{name}:cli:{cmd}:{tag}:{'ft2' if extra else 'default'}"
-            out[key] = digest((code, data))
+            out[key] = digest(cli_call(main, argv + extra, target))
+    array = os.path.join(tmp, f"{name}.txt")
+    with open(array, "w") as fh:
+        fh.write(" ".join(map(str, syms)))
+    container = os.path.join(tmp, f"{name}.ssb")
+    out[f"{name}:cli:encode"] = digest(cli_call(main, ["encode", array],
+                                                container))
+    out[f"{name}:cli:decode"] = digest(cli_call(main, ["decode", container],
+                                                target))
     return out
 
 
@@ -104,22 +153,23 @@ def main(argv) -> int:
     args = [a for a in argv if a != "--quick"]
     src = os.path.abspath(args[0]) if args else os.path.join(HERE, "..", "src")
     sys.path.insert(0, src)
-    from tausync import fastpath as fp
-    from tausync.cli import main as cli_main
-    from tausync.text import PackedText
+    import tausync
+    import tausync.cli
 
     items = {}
     rng = random.Random(0xD16E57)
     texts = corpus(rng)
     for name, syms, sigma, table_n, small in texts:
-        items.update(library_items(fp, PackedText, name, syms, sigma, table_n,
+        items.update(library_items(tausync, name, syms, sigma, table_n,
                                    small, range(1, len(syms) // 2 + 1)))
+        items.update(runs_items(tausync, name, syms, sigma, table_n))
+    cli_main = tausync.cli.main
     with tempfile.TemporaryDirectory() as tmp:
         for name, syms, sigma, *_ in texts[:12]:
             items.update(cli_items(cli_main, name, syms, sigma, tmp))
     if not quick:
         big = [rng.randrange(4) for _ in range(1 << 16)]
-        items.update(library_items(fp, PackedText, "big", big, 4, 1 << 16,
+        items.update(library_items(tausync, "big", big, 4, 1 << 16,
                                    None, (8, 16, 64, 512)))
     print(json.dumps(items, indent=0, sort_keys=True))
     return 0
