@@ -16,18 +16,17 @@ Library layout:
 
 from .bitstream import BitStream, W
 from .errors import DecodeError, InvalidArgument, InvalidInput
-from .text import PackedText, SubstringCounter, build_substring_counter, remap_alphabet
+from .text import PackedText, SubstringCounter, build_substring_counter
 from .sparsecodec import (SparseEncoding, gamma_decode, gamma_encode,
                           senc_decode, senc_encode, senc_from_list,
                           senc_size, senc_to_list)
 from .recompress import RecompressionIndex, max_dicut
-from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask, runs_tau
+from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,
                       k_of_tau)
 from .transducer import (TransducerSpec, run_multi, run_naive, run_sparse,
                          zip_multi, zip_pair)
-from .ranksupport import (RankSupport, SelectSupport, VebIndex, build_rank,
-                          build_select, build_veb, decompose)
+from .ranksupport import RankSupport, SelectSupport, VebIndex, decompose
 from .fastpath import FastSyncIndex, shift_truncate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,6 +23,7 @@ from . import sparsecodec as sc
 from . import syncset as ss
 from . import transducer as td
 from .oracle import TextIndex, verify_sync
+from .ranksupport import RankSupport, SelectSupport
 from .text import PackedText
 
 MAX_TABLE_N = 1 << 24
@@ -77,10 +78,7 @@ def _read_symbols(args) -> tuple[list[int], int]:
 
 def _packed(args) -> PackedText:
     symbols, sigma = _read_symbols(args)
-    table_n = args.table_n
-    if not 2 <= table_n <= MAX_TABLE_N:
-        raise UsageError(f"--table-n must lie in [2..{MAX_TABLE_N}]")
-    return PackedText(symbols, sigma, table_n=table_n)
+    return PackedText(symbols, sigma, table_n=args.table_n)
 
 
 def _write_lines(path, values):
@@ -164,11 +162,9 @@ def cmd_query(args) -> int:
         stream, decoded_len = BitStream.from_bytes(fh.read())
     enc = sc.SparseEncoding(stream, decoded_len)
     if args.select is not None:
-        from .ranksupport import build_select
-        print(build_select(enc, args.table_n).select(args.select))
+        print(SelectSupport(enc, args.table_n).select(args.select))
     if args.rank is not None:
-        from .ranksupport import build_rank
-        print(build_rank(enc, args.table_n).rank(args.rank))
+        print(RankSupport(enc, args.table_n).rank(args.rank))
     return 0
 
 
@@ -203,10 +199,7 @@ def cmd_bench(args) -> int:
         rng = random.Random(args.seed)
         sigma = args.sigma if args.sigma else 4
         symbols = [rng.randrange(sigma) for _ in range(args.generate)]
-        table_n = args.table_n
-        if not 2 <= table_n <= MAX_TABLE_N:
-            raise UsageError(f"--table-n must lie in [2..{MAX_TABLE_N}]")
-        t = PackedText(symbols, sigma, table_n=table_n)
+        t = PackedText(symbols, sigma, table_n=args.table_n)
     else:
         if args.input is None:
             raise UsageError("bench needs an input file or --generate")
@@ -269,10 +262,6 @@ def _add_common(p: argparse.ArgumentParser, needs_text: bool = True,
                        help="input is a two-column 'index symbol' text file")
         p.add_argument("--sigma", type=int, default=None,
                        help="declared alphabet size (default 256 / max+1)")
-        p.add_argument("--fallback-threshold", type=int, default=256,
-                       help="accepted and ignored: the recompression chain "
-                            "is always built by the linear rounds, which "
-                            "give the same chain as the packed ones")
     p.add_argument("--table-n", type=int, default=1 << 16,
                    help="lookup-table budget parameter N")
     p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -173,11 +173,6 @@ class SelectSupport:
         return self.decomp.select_in(i, j)
 
 
-def build_select(enc: SparseEncoding,
-                 table_n: int = DEFAULT_TABLE_N) -> SelectSupport:
-    return SelectSupport(enc, table_n)
-
-
 # -- deterministic van Emde Boas predecessor structure ----------------------------
 
 _DIRECT_UNIVERSE = 1 << 16   # direct-address dictionary threshold
@@ -382,11 +377,6 @@ class VebIndex:
         return b * self._stride + bisect_left(self._blocks[b], x)
 
 
-def build_veb(keys: list[int], universe_bits: int | None = None,
-              m: int | None = None, word_bits: int | None = None) -> VebIndex:
-    return VebIndex(keys, universe_bits, m, word_bits)
-
-
 # -- rank support ------------------------------------------------------------------
 
 class RankSupport:
@@ -421,8 +411,3 @@ class RankSupport:
             return self.count
         i = self._veb.rank(j + 1) - 1
         return self.decomp.rank_in(i, j)
-
-
-def build_rank(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N,
-               m: int | None = None) -> RankSupport:
-    return RankSupport(enc, table_n, m)

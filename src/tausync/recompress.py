@@ -3,7 +3,9 @@
 Even rounds merge runs of identical short phrases; odd rounds merge
 adjacent short-phrase pairs across an approximate maximum directed cut.
 `RecompressionIndex` builds the chain on the linear path, which runs
-every round on explicit boundary/name/length arrays.
+every round on a plain sorted boundary list and compares phrases by
+content: as slices of the text in an even round, by their (length,
+symbols) key in an odd one.
 
 `build_chain_packed` reproduces the paper's packed construction: it
 simulates the initial rounds on boundary-context sets (one entry per
@@ -16,7 +18,6 @@ canonical (length, content) key, which pins down the whole chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitstream import BitStream
@@ -36,11 +37,6 @@ def lambda_frac(k: int) -> tuple[int, int]:
 def lambda_floor(k: int) -> int:
     num, den = lambda_frac(k)
     return num // den
-
-
-def lambda_ceil(k: int) -> int:
-    num, den = lambda_frac(k)
-    return -(-num // den)
 
 
 @lru_cache(maxsize=None)
@@ -123,160 +119,50 @@ def max_dicut(nodes: list, edges: dict) -> tuple[set, set]:
     return L, R
 
 
-# -- explicit levels ----------------------------------------------------------
+# -- explicit rounds ----------------------------------------------------------
+#
+# A round maps the sorted interior boundaries f_1 < ... < f_m of B_k to
+# those of B_{k+1}; phrase i spans [f_i..f_{i+1}) with f_0 = 0 and
+# f_{m+1} = n.  Phrases are compared by content, as slices of the text.
 
-@dataclass
-class Level:
-    """Boundary set B_k with aligned phrase names and lengths.
-
-    ``boundaries`` lists the interior boundaries f_1 < ... < f_m; phrase i
-    spans [f_i..f_{i+1}) with f_0 = 0 and f_{m+1} = n.  Equal ``names``
-    mean equal phrases.  Only an even round compares names, and only
-    between phrases of length <= floor(lambda_k), so an odd round names
-    just those (longer phrases get None) and an even round returns
-    ``names`` = None.
-    """
-
-    boundaries: list[int]
-    names: list | None
-    lens: list[int]
-
-
-class PhraseNamer:
-    """O(1) exact window identity over one text via doubling ranks.
-
-    Rank rows for power-of-two widths are built on demand; two windows get
-    the same id iff they match symbol for symbol (no hashing involved).
-    """
-
-    def __init__(self, t: PackedText):
-        self._text = t.text()
-        self._n = t.n
-        order = {v: r for r, v in enumerate(sorted(set(self._text)))}
-        self._rows = [[order[v] for v in self._text]]
-
-    def _row(self, level: int) -> list[int]:
-        while len(self._rows) <= level:
-            prev = self._rows[-1]
-            width = 1 << (len(self._rows) - 1)
-            pairs = [(prev[i], prev[i + width])
-                     for i in range(self._n - 2 * width + 1)]
-            remap = {p: r for r, p in enumerate(sorted(set(pairs)))}
-            self._rows.append([remap[p] for p in pairs])
-        return self._rows[level]
-
-    def window_id(self, start: int, length: int):
-        if length == 0:
-            return ()
-        level = length.bit_length() - 1
-        row = self._row(level)
-        return (row[start], row[start + length - (1 << level)])
-
-
-def phrase_key(t: PackedText, start: int, length: int, k: int) -> tuple:
-    """Canonical (length, truncated content) key; injective per round k.
-
-    Truncation at 2*ceil(lambda_k) symbols is safe: longer phrases are
-    periodic with root <= lambda_k, so the prefix pins them down.
-    """
-    trunc = min(length, 2 * lambda_ceil(k))
-    return (length, t.symbols(start, trunc))
-
-
-def _phrase_lens(n: int, boundaries: list[int]) -> list[int]:
-    cuts = [0] + boundaries + [n]
-    return [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
-
-
-def _names_for(t: PackedText, boundaries: list[int], k: int,
-               namer: PhraseNamer | None = None) -> tuple[list[int], list[int]]:
-    """Dense ranks of the canonical phrase keys, and the phrase lengths."""
-    cuts = [0] + boundaries
-    lens = _phrase_lens(t.n, boundaries)
-    if namer is None:
-        keys = [phrase_key(t, cuts[i], lens[i], k) for i in range(len(lens))]
-    else:
-        trunc = 2 * lambda_ceil(k)
-        keys = [(lens[i], namer.window_id(cuts[i], min(lens[i], trunc)))
-                for i in range(len(lens))]
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys], lens
-
-
-def level0(t: PackedText) -> Level:
-    boundaries = list(range(1, t.n))
-    names, lens = _names_for(t, boundaries, 0)
-    return Level(boundaries, names, lens)
-
-
-def round_even(t: PackedText, level: Level, k: int) -> Level:
+def round_even(t: PackedText, bounds: list[int], k: int) -> list[int]:
     """Even round: drop f_i iff both neighbor phrases are short and equal."""
     if k % 2:
         raise InvalidArgument("round_even requires even k")
     lim = lambda_floor(k)
-    names, lens = level.names, level.lens
-    keep = [f for i, f in enumerate(level.boundaries, start=1)
-            if lens[i - 1] > lim or lens[i] > lim or names[i - 1] != names[i]]
-    return Level(keep, None, _phrase_lens(t.n, keep))
+    s, n = t._padded, t.n
+    # s holds T[i] at s[i + n]; keeping the input's own int objects lets
+    # all levels of the chain share them
+    return [f for a, f, b in zip([0] + bounds, bounds, bounds[1:] + [n])
+            if f - a > lim or b - f != f - a
+            or s[a + n:f + n] != s[f + n:b + n]]
 
 
-def round_odd(t: PackedText, level: Level, k: int,
-              namer: PhraseNamer | None = None) -> Level:
+def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
     """Odd round: drop f_i iff left phrase lands in L and right in R.
 
-    Cut nodes are the distinct short phrases in canonical (length,
-    content) order; each distinct phrase is materialized once.
+    Cut nodes are the distinct short phrases, keyed and ordered by
+    (length, symbols); each distinct key is stored once.
     """
     if k % 2 == 0:
         raise InvalidArgument("round_odd requires odd k")
-    bounds = level.boundaries
-    lens = level.lens
-    cuts = [0] + bounds + [t.n]
     lim = lambda_floor(k)
-    short = [l <= lim for l in lens]
+    s, n = t._padded, t.n
     canon: dict = {}
-    keys = [None] * len(lens)
-
-    def key_of(i: int):
-        key = keys[i]
-        if key is None:
-            if namer is None:
-                key = phrase_key(t, cuts[i], lens[i], k)
-            else:
-                gid = (lens[i], namer.window_id(cuts[i], lens[i]))
-                key = canon.get(gid)
-                if key is None:
-                    key = canon[gid] = (lens[i], t.symbols(cuts[i], lens[i]))
-            keys[i] = key
-        return key
-
+    keys = []
+    for a, b in zip([0] + bounds, bounds + [n]):
+        if b - a > lim:
+            keys.append(None)
+        else:
+            key = (b - a, tuple(s[a + n:b + n]))
+            keys.append(canon.setdefault(key, key))
     edges: dict = {}
-    for i in range(1, len(cuts) - 1):
-        if short[i - 1] and short[i]:
-            e = (key_of(i - 1), key_of(i))
+    for e in zip(keys, keys[1:]):
+        if e[0] is not None and e[1] is not None:
             edges[e] = edges.get(e, 0) + 1
-    nodes = sorted({u for e in edges for u in e})
-    L, R = max_dicut(nodes, edges)
-    keep = []
-    for i, f in enumerate(bounds, start=1):
-        if short[i - 1] and short[i] and key_of(i - 1) in L and key_of(i) in R:
-            continue
-        keep.append(f)
-    # the next (even) round compares names only between phrases of
-    # length <= floor(lambda_{k+1}), so only those get one
-    new_lens = _phrase_lens(t.n, keep)
-    lim_next = lambda_floor(k + 1)
-    ident = namer.window_id if namer is not None else t.symbols
-    new_names = [(l, ident(start, l)) if l <= lim_next else None
-                 for start, l in zip([0] + keep, new_lens)]
-    return Level(keep, new_names, new_lens)
-
-
-def next_level(t: PackedText, level: Level, k: int,
-               namer: PhraseNamer | None = None) -> Level:
-    if k % 2 == 0:
-        return round_even(t, level, k)
-    return round_odd(t, level, k, namer)
+    L, R = max_dicut(sorted({u for e in edges for u in e}), edges)
+    return [f for f, u, v in zip(bounds, keys, keys[1:])
+            if not (u in L and v in R)]
 
 
 class ChainHandle:
@@ -295,21 +181,19 @@ class ChainHandle:
         return self.levels[k]
 
 
-def _rounds_from(t: PackedText, level: Level, k: int,
-                 namer: PhraseNamer | None) -> list[list[int]]:
-    """B_k (given as `level`), B_{k+1}, ... up to the first empty level."""
-    levels = [list(level.boundaries)]
-    while level.boundaries:
-        level = next_level(t, level, k, namer)
+def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:
+    """B_k (given as `bounds`), B_{k+1}, ... up to the first empty level."""
+    levels = [bounds]
+    while bounds:
+        bounds = (round_odd if k % 2 else round_even)(t, bounds, k)
         k += 1
-        levels.append(list(level.boundaries))
+        levels.append(bounds)
     return levels
 
 
 def build_chain_linear(t: PackedText) -> ChainHandle:
     """Run all rounds explicitly until the boundary set empties."""
-    namer = PhraseNamer(t) if t.n else None
-    return ChainHandle(_rounds_from(t, level0(t), 0, namer), t.n)
+    return ChainHandle(_rounds_from(t, list(range(1, t.n)), 0), t.n)
 
 
 # -- packed path: boundary-context sets ---------------------------------------
@@ -435,9 +319,7 @@ def build_chain_packed(t: PackedText,
         # window i is centred on position i; B_k keeps the interior 1..n-1
         levels.append([i for i in mask.to_positions() if 0 < i < t.n])
     if levels[-1]:
-        namer = PhraseNamer(t)
-        names, lens = _names_for(t, levels[-1], K, namer)
-        levels[-1:] = _rounds_from(t, Level(levels[-1], names, lens), K, namer)
+        levels[-1:] = _rounds_from(t, levels[-1], K)
     else:
         # trim to the first empty level
         while len(levels) > 1 and not levels[-2]:

@@ -176,11 +176,6 @@ def enumerate_runs(t: PackedText, ell: int, p: int,
     return out
 
 
-def runs_tau(t: PackedText, tau: int, lce: LceProvider | None = None) -> list[Run]:
-    """tau-runs: RUNS_{tau, floor(tau/3)}."""
-    return enumerate_runs(t, tau, tau // 3, lce)
-
-
 def _periodic_window_oracle(ell: int, p: int):
     """Membership test 'per(window) <= p' with per-window memoization."""
     memo: dict[tuple[int, ...], bool] = {}

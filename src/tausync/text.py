@@ -80,12 +80,6 @@ class PackedText:
         return self.payload.read_bits((i + self.n) * bits, length * bits)
 
 
-def remap_alphabet(raw: Sequence[int], sigma_in: int,
-                   table_n: int = DEFAULT_TABLE_N) -> PackedText:
-    """Build a PackedText; sigma becomes 2^ceil(lg(sigma_in + 1))."""
-    return PackedText(raw, sigma_in, table_n=table_n)
-
-
 class SubstringCounter:
     """Exact occurrence counts for all substrings of length up to b.
 

@@ -149,10 +149,6 @@ class JumpStructure:
         return cycle[(self.cycle_pos[v] + rest) % len(cycle)]
 
 
-def jump_structure(successor: Sequence[Optional[int]]) -> JumpStructure:
-    return JumpStructure(successor)
-
-
 # -- single-stream acceleration ------------------------------------------------
 
 @dataclass

@@ -284,7 +284,7 @@ def test_criterion_6_veb_versus_binary_search():
         if size * 3 > universe:
             size = universe // 3
         keys = sorted(rng.sample(range(universe), size))
-        index = rs.build_veb(keys, universe_bits=ubits,
+        index = rs.VebIndex(keys, universe_bits=ubits,
                              m=rng.choice([None, 2 * size + 1]),
                              word_bits=rng.choice([None, 4, 8]))
         for _ in range(queries_per_set):

@@ -99,6 +99,27 @@ def test_bench_generate_zero_usage_error(capsys):
                         capsys)
 
 
+def test_table_n_out_of_range_usage_error(tmp_path, text_file, capsys):
+    path, _ = text_file
+    arr = tmp_path / "arr.txt"
+    arr.write_text("0 1 1 0\n")
+    cont = tmp_path / "arr.ssb"
+    assert main(["encode", str(arr), "--out", str(cont)]) == 0
+    for table_n in ("1", str((1 << 24) + 1)):
+        for argv in (["sync", path, "--sigma", "4", "--tau", "8"],
+                     ["query", str(cont), "--select", "1"],
+                     ["bench", "--generate", "64", "--tau-list", "4"]):
+            _assert_usage_error(argv + ["--table-n", table_n], capsys)
+
+
+def test_fallback_threshold_flag_rejected(text_file, capsys):
+    path, _ = text_file
+    with pytest.raises(SystemExit) as exc:
+        main(["sync", path, "--tau", "2", "--fallback-threshold", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_io_error(tmp_path):
     assert main(["sync", str(tmp_path / "absent.bin"), "--tau", "2"]) == 3
 

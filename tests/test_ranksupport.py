@@ -65,7 +65,7 @@ def test_decompose_reassembles(rng):
 
 def test_select_examples():
     enc = sc.senc_encode([0, 1, 0, 1])
-    sel = rs.build_select(enc)
+    sel = rs.SelectSupport(enc)
     assert sel.select(1) == 1 and sel.select(2) == 3
     with pytest.raises(InvalidArgument):
         sel.select(3)
@@ -78,7 +78,7 @@ def test_select_matches_naive(rng):
         n = rng.randrange(0, 300)
         bits = [1 if rng.random() < rng.choice([0.03, 0.3, 0.8]) else 0
                 for _ in range(n)]
-        sel = rs.build_select(sc.senc_encode(bits), rng.choice([16, 1 << 16]))
+        sel = rs.SelectSupport(sc.senc_encode(bits), rng.choice([16, 1 << 16]))
         ones = [i for i, b in enumerate(bits) if b]
         assert sel.count == len(ones)
         for j, pos in enumerate(ones, start=1):
@@ -86,20 +86,20 @@ def test_select_matches_naive(rng):
 
 
 def test_veb_examples():
-    v = rs.build_veb([3, 7, 10])
+    v = rs.VebIndex([3, 7, 10])
     assert v.pred(8) == 7
     assert v.rank(8) == 2
     assert v.pred(2) is None
     assert v.rank(3) == 0
-    empty = rs.build_veb([])
+    empty = rs.VebIndex([])
     assert empty.pred(4) is None and empty.rank(4) == 0
 
 
 def test_veb_rejects_unsorted():
     with pytest.raises(InvalidArgument):
-        rs.build_veb([4, 4])
+        rs.VebIndex([4, 4])
     with pytest.raises(InvalidArgument):
-        rs.build_veb([5, 1])
+        rs.VebIndex([5, 1])
 
 
 def test_veb_matches_binary_search(rng):
@@ -107,7 +107,7 @@ def test_veb_matches_binary_search(rng):
         ubits = rng.choice([3, 8, 16, 30, 48])
         size = rng.randint(0, 250)
         keys = sorted(rng.sample(range(1 << ubits), min(size, 1 << ubits)))
-        v = rs.build_veb(keys, universe_bits=ubits,
+        v = rs.VebIndex(keys, universe_bits=ubits,
                          m=rng.choice([None, 4 * size + 1]),
                          word_bits=rng.choice([None, 3, 4, 8]))
         for _ in range(40):
@@ -123,7 +123,7 @@ def test_rank_handle(rng):
         bits = [1 if rng.random() < rng.choice([0.05, 0.5]) else 0
                 for _ in range(n)]
         enc = sc.senc_encode(bits)
-        rk = rs.build_rank(enc, rng.choice([16, 1 << 16]))
+        rk = rs.RankSupport(enc, rng.choice([16, 1 << 16]))
         pref = prefix_sums(bits)
         assert rk.rank(0) == 0 and rk.rank(n) == pref[n]
         for j in range(n + 1):
@@ -135,14 +135,14 @@ def test_rank_handle(rng):
 def test_rank_m_floor_enforced():
     enc = sc.senc_encode([1] * 500)
     with pytest.raises(InvalidArgument):
-        rs.build_rank(enc, 1 << 16, m=1)
+        rs.RankSupport(enc, 1 << 16, m=1)
 
 
 def test_select_after_rank_identity(rng):
     bits = [1 if rng.random() < 0.25 else 0 for _ in range(300)]
     enc = sc.senc_encode(bits)
-    sel = rs.build_select(enc)
-    rk = rs.build_rank(enc)
+    sel = rs.SelectSupport(enc)
+    rk = rs.RankSupport(enc)
     for pos in range(300):
         nxt = next((i for i in range(pos, 300) if bits[i]), None)
         if nxt is not None:

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 from conftest import make_text
 from tausync import recompress as rc
 from tausync.bitstream import BitStream
@@ -56,20 +59,14 @@ def test_round_even_merges_identical_run():
     syms = [4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 5]
     t = PackedText(syms, 6)
     k = 18  # lambda_18 = (8/7)^9 ~ 3.33
-    bounds = [1, 4, 7, 10]
-    names, lens = rc._names_for(t, bounds, k)
-    level = rc.Level(bounds, names, lens)
-    merged = rc.round_even(t, level, k)
-    assert merged.boundaries == [1, 10]
+    assert rc.round_even(t, [1, 4, 7, 10], k) == [1, 10]
 
 
 def test_round_even_no_merge_when_distinct():
     syms = [0, 1, 2, 3, 4, 5]
     t = PackedText(syms, 6)
     bounds = [1, 2, 3, 4, 5]
-    names, lens = rc._names_for(t, bounds, 0)
-    merged = rc.round_even(t, rc.Level(bounds, names, lens), 0)
-    assert merged.boundaries == bounds
+    assert rc.round_even(t, bounds, 0) == bounds
 
 
 def test_round_odd_no_short_pairs_is_identity():
@@ -77,14 +74,49 @@ def test_round_odd_no_short_pairs_is_identity():
     syms = [0, 1, 2, 0, 1, 2]
     t = PackedText(syms, 3)
     bounds = [2, 4]
-    names, lens = rc._names_for(t, bounds, 1)
-    out = rc.round_odd(t, rc.Level(bounds, names, lens), 1)
-    assert out.boundaries == bounds
+    assert rc.round_odd(t, bounds, 1) == bounds
 
 
 def test_chain_n1_and_n0():
     assert rc.build_chain_linear(PackedText([0], 1)).levels == [[]]
     assert rc.build_chain_linear(PackedText([], 1)).levels == [[]]
+
+
+# SHA-256 of repr(build_chain_linear(t).levels) for seeded texts.  The
+# chain is a function of the text alone, so a round that picks another
+# valid cut changes these even where verify_chain still passes.
+PINNED_CHAINS = {
+    "random-s4-4096": "a40520c8784d29ca67028a97c03781275c0bce3b6e1ca7b69560fae2a10540ab",
+    "period7": "674438dccd20e0ae5bcfdb720cc2211deea6bd845d0c8745dff0bda0513ed0ae",
+    "runs": "3340f4d4b23a6f320889a7c44820004ba985d23241b149c7eae3cf3006d563c9",
+    "random-s256-2048": "c71effff39f4f202b17b42ca03420842789aa4636b20ee7efa571e153a850eaf",
+    "n0": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    "n1": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+}
+
+
+def pinned_texts() -> dict:
+    rng = random.Random(0x5EED)
+    runs = []
+    while len(runs) < 3000:
+        runs.extend([rng.randrange(4)] * rng.randint(1, 40))
+    return {
+        "random-s4-4096": ([rng.randrange(4) for _ in range(4096)], 4),
+        "period7": (([0, 1, 0, 2, 1, 3, 2] * 300)[:2048], 4),
+        "runs": (runs[:3000], 4),
+        "random-s256-2048": ([rng.randrange(256) for _ in range(2048)], 256),
+        "n0": ([], 1),
+        "n1": ([0], 1),
+    }
+
+
+def test_chain_pinned_exactly():
+    texts = pinned_texts()
+    assert texts.keys() == PINNED_CHAINS.keys()
+    for name, (syms, sigma) in texts.items():
+        levels = rc.build_chain_linear(PackedText(syms, sigma)).levels
+        got = hashlib.sha256(repr(levels).encode()).hexdigest()
+        assert got == PINNED_CHAINS[name], name
 
 
 def test_chain_periodic_text_collapses_quickly():

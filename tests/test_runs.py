@@ -160,10 +160,3 @@ def test_runs_bitmask_packed_table_path():
     mask = rn.runs_bitmask(t, 6, 3)
     for i in range(t.n - 6 + 1):
         assert mask.get_bit(i) == (brute_period(syms[i:i + 6]) <= 3)
-
-
-def test_tau_runs_wrapper():
-    syms = [0] * 30
-    t = PackedText(syms, 1)
-    assert rn.runs_tau(t, 9) == rn.enumerate_runs(t, 9, 3)
-    assert rn.runs_tau(t, 2) == []  # period bound 0

@@ -4,40 +4,40 @@ import pytest
 
 from tausync.errors import InvalidArgument, InvalidInput
 from tausync.text import (PackedText, SubstringCounter, build_substring_counter,
-                          counter_limit, remap_alphabet)
+                          counter_limit)
 
 
 def test_remap_binary_alphabet():
-    t = remap_alphabet([0, 1], 2)
+    t = PackedText([0, 1], 2)
     assert t.sigma == 4 and t.sentinel == 3
     assert [t.symbol(i) for i in range(-2, 4)] == [3, 3, 0, 1, 3, 3]
 
 
 def test_remap_empty():
-    t = remap_alphabet([], 5)
+    t = PackedText([], 5)
     assert t.sigma == 8 and t.n == 0
 
 
 def test_remap_power_of_two_grows():
-    t = remap_alphabet([0, 1, 2, 3], 4)
+    t = PackedText([0, 1, 2, 3], 4)
     assert t.sigma == 8 and t.sentinel == 7
     assert len(t._padded) == 12
 
 
 def test_remap_rejects_out_of_range():
     with pytest.raises(InvalidInput):
-        remap_alphabet([0, 5], 4)
+        PackedText([0, 5], 4)
 
 
 def test_extract_examples():
-    t = remap_alphabet([0, 1], 2)
+    t = PackedText([0, 1], 2)
     assert t.extract(0, 2) == 0b0100
     assert t.extract(-1, 1) == 3
 
 
 def test_extract_matches_symbol_loop(rng):
     syms = [rng.randrange(5) for _ in range(60)]
-    t = remap_alphabet(syms, 5)
+    t = PackedText(syms, 5)
     bits = t.bits_per_symbol
     for _ in range(200):
         i = rng.randrange(-t.n, 2 * t.n)
@@ -51,7 +51,7 @@ def test_extract_matches_symbol_loop(rng):
 
 
 def test_extract_width_overflow():
-    t = remap_alphabet(list(range(200)), 256)
+    t = PackedText(list(range(200)), 256)
     with pytest.raises(InvalidArgument):
         t.extract(0, 9)  # 9 symbols * 8 bits > 64
 
@@ -96,7 +96,7 @@ def test_counter_exhaustive_small():
 
 
 def test_default_counter_uses_budget():
-    t = remap_alphabet([0, 1] * 64, 2, table_n=1 << 16)
+    t = PackedText([0, 1] * 64, 2, table_n=1 << 16)
     c = build_substring_counter(t)
     assert c.b == counter_limit(1 << 16, t.bits_per_symbol) == 1
     assert c.count([0]) == 64 and c.count([1]) == 64

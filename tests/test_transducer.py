@@ -43,14 +43,14 @@ def test_run_naive_examples():
 
 
 def test_jump_path():
-    js = td.jump_structure([1, 2, None])
+    js = td.JumpStructure([1, 2, None])
     assert js.jump(0, 2) == 2
     assert js.jump(0, 3) is None
     assert js.furthest(0) == 2
 
 
 def test_jump_cycle():
-    js = td.jump_structure([1, 2, 0])
+    js = td.JumpStructure([1, 2, 0])
     for v in range(3):
         assert js.furthest(v) == td.JumpStructure.INF
     assert js.jump(1, 10 ** 9) == (1 + 10 ** 9) % 3
@@ -60,7 +60,7 @@ def test_jump_random_vs_walk(rng):
     for _ in range(120):
         q = rng.randint(1, 10)
         succ = [rng.choice([None] + list(range(q))) for _ in range(q)]
-        js = td.jump_structure(succ)
+        js = td.JumpStructure(succ)
         for v in range(q):
             u = v
             for d in range(25):

@@ -15,8 +15,8 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   the definitional fill for ell < 2p;
 * the output bytes and exit codes of the CLI `sync` (list, bitmask,
   sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
-  commands, with and without `--fallback-threshold 2`, and of `encode`
-  followed by `decode` of the container it wrote.
+  commands, and of `encode` followed by `decode` of the container it
+  wrote.
 
 Run it in each checkout and diff the outputs:
 
@@ -134,9 +134,8 @@ def cli_items(main, name, syms, sigma, tmp):
     target = os.path.join(tmp, "out")
     out = {}
     for cmd, tag, argv in runs:
-        for extra in ([], ["--fallback-threshold", "2"]):
-            key = f"{name}:cli:{cmd}:{tag}:{'ft2' if extra else 'default'}"
-            out[key] = digest(cli_call(main, argv + extra, target))
+        out[f"{name}:cli:{cmd}:{tag}:default"] = digest(
+            cli_call(main, argv, target))
     array = os.path.join(tmp, f"{name}.txt")
     with open(array, "w") as fh:
         fh.write(" ".join(map(str, syms)))
