@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`tausync.bitstream` -- LSB-first bit streams and the container format
-* :mod:`tausync.text` -- packed texts and the substring counter
+* :mod:`tausync.text` -- sentinel-padded symbol lists and the substring counter
 * :mod:`tausync.recompress` -- restricted recompression boundary chains
 * :mod:`tausync.runs` -- periods, run extensions, filtered run families
 * :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
@@ -16,7 +16,7 @@ Library layout:
 
 from .bitstream import BitStream, W
 from .errors import DecodeError, InvalidArgument, InvalidInput
-from .text import PackedText, SubstringCounter, build_substring_counter
+from .text import PackedText, SubstringCounter
 from .sparsecodec import (SparseEncoding, gamma_decode, gamma_encode,
                           senc_decode, senc_encode, senc_from_list,
                           senc_size, senc_to_list)

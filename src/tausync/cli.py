@@ -23,8 +23,8 @@ from . import sparsecodec as sc
 from . import syncset as ss
 from . import transducer as td
 from .oracle import TextIndex, verify_sync
-from .ranksupport import RankSupport, SelectSupport
-from .text import PackedText
+from .ranksupport import RankSupport, SelectSupport, decompose
+from .text import DEFAULT_TABLE_N, PackedText
 
 MAX_TABLE_N = 1 << 24
 
@@ -81,6 +81,11 @@ def _packed(args) -> PackedText:
     return PackedText(symbols, sigma, table_n=args.table_n)
 
 
+def _check_tau(t: PackedText, tau: int) -> None:
+    if tau < 1 or tau > t.n // 2:
+        raise UsageError(f"--tau must lie in [1..{t.n // 2}]")
+
+
 def _write_lines(path, values):
     text = "".join(f"{v}\n" for v in values)
     if path is None:
@@ -101,8 +106,7 @@ def _write_container(path, stream: BitStream, decoded_len: int):
 
 def cmd_sync(args) -> int:
     t = _packed(args)
-    if args.tau < 1 or args.tau > t.n // 2:
-        raise UsageError(f"--tau must lie in [1..{t.n // 2}]")
+    _check_tau(t, args.tau)
     members = ss.build_sync_explicit(ss.SyncIndex(t), args.tau)
     if args.verify:
         report = verify_sync(t.text(), args.tau, members, TextIndex(t.text()))
@@ -160,16 +164,19 @@ def cmd_decode(args) -> int:
 def cmd_query(args) -> int:
     with open(args.container, "rb") as fh:
         stream, decoded_len = BitStream.from_bytes(fh.read())
-    enc = sc.SparseEncoding(stream, decoded_len)
+    if args.select is None and args.rank is None:
+        return 0
+    decomp = decompose(sc.SparseEncoding(stream, decoded_len), args.table_n)
     if args.select is not None:
-        print(SelectSupport(enc, args.table_n).select(args.select))
+        print(SelectSupport(decomp).select(args.select))
     if args.rank is not None:
-        print(RankSupport(enc, args.table_n).rank(args.rank))
+        print(RankSupport(decomp).rank(args.rank))
     return 0
 
 
 def cmd_verify(args) -> int:
     t = _packed(args)
+    _check_tau(t, args.tau)
     try:
         with open(args.set, "rb") as fh:
             data = fh.read()
@@ -196,8 +203,10 @@ def cmd_bench(args) -> int:
         if args.generate < 1:
             raise UsageError(f"--generate must be at least 1, "
                              f"got {args.generate}")
+        sigma = 4 if args.sigma is None else args.sigma
+        if sigma < 1:
+            raise UsageError(f"--sigma must be at least 1, got {sigma}")
         rng = random.Random(args.seed)
-        sigma = args.sigma if args.sigma else 4
         symbols = [rng.randrange(sigma) for _ in range(args.generate)]
         t = PackedText(symbols, sigma, table_n=args.table_n)
     else:
@@ -262,7 +271,7 @@ def _add_common(p: argparse.ArgumentParser, needs_text: bool = True,
                        help="input is a two-column 'index symbol' text file")
         p.add_argument("--sigma", type=int, default=None,
                        help="declared alphabet size (default 256 / max+1)")
-    p.add_argument("--table-n", type=int, default=1 << 16,
+    p.add_argument("--table-n", type=int, default=DEFAULT_TABLE_N,
                    help="lookup-table budget parameter N")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 

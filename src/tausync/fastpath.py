@@ -22,8 +22,8 @@ from .errors import InvalidArgument
 from . import recompress as rc
 from . import sparsecodec as sc
 from . import transducer as td
-from .ranksupport import RankSupport, SelectSupport
-from .runs import DirectLce, enumerate_runs
+from .ranksupport import RankSupport, SelectSupport, decompose
+from .runs import enumerate_runs
 from .sparsecodec import SparseEncoding
 from .syncset import SyncIndex, build_sync_explicit, k_of_tau
 from .text import DEFAULT_TABLE_N, PackedText
@@ -127,13 +127,12 @@ class RunTables:
     """Start/end marker machinery for RUNS_{ell, tau//3} queries."""
 
     def __init__(self, t: PackedText, table_n: int,
-                 small_limit: Optional[int] = None, lce=None):
+                 small_limit: Optional[int] = None):
         self.t = t
         self.table_n = table_n
         self.small_limit = (small_limit if small_limit is not None
                             else default_small_runs_limit(table_n,
                                                           t.bits_per_symbol))
-        self.lce = lce if lce is not None else DirectLce(t)
         # exact thresholds floor(1.1^j) via integer scaling
         self.ranges: list[tuple[int, int]] = []
         j = 0
@@ -159,7 +158,7 @@ class RunTables:
         if entry is None:
             ell = 11 ** j // 10 ** j
             p = 4 * 11 ** j // (10 ** j * 10)
-            runs = (enumerate_runs(self.t, ell, p, self.lce) if p >= 1 else [])
+            runs = (enumerate_runs(self.t, ell, p) if p >= 1 else [])
             n = self.t.n
             s_pairs = [(r.start, (r.period, r.end - r.start)) for r in runs]
             e_pairs = [(r.end - 1, (r.period, r.end - r.start)) for r in runs]
@@ -390,8 +389,7 @@ class FastSyncIndex:
         self.table_n = table_n if table_n is not None else t.table_n
         self.recomp = rc.RecompressionIndex(t)
         self.sync_index = SyncIndex(t, recomp=self.recomp)
-        self.runs = RunTables(t, self.table_n, small_runs_limit,
-                              self.sync_index.lce)
+        self.runs = RunTables(t, self.table_n, small_runs_limit)
 
     def sync_sparse(self, tau: int) -> SparseEncoding:
         """senc of the tau-synchronizing set, encoded from the explicit set."""
@@ -434,5 +432,5 @@ class FastSyncIndex:
         lg_tau = max(1, tau.bit_length() - 1)
         m = (len(enc.stream) // max(1, self.table_n.bit_length() - 1)
              + max(1, n * lg_tau // (tau * lg_n)))
-        return SyncSupport(enc, SelectSupport(enc, self.table_n),
-                           RankSupport(enc, self.table_n, m))
+        decomp = decompose(enc, self.table_n)
+        return SyncSupport(enc, SelectSupport(decomp), RankSupport(decomp, m))

@@ -148,22 +148,22 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
 class SelectSupport:
     """Constant-window select over a sparse-encoded 0/1 mask."""
 
-    def __init__(self, enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N):
-        self.enc = enc
-        self.decomp = decompose(enc, table_n)
+    def __init__(self, decomp: Decomposition):
+        self.enc = enc = decomp.enc
+        self.decomp = decomp
         nbits = len(enc.stream)
         lmask = 0
-        tables = sc.parse_tables(table_n)
-        for i in range(self.decomp.h):
-            if self.decomp.r[i + 1] == self.decomp.r[i]:
+        tables = sc.parse_tables(decomp.table_n)
+        for i in range(decomp.h):
+            if decomp.r[i + 1] == decomp.r[i]:
                 continue
-            info = tables.parse_stream(self.enc.stream, self.decomp.e[i],
-                                       self.decomp.e[i + 1] - self.decomp.e[i])
-            lmask |= info.literal_start_mask << self.decomp.e[i]
+            info = tables.parse_stream(enc.stream, decomp.e[i],
+                                       decomp.e[i + 1] - decomp.e[i])
+            lmask |= info.literal_start_mask << decomp.e[i]
         self.boundary = BitVectorRS(
-            BitStream.from_positions(max(nbits, 1), self.decomp.e[:-1]))
+            BitStream.from_positions(max(nbits, 1), decomp.e[:-1]))
         self.literal = BitVectorRS(BitStream.from_int(lmask, max(nbits, 1)))
-        self.count = self.decomp.r[-1]
+        self.count = decomp.r[-1]
 
     def select(self, j: int) -> int:
         if not 1 <= j <= self.count:
@@ -382,12 +382,11 @@ class VebIndex:
 class RankSupport:
     """Rank over a sparse-encoded 0/1 mask via a vEB index on piece starts."""
 
-    def __init__(self, enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N,
-                 m: int | None = None):
-        self.enc = enc
-        self.decomp = decompose(enc, table_n)
-        h = self.decomp.h
-        min_m = max(1, len(enc.stream) // max(1, table_n.bit_length() - 1))
+    def __init__(self, decomp: Decomposition, m: int | None = None):
+        self.enc = enc = decomp.enc
+        self.decomp = decomp
+        h = decomp.h
+        min_m = max(1, len(enc.stream) // max(1, decomp.table_n.bit_length() - 1))
         if m is None:
             m = min_m
         if m < min_m:

@@ -126,9 +126,6 @@ class SparseEncoding:
     def __len__(self) -> int:
         return len(self.stream)
 
-    def bits(self) -> int:
-        return len(self.stream)
-
 
 def _tokens_of(values: Iterable[int]):
     """Yield (is_literal, x) tokens for a dense sequence."""

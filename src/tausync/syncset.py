@@ -18,7 +18,7 @@ from bisect import bisect_right
 from .bitstream import BitStream
 from .errors import InvalidArgument
 from .recompress import RecompressionIndex, lambda_frac
-from .runs import DirectLce, PackedLce, enumerate_runs
+from .runs import enumerate_runs
 from .text import PackedText
 
 
@@ -38,12 +38,9 @@ def k_of_tau(tau: int) -> int:
 class SyncIndex:
     """Per-text preprocessing shared by all tau queries."""
 
-    def __init__(self, t: PackedText, recomp: RecompressionIndex | None = None,
-                 lce=None):
+    def __init__(self, t: PackedText, recomp: RecompressionIndex | None = None):
         self.t = t
         self.recomp = recomp if recomp is not None else RecompressionIndex(t)
-        self.lce = lce if lce is not None else (
-            PackedLce(t) if t.bits_per_symbol * 4 <= 64 else DirectLce(t))
 
 
 def _check_tau(t: PackedText, tau: int) -> None:
@@ -62,7 +59,7 @@ def sync_candidates(index: SyncIndex, tau: int) -> list[int]:
         i = f - tau
         if 0 <= i <= hi:
             cands.add(i)
-    for run in enumerate_runs(t, tau, tau // 3, index.lce):
+    for run in enumerate_runs(t, tau, tau // 3):
         i = run.start - 1
         if 0 <= i <= hi:
             cands.add(i)
@@ -84,7 +81,7 @@ def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
     p_bound = tau // 3
     if p_bound >= 1:
         periodic = [(r.start, r.end - 2 * tau)
-                    for r in enumerate_runs(t, 2 * tau, p_bound, index.lce)]
+                    for r in enumerate_runs(t, 2 * tau, p_bound)]
         starts = [b for b, _ in periodic]
     else:
         periodic = []

@@ -1,30 +1,23 @@
 """Packed text with sentinel padding and short-substring machinery.
 
 The input alphabet is remapped so its size is a power of two and the top
-symbol (the sentinel) never occurs in the text; the payload then holds
-``$^n . T . $^n`` in fixed-width form, giving every logical index in
-``[-n..2n)`` a defined symbol.
+symbol (the sentinel) never occurs in the text; one symbol list then
+holds ``$^n . T . $^n``, giving every logical index in ``[-n..2n)`` a
+defined symbol.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bitstream import BitStream, W
 from .errors import InvalidArgument, InvalidInput
 
 DEFAULT_TABLE_N = 1 << 16
 DEFAULT_FALLBACK_THRESHOLD = 256
 
 
-def counter_limit(table_n: int, bits_per_symbol: int) -> int:
-    """Query-length budget b for the substring counter under table budget N."""
-    lg_n = max(1, table_n.bit_length() - 1)
-    return max(1, lg_n // (8 * bits_per_symbol))
-
-
 class PackedText:
-    """Immutable fixed-width text T[-n..2n) = $^n . T . $^n."""
+    """Immutable symbol list T[-n..2n) = $^n . T . $^n."""
 
     def __init__(self, symbols: Sequence[int], sigma_in: int,
                  table_n: int = DEFAULT_TABLE_N):
@@ -43,13 +36,7 @@ class PackedText:
                 raise InvalidInput(f"symbol {s} out of range [0..{sigma_in})")
             padded.append(s)
         padded.extend([self.sentinel] * self.n)
-        # raw symbol view kept alongside the packed payload for fast scans
         self._padded = padded
-        payload = BitStream()
-        bits = self.bits_per_symbol
-        for s in padded:
-            payload.append_bits(s, bits)
-        self.payload = payload
 
     # -- symbol access -------------------------------------------------------
 
@@ -69,15 +56,6 @@ class PackedText:
     def text(self) -> list[int]:
         """The unpadded symbols T[0..n)."""
         return self._padded[self.n:2 * self.n]
-
-    def extract(self, i: int, length: int) -> int:
-        """Packed word for T[i..i+length), first symbol in the low bits."""
-        bits = self.bits_per_symbol
-        if length < 0 or length * bits > W:
-            raise InvalidArgument("extract width exceeds machine word")
-        if not -self.n <= i or i + length > 2 * self.n:
-            raise InvalidArgument("range outside [-n..2n)")
-        return self.payload.read_bits((i + self.n) * bits, length * bits)
 
 
 class SubstringCounter:
@@ -116,7 +94,3 @@ class SubstringCounter:
             return self.text_len + 1
         return self._index.get(tuple(s), 0)
 
-
-def build_substring_counter(t: PackedText) -> SubstringCounter:
-    """Counter over the unpadded text with the N-derived length budget."""
-    return SubstringCounter(t.text(), counter_limit(t.table_n, t.bits_per_symbol))

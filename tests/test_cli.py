@@ -99,6 +99,22 @@ def test_bench_generate_zero_usage_error(capsys):
                         capsys)
 
 
+def test_bench_generate_sigma_below_one_usage_error(capsys):
+    for sigma in ("0", "-2"):
+        _assert_usage_error(["bench", "--generate", "64", "--sigma", sigma,
+                             "--tau-list", "4"], capsys)
+
+
+def test_verify_bad_tau_usage_error(tmp_path, text_file, capsys):
+    path, symbols = text_file
+    listed = tmp_path / "sync.txt"
+    assert main(["sync", path, "--sigma", "4", "--tau", "8",
+                 "--out", str(listed)]) == 0
+    for tau in (-3, 0, len(symbols) // 2 + 1):
+        _assert_usage_error(["verify", path, "--sigma", "4", "--tau", str(tau),
+                             "--set", str(listed)], capsys)
+
+
 def test_table_n_out_of_range_usage_error(tmp_path, text_file, capsys):
     path, _ = text_file
     arr = tmp_path / "arr.txt"

@@ -65,7 +65,7 @@ def test_decompose_reassembles(rng):
 
 def test_select_examples():
     enc = sc.senc_encode([0, 1, 0, 1])
-    sel = rs.SelectSupport(enc)
+    sel = rs.SelectSupport(rs.decompose(enc))
     assert sel.select(1) == 1 and sel.select(2) == 3
     with pytest.raises(InvalidArgument):
         sel.select(3)
@@ -78,7 +78,8 @@ def test_select_matches_naive(rng):
         n = rng.randrange(0, 300)
         bits = [1 if rng.random() < rng.choice([0.03, 0.3, 0.8]) else 0
                 for _ in range(n)]
-        sel = rs.SelectSupport(sc.senc_encode(bits), rng.choice([16, 1 << 16]))
+        sel = rs.SelectSupport(rs.decompose(sc.senc_encode(bits),
+                                           rng.choice([16, 1 << 16])))
         ones = [i for i, b in enumerate(bits) if b]
         assert sel.count == len(ones)
         for j, pos in enumerate(ones, start=1):
@@ -123,7 +124,7 @@ def test_rank_handle(rng):
         bits = [1 if rng.random() < rng.choice([0.05, 0.5]) else 0
                 for _ in range(n)]
         enc = sc.senc_encode(bits)
-        rk = rs.RankSupport(enc, rng.choice([16, 1 << 16]))
+        rk = rs.RankSupport(rs.decompose(enc, rng.choice([16, 1 << 16])))
         pref = prefix_sums(bits)
         assert rk.rank(0) == 0 and rk.rank(n) == pref[n]
         for j in range(n + 1):
@@ -135,14 +136,15 @@ def test_rank_handle(rng):
 def test_rank_m_floor_enforced():
     enc = sc.senc_encode([1] * 500)
     with pytest.raises(InvalidArgument):
-        rs.RankSupport(enc, 1 << 16, m=1)
+        rs.RankSupport(rs.decompose(enc, 1 << 16), m=1)
 
 
 def test_select_after_rank_identity(rng):
     bits = [1 if rng.random() < 0.25 else 0 for _ in range(300)]
     enc = sc.senc_encode(bits)
-    sel = rs.SelectSupport(enc)
-    rk = rs.RankSupport(enc)
+    decomp = rs.decompose(enc)
+    sel = rs.SelectSupport(decomp)
+    rk = rs.RankSupport(decomp)
     for pos in range(300):
         nxt = next((i for i in range(pos, 300) if bits[i]), None)
         if nxt is not None:

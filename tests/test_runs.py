@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -38,16 +39,33 @@ def test_run_extend_examples():
     assert rn.run_extend(t3, 0, 3) is None
 
 
-def test_lce_providers_agree(rng):
-    for sigma in (2, 4, 150):
-        syms = make_text(rng, 70, sigma, "rle")
-        t = PackedText(syms, sigma)
-        direct = rn.DirectLce(t)
-        packed = rn.PackedLce(t)
-        for _ in range(150):
-            a, b = rng.randrange(t.n), rng.randrange(t.n)
-            assert direct.lce(a, b) == packed.lce(a, b)
-            assert direct.lce_back(a, b) == packed.lce_back(a, b)
+def _texts_up_to_renaming(n, sigma):
+    """One text of length n per renaming class: symbols in first-use order."""
+    texts = [()]
+    for _ in range(n):
+        texts = [w + (c,) for w in texts
+                 for c in range(min(sigma, max(w, default=-1) + 2))]
+    return texts
+
+
+def test_run_extend_exhaustive_small():
+    # run_extend compares symbols only for equality, and the sentinel
+    # differs from every text symbol, so one text per renaming class
+    # stands for every text over the alphabet
+    period_of = lru_cache(maxsize=None)(brute_period)
+    for sigma in (1, 2, 3):
+        for n in range(1, 11):
+            for syms in _texts_up_to_renaming(n, sigma):
+                t = PackedText(syms, sigma)
+                runs = [rn.Run(*r) for r in brute_all_runs(syms)]
+                for i in range(n):
+                    for j in range(i + 1, n + 1):
+                        p = period_of(syms[i:j])
+                        want = None
+                        if 2 * p <= j - i:
+                            want, = [r for r in runs if r.period == p
+                                     and r.start <= i and j <= r.end]
+                        assert rn.run_extend(t, i, j) == want
 
 
 def test_enumerate_runs_p0_empty():
@@ -88,12 +106,11 @@ def test_enumerate_matches_brute(rng):
         sigma = rng.choice([1, 2, 3, 4])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma))
-        lce = rn.PackedLce(t)
         for _ in range(6):
             p = rng.randint(0, n // 2)
             ell = rng.randint(max(2 * p, 1), n + 1)
             got = [(r.start, r.end, r.period)
-                   for r in rn.enumerate_runs(t, ell, p, lce)]
+                   for r in rn.enumerate_runs(t, ell, p)]
             assert got == brute_runs(syms, ell, p)
             for a, b in zip(got, got[1:]):
                 assert a[0] < b[0] and a[1] < b[1]
@@ -154,7 +171,7 @@ def test_runs_bitmask_matches_periods(rng):
 
 
 def test_runs_bitmask_packed_table_path():
-    # wide table budget routes short windows through the dictionary scan
+    # short windows under a wide table budget take the run enumeration too
     syms = [0, 0, 1, 0, 0, 1, 0, 0, 0, 1] * 6
     t = PackedText(syms, 2, table_n=1 << 24)
     mask = rn.runs_bitmask(t, 6, 3)

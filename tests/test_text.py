@@ -3,8 +3,7 @@ import random
 import pytest
 
 from tausync.errors import InvalidArgument, InvalidInput
-from tausync.text import (PackedText, SubstringCounter, build_substring_counter,
-                          counter_limit)
+from tausync.text import PackedText, SubstringCounter
 
 
 def test_remap_binary_alphabet():
@@ -27,33 +26,6 @@ def test_remap_power_of_two_grows():
 def test_remap_rejects_out_of_range():
     with pytest.raises(InvalidInput):
         PackedText([0, 5], 4)
-
-
-def test_extract_examples():
-    t = PackedText([0, 1], 2)
-    assert t.extract(0, 2) == 0b0100
-    assert t.extract(-1, 1) == 3
-
-
-def test_extract_matches_symbol_loop(rng):
-    syms = [rng.randrange(5) for _ in range(60)]
-    t = PackedText(syms, 5)
-    bits = t.bits_per_symbol
-    for _ in range(200):
-        i = rng.randrange(-t.n, 2 * t.n)
-        max_len = min(2 * t.n - i, 64 // bits)
-        length = rng.randint(0, max_len)
-        got = t.extract(i, length)
-        want = 0
-        for j in range(length):
-            want |= t.symbol(i + j) << (j * bits)
-        assert got == want
-
-
-def test_extract_width_overflow():
-    t = PackedText(list(range(200)), 256)
-    with pytest.raises(InvalidArgument):
-        t.extract(0, 9)  # 9 symbols * 8 bits > 64
 
 
 def test_counter_overlapping():
@@ -96,13 +68,8 @@ def test_counter_exhaustive_small():
 
 
 def test_default_counter_uses_budget():
-    t = PackedText([0, 1] * 64, 2, table_n=1 << 16)
-    c = build_substring_counter(t)
-    assert c.b == counter_limit(1 << 16, t.bits_per_symbol) == 1
+    c = SubstringCounter([0, 1] * 64, 1)
     assert c.count([0]) == 64 and c.count([1]) == 64
-    # budget scales with lg N over the symbol width
-    assert counter_limit(1 << 24, 1) == 3
-    assert counter_limit(1 << 24, 2) == 1
     cw = SubstringCounter([0, 1] * 64, 3)
     assert cw.count([0, 1]) == 64 and cw.count([1, 0]) == 63
     assert cw.count([0, 1, 0]) == 63

@@ -11,8 +11,8 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * every recompression chain (`recomp.chain.levels`) and the
   `level_bitmask` of every level;
 * `runs_bitmask` of every corpus text at (ell, p) pairs that reach each
-  of its branches: the narrow-window table scan, the run enumeration and
-  the definitional fill for ell < 2p;
+  of its branches: the run enumeration (narrow and wide windows) and the
+  definitional fill for ell < 2p;
 * the output bytes and exit codes of the CLI `sync` (list, bitmask,
   sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
   commands, and of `encode` followed by `decode` of the container it
@@ -67,8 +67,8 @@ def corpus(rng: random.Random):
     return texts
 
 
-# (ell, p): narrow windows at sigma 2 and 4, the run enumeration, and
-# ell < 2p (the definitional fill)
+# (ell, p): the run enumeration at narrow and wide windows, and ell < 2p
+# (the definitional fill)
 RUNS_PARAMS = ((2, 1), (3, 1), (8, 2), (16, 5), (5, 3), (7, 4))
 
 
