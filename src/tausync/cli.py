@@ -162,10 +162,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.select is None and args.rank is None:
+        raise UsageError("query needs --rank or --select")
     with open(args.container, "rb") as fh:
         stream, decoded_len = BitStream.from_bytes(fh.read())
-    if args.select is None and args.rank is None:
-        return 0
     decomp = decompose(sc.SparseEncoding(stream, decoded_len), args.table_n)
     if args.select is not None:
         print(SelectSupport(decomp).select(args.select))
@@ -260,7 +260,9 @@ def cmd_transduce(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, needs_text: bool = True,
-                text_optional: bool = False):
+                text_optional: bool = False,
+                sigma_help: str = "declared alphabet size (default 256, "
+                                  "or max+1 with --decimal)"):
     if needs_text:
         if text_optional:
             p.add_argument("input", nargs="?", default=None,
@@ -269,8 +271,7 @@ def _add_common(p: argparse.ArgumentParser, needs_text: bool = True,
             p.add_argument("input", help="input file (raw bytes, or --decimal)")
         p.add_argument("--decimal", action="store_true",
                        help="input is a two-column 'index symbol' text file")
-        p.add_argument("--sigma", type=int, default=None,
-                       help="declared alphabet size (default 256 / max+1)")
+        p.add_argument("--sigma", type=int, default=None, help=sigma_help)
     p.add_argument("--table-n", type=int, default=DEFAULT_TABLE_N,
                    help="lookup-table budget parameter N")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -328,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="timing and size report as CSV")
-    _add_common(p, text_optional=True)
+    _add_common(p, text_optional=True,
+                sigma_help="declared alphabet size (default 4 with --generate; "
+                           "else 256, or max+1 with --decimal)")
     p.add_argument("--tau-list", required=True,
                    help="comma-separated tau values")
     p.add_argument("--generate", type=int, default=None, metavar="N",

@@ -2,9 +2,10 @@
 
 The encoding is decomposed greedily into pieces of about lg N bits (long
 zero runs become single all-zero pieces); rank and select inside a piece
-come from the memoized window parser.  Select locates its piece through
-two auxiliary bitmasks over the encoding; rank locates its piece with a
-deterministic van Emde Boas structure over the piece start positions.
+come from the window parse that the decomposition read and kept.  Select
+locates its piece through two auxiliary bitmasks over the encoding; rank
+locates its piece with a deterministic van Emde Boas structure over the
+piece start positions.
 
 Desk-scale substitutes, answers unchanged: the fusion-node base case is a
 sorted block with binary search, dictionaries are direct-address tables
@@ -75,11 +76,13 @@ class BitVectorRS:
 
 @dataclass
 class Decomposition:
-    """Greedy split of senc(A): tuples (p_i, e_i, r_i) plus window access.
+    """Greedy split of senc(A): tuples (p_i, e_i, r_i) plus piece parses.
 
     Piece i covers symbols [p_i..p_{i+1}) and encoding bits [e_i..e_{i+1});
     r_i counts the ones before p_i.  A piece is either all-zero or spans at
-    most lg N encoding bits.
+    most lg N encoding bits.  ``parses[i]`` is the window parse of piece i
+    that `decompose` read, shared with the memoized parse tables, or None
+    for a zero run too long for one window.
     """
 
     enc: SparseEncoding
@@ -87,25 +90,21 @@ class Decomposition:
     p: list[int]
     e: list[int]
     r: list[int]
+    parses: list[sc.ParseInfo | None]
 
     @property
     def h(self) -> int:
         return len(self.p) - 1
 
-    def _window(self, i: int) -> sc.ParseInfo:
-        tables = sc.parse_tables(self.table_n)
-        width = self.e[i + 1] - self.e[i]
-        return tables.parse_stream(self.enc.stream, self.e[i], width)
-
     def rank_in(self, i: int, j: int) -> int:
         """rank_A(j) for j in [p_i..p_{i+1})."""
         if self.r[i + 1] == self.r[i]:
             return self.r[i]
-        return self.r[i] + self._window(i).rank(j - self.p[i])
+        return self.r[i] + self.parses[i].rank(j - self.p[i])
 
     def select_in(self, i: int, j: int) -> int:
         """select_A(j) for j in (r_i..r_{i+1}]."""
-        return self.p[i] + self._window(i).select(j - self.r[i])
+        return self.p[i] + self.parses[i].select(j - self.r[i])
 
     def piece_bits(self, i: int) -> BitStream:
         return self.enc.stream.slice_bits(self.e[i], self.e[i + 1] - self.e[i])
@@ -118,6 +117,7 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
     total = len(stream)
     k = tables.window_bits
     p, e, r = [0], [0], [0]
+    parses: list[sc.ParseInfo | None] = []
     pos = 0
     sym = 0
     ones = 0
@@ -127,6 +127,7 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
             pos += info.b
             sym += info.a
             ones += info.a_plus
+            parses.append(info)
         else:
             if stream.get_bit(pos):
                 raise DecodeError("literal token wider than the parse window",
@@ -134,13 +135,14 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
             x, used = sc.gamma_decode(stream, pos + 1)
             pos += 1 + used
             sym += x
+            parses.append(None)
         p.append(sym)
         e.append(pos)
         r.append(ones)
     if sym != enc.decoded_len:
         raise DecodeError(
             f"decomposition covers {sym} symbols, expected {enc.decoded_len}")
-    return Decomposition(enc, table_n, p, e, r)
+    return Decomposition(enc, table_n, p, e, r, parses)
 
 
 # -- select support ---------------------------------------------------------------
@@ -151,18 +153,13 @@ class SelectSupport:
     def __init__(self, decomp: Decomposition):
         self.enc = enc = decomp.enc
         self.decomp = decomp
-        nbits = len(enc.stream)
-        lmask = 0
-        tables = sc.parse_tables(decomp.table_n)
-        for i in range(decomp.h):
-            if decomp.r[i + 1] == decomp.r[i]:
-                continue
-            info = tables.parse_stream(enc.stream, decomp.e[i],
-                                       decomp.e[i + 1] - decomp.e[i])
-            lmask |= info.literal_start_mask << decomp.e[i]
-        self.boundary = BitVectorRS(
-            BitStream.from_positions(max(nbits, 1), decomp.e[:-1]))
-        self.literal = BitVectorRS(BitStream.from_int(lmask, max(nbits, 1)))
+        nbits = max(len(enc.stream), 1)
+        # encoding positions of the literal tokens, from the pieces' parses
+        starts = [e_i + j for e_i, info in zip(decomp.e, decomp.parses)
+                  if info is not None for j in info.literal_starts]
+        self.boundary = BitVectorRS(BitStream.from_positions(nbits,
+                                                             decomp.e[:-1]))
+        self.literal = BitVectorRS(BitStream.from_positions(nbits, starts))
         self.count = decomp.r[-1]
 
     def select(self, j: int) -> int:

@@ -7,6 +7,16 @@ and each maximal run ``0^x`` becomes a zero-run token ``0 . gamma(x)``.
 ``x``, most significant first.  Two zero-run tokens can never be adjacent
 in a valid encoding.
 
+Whole token streams are written and read in one bulk conversion each way,
+as ``BitStream.from_positions`` does for masks.  The writer joins each
+token's stream-order digit string (indicator bit, ``floor(lg x)`` zeros,
+binary(x)) and converts the joined string to the stream with one
+``int(..., 2)``; the digit strings of tokens with ``x < 2**12`` are kept
+in a table of at most 2 * 4096 strings, filled on first use.  The reader
+formats the stream once as a digit string, finds each gamma code's
+terminating 1 with ``str.find`` and reads its payload with one
+``int(..., 2)``.
+
 Table-accelerated paths take the table parameter ``N``; tables are built
 lazily and memoized, and degrade to token-at-a-time processing with
 identical outputs when windows do not fit.
@@ -144,14 +154,38 @@ def _tokens_of(values: Iterable[int]):
         yield False, run
 
 
+# Stream-order digit strings of the tokens with x < _TOKEN_DIGITS_LIMIT,
+# indexed [is_literal][x] and filled on first use: at most 2 * 4096 strings.
+_TOKEN_DIGITS_LIMIT = 1 << 12
+_TOKEN_DIGITS = ([None] * _TOKEN_DIGITS_LIMIT, [None] * _TOKEN_DIGITS_LIMIT)
+
+
+def _token_digits(is_literal: bool, x: int) -> str:
+    """Stream-order digits of a token: indicator, floor(lg x) zeros, x."""
+    if 0 < x < _TOKEN_DIGITS_LIMIT:
+        digits = _TOKEN_DIGITS[is_literal][x]
+        if digits is not None:
+            return digits
+    elif x < 1:
+        raise InvalidArgument("literal token requires a positive value"
+                              if is_literal else
+                              "zero-run token requires a positive length")
+    payload = f"{x:b}"
+    digits = f"{'1' if is_literal else '0'}{'0' * (len(payload) - 1)}{payload}"
+    if x < _TOKEN_DIGITS_LIMIT:
+        _TOKEN_DIGITS[is_literal][x] = digits
+    return digits
+
+
+def _digits_to_stream(digits: list[str]) -> BitStream:
+    """The stream whose bit i is character i of the joined digit strings."""
+    joined = "".join(digits)
+    return BitStream.from_int(int(joined[::-1] or "0", 2), len(joined))
+
+
 def tokens_to_stream(tokens: Iterable[tuple[bool, int]]) -> BitStream:
-    s = BitStream()
-    for is_literal, x in tokens:
-        if is_literal:
-            append_literal(s, x)
-        else:
-            append_zero_run(s, x)
-    return s
+    return _digits_to_stream([_token_digits(is_literal, x)
+                              for is_literal, x in tokens])
 
 
 def senc_encode(values: Sequence[int]) -> SparseEncoding:
@@ -167,20 +201,34 @@ def senc_size(values: Sequence[int]) -> int:
 def _checked_tokens(stream: BitStream, offset: int, end: int):
     """Yield (is_literal, x) for each token of stream[offset..end).
 
-    Rejects adjacent zero-run tokens and tokens that overrun `end`.
+    Rejects adjacent zero-run tokens and tokens that overrun `end`.  A
+    gamma code may run on past `end` up to the end of the stream; such a
+    token is rejected as overrunning `end`.
     """
+    if offset < 0 and offset < end:
+        raise InvalidArgument("negative bit index")
+    digits = stream.to01()
+    total = len(digits)
     pos = offset
     last_zero_run = False
     while pos < end:
-        indicator = stream.get_bit(pos)
-        x, used = gamma_decode(stream, pos + 1)
-        if pos + 1 + used > end:
+        start = pos + 1
+        if start >= total:
+            raise DecodeError("gamma code starts past end of stream", start)
+        one = digits.find("1", start)
+        if one < 0:
+            raise DecodeError("gamma code has no terminating 1-bit", start)
+        stop = 2 * one - start + 1
+        if stop > total:
+            raise DecodeError("truncated gamma code", start)
+        if stop > end:
             raise DecodeError("token overruns encoding", pos)
-        if not indicator and last_zero_run:
+        is_literal = digits[pos] == "1"
+        if not is_literal and last_zero_run:
             raise DecodeError("adjacent zero-run tokens", pos)
-        last_zero_run = not indicator
-        yield bool(indicator), x
-        pos += 1 + used
+        last_zero_run = not is_literal
+        yield is_literal, int(digits[one:stop], 2)
+        pos = stop
 
 
 def decode_token_stream(stream: BitStream, offset: int = 0,
@@ -209,7 +257,7 @@ def senc_decode(enc: SparseEncoding) -> list[int]:
 
 def senc_from_list(n: int, pairs: Sequence[tuple[int, int]]) -> SparseEncoding:
     """Encode from (position, value) pairs with strictly increasing positions."""
-    s = BitStream()
+    digits = []
     prev = -1
     for pos, value in pairs:
         if pos <= prev:
@@ -220,12 +268,12 @@ def senc_from_list(n: int, pairs: Sequence[tuple[int, int]]) -> SparseEncoding:
             raise InvalidArgument("listed values must be positive")
         gap = pos - prev - 1
         if gap:
-            append_zero_run(s, gap)
-        append_literal(s, value)
+            digits.append(_token_digits(False, gap))
+        digits.append(_token_digits(True, value))
         prev = pos
     if n - prev - 1:
-        append_zero_run(s, n - prev - 1)
-    return SparseEncoding(s, n)
+        digits.append(_token_digits(False, n - prev - 1))
+    return SparseEncoding(_digits_to_stream(digits), n)
 
 
 def senc_to_list(enc: SparseEncoding) -> tuple[int, list[tuple[int, int]]]:
@@ -258,9 +306,14 @@ class ParseInfo:
     max_val: int
     values: tuple[int, ...]
     nonzero_mask: int      # bit j set iff values[j] > 0
-    literal_start_mask: int  # over b bits: starting positions of literal tokens
+    literal_starts: tuple[int, ...]  # bit offsets of the literal tokens
     ranks: tuple[int, ...]   # ranks[j] = number of non-zeros before position j
     selects: tuple[int, ...]  # selects[j-1] = position of j-th non-zero
+
+    @property
+    def literal_start_mask(self) -> int:
+        """Mask over b bits: the starting positions of literal tokens."""
+        return sum(1 << p for p in self.literal_starts)
 
     def rank(self, j: int) -> int:
         return self.ranks[j]
@@ -269,7 +322,7 @@ class ParseInfo:
         return self.selects[j - 1]
 
 
-_EMPTY_PARSE = ParseInfo(0, 0, 0, 0, (), 0, 0, (), ())
+_EMPTY_PARSE = ParseInfo(0, 0, 0, 0, (), 0, (), (), ())
 
 
 def window_tokens(window: int, limit: int):
@@ -340,7 +393,6 @@ class ParseTables:
         if b == 0:
             return _EMPTY_PARSE
         nz_mask = 0
-        lit_mask = 0
         ranks = []
         selects = []
         count = 0
@@ -350,10 +402,8 @@ class ParseTables:
                 nz_mask |= 1 << j
                 selects.append(j)
                 count += 1
-        for p in literal_starts:
-            lit_mask |= 1 << p
         return ParseInfo(b, len(values), count, max(values, default=0),
-                         tuple(values), nz_mask, lit_mask,
+                         tuple(values), nz_mask, tuple(literal_starts),
                          tuple(ranks), tuple(selects))
 
 

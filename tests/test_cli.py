@@ -136,6 +136,43 @@ def test_fallback_threshold_flag_rejected(text_file, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_query_without_rank_or_select_usage_error(tmp_path, capsys):
+    arr = tmp_path / "arr.txt"
+    arr.write_text("0 1 1 0\n")
+    cont = tmp_path / "arr.ssb"
+    assert main(["encode", str(arr), "--out", str(cont)]) == 0
+    _assert_usage_error(["query", str(cont)], capsys)
+
+
+def test_bench_sigma_help_names_generate_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "default 4 with --generate" in help_text
+
+
+def test_decode_corrupted_sparse_container(tmp_path, text_file, capsys):
+    path, _ = text_file
+    cont = tmp_path / "sync.ssb"
+    assert main(["sync", path, "--sigma", "4", "--tau", "8",
+                 "--format", "sparse", "--out", str(cont)]) == 0
+    data = cont.read_bytes()
+    declared = int.from_bytes(data[4:12], "little")
+    bad_versions = [
+        data[:20] + bytes(len(data) - 20),   # no terminating 1-bit
+        data[:4] + (declared + 1).to_bytes(8, "little") + data[12:],
+    ]
+    for bad in bad_versions:
+        target = tmp_path / "bad.ssb"
+        target.write_bytes(bad)
+        assert main(["decode", str(target), "--out",
+                     str(tmp_path / "out.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_missing_file_io_error(tmp_path):
     assert main(["sync", str(tmp_path / "absent.bin"), "--tau", "2"]) == 3
 

@@ -149,3 +149,28 @@ def test_select_after_rank_identity(rng):
         nxt = next((i for i in range(pos, 300) if bits[i]), None)
         if nxt is not None:
             assert sel.select(rk.rank(pos) + 1) == nxt
+
+
+def test_stored_piece_parses_match_fresh_parse(rng):
+    for _ in range(60):
+        n = rng.randrange(0, 400)
+        bits = [1 if rng.random() < rng.choice([0.002, 0.05, 0.4, 0.9]) else 0
+                for _ in range(n)]
+        if rng.random() < 0.2:
+            bits += [0] * 70000 + [1]   # a zero run too long for one window
+        enc = sc.senc_encode(bits)
+        table_n = rng.choice([16, 1 << 12, 1 << 16])
+        d = rs.decompose(enc, table_n)
+        tables = sc.parse_tables(table_n)
+        assert len(d.parses) == d.h
+        for i, stored in enumerate(d.parses):
+            fresh = tables.parse_stream(enc.stream, d.e[i], d.e[i + 1] - d.e[i])
+            if stored is None:
+                # a gamma-coded zero run: no window parse, no ones
+                assert fresh.b == 0 and d.r[i + 1] == d.r[i]
+                assert enc.stream.get_bit(d.e[i]) == 0
+                continue
+            assert stored.b == fresh.b == d.e[i + 1] - d.e[i]
+            assert (stored.a, stored.a_plus, stored.values,
+                    stored.literal_start_mask) == (
+                fresh.a, fresh.a_plus, fresh.values, fresh.literal_start_mask)

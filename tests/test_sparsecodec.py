@@ -217,3 +217,147 @@ def test_sentinel_int_roundtrip(rng):
         code = sc.stream_to_msb_int(enc.stream)
         assert code >= 1
         assert sc.msb_int_to_stream(code) == enc.stream
+
+
+# -- bulk writer and reader against per-token references ----------------------
+
+TOKEN_BOUND = 1 << 12   # the token-digit table covers x < TOKEN_BOUND
+EDGE_VALUES = [1, 2, TOKEN_BOUND - 1, TOKEN_BOUND, TOKEN_BOUND + 1,
+               (1 << 64) - 1, 1 << 64, (1 << 70) + 3]
+
+
+def reference_stream(tokens) -> BitStream:
+    """One indicator bit and one gamma_encode per token, appended in turn."""
+    s = BitStream()
+    for is_literal, x in tokens:
+        s.append_bits(int(is_literal), 1)
+        s.append_stream(sc.gamma_encode(x))
+    return s
+
+
+def reference_tokens(stream, offset, end):
+    """Token-at-a-time reader: get_bit for the indicator, gamma_decode for x."""
+    out = []
+    pos = offset
+    last_zero_run = False
+    while pos < end:
+        indicator = stream.get_bit(pos)
+        x, used = sc.gamma_decode(stream, pos + 1)
+        if pos + 1 + used > end:
+            raise DecodeError("token overruns encoding", pos)
+        if not indicator and last_zero_run:
+            raise DecodeError("adjacent zero-run tokens", pos)
+        last_zero_run = not indicator
+        out.append((bool(indicator), x))
+        pos += 1 + used
+    return out
+
+
+values_st = st.one_of(st.sampled_from(EDGE_VALUES),
+                      st.integers(min_value=1, max_value=1 << 80))
+gaps_st = st.one_of(st.just(0), st.sampled_from(EDGE_VALUES),
+                    st.integers(min_value=0, max_value=1 << 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(gaps_st, values_st), max_size=12), gaps_st)
+def test_list_writer_matches_reference(gapped, tail):
+    tokens, pairs = [], []
+    pos = 0
+    for gap, value in gapped:
+        if gap:
+            tokens.append((False, gap))
+        pos += gap
+        tokens.append((True, value))
+        pairs.append((pos, value))
+        pos += 1
+    if tail:
+        tokens.append((False, tail))
+    n = pos + tail
+    enc = sc.senc_from_list(n, pairs)
+    assert enc.decoded_len == n
+    assert enc.stream == reference_stream(tokens)
+    assert sc.senc_to_list(enc) == (n, pairs)
+
+
+def test_list_writer_small_n():
+    assert sc.senc_from_list(0, []).stream == BitStream()
+    assert sc.senc_from_list(1, []).stream == reference_stream([(False, 1)])
+    for value in EDGE_VALUES:
+        assert (sc.senc_from_list(1, [(0, value)]).stream
+                == reference_stream([(True, value)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(values_st,
+                          st.sampled_from([1, 2, TOKEN_BOUND - 1, TOKEN_BOUND,
+                                           TOKEN_BOUND + 1]).map(lambda x: -x)),
+                max_size=12))
+def test_dense_writer_matches_reference(spec):
+    # a negative entry -x stands for a run of x zeros
+    values, tokens = [], []
+    for x in spec:
+        if x > 0:
+            values.append(x)
+            tokens.append((True, x))
+        else:
+            values.extend([0] * -x)
+            if tokens and not tokens[-1][0]:
+                tokens[-1] = (False, tokens[-1][1] - x)
+            else:
+                tokens.append((False, -x))
+    enc = sc.senc_encode(values)
+    assert enc.decoded_len == len(values)
+    assert enc.stream == reference_stream(tokens)
+    assert sc.senc_decode(enc) == values
+
+
+def test_writer_rejects_bad_tokens():
+    with pytest.raises(InvalidArgument, match="positive value"):
+        sc.tokens_to_stream([(True, 0)])
+    with pytest.raises(InvalidArgument, match="positive length"):
+        sc.tokens_to_stream([(False, 0)])
+    with pytest.raises(InvalidArgument, match="non-negative"):
+        sc.senc_encode([1, -1])
+    with pytest.raises(InvalidArgument, match="out of range"):
+        sc.senc_from_list(3, [(3, 1)])
+
+
+def _outcome(read, stream, offset, end):
+    try:
+        return "ok", list(read(stream, offset, end))
+    except DecodeError as exc:
+        return type(exc), str(exc), exc.bit_offset
+    except InvalidArgument as exc:
+        return type(exc), str(exc)
+
+
+def test_reader_matches_reference_on_corruptions(rng):
+    seen = set()
+    for _ in range(3000):
+        vals = [rng.choice([0, 0, 0, 1, rng.randrange(1, 1 << rng.randint(1, 90))])
+                for _ in range(rng.randrange(25))]
+        bits = list(sc.senc_encode(vals).stream.to01())
+        for _ in range(rng.randint(0, 3)):
+            if bits:
+                i = rng.randrange(len(bits))
+                bits[i] = "1" if bits[i] == "0" else "0"
+        if bits and rng.random() < 0.3:
+            bits = bits[:rng.randrange(len(bits))]
+        if rng.random() < 0.2:
+            bits += rng.choices("01", k=rng.randint(1, 5))
+        if bits and rng.random() < 0.1:
+            bits = ["0"] * rng.randint(1, 80) + bits   # leading zero runs
+        stream = BitStream.from01("".join(bits))
+        offset = rng.choice([0, 0, 0, rng.randint(-1, len(bits) + 1)])
+        end = rng.choice([len(bits), len(bits),
+                          rng.randint(0, len(bits) + 3)])
+        got = _outcome(sc._checked_tokens, stream, offset, end)
+        assert got == _outcome(reference_tokens, stream, offset, end), (
+            "".join(bits), offset, end)
+        seen.add(got[1].split(" (")[0] if got[0] != "ok" else "ok")
+    # every rejection of the reader is reached
+    assert seen >= {"ok", "gamma code starts past end of stream",
+                    "gamma code has no terminating 1-bit",
+                    "truncated gamma code", "token overruns encoding",
+                    "adjacent zero-run tokens", "negative bit index"}

@@ -16,7 +16,12 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * the output bytes and exit codes of the CLI `sync` (list, bitmask,
   sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
   commands, and of `encode` followed by `decode` of the container it
-  wrote.
+  wrote;
+* `decode`, `query --rank J` and `query --select J` (fixed J) of each
+  `sync --format sparse` container: exit code, stdout and stderr;
+* exit code and stderr of `decode` on fixed corruptions of each of those
+  containers (flipped, zeroed and truncated payloads, a wrong declared
+  length).
 
 Run it in each checkout and diff the outputs:
 
@@ -116,6 +121,54 @@ def cli_call(main, argv, target):
     return code, data
 
 
+def cli_capture(main, argv):
+    """(exit code, stdout, stderr) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def corruptions(data: bytes):
+    """(tag, bytes) of fixed corruptions of a container (20-byte header)."""
+    payload = len(data) - 20
+    out = []
+    for at in sorted({20, 20 + payload // 2, len(data) - 1}):
+        if at < len(data):
+            for flip in (0x01, 0x80, 0xFF):
+                bad = bytearray(data)
+                bad[at] ^= flip
+                out.append((f"flip{at}:{flip}", bytes(bad)))
+    out.append(("zeroed", data[:20] + bytes(payload)))
+    out.append(("truncated", data[:-1]))
+    declared = int.from_bytes(data[4:12], "little")
+    out.append(("declared+1",
+                data[:4] + (declared + 1).to_bytes(8, "little") + data[12:]))
+    return out
+
+
+def sparse_container_items(main, name, n, container, tmp):
+    """decode and query of a sparse container, and decode of corruptions."""
+    target = os.path.join(tmp, "out")
+    out = {f"{name}:cli:sparse:decode": digest(
+        cli_call(main, ["decode", container], target))}
+    for j in (0, 1, n // 3, n):
+        out[f"{name}:cli:sparse:rank:{j}"] = digest(
+            cli_capture(main, ["query", container, "--rank", str(j)]))
+    for j in (1, 2, 5, 17):
+        out[f"{name}:cli:sparse:select:{j}"] = digest(
+            cli_capture(main, ["query", container, "--select", str(j)]))
+    with open(container, "rb") as fh:
+        data = fh.read()
+    bad = os.path.join(tmp, f"{name}.bad.ssb")
+    for tag, corrupted in corruptions(data):
+        with open(bad, "wb") as fh:
+            fh.write(corrupted)
+        code, _, err = cli_capture(main, ["decode", bad, "--out", target])
+        out[f"{name}:cli:sparse:corrupt:{tag}"] = digest((code, err))
+    return out
+
+
 def cli_items(main, name, syms, sigma, tmp):
     path = os.path.join(tmp, f"{name}.bin")
     with open(path, "wb") as fh:
@@ -136,6 +189,11 @@ def cli_items(main, name, syms, sigma, tmp):
     for cmd, tag, argv in runs:
         out[f"{name}:cli:{cmd}:{tag}:default"] = digest(
             cli_call(main, argv, target))
+        if cmd == "sync" and tag == "sparse" and os.path.exists(target):
+            container = os.path.join(tmp, f"{name}.sync.ssb")
+            os.replace(target, container)
+            out.update(sparse_container_items(main, name, len(syms),
+                                              container, tmp))
     array = os.path.join(tmp, f"{name}.txt")
     with open(array, "w") as fh:
         fh.write(" ".join(map(str, syms)))
