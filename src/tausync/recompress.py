@@ -4,8 +4,7 @@ Even rounds merge runs of identical short phrases; odd rounds merge
 adjacent short-phrase pairs across an approximate maximum directed cut.
 `RecompressionIndex` builds the chain on the linear path, which runs
 every round on a plain sorted boundary list and compares phrases by
-content: as slices of the text in an even round, by their (length,
-symbols) key in an odd one.
+content, as slices of the text's code-point string.
 
 `build_chain_packed` reproduces the paper's packed construction: it
 simulates the initial rounds on boundary-context sets (one entry per
@@ -18,6 +17,7 @@ canonical (length, content) key, which pins down the whole chain.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .bitstream import BitStream
@@ -141,26 +141,19 @@ def round_even(t: PackedText, bounds: list[int], k: int) -> list[int]:
 def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
     """Odd round: drop f_i iff left phrase lands in L and right in R.
 
-    Cut nodes are the distinct short phrases, keyed and ordered by
-    (length, symbols); each distinct key is stored once.
+    Cut nodes are the distinct short phrases, keyed by their slice of the
+    text and ordered by (length, content).
     """
     if k % 2 == 0:
         raise InvalidArgument("round_odd requires odd k")
     lim = lambda_floor(k)
     s, n = t._padded, t.n
-    canon: dict = {}
-    keys = []
-    for a, b in zip([0] + bounds, bounds + [n]):
-        if b - a > lim:
-            keys.append(None)
-        else:
-            key = (b - a, tuple(s[a + n:b + n]))
-            keys.append(canon.setdefault(key, key))
-    edges: dict = {}
-    for e in zip(keys, keys[1:]):
-        if e[0] is not None and e[1] is not None:
-            edges[e] = edges.get(e, 0) + 1
-    L, R = max_dicut(sorted({u for e in edges for u in e}), edges)
+    keys = [s[a + n:b + n] if b - a <= lim else None
+            for a, b in zip([0] + bounds, bounds + [n])]
+    edges = {e: w for e, w in Counter(zip(keys, keys[1:])).items()
+             if None not in e}
+    L, R = max_dicut(sorted({u for e in edges for u in e},
+                            key=lambda u: (len(u), u)), edges)
     return [f for f, u, v in zip(bounds, keys, keys[1:])
             if not (u in L and v in R)]
 

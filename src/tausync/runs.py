@@ -52,12 +52,16 @@ def run_extend(t: PackedText, i: int, j: int) -> Run | None:
     """
     if not 0 <= i < j <= t.n:
         raise InvalidArgument("fragment out of range")
-    p = period(t, i, j)
-    if 2 * p > j - i:
+    s, n = t._padded, t.n
+    w = s[i + n:j + n]
+    m = j - i
+    # a period p <= m/2 puts w[:m - m//2] at offset p and, by Fine and
+    # Wilf, nowhere earlier: the first hit after 0 is the smallest period
+    p = w.find(w[:m - m // 2], 1)
+    if p < 0 or w[p:] != w[:m - p]:
         return None
     # the sentinel padding differs from every text symbol, so both scans
     # stop at the ends of the text
-    s, n = t._padded, t.n
     e = j + n
     while s[e] == s[e - p]:
         e += 1

@@ -248,10 +248,11 @@ def decode_token_stream(stream: BitStream, offset: int = 0,
 
 
 def senc_decode(enc: SparseEncoding) -> list[int]:
-    values = decode_token_stream(enc.stream)
-    if len(values) != enc.decoded_len:
-        raise DecodeError(
-            f"decoded length {len(values)} != declared {enc.decoded_len}")
+    """The dense sequence, expanded only once its length checks out."""
+    n, pairs = senc_to_list(enc)
+    values = [0] * n
+    for pos, value in pairs:
+        values[pos] = value
     return values
 
 
@@ -303,9 +304,7 @@ class ParseInfo:
     b: int
     a: int
     a_plus: int
-    max_val: int
     values: tuple[int, ...]
-    nonzero_mask: int      # bit j set iff values[j] > 0
     literal_starts: tuple[int, ...]  # bit offsets of the literal tokens
     ranks: tuple[int, ...]   # ranks[j] = number of non-zeros before position j
     selects: tuple[int, ...]  # selects[j-1] = position of j-th non-zero
@@ -322,7 +321,7 @@ class ParseInfo:
         return self.selects[j - 1]
 
 
-_EMPTY_PARSE = ParseInfo(0, 0, 0, 0, (), 0, (), (), ())
+_EMPTY_PARSE = ParseInfo(0, 0, 0, (), (), (), ())
 
 
 def window_tokens(window: int, limit: int):
@@ -392,19 +391,16 @@ class ParseTables:
             b = token_end
         if b == 0:
             return _EMPTY_PARSE
-        nz_mask = 0
         ranks = []
         selects = []
         count = 0
         for j, v in enumerate(values):
             ranks.append(count)
             if v:
-                nz_mask |= 1 << j
                 selects.append(j)
                 count += 1
-        return ParseInfo(b, len(values), count, max(values, default=0),
-                         tuple(values), nz_mask, tuple(literal_starts),
-                         tuple(ranks), tuple(selects))
+        return ParseInfo(b, len(values), count, tuple(values),
+                         tuple(literal_starts), tuple(ranks), tuple(selects))
 
 
 _default_tables: dict[int, ParseTables] = {}

@@ -1,9 +1,12 @@
-"""Packed text with sentinel padding and short-substring machinery.
+"""The text as one sentinel-padded code-point string, and short-substring
+machinery.
 
-The input alphabet is remapped so its size is a power of two and the top
-symbol (the sentinel) never occurs in the text; one symbol list then
-holds ``$^n . T . $^n``, giving every logical index in ``[-n..2n)`` a
-defined symbol.
+One ``str`` holds ``$^n . T . $^n``, so every logical index in
+``[-n..2n)`` has a symbol and fragments are sliced, compared, hashed and
+searched in C.  A symbol's code point is its rank in the text's alphabet
+and the sentinel's is one past the largest: an order-preserving map for
+any alphabet.  The reported `sigma` is the input size rounded up to a
+power of two, whose top symbol is the reported sentinel.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ DEFAULT_FALLBACK_THRESHOLD = 256
 
 
 class PackedText:
-    """Immutable symbol list T[-n..2n) = $^n . T . $^n."""
+    """Immutable text T[-n..2n) = $^n . T . $^n as one code-point string."""
 
     def __init__(self, symbols: Sequence[int], sigma_in: int,
                  table_n: int = DEFAULT_TABLE_N):
@@ -30,32 +33,34 @@ class PackedText:
         self.bits_per_symbol = self.sigma.bit_length() - 1
         self.sentinel = self.sigma - 1
         self.table_n = table_n
-        padded = [self.sentinel] * self.n
-        for s in symbols:
-            if not 0 <= s < sigma_in:
-                raise InvalidInput(f"symbol {s} out of range [0..{sigma_in})")
-            padded.append(s)
-        padded.extend([self.sentinel] * self.n)
-        self._padded = padded
-
-    # -- symbol access -------------------------------------------------------
+        alphabet = sorted(set(symbols))
+        if alphabet and not (0 <= alphabet[0] and alphabet[-1] < sigma_in):
+            bad = next(s for s in symbols if not 0 <= s < sigma_in)
+            raise InvalidInput(f"symbol {bad} out of range [0..{sigma_in})")
+        if len(alphabet) > 0x10FFFF:   # the sentinel's code point is chr()'s
+            raise InvalidInput("more than 1114111 distinct symbols")
+        code = dict(zip(alphabet, map(chr, range(len(alphabet)))))
+        pad = chr(len(alphabet)) * self.n
+        self._padded = pad + "".join(map(code.__getitem__, symbols)) + pad
+        self._decode = alphabet + [self.sentinel]   # code point -> symbol
 
     def symbol(self, i: int) -> int:
         """Symbol at logical index i in [-n..2n)."""
         if not -self.n <= i < 2 * self.n:
             raise InvalidArgument(f"index {i} outside [-n..2n)")
-        return self._padded[i + self.n]
+        return self._decode[ord(self._padded[i + self.n])]
 
     def symbols(self, i: int, length: int) -> tuple[int, ...]:
         """Symbols T[i..i+length) as a tuple (sentinels included)."""
         if length < 0 or not -self.n <= i or i + length > 2 * self.n:
             raise InvalidArgument("range outside [-n..2n)")
         base = i + self.n
-        return tuple(self._padded[base:base + length])
+        return tuple(map(self._decode.__getitem__,
+                         map(ord, self._padded[base:base + length])))
 
     def text(self) -> list[int]:
         """The unpadded symbols T[0..n)."""
-        return self._padded[self.n:2 * self.n]
+        return list(self.symbols(0, self.n))
 
 
 class SubstringCounter:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tausync import sparsecodec as sc
 from tausync.bitstream import BitStream
 from tausync.cli import main
 from tausync.oracle import TextIndex, verify_sync
@@ -173,6 +174,17 @@ def test_decode_corrupted_sparse_container(tmp_path, text_file, capsys):
         assert "Traceback" not in err
 
 
+def test_decode_huge_zero_run_fails_before_expanding(tmp_path, capsys):
+    # a container declaring 10 symbols that holds one zero run of 2^40
+    stream = sc.senc_from_list(1 << 40, []).stream
+    target = tmp_path / "huge.ssb"
+    target.write_bytes(stream.to_bytes(10))
+    assert main(["decode", str(target), "--out",
+                 str(tmp_path / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: decoded length 1099511627776 != declared 10\n"
+
+
 def test_missing_file_io_error(tmp_path):
     assert main(["sync", str(tmp_path / "absent.bin"), "--tau", "2"]) == 3
 
@@ -248,3 +260,17 @@ def test_decimal_input(tmp_path, capsys):
                  "--format", "list"]) == 0
     members = [int(x) for x in capsys.readouterr().out.split()]
     assert members == sorted(set(members))
+
+
+def test_decimal_wide_symbols_match_renamed_text(tmp_path, capsys):
+    rng = random.Random(5)
+    ranks = [rng.randrange(3) for _ in range(200)]
+    values = [7, 1 << 21, 10 ** 9]
+    outputs = []
+    for syms in (ranks, [values[r] for r in ranks]):
+        dec = tmp_path / "text.txt"
+        dec.write_text("".join(f"{i} {v}\n" for i, v in enumerate(syms)))
+        assert main(["sync", str(dec), "--decimal", "--tau", "20",
+                     "--format", "list", "--verify"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].split()

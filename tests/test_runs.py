@@ -2,6 +2,7 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_text
 from tausync.errors import InvalidArgument
@@ -66,6 +67,58 @@ def test_run_extend_exhaustive_small():
                             want, = [r for r in runs if r.period == p
                                      and r.start <= i and j <= r.end]
                         assert rn.run_extend(t, i, j) == want
+
+
+def _failure_period(s):
+    """Smallest period of s by the failure function."""
+    fail = [0] * (len(s) + 1)
+    k = 0
+    for q in range(1, len(s)):
+        while k and s[k] != s[q]:
+            k = fail[k]
+        if s[k] == s[q]:
+            k += 1
+        fail[q + 1] = k
+    return len(s) - fail[len(s)]
+
+
+def _reference_extend(syms, i, j):
+    p = _failure_period(syms[i:j])
+    if 2 * p > j - i:
+        return None
+    e = j
+    while e < len(syms) and syms[e] == syms[e - p]:
+        e += 1
+    b = i
+    while b > 0 and syms[b - 1] == syms[b - 1 + p]:
+        b -= 1
+    return rn.Run(b, e, p)
+
+
+@st.composite
+def probe_texts(draw):
+    """Random texts, and periodic texts with a few planted mismatches."""
+    sigma = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 260))
+    if draw(st.booleans()):
+        syms = draw(st.lists(st.integers(0, sigma - 1), min_size=n, max_size=n))
+    else:
+        base = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=64))
+        syms = (base * (n // len(base) + 1))[:n]
+        for at in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            syms[at] = (syms[at] + 1) % (sigma + 1)
+    return syms
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_texts(), st.data())
+def test_run_extend_matches_failure_function(syms, data):
+    n = len(syms)
+    t = PackedText(syms, max(syms) + 1)
+    for _ in range(8):
+        m = data.draw(st.integers(1, min(n, 130)))
+        i = data.draw(st.integers(0, n - m))
+        assert rn.run_extend(t, i, i + m) == _reference_extend(syms, i, i + m)
 
 
 def test_enumerate_runs_p0_empty():

@@ -159,8 +159,6 @@ def test_prefix_parse_example():
     info = sc.prefix_parse(BitStream.from01("10110010"), 8)
     assert info.b == 8 and info.a == 3 and info.a_plus == 1
     assert info.values == (3, 0, 0)
-    assert info.max_val == 3
-    assert info.nonzero_mask == 0b001
     assert info.literal_start_mask & 1
 
 

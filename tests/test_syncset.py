@@ -3,6 +3,7 @@ import pytest
 from conftest import adversarial_text, make_text
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, verify_sync
+from tausync.recompress import build_chain_linear
 from tausync.runs import period
 from tausync import syncset as ss
 from tausync.text import PackedText
@@ -109,3 +110,37 @@ def test_adversarial_first_position(rng):
         for i, offset in enumerate(planted):
             block = [m for m in members if 3 * tau * i <= m < 3 * tau * (i + 1)]
             assert block and block[0] == 3 * tau * i + offset
+
+
+def _chain_and_sets(syms, sigma):
+    t = PackedText(syms, sigma)
+    index = ss.SyncIndex(t)
+    sets = [ss.build_sync_explicit(index, tau) for tau in range(1, t.n // 2 + 1)]
+    return build_chain_linear(t).levels, sets
+
+
+def test_order_preserving_renaming_keeps_chain_and_sets(rng):
+    # the chain and the sets depend on the symbols only through their
+    # order, so a wide alphabet must give what its ranks give
+    wide = [(1 << 21) + 3 * v for v in range(256)] + [10 ** 9]
+    for trial in range(6):
+        n = rng.randint(257, 400) if trial < 2 else rng.randint(2, 160)
+        if trial < 2:
+            # sigma_in = 256 with every byte value present
+            syms = list(range(256)) + [rng.randrange(256)
+                                       for _ in range(n - 256)]
+            rng.shuffle(syms)
+            sigma = 256
+        else:
+            sigma = rng.choice([1, 2, 4])
+            syms = make_text(rng, n, sigma,
+                             rng.choice(["random", "periodic", "rle"]))
+        want = _chain_and_sets(syms, sigma)
+        values = sorted(rng.sample(wide, sigma))
+        renamed = [values[s] for s in syms]
+        t = PackedText(renamed, values[-1] + 1)
+        assert t.text() == renamed
+        assert t.symbol(-1) == t.sentinel == t.sigma - 1
+        assert _chain_and_sets(renamed, values[-1] + 1) == want
+        dense = sorted(rng.sample(range(256), sigma))
+        assert _chain_and_sets([dense[s] for s in syms], 256) == want

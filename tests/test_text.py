@@ -28,6 +28,12 @@ def test_remap_rejects_out_of_range():
         PackedText([0, 5], 4)
 
 
+def test_more_distinct_symbols_than_code_points_rejected():
+    # ranks and the sentinel must fit the 0x110000 code points of a str
+    with pytest.raises(InvalidInput):
+        PackedText(range(0x110000), 0x110000)
+
+
 def test_counter_overlapping():
     c = SubstringCounter([0, 0, 0, 0], 2)
     assert c.count([0, 0]) == 3

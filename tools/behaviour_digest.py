@@ -21,7 +21,10 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   `sync --format sparse` container: exit code, stdout and stderr;
 * exit code and stderr of `decode` on fixed corruptions of each of those
   containers (flipped, zeroed and truncated payloads, a wrong declared
-  length).
+  length);
+* the library and CLI items above for two wide-alphabet texts: raw
+  bytes with all 256 values read without `--sigma`, and a `--decimal`
+  text with symbols at and above 2^21.
 
 Run it in each checkout and diff the outputs:
 
@@ -70,6 +73,21 @@ def corpus(rng: random.Random):
         small = 4 if idx % 4 == 1 else None
         texts.append((f"c{idx}", syms, sigma, table_n, small))
     return texts
+
+
+def wide_texts(rng: random.Random):
+    """(name, symbols, sigma, CLI input options) of two wide-alphabet texts:
+    raw bytes with every byte value present, read without --sigma, and a
+    --decimal text with symbols at and above 2^21."""
+    raw = list(range(256)) + [rng.randrange(256) for _ in range(344)]
+    rng.shuffle(raw)
+    values = [5, (1 << 21) - 1, 1 << 21, 3 << 21, 10 ** 9]
+    dec = []
+    while len(dec) < 400:
+        dec.extend([rng.choice(values)] * rng.randint(1, 6))
+    dec = dec[:400]
+    return [("w256", raw, 256, []),
+            ("wdec", dec, max(dec) + 1, ["--decimal"])]
 
 
 # (ell, p): the run enumeration at narrow and wide windows, and ell < 2p
@@ -169,19 +187,24 @@ def sparse_container_items(main, name, n, container, tmp):
     return out
 
 
-def cli_items(main, name, syms, sigma, tmp):
+def cli_items(main, name, syms, opts, tmp):
+    """CLI items of one text; `opts` are its input options (`--sigma S`, or
+    `--decimal` for an 'index symbol' file, or none for raw bytes)."""
     path = os.path.join(tmp, f"{name}.bin")
     with open(path, "wb") as fh:
-        fh.write(bytes(syms))
+        if "--decimal" in opts:
+            fh.write("".join(f"{i} {s}\n" for i, s in enumerate(syms)).encode())
+        else:
+            fh.write(bytes(syms))
     tau = str(max(1, len(syms) // 16))
-    runs = [("sync", fmt, ["sync", path, "--sigma", str(sigma), "--tau", tau,
+    runs = [("sync", fmt, ["sync", path, *opts, "--tau", tau,
                            "--format", fmt]) for fmt in ("list", "bitmask", "sparse")]
     runs += [("recompress", f"{fmt}{level}",
-              ["recompress", path, "--sigma", str(sigma), "--level", str(level),
+              ["recompress", path, *opts, "--level", str(level),
                "--format", fmt])
              for fmt in ("list", "bitmask") for level in (0, 2, 5)]
     runs += [("runs", f"{fmt}{ell}:{p}",
-              ["runs", path, "--sigma", str(sigma), "--ell", str(ell),
+              ["runs", path, *opts, "--ell", str(ell),
                "--period", str(p), "--format", fmt])
              for fmt in ("list", "bitmask") for ell, p in ((4, 1), (8, 2))]
     target = os.path.join(tmp, "out")
@@ -221,9 +244,17 @@ def main(argv) -> int:
                                    small, range(1, len(syms) // 2 + 1)))
         items.update(runs_items(tausync, name, syms, sigma, table_n))
     cli_main = tausync.cli.main
+    wide = wide_texts(random.Random(0x5167A))
+    for name, syms, sigma, _ in wide:
+        items.update(library_items(tausync, name, syms, sigma, 1 << 16,
+                                   None, range(1, len(syms) // 2 + 1)))
+        items.update(runs_items(tausync, name, syms, sigma, 1 << 16))
     with tempfile.TemporaryDirectory() as tmp:
         for name, syms, sigma, *_ in texts[:12]:
-            items.update(cli_items(cli_main, name, syms, sigma, tmp))
+            items.update(cli_items(cli_main, name, syms,
+                                   ["--sigma", str(sigma)], tmp))
+        for name, syms, _, opts in wide:
+            items.update(cli_items(cli_main, name, syms, opts, tmp))
     if not quick:
         big = [rng.randrange(4) for _ in range(1 << 16)]
         items.update(library_items(tausync, "big", big, 4, 1 << 16,
