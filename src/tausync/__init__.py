@@ -19,7 +19,7 @@ from .errors import DecodeError, InvalidArgument, InvalidInput
 from .text import PackedText, SubstringCounter
 from .sparsecodec import (SparseEncoding, gamma_decode, gamma_encode,
                           senc_decode, senc_encode, senc_from_list,
-                          senc_size, senc_to_list)
+                          senc_from_positions, senc_size, senc_to_list)
 from .recompress import RecompressionIndex, max_dicut
 from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,

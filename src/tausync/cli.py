@@ -119,7 +119,7 @@ def cmd_sync(args) -> int:
     elif args.format == "bitmask":
         _write_container(args.out, BitStream.from_positions(t.n, members), t.n)
     else:
-        enc = sc.senc_from_list(t.n, [(i, 1) for i in members])
+        enc = sc.senc_from_positions(t.n, members)
         _write_container(args.out, enc.stream, enc.decoded_len)
     return 0
 

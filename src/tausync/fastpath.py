@@ -2,7 +2,7 @@
 optionally with rank/select support.
 
 A tau query lists the set explicitly (`build_sync_explicit`) and encodes
-that list with `senc_from_list`.
+that list with `senc_from_positions`.
 
 The paper's construction is kept beside it as a tested reference, off
 the query path: run tables split by period scale (geometric length
@@ -282,7 +282,7 @@ class RunTables:
         if not tau <= ell <= RUNS_LENGTH_FACTOR * tau:
             raise InvalidArgument("ell must lie in [tau..2*tau]")
         p = tau // 3
-        empty = sc.senc_from_list(n, [])
+        empty = sc.senc_from_positions(n, [])
         if p < 1 or n == 0:
             return empty, empty
         if p < self.small_limit:
@@ -297,8 +297,8 @@ class RunTables:
         lg2 = max(1, n.bit_length() - 1)
         if tau * tau * lg2 * lg2 > n:
             keep = [r for r in runs if r.end - r.start >= ell and r.period <= p]
-            s = sc.senc_from_list(n, [(r.start, 1) for r in keep])
-            e = sc.senc_from_list(n, sorted((r.end - 1, 1) for r in keep))
+            s = sc.senc_from_positions(n, [r.start for r in keep])
+            e = sc.senc_from_positions(n, sorted(r.end - 1 for r in keep))
             return s, e
 
         def delta(state, xp, xl, p=p, ell=ell):
@@ -394,7 +394,7 @@ class FastSyncIndex:
     def sync_sparse(self, tau: int) -> SparseEncoding:
         """senc of the tau-synchronizing set, encoded from the explicit set."""
         members = build_sync_explicit(self.sync_index, tau)
-        return sc.senc_from_list(self.t.n, [(i, 1) for i in members])
+        return sc.senc_from_positions(self.t.n, members)
 
     def _sync_sparse_transducer(self, tau: int) -> SparseEncoding:
         """The paper's five-stream transducer construction of sync_sparse.
@@ -404,9 +404,8 @@ class FastSyncIndex:
         n = self.t.n
         k = k_of_tau(tau)
         # B_k shifted left by tau: the sync transducer only tests > 0
-        b_hat = sc.senc_from_list(n, [(f - tau, 1)
-                                      for f in self.recomp.chain.boundaries(k)
-                                      if f >= tau])
+        b_hat = sc.senc_from_positions(
+            n, [f - tau for f in self.recomp.chain.boundaries(k) if f >= tau])
         s1, e1 = self.runs.markers(tau, tau)
         s2, e2 = self.runs.markers(tau, 2 * tau)
         s1_hat = shift_truncate(s1, 1, self.table_n)

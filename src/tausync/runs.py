@@ -61,14 +61,42 @@ def run_extend(t: PackedText, i: int, j: int) -> Run | None:
     if p < 0 or w[p:] != w[:m - p]:
         return None
     # the sentinel padding differs from every text symbol, so both scans
-    # stop at the ends of the text
-    e = j + n
-    while s[e] == s[e - p]:
-        e += 1
-    b = i + n
-    while s[b - 1] == s[b - 1 + p]:
-        b -= 1
+    # stop at the ends of the text; past the first symbol each gallops
+    # over slice comparisons, whose steps never exceed n, the length of
+    # the padding
+    b, e = i + n, j + n
+    if s[b - 1] == s[b - 1 + p]:
+        b = _extend_left(s, b - 1, p)
+    if s[e] == s[e - p]:
+        e = _extend_right(s, e + 1, p)
     return Run(b - n, e - n, p)
+
+
+def _extend_right(s: str, e: int, p: int) -> int:
+    """Smallest x >= e with s[x] != s[x - p]."""
+    d = 1
+    while s[e:e + d] == s[e - p:e - p + d]:
+        e += d
+        d += d
+    # s[e..e+d) holds the mismatch; d is a power of two, halve it down
+    while d > 1:
+        d >>= 1
+        if s[e:e + d] == s[e - p:e - p + d]:
+            e += d
+    return e
+
+
+def _extend_left(s: str, b: int, p: int) -> int:
+    """Largest x <= b with s[x - 1] != s[x - 1 + p]."""
+    d = 1
+    while s[b - d:b] == s[b - d + p:b + p]:
+        b -= d
+        d += d
+    while d > 1:
+        d >>= 1
+        if s[b - d:b] == s[b - d + p:b + p]:
+            b -= d
+    return b
 
 
 def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
@@ -85,12 +113,17 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     if n < 2 * p:
         return []
     delta = ell + 1 - 2 * p
+    s = t._padded
+    # a probe whose first half does not recur in it is aperiodic, and
+    # run_extend would return None: only periodic probes are extended
+    probes = (start for start in range(0, n - 2 * p + 1, delta)
+              if (w := s[start + n:start + n + 2 * p]).find(w[:p], 1) >= 0)
     out: list[Run] = []
     prev: Run | None = None
-    for i in range((n - 2 * p) // delta + 1):
-        start = i * delta
-        if prev is not None and prev.start <= start and start + 2 * p <= prev.end:
-            # a 2p-fragment inside a run of period <= p extends to that run
+    for start in probes:
+        if prev is not None and start + 2 * p <= prev.end:
+            # a 2p-fragment inside a run of period <= p extends to that
+            # run; prev holds an earlier probe, so it starts before this one
             continue
         run = run_extend(t, start, start + 2 * p)
         if run is not None and len(run) >= ell and run != prev:

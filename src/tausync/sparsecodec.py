@@ -12,10 +12,12 @@ as ``BitStream.from_positions`` does for masks.  The writer joins each
 token's stream-order digit string (indicator bit, ``floor(lg x)`` zeros,
 binary(x)) and converts the joined string to the stream with one
 ``int(..., 2)``; the digit strings of tokens with ``x < 2**12`` are kept
-in a table of at most 2 * 4096 strings, filled on first use.  The reader
-formats the stream once as a digit string, finds each gamma code's
-terminating 1 with ``str.find`` and reads its payload with one
-``int(..., 2)``.
+in a table of at most 2 * 4096 strings, filled on first use.  A 0/1 mask
+(``senc_from_positions``) is written as the zero-run tokens around its
+members joined by the literal token 1; a second table maps each distance
+between members up to 4096 to the string the first one holds.  The reader formats
+the stream once as a digit string, finds each gamma code's terminating 1
+with ``str.find`` and reads its payload with one ``int(..., 2)``.
 
 Table-accelerated paths take the table parameter ``N``; tables are built
 lazily and memoized, and degrade to token-at-a-time processing with
@@ -25,6 +27,8 @@ identical outputs when windows do not fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from typing import Iterable, Sequence
 
 from .bitstream import BitStream
@@ -275,6 +279,46 @@ def senc_from_list(n: int, pairs: Sequence[tuple[int, int]]) -> SparseEncoding:
     if n - prev - 1:
         digits.append(_token_digits(False, n - prev - 1))
     return SparseEncoding(_digits_to_stream(digits), n)
+
+
+class _ZeroRunDigits(dict):
+    """Digits of the zero run before a mask member, keyed by the distance
+    d from the previous member: the zero-run token of length d - 1, or ""
+    for d = 1.  Filled on first use for d <= _TOKEN_DIGITS_LIMIT, sharing
+    the strings of _TOKEN_DIGITS."""
+
+    def __missing__(self, d: int) -> str:
+        digits = _token_digits(False, d - 1) if d != 1 else ""
+        if d <= _TOKEN_DIGITS_LIMIT:
+            self[d] = digits
+        return digits
+
+
+_ZERO_RUN_DIGITS = _ZeroRunDigits()
+
+
+def senc_from_positions(n: int, positions: Sequence[int]) -> SparseEncoding:
+    """Encode the n-bit 0/1 mask with ones at `positions`, strictly increasing.
+
+    The same stream as senc_from_list(n, [(i, 1) for i in positions]), in
+    bulk: the distances between members by `map`, one cached digit string
+    per zero run, and one join with the literal token 1 ("11") between
+    the runs.
+    """
+    def distances():
+        # to each member from the one before, and to n from the last
+        return map(sub, chain(positions, (n,)), chain((-1,), positions))
+
+    if positions and min(distances()) < 1:
+        prev = -1
+        for pos in positions:
+            if pos <= prev:
+                raise InvalidArgument("positions must be strictly increasing")
+            if not 0 <= pos < n:
+                raise InvalidArgument("position out of range")
+            prev = pos
+    digits = "11".join(map(_ZERO_RUN_DIGITS.__getitem__, distances()))
+    return SparseEncoding(_digits_to_stream([digits]), n)
 
 
 def senc_to_list(enc: SparseEncoding) -> tuple[int, list[tuple[int, int]]]:

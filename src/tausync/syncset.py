@@ -6,19 +6,28 @@ recompression level k(tau), or a tau-run starts at i + 1 or ends at
 i + 2tau - 1.  The result satisfies the consistency and density
 conditions and has fewer than 70n/tau members.
 
-`build_sync_explicit` is the one construction of the set: candidates
-from the boundaries and the tau-runs, then the period filter.  The
-bitmask form is the mask of that list.
+`build_sync_explicit` is the one construction of the set, in bulk
+steps over sorted lists, with nothing cached between queries:
+
+* one enumeration of the tau-runs RUNS_{tau, tau//3}; the highly
+  periodic windows are exactly those inside its runs of length
+  >= 2*tau (RUNS_{2*tau, tau//3} is that subset);
+* the boundary candidates are one slice of the sorted B_k, found by two
+  bisects, and the few new run candidates are merged into it;
+* each run of length >= 2*tau drops one contiguous block of candidates,
+  found by two bisects; with no such run the candidate list is the set.
+
+The bitmask form is the mask of that list.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
 from .recompress import RecompressionIndex, lambda_frac
-from .runs import enumerate_runs
+from .runs import Run, enumerate_runs
 from .text import PackedText
 
 
@@ -48,51 +57,59 @@ def _check_tau(t: PackedText, tau: int) -> None:
         raise InvalidArgument(f"tau {tau} outside [1..{t.n // 2}]")
 
 
-def sync_candidates(index: SyncIndex, tau: int) -> list[int]:
-    """Merged, deduplicated candidate positions before the period filter."""
-    t = index.t
-    n = t.n
+def sync_candidates(index: SyncIndex, tau: int, runs: list[Run]) -> list[int]:
+    """Sorted, deduplicated candidate positions before the period filter.
+
+    `runs` is RUNS_{tau, tau//3}.  B_k is sorted, so its candidates are
+    one slice; the few run candidates not already in it are merged in.
+    """
+    n = index.t.n
     hi = n - 2 * tau
-    k = k_of_tau(tau)
-    cands = set()
-    for f in index.recomp.level_list(k):
-        i = f - tau
-        if 0 <= i <= hi:
-            cands.add(i)
-    for run in enumerate_runs(t, tau, tau // 3):
-        i = run.start - 1
-        if 0 <= i <= hi:
-            cands.add(i)
-        i = run.end - 2 * tau + 1
-        if 0 <= i <= hi:
-            cands.add(i)
-    return sorted(cands)
+    bounds = index.recomp.level_list(k_of_tau(tau))
+    cands = [f - tau for f in
+             bounds[bisect_left(bounds, tau):bisect_right(bounds, n - tau)]]
+    if runs:
+        extra = {i for r in runs for i in (r.start - 1, r.end - 2 * tau + 1)
+                 if 0 <= i <= hi}
+        new = sorted(i for i in extra if not _contains(cands, i))
+        if new:
+            # two sorted runs: the sort is one merge
+            cands += new
+            cands.sort()
+    return cands
+
+
+def _contains(xs: list[int], x: int) -> bool:
+    at = bisect_left(xs, x)
+    return at < len(xs) and xs[at] == x
 
 
 def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
     """Sorted synchronizing positions for one tau.
 
-    Candidates are filtered with the window-periodicity intervals of the
-    2*tau runs: a window is highly periodic iff it lies inside a run of
-    length >= 2*tau with period at most tau // 3.
+    One enumeration of the tau-runs serves both steps.  A window is
+    highly periodic iff it lies inside a run of length >= 2*tau with
+    period at most tau // 3: those runs are the tau-runs of length
+    >= 2*tau, and each drops the block of candidates in
+    [start..end - 2*tau].
     """
     t = index.t
     _check_tau(t, tau)
-    p_bound = tau // 3
-    if p_bound >= 1:
-        periodic = [(r.start, r.end - 2 * tau)
-                    for r in enumerate_runs(t, 2 * tau, p_bound)]
-        starts = [b for b, _ in periodic]
-    else:
-        periodic = []
-        starts = []
-    out = []
-    for i in sync_candidates(index, tau):
-        if periodic:
-            at = bisect_right(starts, i) - 1
-            if at >= 0 and i <= periodic[at][1]:
-                continue
-        out.append(i)
+    runs = enumerate_runs(t, tau, tau // 3)
+    cands = sync_candidates(index, tau, runs)
+    blocks = [(r.start, r.end - 2 * tau) for r in runs
+              if r.end - r.start >= 2 * tau]
+    if not blocks:
+        return cands
+    # the blocks are disjoint and in order: two runs of period <= tau // 3
+    # overlap by fewer than 2 * tau symbols
+    out: list[int] = []
+    kept = 0
+    for first, last in blocks:
+        lo = bisect_left(cands, first, kept)
+        out += cands[kept:lo]
+        kept = bisect_right(cands, last, lo)
+    out += cands[kept:]
     return out
 
 

@@ -97,27 +97,51 @@ def _reference_extend(syms, i, j):
 
 @st.composite
 def probe_texts(draw):
-    """Random texts, and periodic texts with a few planted mismatches."""
+    """(text, planted mismatch positions): random texts, periodic texts
+    with a few planted mismatches, and runs of up to 5000 symbols between
+    random stretches with one planted mismatch at a random offset."""
     sigma = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 260))
-    if draw(st.booleans()):
-        syms = draw(st.lists(st.integers(0, sigma - 1), min_size=n, max_size=n))
-    else:
+    kind = draw(st.sampled_from(["random", "periodic", "long"]))
+    if kind == "random":
+        n = draw(st.integers(1, 260))
+        return draw(st.lists(st.integers(0, sigma - 1),
+                             min_size=n, max_size=n)), []
+    if kind == "periodic":
+        n = draw(st.integers(1, 260))
         base = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=64))
-        syms = (base * (n // len(base) + 1))[:n]
-        for at in draw(st.lists(st.integers(0, n - 1), max_size=3)):
-            syms[at] = (syms[at] + 1) % (sigma + 1)
-    return syms
+        planted = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    else:
+        base = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=8))
+        n = draw(st.integers(2 * len(base), 5000))
+        planted = [draw(st.integers(0, n - 1))]
+    syms = (base * (n // len(base) + 1))[:n]
+    for at in planted:
+        syms[at] = (syms[at] + 1) % (sigma + 1)
+    if kind == "long":
+        left = draw(st.lists(st.integers(0, sigma), max_size=20))
+        right = draw(st.lists(st.integers(0, sigma), max_size=20))
+        syms = left + syms + right
+        planted = [at + len(left) for at in planted]
+    return syms, planted
 
 
 @settings(max_examples=300, deadline=None)
 @given(probe_texts(), st.data())
-def test_run_extend_matches_failure_function(syms, data):
+def test_run_extend_matches_failure_function(text, data):
+    syms, planted = text
     n = len(syms)
     t = PackedText(syms, max(syms) + 1)
     for _ in range(8):
         m = data.draw(st.integers(1, min(n, 130)))
         i = data.draw(st.integers(0, n - m))
+        if planted and data.draw(st.booleans()):
+            # a fragment ending just before a planted mismatch or starting
+            # just after it: the scan stops within one step of its start
+            at = data.draw(st.sampled_from(planted))
+            gap = data.draw(st.integers(0, 2))
+            i = min(max(0, at - gap - m), n - m)
+            if data.draw(st.booleans()):
+                i = min(at + 1 + gap, n - m)
         assert rn.run_extend(t, i, i + m) == _reference_extend(syms, i, i + m)
 
 

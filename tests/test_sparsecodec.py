@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tausync.bitstream import BitStream
 from tausync.errors import DecodeError, InvalidArgument
@@ -284,6 +284,42 @@ def test_list_writer_small_n():
     for value in EDGE_VALUES:
         assert (sc.senc_from_list(1, [(0, value)]).stream
                 == reference_stream([(True, value)]))
+
+
+mask_gaps_st = st.one_of(
+    st.sampled_from([0, 1, TOKEN_BOUND - 1, TOKEN_BOUND, TOKEN_BOUND + 1,
+                     1 << 64, (1 << 70) + 3]),
+    st.integers(min_value=0, max_value=1 << 20))
+
+
+@settings(max_examples=200, deadline=None)
+@example([], 0).via("n = 0")
+@example([], 1).via("n = 1, no member")
+@example([0], 0).via("n = 1, one member")
+@given(st.lists(mask_gaps_st, max_size=12), mask_gaps_st)
+def test_positions_writer_matches_list_writer(gaps, tail):
+    # gaps[j] zeros before member j, then `tail` zeros to the end
+    positions = []
+    pos = -1
+    for gap in gaps:
+        pos += gap + 1
+        positions.append(pos)
+    n = pos + 1 + tail
+    want = sc.senc_from_list(n, [(i, 1) for i in positions])
+    got = sc.senc_from_positions(n, positions)
+    assert got.decoded_len == want.decoded_len == n
+    assert got.stream == want.stream
+
+
+@pytest.mark.parametrize("n, positions", [
+    (5, [2, 2]), (5, [3, 1]), (5, [-1]), (5, [1, -3]), (5, [5]),
+    (5, [7, 3]), (5, [0, 9, 2]), (0, [0])])
+def test_positions_writer_rejects_like_list_writer(n, positions):
+    with pytest.raises(InvalidArgument) as want:
+        sc.senc_from_list(n, [(i, 1) for i in positions])
+    with pytest.raises(InvalidArgument) as got:
+        sc.senc_from_positions(n, positions)
+    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import adversarial_text, make_text
 from tausync.errors import InvalidArgument
-from tausync.oracle import TextIndex, verify_sync
+from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
 from tausync.recompress import build_chain_linear
 from tausync.runs import period
 from tausync import syncset as ss
@@ -85,6 +85,47 @@ def test_oracle_and_size_and_filter(rng):
             assert len(members) * tau < 70 * n
             for i in members:
                 assert 3 * period(t, i, i + 2 * tau) > tau
+
+
+def _definition(syms, recomp, tau):
+    """The set as the module docstring defines it, from brute force."""
+    n = len(syms)
+    bounds = set(recomp.level_list(ss.k_of_tau(tau)))
+    runs = brute_runs(syms, tau, tau // 3)
+    starts = {start for start, _, _ in runs}
+    ends = {end for _, end, _ in runs}
+    return [i for i in range(n - 2 * tau + 1)
+            if 3 * brute_period(syms[i:i + 2 * tau]) > tau
+            and (i + tau in bounds or i + 1 in starts
+                 or i + 2 * tau - 1 in ends)]
+
+
+def test_explicit_matches_definition(rng):
+    for trial in range(24):
+        n = rng.randint(2, 150)
+        sigma = rng.choice([2, 3, 4])
+        syms = make_text(rng, n, sigma, ("random", "periodic", "rle")[trial % 3])
+        index = ss.SyncIndex(PackedText(syms, sigma))
+        for tau in range(1, n // 2 + 1):
+            assert (ss.build_sync_explicit(index, tau)
+                    == _definition(syms, index.recomp, tau)), tau
+
+
+def test_one_run_enumeration_per_query(monkeypatch):
+    syms = [0, 1] * 40 + [0, 0, 1, 2] * 10
+    index = ss.SyncIndex(PackedText(syms, 3))
+    calls = []
+    real = ss.enumerate_runs
+
+    def counting(t, ell, p):
+        calls.append((ell, p))
+        return real(t, ell, p)
+
+    monkeypatch.setattr(ss, "enumerate_runs", counting)
+    for tau in (1, 3, 7, 30):
+        calls.clear()
+        ss.build_sync_explicit(index, tau)
+        assert calls == [(tau, tau // 3)]
 
 
 def test_bitmask_equals_explicit(rng):

@@ -24,7 +24,9 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   length);
 * the library and CLI items above for two wide-alphabet texts: raw
   bytes with all 256 values read without `--sigma`, and a `--decimal`
-  text with symbols at and above 2^21.
+  text with symbols at and above 2^21;
+* the library and runs items, at fixed taus, of one text of long runs of
+  periods 2 and 3 (each at least 4096 symbols) between random stretches.
 
 Run it in each checkout and diff the outputs:
 
@@ -88,6 +90,21 @@ def wide_texts(rng: random.Random):
     dec = dec[:400]
     return [("w256", raw, 256, []),
             ("wdec", dec, max(dec) + 1, ["--decimal"])]
+
+
+def long_runs_text(rng: random.Random) -> list[int]:
+    """Runs of periods 2 and 3, each at least 4096 symbols long, between
+    random stretches over the same three symbols."""
+    syms = []
+    for base, length in (([0, 1], 4096), ([2, 0, 1], 4099), ([1, 0], 5000)):
+        syms.extend(rng.randrange(3) for _ in range(rng.randint(100, 400)))
+        syms.extend((base * length)[:length])
+    syms.extend(rng.randrange(3) for _ in range(rng.randint(100, 400)))
+    return syms
+
+
+LONG_RUNS_TAUS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 32, 64, 256, 1024, 2048,
+                  4096)
 
 
 # (ell, p): the run enumeration at narrow and wide windows, and ell < 2p
@@ -249,6 +266,10 @@ def main(argv) -> int:
         items.update(library_items(tausync, name, syms, sigma, 1 << 16,
                                    None, range(1, len(syms) // 2 + 1)))
         items.update(runs_items(tausync, name, syms, sigma, 1 << 16))
+    periodic = long_runs_text(random.Random(0x10CA1))
+    items.update(library_items(tausync, "long", periodic, 3, 1 << 16, None,
+                               LONG_RUNS_TAUS))
+    items.update(runs_items(tausync, "long", periodic, 3, 1 << 16))
     with tempfile.TemporaryDirectory() as tmp:
         for name, syms, sigma, *_ in texts[:12]:
             items.update(cli_items(cli_main, name, syms,
