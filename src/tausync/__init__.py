@@ -9,9 +9,11 @@ Library layout:
 * :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
 * :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings
 * :mod:`tausync.transducer` -- accelerated transducers over encodings
-* :mod:`tausync.ranksupport` -- rank/select/predecessor support structures
+* :mod:`tausync.ranksupport` -- rank/select by bisection over a decomposition
 * :mod:`tausync.fastpath` -- sparse-output query pipeline
 * :mod:`tausync.oracle` -- brute-force references backing the test suite
+* :mod:`tausync.reference` -- the paper's word-RAM structures, kept for the
+  tests and imported by no production module
 """
 
 from .bitstream import BitStream, W
@@ -26,7 +28,7 @@ from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,
                       k_of_tau)
 from .transducer import (TransducerSpec, run_multi, run_naive, run_sparse,
                          zip_multi, zip_pair)
-from .ranksupport import RankSupport, SelectSupport, VebIndex, decompose
+from .ranksupport import decompose
 from .fastpath import FastSyncIndex, shift_truncate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from . import sparsecodec as sc
 from . import syncset as ss
 from . import transducer as td
 from .oracle import TextIndex, verify_sync
-from .ranksupport import RankSupport, SelectSupport, decompose
+from .ranksupport import decompose
 from .text import DEFAULT_TABLE_N, PackedText
 
 MAX_TABLE_N = 1 << 24
@@ -168,9 +168,9 @@ def cmd_query(args) -> int:
         stream, decoded_len = BitStream.from_bytes(fh.read())
     decomp = decompose(sc.SparseEncoding(stream, decoded_len), args.table_n)
     if args.select is not None:
-        print(SelectSupport(decomp).select(args.select))
+        print(decomp.select(args.select))
     if args.rank is not None:
-        print(RankSupport(decomp).rank(args.rank))
+        print(decomp.rank(args.rank))
     return 0
 
 

@@ -2,7 +2,9 @@
 optionally with rank/select support.
 
 A tau query lists the set explicitly (`build_sync_explicit`) and encodes
-that list with `senc_from_positions`.
+that list with `senc_from_positions`.  Its rank/select support is the
+greedy decomposition of that encoding, which answers both queries by
+bisection over its piece arrays.
 
 The paper's construction is kept beside it as a tested reference, off
 the query path: run tables split by period scale (geometric length
@@ -22,7 +24,7 @@ from .errors import InvalidArgument
 from . import recompress as rc
 from . import sparsecodec as sc
 from . import transducer as td
-from .ranksupport import RankSupport, SelectSupport, decompose
+from .ranksupport import Decomposition, decompose
 from .runs import enumerate_runs
 from .sparsecodec import SparseEncoding
 from .syncset import SyncIndex, build_sync_explicit, k_of_tau
@@ -361,18 +363,17 @@ class SyncSupport:
     """A sparse-encoded synchronizing set with rank/select support."""
 
     encoding: SparseEncoding
-    select_support: SelectSupport
-    rank_support: RankSupport
+    decomp: Decomposition
 
     @property
     def size(self) -> int:
-        return self.select_support.count
+        return self.decomp.r[-1]
 
     def select(self, j: int) -> int:
-        return self.select_support.select(j)
+        return self.decomp.select(j)
 
     def rank(self, j: int) -> int:
-        return self.rank_support.rank(j)
+        return self.decomp.rank(j)
 
 
 class FastSyncIndex:
@@ -426,10 +427,4 @@ class FastSyncIndex:
 
     def sync_with_support(self, tau: int) -> SyncSupport:
         enc = self.sync_sparse(tau)
-        n = max(1, self.t.n)
-        lg_n = max(1, n.bit_length() - 1)
-        lg_tau = max(1, tau.bit_length() - 1)
-        m = (len(enc.stream) // max(1, self.table_n.bit_length() - 1)
-             + max(1, n * lg_tau // (tau * lg_n)))
-        decomp = decompose(enc, self.table_n)
-        return SyncSupport(enc, SelectSupport(decomp), RankSupport(decomp, m))
+        return SyncSupport(enc, decompose(enc, self.table_n))

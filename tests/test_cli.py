@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tausync
 from tausync import sparsecodec as sc
 from tausync.bitstream import BitStream
 from tausync.cli import main
@@ -41,6 +45,24 @@ def test_sync_sparse_support_roundtrip(tmp_path, text_file, capsys):
     assert capsys.readouterr().out.strip() == str(first)
     assert main(["verify", path, "--sigma", "4", "--tau", "8",
                  "--set", str(cont)]) == 0
+
+
+def test_query_loads_no_reference_module(tmp_path):
+    # the package and the query path never import tausync.reference
+    enc = sc.senc_from_positions(40, [1, 5, 17, 30])
+    cont = tmp_path / "set.bin"
+    cont.write_bytes(enc.stream.to_bytes(enc.decoded_len))
+    script = ("import sys, tausync, tausync.cli\n"
+              f"code = tausync.cli.main(['query', {str(cont)!r}, '--rank', '3'])\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.startswith('tausync.reference')))\n")
+    src = os.path.dirname(os.path.dirname(tausync.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["1", "0 []"]
 
 
 def test_sync_bitmask_and_sparse_verified(tmp_path, text_file):

@@ -1,10 +1,12 @@
 from bisect import bisect_left, bisect_right
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync import ranksupport as rs
+from tausync.reference import ranksupport as ref
 from tausync import sparsecodec as sc
 
 
@@ -19,7 +21,7 @@ def test_bitvector_rank_select(rng):
     for _ in range(30):
         n = rng.randrange(0, 400)
         bits = [rng.randrange(2) for _ in range(n)]
-        bv = rs.BitVectorRS(BitStream.from01("".join(map(str, bits))))
+        bv = ref.BitVectorRS(BitStream.from01("".join(map(str, bits))))
         pref = prefix_sums(bits)
         for j in range(n + 1):
             assert bv.rank(j) == pref[j]
@@ -53,7 +55,7 @@ def test_decompose_reassembles(rng):
         d = rs.decompose(enc, 1 << 12)
         whole = BitStream()
         for i in range(d.h):
-            whole.append_stream(d.piece_bits(i))
+            whole.append_stream(enc.stream.slice_bits(d.e[i], d.e[i + 1] - d.e[i]))
         assert whole == enc.stream
         # consecutive tuples advance the encoding
         for i in range(d.h):
@@ -65,7 +67,7 @@ def test_decompose_reassembles(rng):
 
 def test_select_examples():
     enc = sc.senc_encode([0, 1, 0, 1])
-    sel = rs.SelectSupport(rs.decompose(enc))
+    sel = ref.SelectSupport(rs.decompose(enc))
     assert sel.select(1) == 1 and sel.select(2) == 3
     with pytest.raises(InvalidArgument):
         sel.select(3)
@@ -78,8 +80,8 @@ def test_select_matches_naive(rng):
         n = rng.randrange(0, 300)
         bits = [1 if rng.random() < rng.choice([0.03, 0.3, 0.8]) else 0
                 for _ in range(n)]
-        sel = rs.SelectSupport(rs.decompose(sc.senc_encode(bits),
-                                           rng.choice([16, 1 << 16])))
+        sel = ref.SelectSupport(rs.decompose(sc.senc_encode(bits),
+                                            rng.choice([16, 1 << 16])))
         ones = [i for i, b in enumerate(bits) if b]
         assert sel.count == len(ones)
         for j, pos in enumerate(ones, start=1):
@@ -87,20 +89,20 @@ def test_select_matches_naive(rng):
 
 
 def test_veb_examples():
-    v = rs.VebIndex([3, 7, 10])
+    v = ref.VebIndex([3, 7, 10])
     assert v.pred(8) == 7
     assert v.rank(8) == 2
     assert v.pred(2) is None
     assert v.rank(3) == 0
-    empty = rs.VebIndex([])
+    empty = ref.VebIndex([])
     assert empty.pred(4) is None and empty.rank(4) == 0
 
 
 def test_veb_rejects_unsorted():
     with pytest.raises(InvalidArgument):
-        rs.VebIndex([4, 4])
+        ref.VebIndex([4, 4])
     with pytest.raises(InvalidArgument):
-        rs.VebIndex([5, 1])
+        ref.VebIndex([5, 1])
 
 
 def test_veb_matches_binary_search(rng):
@@ -108,9 +110,9 @@ def test_veb_matches_binary_search(rng):
         ubits = rng.choice([3, 8, 16, 30, 48])
         size = rng.randint(0, 250)
         keys = sorted(rng.sample(range(1 << ubits), min(size, 1 << ubits)))
-        v = rs.VebIndex(keys, universe_bits=ubits,
-                         m=rng.choice([None, 4 * size + 1]),
-                         word_bits=rng.choice([None, 3, 4, 8]))
+        v = ref.VebIndex(keys, universe_bits=ubits,
+                          m=rng.choice([None, 4 * size + 1]),
+                          word_bits=rng.choice([None, 3, 4, 8]))
         for _ in range(40):
             x = rng.randrange((1 << ubits) + 3)
             i = bisect_right(keys, x)
@@ -124,7 +126,7 @@ def test_rank_handle(rng):
         bits = [1 if rng.random() < rng.choice([0.05, 0.5]) else 0
                 for _ in range(n)]
         enc = sc.senc_encode(bits)
-        rk = rs.RankSupport(rs.decompose(enc, rng.choice([16, 1 << 16])))
+        rk = ref.RankSupport(rs.decompose(enc, rng.choice([16, 1 << 16])))
         pref = prefix_sums(bits)
         assert rk.rank(0) == 0 and rk.rank(n) == pref[n]
         for j in range(n + 1):
@@ -136,15 +138,15 @@ def test_rank_handle(rng):
 def test_rank_m_floor_enforced():
     enc = sc.senc_encode([1] * 500)
     with pytest.raises(InvalidArgument):
-        rs.RankSupport(rs.decompose(enc, 1 << 16), m=1)
+        ref.RankSupport(rs.decompose(enc, 1 << 16), m=1)
 
 
 def test_select_after_rank_identity(rng):
     bits = [1 if rng.random() < 0.25 else 0 for _ in range(300)]
     enc = sc.senc_encode(bits)
     decomp = rs.decompose(enc)
-    sel = rs.SelectSupport(decomp)
-    rk = rs.RankSupport(decomp)
+    sel = ref.SelectSupport(decomp)
+    rk = ref.RankSupport(decomp)
     for pos in range(300):
         nxt = next((i for i in range(pos, 300) if bits[i]), None)
         if nxt is not None:
@@ -174,3 +176,52 @@ def test_stored_piece_parses_match_fresh_parse(rng):
             assert (stored.a, stored.a_plus, stored.values,
                     stored.literal_start_mask) == (
                 fresh.a, fresh.a_plus, fresh.values, fresh.literal_start_mask)
+
+
+@st.composite
+def member_sets(draw):
+    """(n, sorted member positions): random sets of three densities, the
+    empty set, all ones, a single member at n - 1, and sets split by a zero
+    run longer than one parse window."""
+    kind = draw(st.sampled_from(["random", "empty", "full", "last", "gap"]))
+    if kind == "gap":
+        gap = draw(st.integers(70000, 100000))
+        head = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
+        tail = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
+        return 82 + gap, head + [41 + gap + x for x in tail]
+    n = draw(st.integers(0, 300))
+    if kind == "empty":
+        return n, []
+    if kind == "full":
+        return n, list(range(n))
+    if kind == "last":
+        return n, [n - 1] if n else []
+    density = draw(st.sampled_from([0.02, 0.3, 0.9]))
+    r = draw(st.randoms(use_true_random=False))
+    return n, [i for i in range(n) if r.random() < density]
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_sets(), st.sampled_from([16, 1 << 12, 1 << 16]))
+@example((0, []), 16)
+@example((70082, [3, 70050]), 1 << 16)
+def test_decomposition_rank_select_match_bisection(members, table_n):
+    n, positions = members
+    d = rs.decompose(sc.senc_from_positions(n, positions), table_n)
+    if n > 70000:
+        assert None in d.parses   # the long zero run has no window parse
+    queries = set(range(min(n, 400) + 1)) | {n // 3, n // 2, n}
+    queries |= {x + dx for x in positions for dx in (0, 1)}
+    for j in sorted(queries):
+        assert d.rank(j) == bisect_left(positions, j)
+    for j in range(1, len(positions) + 1):
+        assert d.select(j) == positions[j - 1]
+    size = len(positions)
+    for query, j, message in (
+            (d.rank, -1, f"rank argument -1 outside [0..{n}]"),
+            (d.rank, n + 1, f"rank argument {n + 1} outside [0..{n}]"),
+            (d.select, 0, "select argument 0 out of range"),
+            (d.select, size + 1, f"select argument {size + 1} out of range")):
+        with pytest.raises(InvalidArgument) as info:
+            query(j)
+        assert str(info.value) == message

@@ -2,7 +2,7 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_text
 from tausync.errors import InvalidArgument
@@ -191,6 +191,31 @@ def test_enumerate_matches_brute(rng):
             assert got == brute_runs(syms, ell, p)
             for a, b in zip(got, got[1:]):
                 assert a[0] < b[0] and a[1] < b[1]
+
+
+@st.composite
+def period_one_texts(draw):
+    """(symbols, sigma): random, run-length and all-equal texts over sigma in
+    {1, 2, 4, 256}; at sigma = 256 the code points pass the newline's."""
+    sigma = draw(st.sampled_from([1, 2, 4, 256]))
+    symbol = st.integers(0, sigma - 1)
+    kind = draw(st.sampled_from(["random", "rle", "equal"]))
+    if kind == "random":
+        return draw(st.lists(symbol, max_size=200)), sigma
+    if kind == "equal":
+        return [draw(symbol)] * draw(st.integers(0, 200)), sigma
+    pieces = draw(st.lists(st.tuples(symbol, st.integers(1, 12)), max_size=30))
+    return [c for c, length in pieces for _ in range(length)], sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(period_one_texts(), st.integers(2, 9))
+@example((list(range(10)) + [10] * 5 + [11], 12), 3)   # a run of code point 10
+def test_enumerate_period_one_matches_brute(text, ell):
+    syms, sigma = text
+    t = PackedText(syms, sigma)
+    got = [(r.start, r.end, r.period) for r in rn.enumerate_runs(t, ell, 1)]
+    assert got == brute_runs(syms, ell, 1)
 
 
 def test_overlap_fact_on_all_runs(rng):

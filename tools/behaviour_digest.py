@@ -6,6 +6,9 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * the `sync_sparse` stream and the `sync_with_support(...).encoding`
   stream for every tau in 1..n//2 on a fixed seeded corpus (n <= 512),
   and for tau in {8, 16, 64, 512} on a sigma=4 text of 2^16 symbols;
+* the support's `select(j)` and `rank(j)` at the same taus, at fixed j
+  that include out-of-range arguments, whose error type and text are
+  digested in place of an answer;
 * the `build_sync_explicit` list and the `build_sync_bitmask` mask at
   the same taus;
 * every recompression chain (`recomp.chain.levels`) and the
@@ -116,6 +119,23 @@ def mask_digest(mask) -> str:
     return digest((mask.to01(), len(mask)))
 
 
+def answer(tausync, query, j):
+    """query(j), or the type and text of the InvalidArgument it raised."""
+    try:
+        return query(j)
+    except tausync.InvalidArgument as exc:
+        return type(exc).__name__, str(exc)
+
+
+def support_answers(tausync, sup, n):
+    """(j, answer) of select and rank at fixed j, in and out of range."""
+    size = sup.size
+    return ([(j, answer(tausync, sup.select, j))
+             for j in (-1, 0, 1, 2, size // 2, size, size + 1)],
+            [(j, answer(tausync, sup.rank, j))
+             for j in (-1, 0, 1, n // 3, n - 1, n, n + 1)])
+
+
 def library_items(tausync, name, syms, sigma, table_n, small, taus):
     fp, ss = tausync.fastpath, tausync.syncset
     t = tausync.PackedText(syms, sigma, table_n=table_n)
@@ -135,6 +155,8 @@ def library_items(tausync, name, syms, sigma, table_n, small, taus):
         out[f"{name}:sparse:{tau}"] = digest((enc.stream.to01(), enc.decoded_len))
         out[f"{name}:support:{tau}"] = digest(
             (sup.encoding.stream.to01(), sup.encoding.decoded_len, sup.size))
+        out[f"{name}:support_queries:{tau}"] = digest(
+            support_answers(tausync, sup, t.n))
     return out
 
 
