@@ -210,18 +210,25 @@ def test_decomposition_rank_select_match_bisection(members, table_n):
     d = rs.decompose(sc.senc_from_positions(n, positions), table_n)
     if n > 70000:
         assert None in d.parses   # the long zero run has no window parse
+    # the reference structures answer over the same decomposition
+    ref_rank, ref_select = ref.RankSupport(d), ref.SelectSupport(d)
     queries = set(range(min(n, 400) + 1)) | {n // 3, n // 2, n}
     queries |= {x + dx for x in positions for dx in (0, 1)}
     for j in sorted(queries):
-        assert d.rank(j) == bisect_left(positions, j)
+        assert d.rank(j) == ref_rank.rank(j) == bisect_left(positions, j)
     for j in range(1, len(positions) + 1):
-        assert d.select(j) == positions[j - 1]
+        assert d.select(j) == ref_select.select(j) == positions[j - 1]
     size = len(positions)
-    for query, j, message in (
-            (d.rank, -1, f"rank argument -1 outside [0..{n}]"),
-            (d.rank, n + 1, f"rank argument {n + 1} outside [0..{n}]"),
-            (d.select, 0, "select argument 0 out of range"),
-            (d.select, size + 1, f"select argument {size + 1} out of range")):
-        with pytest.raises(InvalidArgument) as info:
-            query(j)
-        assert str(info.value) == message
+    for answers, j, message in (
+            ((d.rank, ref_rank.rank), -1,
+             f"rank argument -1 outside [0..{n}]"),
+            ((d.rank, ref_rank.rank), n + 1,
+             f"rank argument {n + 1} outside [0..{n}]"),
+            ((d.select, ref_select.select), 0,
+             "select argument 0 out of range"),
+            ((d.select, ref_select.select), size + 1,
+             f"select argument {size + 1} out of range")):
+        for query in answers:
+            with pytest.raises(InvalidArgument) as info:
+                query(j)
+            assert str(info.value) == message

@@ -2,11 +2,12 @@
 """Paired benchmark runs of two checkouts, and their summary as a trend file.
 
 `run` alternates `perfbench/run.py` between a parent and a change
-checkout, one pair per seed, and appends each run's result to a JSON
-lines file; the side that runs first alternates from pair to pair:
+checkout, one pair per seed, at the run length `BENCHMARK.json` sets
+(`run_seconds`), and appends each run's result to a JSON lines file;
+the side that runs first alternates from pair to pair:
 
     python3 tools/bench_pairs.py run PARENT CHANGE --workload random-large \\
-        --seeds 601-610 --seconds 12 --log pairs.jsonl
+        --seeds 601-610 --log pairs.jsonl
 
 `summarize` reads one or more such logs and writes a `BENCH_*.json`
 trend file: the Python version, CPU count and git revisions, and per
@@ -49,17 +50,23 @@ def run_one(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def load_benchmark(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def cmd_run(args) -> int:
+    seconds = load_benchmark(args.benchmark)["run_seconds"]
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     with open(args.log, "a") as log:
         for i, seed in enumerate(seed_list(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_one(sides[side], args.workload, seed, args.seconds)
+                result = run_one(sides[side], args.workload, seed, seconds)
                 log.write(json.dumps({"workload": args.workload, "seed": seed,
                                       "side": side, "first": side == order[0],
-                                      "seconds": args.seconds,
+                                      "seconds": seconds,
                                       "result": result}) + "\n")
                 log.flush()
                 print(f"{args.workload} seed={seed} {side}: "
@@ -112,8 +119,8 @@ def cmd_summarize(args) -> int:
     for path in args.logs:
         with open(path) as fh:
             records.extend(json.loads(line) for line in fh if line.strip())
-    with open(args.benchmark) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better = {m["name"]: m["better"]
+              for m in load_benchmark(args.benchmark)["end_to_end"]}
     trend = {"python": platform.python_version(),
              "cpu_count": os.cpu_count(),
              "parent_rev": args.parent_rev,
@@ -128,22 +135,24 @@ def cmd_summarize(args) -> int:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    bench = argparse.ArgumentParser(add_help=False)
+    bench.add_argument("--benchmark", default=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json"))
     sub = p.add_subparsers(dest="command", required=True)
-    r = sub.add_parser("run", help="alternate parent/change benchmark runs")
+    r = sub.add_parser("run", parents=[bench],
+                       help="alternate parent/change benchmark runs")
     r.add_argument("parent")
     r.add_argument("change")
     r.add_argument("--workload", required=True)
     r.add_argument("--seeds", required=True, help="e.g. 601-610 or 601,603")
-    r.add_argument("--seconds", type=float, default=12)
     r.add_argument("--log", required=True, help="JSON lines file to append to")
     r.set_defaults(func=cmd_run)
-    s = sub.add_parser("summarize", help="write a BENCH_*.json trend file")
+    s = sub.add_parser("summarize", parents=[bench],
+                       help="write a BENCH_*.json trend file")
     s.add_argument("logs", nargs="+")
     s.add_argument("--parent-rev", required=True)
     s.add_argument("--change-rev", required=True)
     s.add_argument("--note", default="")
-    s.add_argument("--benchmark", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json"))
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_summarize)
     args = p.parse_args(argv)
