@@ -3,22 +3,26 @@
 Library layout:
 
 * :mod:`tausync.bitstream` -- LSB-first bit streams and the container format
-* :mod:`tausync.text` -- sentinel-padded symbol lists and the substring counter
+* :mod:`tausync.text` -- the sentinel-padded text
 * :mod:`tausync.recompress` -- restricted recompression boundary chains
 * :mod:`tausync.runs` -- periods, run extensions, filtered run families
 * :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
 * :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings
-* :mod:`tausync.transducer` -- accelerated transducers over encodings
 * :mod:`tausync.ranksupport` -- rank/select by bisection over a decomposition
 * :mod:`tausync.fastpath` -- sparse-output query pipeline
 * :mod:`tausync.oracle` -- brute-force references backing the test suite
-* :mod:`tausync.reference` -- the paper's word-RAM structures, kept for the
-  tests and imported by no production module
+* :mod:`tausync.reference` -- the paper's constructions kept as tested
+  references: the packed chain, the five-stream sync transducer and the
+  word-RAM rank/select structures
+
+The accelerated transducers of :mod:`tausync.transducer` serve only
+:mod:`tausync.reference.sync_transducer` and the tests.  Importing the
+package, or running the CLI, loads neither module.
 """
 
 from .bitstream import BitStream, W
 from .errors import DecodeError, InvalidArgument, InvalidInput
-from .text import PackedText, SubstringCounter
+from .text import PackedText
 from .sparsecodec import (SparseEncoding, gamma_decode, gamma_encode,
                           senc_decode, senc_encode, senc_from_list,
                           senc_from_positions, senc_size, senc_to_list)
@@ -26,10 +30,8 @@ from .recompress import RecompressionIndex, max_dicut
 from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,
                       k_of_tau)
-from .transducer import (TransducerSpec, run_multi, run_naive, run_sparse,
-                         zip_multi, zip_pair)
 from .ranksupport import decompose
-from .fastpath import FastSyncIndex, shift_truncate
+from .fastpath import FastSyncIndex
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -21,7 +21,6 @@ from . import recompress as rc
 from . import runs as rn
 from . import sparsecodec as sc
 from . import syncset as ss
-from . import transducer as td
 from .oracle import TextIndex, verify_sync
 from .ranksupport import decompose
 from .text import DEFAULT_TABLE_N, PackedText
@@ -218,6 +217,9 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise UsageError(f"--tau-list must be comma-separated integers, "
                          f"got {args.tau_list!r}") from None
+    for tau in taus:
+        if tau < 1 or tau > t.n // 2:
+            raise UsageError(f"--tau-list value {tau} outside [1..{t.n // 2}]")
     out = (contextlib.nullcontext(sys.stdout) if args.out is None
            else open(args.out, "w"))
     with out as fh:
@@ -228,8 +230,6 @@ def cmd_bench(args) -> int:
         handle = fp.FastSyncIndex(t)
         build_ns = time.perf_counter_ns() - start
         for tau in taus:
-            if tau < 1 or tau > t.n // 2:
-                continue
             start = time.perf_counter_ns()
             enc = handle.sync_sparse(tau)
             query_ns = time.perf_counter_ns() - start
@@ -240,22 +240,6 @@ def cmd_bench(args) -> int:
             query_ns = time.perf_counter_ns() - start
             writer.writerow([t.n, t.sigma_in, tau, "list", 64 * len(members),
                              build_ns, query_ns])
-    return 0
-
-
-def cmd_transduce(args) -> int:
-    values = _read_ints(args.input)
-    if args.program == "decrement":
-        spec = td.TransducerSpec(1, 0, 1,
-                                 lambda s, x: (0, x - 1 if x else 0),
-                                 key="cli:decrement")
-    else:
-        bound = args.threshold
-        spec = td.TransducerSpec(1, 0, 1,
-                                 lambda s, x: (0, 1 if x >= bound else 0),
-                                 key=f"cli:threshold:{bound}")
-    enc = td.run_sparse(spec, sc.senc_encode(values), args.table_n)
-    _write_lines(args.out, sc.senc_decode(enc))
     return 0
 
 
@@ -339,14 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for generated bench texts")
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("transduce", help="demo transducer over an array")
-    _add_common(p, needs_text=False)
-    p.add_argument("input", help="whitespace-separated integers")
-    p.add_argument("--program", choices=["decrement", "threshold"],
-                   default="decrement")
-    p.add_argument("--threshold", type=int, default=1)
-    p.set_defaults(func=cmd_transduce)
 
     return parser
 

@@ -6,13 +6,9 @@ adjacent short-phrase pairs across an approximate maximum directed cut.
 every round on a plain sorted boundary list and compares phrases by
 content, as slices of the text's code-point string.
 
-`build_chain_packed` reproduces the paper's packed construction: it
-simulates the initial rounds on boundary-context sets (one entry per
-distinct context), then switches to the linear rounds.  It yields the
-same chain and is kept as a tested reproduction; no index calls it.
-
-Both paths share the cut approximation and order its nodes by the
-canonical (length, content) key, which pins down the whole chain.
+The cut approximation orders its nodes by the canonical (length,
+content) key, which pins down the whole chain.  The paper's packed
+construction of the same chain is kept in :mod:`tausync.reference.chain`.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from functools import lru_cache
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
-from .text import PackedText, SubstringCounter, DEFAULT_FALLBACK_THRESHOLD
+from .text import PackedText
 
 
 # -- phrase-length schedule ---------------------------------------------------
@@ -50,28 +46,6 @@ def alpha(k: int) -> int:
 def lambda_exceeds_4n(k: int, n: int) -> bool:
     num, den = lambda_frac(k)
     return num > 4 * n * den
-
-
-def packed_round_count(n: int, bits_per_symbol: int,
-                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> int | None:
-    """Number of context-simulated rounds K, or None when packing is off.
-
-    K = 2 * floor(log_{8/7}(log_sigma(n) / threshold)), capped so contexts
-    stay inside the padded text.
-    """
-    if n < 2 or threshold < 1:
-        return None
-    lg_n = n.bit_length() - 1
-    # largest h with (8/7)^h <= lg(n) / (threshold * bits)
-    h = -1
-    while (8 ** (h + 1)) * threshold * bits_per_symbol <= (7 ** (h + 1)) * lg_n:
-        h += 1
-    if h < 0:
-        return None
-    k = 2 * h
-    while k >= 0 and alpha(k + 1) > n:
-        k -= 1
-    return k if k >= 0 else None
 
 
 # -- approximate maximum directed cut ----------------------------------------
@@ -187,171 +161,6 @@ def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:
 def build_chain_linear(t: PackedText) -> ChainHandle:
     """Run all rounds explicitly until the boundary set empties."""
     return ChainHandle(_rounds_from(t, list(range(1, t.n)), 0), t.n)
-
-
-# -- packed path: boundary-context sets ---------------------------------------
-
-class ContextSets:
-    """Per-round sets C_k of boundary contexts, keyed by symbol tuples.
-
-    A string of length 2*alpha_k is in C_k iff it matches the context
-    T[i - alpha_k..i + alpha_k) of some i in B_k or an endpoint {0, n}.
-    """
-
-    def __init__(self, t: PackedText, K: int):
-        self.t = t
-        self.K = K
-        pad = 2 * alpha(K)
-        padded = ([t.sentinel] * pad) + t.text() + ([t.sentinel] * pad)
-        self.counter = SubstringCounter(padded, b=max(1, 2 * alpha(K)))
-        self.sets: list[set[tuple[int, ...]]] = []
-        self._build()
-
-    def _candidates(self, k: int) -> list[tuple[int, ...]]:
-        """Distinct contexts of centers [0..n] at radius alpha_k, minus all-$."""
-        t = self.t
-        a = alpha(k)
-        sentinel = t.sentinel
-        seen = set()
-        out = []
-        for i in range(t.n + 1):
-            ctx = t.symbols(i - a, 2 * a)
-            if ctx in seen:
-                continue
-            seen.add(ctx)
-            if all(s == sentinel for s in ctx):
-                continue
-            out.append(ctx)
-        return out
-
-    def _build(self) -> None:
-        t = self.t
-        if t.n == 0:
-            self.sets = [set() for _ in range(self.K + 1)]
-            return
-        c0 = set(self._candidates(0))
-        self.sets.append(c0)
-        for k in range(self.K):
-            self.sets.append(self._next_set(k))
-
-    def _next_set(self, k: int) -> set[tuple[int, ...]]:
-        ck = self.sets[k]
-        a_k = alpha(k)
-        a_next = alpha(k + 1)
-        lam = lambda_floor(k)
-        new_set: set[tuple[int, ...]] = set()
-        pending: list[tuple[tuple[int, ...], int, int]] = []  # (S, ell, r)
-        for ctx in self._candidates(k + 1):
-            central = ctx[lam:lam + 2 * a_k]
-            if central not in ck:
-                continue
-            ell = next((d for d in range(1, lam + 1)
-                        if ctx[lam - d:lam + 2 * a_k - d] in ck), None)
-            r = next((d for d in range(1, lam + 1)
-                      if ctx[lam + d:lam + 2 * a_k + d] in ck), None)
-            if ell is None or r is None:
-                new_set.add(ctx)
-            else:
-                pending.append((ctx, ell, r))
-        if k % 2 == 0:
-            for ctx, ell, r in pending:
-                if ctx[a_next - ell:a_next] != ctx[a_next:a_next + r]:
-                    new_set.add(ctx)
-        else:
-            edges: dict = {}
-            occ: dict = {}
-            for ctx, ell, r in pending:
-                left = ctx[a_next - ell:a_next]
-                right = ctx[a_next:a_next + r]
-                s = occ.get(ctx)
-                if s is None:
-                    s = occ[ctx] = self.counter.count(ctx)
-                e = ((len(left), left), (len(right), right))
-                edges[e] = edges.get(e, 0) + s
-            nodes = sorted({u for e in edges for u in e})
-            L, R = max_dicut(nodes, edges)
-            for ctx, ell, r in pending:
-                left = ctx[a_next - ell:a_next]
-                right = ctx[a_next:a_next + r]
-                if (len(left), left) in L and (len(right), right) in R:
-                    continue
-                new_set.add(ctx)
-        return new_set
-
-    def membership_oracle(self, k: int):
-        ck = self.sets[k]
-        return lambda window: window in ck
-
-
-def build_context_sets(t: PackedText,
-                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ContextSets | None:
-    """C_0..C_K for the packed rounds; None when the fallback applies."""
-    K = packed_round_count(t.n, t.bits_per_symbol, threshold)
-    if K is None:
-        return None
-    return ContextSets(t, K)
-
-
-def build_chain_packed(t: PackedText,
-                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ChainHandle:
-    """The chain by the packed rounds, equal to build_chain_linear(t).
-
-    B_0..B_K are read off the context sets C_0..C_K by a window scan of
-    the padded text; the linear rounds continue from B_K.  When packing
-    is off (see packed_round_count) this is the linear path.
-    """
-    contexts = build_context_sets(t, threshold)
-    if contexts is None:
-        return build_chain_linear(t)
-    K = contexts.K
-    levels = []
-    for k in range(K + 1):
-        pad = [t.sentinel] * alpha(k)
-        mask = oracle_bitmask(pad + t.text() + pad, 2 * len(pad),
-                              contexts.membership_oracle(k))
-        # window i is centred on position i; B_k keeps the interior 1..n-1
-        levels.append([i for i in mask.to_positions() if 0 < i < t.n])
-    if levels[-1]:
-        levels[-1:] = _rounds_from(t, levels[-1], K)
-    else:
-        # trim to the first empty level
-        while len(levels) > 1 and not levels[-2]:
-            levels.pop()
-    return ChainHandle(levels, t.n)
-
-
-# -- bitmask reporting ---------------------------------------------------------
-
-def oracle_bitmask(symbols, ell: int, oracle) -> BitStream:
-    """Mark offsets i with symbols[i..i+ell) in the oracle's set, blockwise.
-
-    Processes the sequence in blocks of 2*ell - 1 overlapping by ell - 1
-    and memoizes the per-block mask by block content.
-    """
-    if ell < 1:
-        raise InvalidArgument("window length must be positive")
-    total = len(symbols)
-    out = BitStream()
-    if total < ell:
-        return out
-    memo: dict[tuple[int, ...], tuple[int, int]] = {}
-    syms = tuple(symbols)
-    for j in range(0, total // ell + (1 if total % ell else 0)):
-        block = syms[j * ell:min(j * ell + 2 * ell - 1, total)]
-        if len(block) < ell:
-            break
-        entry = memo.get(block)
-        if entry is None:
-            width = len(block) - ell + 1
-            mask = 0
-            for i in range(width):
-                if oracle(block[i:i + ell]):
-                    mask |= 1 << i
-            entry = memo[block] = (mask, width)
-        mask, width = entry
-        take = min(width, total - ell + 1 - j * ell)
-        out.append_bits_wide(mask & ((1 << take) - 1), take)
-    return out
 
 
 # -- public level reporting ----------------------------------------------------

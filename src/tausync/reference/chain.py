@@ -1,0 +1,245 @@
+"""The paper's packed construction of the recompression chain, kept as a
+tested reproduction.  No production module imports this one.
+
+`build_chain_packed` simulates the initial rounds on boundary-context sets
+(one entry per distinct context), then switches to the linear rounds of
+`tausync.recompress`.  It yields the same chain as `build_chain_linear`,
+and shares its cut approximation and its canonical (length, content) node
+order.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from ..bitstream import BitStream
+from ..errors import InvalidArgument
+from ..recompress import (ChainHandle, _rounds_from, alpha, build_chain_linear,
+                          lambda_floor, max_dicut)
+from ..text import PackedText
+
+DEFAULT_FALLBACK_THRESHOLD = 256
+
+
+class SubstringCounter:
+    """Exact occurrence counts for all substrings of length up to b.
+
+    Built by the two-table scheme: a first table counts length-2b blocks
+    anchored at multiples of b, a second unrolls each distinct block into
+    its short substrings, so every occurrence is attributed exactly once.
+    """
+
+    def __init__(self, symbols: Sequence[int], b: int):
+        if b < 1:
+            raise InvalidArgument("block size b must be at least 1")
+        self.b = b
+        self.text_len = len(symbols)
+        syms = tuple(symbols)
+        blocks: dict[tuple[int, ...], int] = {}
+        for i in range(0, len(syms), b):
+            block = syms[i:i + 2 * b]
+            blocks[block] = blocks.get(block, 0) + 1
+        index: dict[tuple[int, ...], int] = {}
+        for block, s in blocks.items():
+            blen = len(block)
+            for length in range(1, b + 1):
+                top = min(b, blen - length + 1)
+                for x in range(top):
+                    key = block[x:x + length]
+                    index[key] = index.get(key, 0) + s
+        self._index = index
+
+    def count(self, s: Sequence[int]) -> int:
+        if len(s) > self.b:
+            raise InvalidArgument(
+                f"query length {len(s)} exceeds counter limit {self.b}")
+        if len(s) == 0:
+            return self.text_len + 1
+        return self._index.get(tuple(s), 0)
+
+
+def packed_round_count(n: int, bits_per_symbol: int,
+                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> int | None:
+    """Number of context-simulated rounds K, or None when packing is off.
+
+    K = 2 * floor(log_{8/7}(log_sigma(n) / threshold)), capped so contexts
+    stay inside the padded text.
+    """
+    if n < 2 or threshold < 1:
+        return None
+    lg_n = n.bit_length() - 1
+    # largest h with (8/7)^h <= lg(n) / (threshold * bits)
+    h = -1
+    while (8 ** (h + 1)) * threshold * bits_per_symbol <= (7 ** (h + 1)) * lg_n:
+        h += 1
+    if h < 0:
+        return None
+    k = 2 * h
+    while k >= 0 and alpha(k + 1) > n:
+        k -= 1
+    return k if k >= 0 else None
+
+
+# -- boundary-context sets -----------------------------------------------------
+
+class ContextSets:
+    """Per-round sets C_k of boundary contexts, keyed by symbol tuples.
+
+    A string of length 2*alpha_k is in C_k iff it matches the context
+    T[i - alpha_k..i + alpha_k) of some i in B_k or an endpoint {0, n}.
+    """
+
+    def __init__(self, t: PackedText, K: int):
+        self.t = t
+        self.K = K
+        pad = 2 * alpha(K)
+        padded = ([t.sentinel] * pad) + t.text() + ([t.sentinel] * pad)
+        self.counter = SubstringCounter(padded, b=max(1, 2 * alpha(K)))
+        self.sets: list[set[tuple[int, ...]]] = []
+        self._build()
+
+    def _candidates(self, k: int) -> list[tuple[int, ...]]:
+        """Distinct contexts of centers [0..n] at radius alpha_k, minus all-$."""
+        t = self.t
+        a = alpha(k)
+        sentinel = t.sentinel
+        seen = set()
+        out = []
+        for i in range(t.n + 1):
+            ctx = t.symbols(i - a, 2 * a)
+            if ctx in seen:
+                continue
+            seen.add(ctx)
+            if all(s == sentinel for s in ctx):
+                continue
+            out.append(ctx)
+        return out
+
+    def _build(self) -> None:
+        t = self.t
+        if t.n == 0:
+            self.sets = [set() for _ in range(self.K + 1)]
+            return
+        c0 = set(self._candidates(0))
+        self.sets.append(c0)
+        for k in range(self.K):
+            self.sets.append(self._next_set(k))
+
+    def _next_set(self, k: int) -> set[tuple[int, ...]]:
+        ck = self.sets[k]
+        a_k = alpha(k)
+        a_next = alpha(k + 1)
+        lam = lambda_floor(k)
+        new_set: set[tuple[int, ...]] = set()
+        pending: list[tuple[tuple[int, ...], int, int]] = []  # (S, ell, r)
+        for ctx in self._candidates(k + 1):
+            central = ctx[lam:lam + 2 * a_k]
+            if central not in ck:
+                continue
+            ell = next((d for d in range(1, lam + 1)
+                        if ctx[lam - d:lam + 2 * a_k - d] in ck), None)
+            r = next((d for d in range(1, lam + 1)
+                      if ctx[lam + d:lam + 2 * a_k + d] in ck), None)
+            if ell is None or r is None:
+                new_set.add(ctx)
+            else:
+                pending.append((ctx, ell, r))
+        if k % 2 == 0:
+            for ctx, ell, r in pending:
+                if ctx[a_next - ell:a_next] != ctx[a_next:a_next + r]:
+                    new_set.add(ctx)
+        else:
+            edges: dict = {}
+            occ: dict = {}
+            for ctx, ell, r in pending:
+                left = ctx[a_next - ell:a_next]
+                right = ctx[a_next:a_next + r]
+                s = occ.get(ctx)
+                if s is None:
+                    s = occ[ctx] = self.counter.count(ctx)
+                e = ((len(left), left), (len(right), right))
+                edges[e] = edges.get(e, 0) + s
+            nodes = sorted({u for e in edges for u in e})
+            L, R = max_dicut(nodes, edges)
+            for ctx, ell, r in pending:
+                left = ctx[a_next - ell:a_next]
+                right = ctx[a_next:a_next + r]
+                if (len(left), left) in L and (len(right), right) in R:
+                    continue
+                new_set.add(ctx)
+        return new_set
+
+    def membership_oracle(self, k: int):
+        ck = self.sets[k]
+        return lambda window: window in ck
+
+
+def build_context_sets(t: PackedText,
+                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ContextSets | None:
+    """C_0..C_K for the packed rounds; None when the fallback applies."""
+    K = packed_round_count(t.n, t.bits_per_symbol, threshold)
+    if K is None:
+        return None
+    return ContextSets(t, K)
+
+
+def build_chain_packed(t: PackedText,
+                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ChainHandle:
+    """The chain by the packed rounds, equal to build_chain_linear(t).
+
+    B_0..B_K are read off the context sets C_0..C_K by a window scan of
+    the padded text; the linear rounds continue from B_K.  When packing
+    is off (see packed_round_count) this is the linear path.
+    """
+    contexts = build_context_sets(t, threshold)
+    if contexts is None:
+        return build_chain_linear(t)
+    K = contexts.K
+    levels = []
+    for k in range(K + 1):
+        pad = [t.sentinel] * alpha(k)
+        mask = oracle_bitmask(pad + t.text() + pad, 2 * len(pad),
+                              contexts.membership_oracle(k))
+        # window i is centred on position i; B_k keeps the interior 1..n-1
+        levels.append([i for i in mask.to_positions() if 0 < i < t.n])
+    if levels[-1]:
+        levels[-1:] = _rounds_from(t, levels[-1], K)
+    else:
+        # trim to the first empty level
+        while len(levels) > 1 and not levels[-2]:
+            levels.pop()
+    return ChainHandle(levels, t.n)
+
+
+# -- bitmask reporting ---------------------------------------------------------
+
+def oracle_bitmask(symbols, ell: int, oracle) -> BitStream:
+    """Mark offsets i with symbols[i..i+ell) in the oracle's set, blockwise.
+
+    Processes the sequence in blocks of 2*ell - 1 overlapping by ell - 1
+    and memoizes the per-block mask by block content.
+    """
+    if ell < 1:
+        raise InvalidArgument("window length must be positive")
+    total = len(symbols)
+    out = BitStream()
+    if total < ell:
+        return out
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    syms = tuple(symbols)
+    for j in range(0, total // ell + (1 if total % ell else 0)):
+        block = syms[j * ell:min(j * ell + 2 * ell - 1, total)]
+        if len(block) < ell:
+            break
+        entry = memo.get(block)
+        if entry is None:
+            width = len(block) - ell + 1
+            mask = 0
+            for i in range(width):
+                if oracle(block[i:i + ell]):
+                    mask |= 1 << i
+            entry = memo[block] = (mask, width)
+        mask, width = entry
+        take = min(width, total - ell + 1 - j * ell)
+        out.append_bits_wide(mask & ((1 << take) - 1), take)
+    return out

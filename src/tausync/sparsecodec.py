@@ -353,11 +353,6 @@ class ParseInfo:
     ranks: tuple[int, ...]   # ranks[j] = number of non-zeros before position j
     selects: tuple[int, ...]  # selects[j-1] = position of j-th non-zero
 
-    @property
-    def literal_start_mask(self) -> int:
-        """Mask over b bits: the starting positions of literal tokens."""
-        return sum(1 << p for p in self.literal_starts)
-
     def rank(self, j: int) -> int:
         return self.ranks[j]
 
@@ -456,16 +451,6 @@ def parse_tables(table_n: int = DEFAULT_TABLE_N) -> ParseTables:
         tables = ParseTables(table_n)
         _default_tables[table_n] = tables
     return tables
-
-
-def prefix_parse(window: BitStream, ell: int,
-                 table_n: int = DEFAULT_TABLE_N) -> ParseInfo:
-    """Longest prefix of `window` (at most `ell` bits) that is a sparse encoding."""
-    tables = parse_tables(table_n)
-    if ell > tables.window_bits:
-        raise InvalidArgument(
-            f"ell {ell} exceeds window width {tables.window_bits}")
-    return tables.parse_stream(window, 0, ell)
 
 
 # -- integer view of encodings (used for zipped symbols) ---------------------

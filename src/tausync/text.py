@@ -1,5 +1,4 @@
-"""The text as one sentinel-padded code-point string, and short-substring
-machinery.
+"""The text as one sentinel-padded code-point string.
 
 One ``str`` holds ``$^n . T . $^n``, so every logical index in
 ``[-n..2n)`` has a symbol and fragments are sliced, compared, hashed and
@@ -16,7 +15,6 @@ from typing import Sequence
 from .errors import InvalidArgument, InvalidInput
 
 DEFAULT_TABLE_N = 1 << 16
-DEFAULT_FALLBACK_THRESHOLD = 256
 
 
 class PackedText:
@@ -61,41 +59,3 @@ class PackedText:
     def text(self) -> list[int]:
         """The unpadded symbols T[0..n)."""
         return list(self.symbols(0, self.n))
-
-
-class SubstringCounter:
-    """Exact occurrence counts for all substrings of length up to b.
-
-    Built by the two-table scheme: a first table counts length-2b blocks
-    anchored at multiples of b, a second unrolls each distinct block into
-    its short substrings, so every occurrence is attributed exactly once.
-    """
-
-    def __init__(self, symbols: Sequence[int], b: int):
-        if b < 1:
-            raise InvalidArgument("block size b must be at least 1")
-        self.b = b
-        self.text_len = len(symbols)
-        syms = tuple(symbols)
-        blocks: dict[tuple[int, ...], int] = {}
-        for i in range(0, len(syms), b):
-            block = syms[i:i + 2 * b]
-            blocks[block] = blocks.get(block, 0) + 1
-        index: dict[tuple[int, ...], int] = {}
-        for block, s in blocks.items():
-            blen = len(block)
-            for length in range(1, b + 1):
-                top = min(b, blen - length + 1)
-                for x in range(top):
-                    key = block[x:x + length]
-                    index[key] = index.get(key, 0) + s
-        self._index = index
-
-    def count(self, s: Sequence[int]) -> int:
-        if len(s) > self.b:
-            raise InvalidArgument(
-                f"query length {len(s)} exceeds counter limit {self.b}")
-        if len(s) == 0:
-            return self.text_len + 1
-        return self._index.get(tuple(s), 0)
-

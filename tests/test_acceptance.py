@@ -18,6 +18,7 @@ from tausync import recompress as rc
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync import transducer as td
+from tausync.reference import chain as rchain
 from tausync.reference import ranksupport as ref
 from tausync.bitstream import BitStream
 from tausync.sparsecodec import SparseEncoding
@@ -63,9 +64,8 @@ def handles(corpus):
     out = []
     for idx, (syms, sigma, family, _) in enumerate(corpus):
         n = len(syms)
-        small_runs = (4 if idx % 7 == 0 else None)
         t = PackedText(syms, sigma, table_n=(1 << 12 if idx % 2 else 1 << 16))
-        handle = fp.FastSyncIndex(t, small_runs_limit=small_runs)
+        handle = fp.FastSyncIndex(t)
         out.append((t, handle, orc.TextIndex(syms)))
     return out
 
@@ -122,11 +122,11 @@ def test_criterion_3_recompression_chain(corpus, handles):
     t_start = time.time()
     packed_checked = 0
     for (syms, sigma, family, extra), (t, handle, tidx) in zip(corpus, handles):
-        report = orc.verify_chain(syms, handle.recomp.chain.levels,
+        report = orc.verify_chain(syms, handle.sync_index.recomp.chain.levels,
                                   rc.lambda_frac, rc.alpha, tidx)
         assert report.ok, (syms, report)
-        if rc.packed_round_count(t.n, t.bits_per_symbol, 2) is not None:
-            packed = rc.build_chain_packed(t, 2)
+        if rchain.packed_round_count(t.n, t.bits_per_symbol, 2) is not None:
+            packed = rchain.build_chain_packed(t, 2)
             assert packed.levels == rc.build_chain_linear(t).levels, syms
             packed_checked += 1
     assert packed_checked >= 100

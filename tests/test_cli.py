@@ -47,6 +47,17 @@ def test_sync_sparse_support_roundtrip(tmp_path, text_file, capsys):
                  "--set", str(cont)]) == 0
 
 
+def _run_fresh(script):
+    """stdout lines of `script` run by a fresh interpreter on this tausync."""
+    src = os.path.dirname(os.path.dirname(tausync.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_query_loads_no_reference_module(tmp_path):
     # the package and the query path never import tausync.reference
     enc = sc.senc_from_positions(40, [1, 5, 17, 30])
@@ -56,13 +67,32 @@ def test_query_loads_no_reference_module(tmp_path):
               f"code = tausync.cli.main(['query', {str(cont)!r}, '--rank', '3'])\n"
               "print(code, sorted(m for m in sys.modules\n"
               "                   if m.startswith('tausync.reference')))\n")
-    src = os.path.dirname(os.path.dirname(tausync.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, timeout=120,
-                            env={**os.environ, "PYTHONPATH": path})
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["1", "0 []"]
+    assert _run_fresh(script) == ["1", "0 []"]
+
+
+def test_cli_loads_no_reference_or_transducer_module(tmp_path, text_file):
+    # neither the package nor any production command imports the paper's
+    # reference constructions or the transducers that only they use
+    path, _ = text_file
+    sync = ["sync", path, "--sigma", "4", "--tau", "8"]
+    cont, listed = str(tmp_path / "sync.ssb"), str(tmp_path / "sync.txt")
+    calls = [sync + ["--format", "list", "--verify", "--out", listed],
+             sync + ["--format", "bitmask", "--out", str(tmp_path / "m")],
+             sync + ["--format", "sparse", "--verify", "--out", cont],
+             ["query", cont, "--rank", "40", "--select", "2"],
+             ["verify", path, "--sigma", "4", "--tau", "8", "--set", cont],
+             ["verify", path, "--sigma", "4", "--tau", "8", "--set", listed],
+             ["decode", cont, "--out", str(tmp_path / "d")],
+             ["bench", path, "--sigma", "4", "--tau-list", "4,8",
+              "--out", str(tmp_path / "b")]]
+    script = ("import contextlib, io, sys, tausync, tausync.cli\n"
+              f"for argv in {calls!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert tausync.cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.startswith('tausync.reference')\n"
+              "             or m == 'tausync.transducer'))\n")
+    assert _run_fresh(script) == ["[]"]
 
 
 def test_sync_bitmask_and_sparse_verified(tmp_path, text_file):
@@ -108,8 +138,9 @@ def test_encode_non_integer_token_usage_error(tmp_path, capsys):
 
 def test_bench_bad_tau_list_usage_error(text_file, capsys):
     path, _ = text_file
-    _assert_usage_error(["bench", path, "--sigma", "4", "--tau-list", "4,x"],
-                        capsys)
+    for taus in ("4,x", "4,-1,9999"):
+        _assert_usage_error(["bench", path, "--sigma", "4", "--tau-list", taus],
+                            capsys)
 
 
 def test_bench_generate_negative_usage_error(capsys):
@@ -262,16 +293,6 @@ def test_recompress_and_runs_commands(tmp_path, text_file, capsys):
         if line:
             b, e, p = map(int, line.split())
             assert e - b >= 6 and p <= 3
-
-
-def test_transduce_demo(tmp_path, capsys):
-    arr = tmp_path / "arr.txt"
-    arr.write_text("2 0 1\n")
-    assert main(["transduce", str(arr), "--program", "decrement"]) == 0
-    assert capsys.readouterr().out.split() == ["1", "0", "0"]
-    assert main(["transduce", str(arr), "--program", "threshold",
-                 "--threshold", "2"]) == 0
-    assert capsys.readouterr().out.split() == ["1", "0", "0"]
 
 
 def test_decimal_input(tmp_path, capsys):

@@ -6,19 +6,20 @@ from tausync.oracle import TextIndex, verify_sync
 from tausync import fastpath as fp
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
+from tausync.reference import sync_transducer as st
 from tausync.runs import enumerate_runs
 from tausync.text import PackedText
 
 
 def test_shift_truncate_examples():
     enc = sc.senc_encode([5, 0, 7])
-    assert sc.senc_decode(fp.shift_truncate(enc, 1)) == [0, 7, 0]
+    assert sc.senc_decode(st.shift_truncate(enc, 1)) == [0, 7, 0]
     enc = sc.senc_encode([3, 1, 4, 1])
-    assert sc.senc_decode(fp.shift_truncate(enc, 3)) == [1, 0, 0, 0]
+    assert sc.senc_decode(st.shift_truncate(enc, 3)) == [1, 0, 0, 0]
     with pytest.raises(InvalidArgument):
-        fp.shift_truncate(enc, 4)
+        st.shift_truncate(enc, 4)
     with pytest.raises(InvalidArgument):
-        fp.shift_truncate(enc, 0)
+        st.shift_truncate(enc, 0)
 
 
 def test_shift_truncate_random(rng):
@@ -26,7 +27,7 @@ def test_shift_truncate_random(rng):
         n = rng.randint(2, 90)
         vals = [rng.choice([0, 0, rng.randint(1, 60)]) for _ in range(n)]
         ell = rng.randint(1, n - 1)
-        got = fp.shift_truncate(sc.senc_encode(vals), ell, 1 << 12)
+        got = st.shift_truncate(sc.senc_encode(vals), ell, 1 << 12)
         assert sc.senc_decode(got) == vals[ell:] + [0] * ell
         assert got.decoded_len == n
 
@@ -34,7 +35,7 @@ def test_shift_truncate_random(rng):
 def test_run_markers_no_runs():
     syms = list(range(50))
     t = PackedText(syms, 50)
-    rt = fp.RunTables(t, 1 << 12)
+    rt = st.RunTables(t, 1 << 12)
     for tau in (3, 7, 20):
         s, e = rt.markers(tau, tau)
         assert sc.senc_decode(s) == [0] * 50
@@ -44,7 +45,7 @@ def test_run_markers_no_runs():
 def test_run_markers_uniform_text():
     n = 30
     t = PackedText([0] * n, 1)
-    rt = fp.RunTables(t, 1 << 12)
+    rt = st.RunTables(t, 1 << 12)
     s, e = rt.markers(3, 3)
     sbits, ebits = sc.senc_decode(s), sc.senc_decode(e)
     assert sbits[0] == 1 and sum(sbits) == 1
@@ -57,7 +58,7 @@ def test_run_markers_match_enumeration(rng):
         sigma = rng.choice([1, 2, 4])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma))
-        rt = fp.RunTables(t, 1 << 12, small_limit=rng.choice([None, 4, 8]))
+        rt = st.RunTables(t, 1 << 12, small_limit=rng.choice([None, 4, 8]))
         for tau in range(1, n + 1):
             for ell in (tau, 2 * tau):
                 s, e = rt.markers(tau, ell)
@@ -78,7 +79,7 @@ def test_run_markers_prefix_sum_law(rng):
         n = rng.randint(4, 90)
         syms = make_text(rng, n, 2, rng.choice(["periodic", "rle"]))
         t = PackedText(syms, 2)
-        rt = fp.RunTables(t, 1 << 12)
+        rt = st.RunTables(t, 1 << 12)
         for tau in range(1, n // 2 + 1):
             s, e = rt.markers(tau, 2 * tau)
             sbits = sc.senc_decode(s)
@@ -100,7 +101,7 @@ def test_sync_sparse_equals_other_paths(rng):
         sigma = rng.choice([1, 2, 4, 16])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma), table_n=rng.choice([1 << 12, 1 << 16]))
-        handle = fp.FastSyncIndex(t, small_runs_limit=rng.choice([None, 4]))
+        handle = fp.FastSyncIndex(t)
         for tau in range(1, n // 2 + 1):
             sparse_bits = sc.senc_decode(handle.sync_sparse(tau))
             got = [i for i, b in enumerate(sparse_bits) if b]
@@ -121,10 +122,11 @@ def test_sync_transducer_branch_every_tau(rng):
         sigma = rng.choice([2, 4])
         syms = make_text(rng, n, sigma, kind)
         t = PackedText(syms, sigma)
-        handle = fp.FastSyncIndex(t, small_runs_limit=(None, 4)[trial % 2])
+        handle = fp.FastSyncIndex(t)
+        rt = st.RunTables(t, t.table_n, small_limit=(None, 4)[trial % 2])
         tidx = TextIndex(syms)
         for tau in range(1, n // 2 + 1):
-            enc = handle._sync_sparse_transducer(tau)
+            enc = st.sync_sparse_transducer(handle.sync_index, rt, tau)
             assert enc.stream.to01() == handle.sync_sparse(tau).stream.to01(), \
                 (syms, tau)
             bits = sc.senc_decode(enc)
@@ -150,22 +152,23 @@ def test_sync_transducer_large_run_tables(rng, monkeypatch):
     """At n = 4096 and tau in 3..5, the run markers come from the
     transducer over the large-range tables, which no smaller test reaches."""
     keys = []
-    run_multi = fp.td.run_multi
+    run_multi = st.td.run_multi
 
     def recording(spec, streams, table_n):
         keys.append(spec.key)
         return run_multi(spec, streams, table_n)
 
-    monkeypatch.setattr(fp.td, "run_multi", recording)
+    monkeypatch.setattr(st.td, "run_multi", recording)
     n = 4096
     for syms, sigma in (([rng.randrange(4) for _ in range(n)], 4),
                         (_periodic_stretches(rng, n), 2)):
         t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
+        rt = st.RunTables(t, t.table_n)
         tidx = TextIndex(syms)
         for tau in (3, 4, 5):
             keys.clear()
-            enc = handle._sync_sparse_transducer(tau)
+            enc = st.sync_sparse_transducer(handle.sync_index, rt, tau)
             assert any(k.startswith("runs:large:") for k in keys), tau
             assert enc.stream.to01() == handle.sync_sparse(tau).stream.to01()
             got = [i for i, b in enumerate(sc.senc_decode(enc)) if b]
@@ -237,7 +240,7 @@ def test_construction_is_deterministic(rng):
     outputs = []
     for _ in range(2):
         t = PackedText(syms, 4)
-        handle = fp.FastSyncIndex(t, small_runs_limit=4)
+        handle = fp.FastSyncIndex(t)
         outputs.append([handle.sync_sparse(tau).stream.to01()
                         for tau in range(1, 91, 7)])
     assert outputs[0] == outputs[1]

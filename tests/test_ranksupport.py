@@ -174,8 +174,8 @@ def test_stored_piece_parses_match_fresh_parse(rng):
                 continue
             assert stored.b == fresh.b == d.e[i + 1] - d.e[i]
             assert (stored.a, stored.a_plus, stored.values,
-                    stored.literal_start_mask) == (
-                fresh.a, fresh.a_plus, fresh.values, fresh.literal_start_mask)
+                    stored.literal_starts) == (
+                fresh.a, fresh.a_plus, fresh.values, fresh.literal_starts)
 
 
 @st.composite

@@ -156,15 +156,16 @@ def test_list_codec_rejects_bad_input():
 
 
 def test_prefix_parse_example():
-    info = sc.prefix_parse(BitStream.from01("10110010"), 8)
+    info = sc.parse_tables().parse_stream(BitStream.from01("10110010"), 0, 8)
     assert info.b == 8 and info.a == 3 and info.a_plus == 1
     assert info.values == (3, 0, 0)
-    assert info.literal_start_mask & 1
+    assert info.literal_starts == (0,)
 
 
 def test_prefix_parse_long_zero_run_gives_zero():
     enc = sc.senc_encode([0] * (10 ** 6))
-    info = sc.prefix_parse(enc.stream.slice_bits(0, min(17, len(enc.stream))), 8)
+    info = sc.parse_tables().parse_stream(
+        enc.stream.slice_bits(0, min(17, len(enc.stream))), 0, 8)
     assert info.b == 0
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tausync.errors import InvalidArgument, InvalidInput
-from tausync.text import PackedText, SubstringCounter
+from tausync.reference.chain import SubstringCounter
+from tausync.text import PackedText
 
 
 def test_remap_binary_alphabet():

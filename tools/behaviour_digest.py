@@ -11,7 +11,7 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   digested in place of an answer;
 * the `build_sync_explicit` list and the `build_sync_bitmask` mask at
   the same taus;
-* every recompression chain (`recomp.chain.levels`) and the
+* every recompression chain (`sync_index.recomp.chain.levels`) and the
   `level_bitmask` of every level;
 * `runs_bitmask` of every corpus text at (ell, p) pairs that reach each
   of its branches: the run enumeration (narrow and wide windows) and the
@@ -75,8 +75,7 @@ def corpus(rng: random.Random):
                 syms.extend([rng.randrange(sigma)] * rng.randint(1, 9))
             syms = syms[:n]
         table_n = (1 << 12) if idx % 2 else (1 << 16)
-        small = 4 if idx % 4 == 1 else None
-        texts.append((f"c{idx}", syms, sigma, table_n, small))
+        texts.append((f"c{idx}", syms, sigma, table_n))
     return texts
 
 
@@ -136,15 +135,15 @@ def support_answers(tausync, sup, n):
              for j in (-1, 0, 1, n // 3, n - 1, n, n + 1)])
 
 
-def library_items(tausync, name, syms, sigma, table_n, small, taus):
+def library_items(tausync, name, syms, sigma, table_n, taus):
     fp, ss = tausync.fastpath, tausync.syncset
     t = tausync.PackedText(syms, sigma, table_n=table_n)
-    handle = fp.FastSyncIndex(t, small_runs_limit=small)
-    levels = handle.recomp.chain.levels
+    handle = fp.FastSyncIndex(t)
+    recomp = handle.sync_index.recomp
+    levels = recomp.chain.levels
     out = {f"{name}:chain": digest(levels)}
     for k in range(len(levels) + 1):
-        out[f"{name}:level_bitmask:{k}"] = mask_digest(
-            handle.recomp.level_bitmask(k))
+        out[f"{name}:level_bitmask:{k}"] = mask_digest(recomp.level_bitmask(k))
     for tau in taus:
         out[f"{name}:explicit:{tau}"] = digest(
             ss.build_sync_explicit(handle.sync_index, tau))
@@ -278,18 +277,18 @@ def main(argv) -> int:
     items = {}
     rng = random.Random(0xD16E57)
     texts = corpus(rng)
-    for name, syms, sigma, table_n, small in texts:
+    for name, syms, sigma, table_n in texts:
         items.update(library_items(tausync, name, syms, sigma, table_n,
-                                   small, range(1, len(syms) // 2 + 1)))
+                                   range(1, len(syms) // 2 + 1)))
         items.update(runs_items(tausync, name, syms, sigma, table_n))
     cli_main = tausync.cli.main
     wide = wide_texts(random.Random(0x5167A))
     for name, syms, sigma, _ in wide:
         items.update(library_items(tausync, name, syms, sigma, 1 << 16,
-                                   None, range(1, len(syms) // 2 + 1)))
+                                   range(1, len(syms) // 2 + 1)))
         items.update(runs_items(tausync, name, syms, sigma, 1 << 16))
     periodic = long_runs_text(random.Random(0x10CA1))
-    items.update(library_items(tausync, "long", periodic, 3, 1 << 16, None,
+    items.update(library_items(tausync, "long", periodic, 3, 1 << 16,
                                LONG_RUNS_TAUS))
     items.update(runs_items(tausync, "long", periodic, 3, 1 << 16))
     with tempfile.TemporaryDirectory() as tmp:
@@ -301,7 +300,7 @@ def main(argv) -> int:
     if not quick:
         big = [rng.randrange(4) for _ in range(1 << 16)]
         items.update(library_items(tausync, "big", big, 4, 1 << 16,
-                                   None, (8, 16, 64, 512)))
+                                   (8, 16, 64, 512)))
     print(json.dumps(items, indent=0, sort_keys=True))
     return 0
 
