@@ -23,9 +23,9 @@ package, or running the CLI, loads neither module.
 from .bitstream import BitStream, W
 from .errors import DecodeError, InvalidArgument, InvalidInput
 from .text import PackedText
-from .sparsecodec import (SparseEncoding, gamma_decode, gamma_encode,
-                          senc_decode, senc_encode, senc_from_list,
-                          senc_from_positions, senc_size, senc_to_list)
+from .sparsecodec import (SparseEncoding, gamma_decode, senc_decode,
+                          senc_encode, senc_from_list, senc_from_positions,
+                          senc_size, senc_to_list)
 from .recompress import RecompressionIndex, max_dicut
 from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,

@@ -1,12 +1,14 @@
-"""Growable bit streams with a fixed LSB-first bit order.
+"""Immutable bit streams with a fixed LSB-first bit order.
 
 Bit ``i`` of a stream lives in storage word ``i // W`` at intra-word
 position ``i % W``, least-significant bit first.  Every bitmask in the
 package (boundary masks, run masks, sparse encodings) uses this order, as
 does the serialized container format.
 
-Streams are single-writer: build one by appending, then share it
-read-only across threads.
+A stream is built once, in bulk -- empty by ``BitStream()``, or by
+``from01``, ``from_int``, ``from_positions`` or ``from_bytes`` -- and never
+changes after that, so it hashes by value and can be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -17,16 +19,14 @@ from typing import Sequence
 
 from .errors import DecodeError, InvalidArgument
 
-#: Machine word width used for chunked append/read operations.
+#: Machine word width used for chunked read operations.
 W = 64
-
-_WORD_MASK = (1 << W) - 1
 
 MAGIC = b"SSB1"
 
 
 class BitStream:
-    """A growable sequence of bits packed into 64-bit words."""
+    """An immutable sequence of bits packed into 64-bit words."""
 
     __slots__ = ("_words", "_len")
 
@@ -105,27 +105,6 @@ class BitStream:
 
     # -- core operations -----------------------------------------------------
 
-    def append_bits(self, value: int, count: int) -> None:
-        """Append the `count` low bits of `value`, bit j at old_len + j."""
-        if count > W or count < 0:
-            raise InvalidArgument(f"count {count} not in [0..{W}]")
-        if value >> count or value < 0:
-            raise InvalidArgument("value has bits above count")
-        if count == 0:
-            return
-        pos = self._len
-        words = self._words
-        wi = pos >> 6
-        off = pos & 63
-        if wi == len(words):
-            # off is 0 here: a fresh word starts exactly at the write position
-            words.append(value)
-        else:
-            words[wi] |= (value << off) & _WORD_MASK
-            if count > W - off:
-                words.append(value >> (W - off))
-        self._len = pos + count
-
     def get_bit(self, i: int) -> int:
         if i < 0:
             raise InvalidArgument("negative bit index")
@@ -172,37 +151,6 @@ class BitStream:
             out |= self.read_bits(start, take) << shift
             start += take
             shift += take
-            count -= take
-        return out
-
-    def append_bits_wide(self, value: int, count: int) -> None:
-        """Append `count` bits of arbitrary-width `value` (internal use)."""
-        if count <= W:
-            self.append_bits(value, count)
-            return
-        while count > 0:
-            take = count if count < W else W
-            self.append_bits(value & _WORD_MASK if count > W else value, take)
-            value >>= take
-            count -= take
-
-    def append_stream(self, src: "BitStream") -> None:
-        """Append all of `src`; runs in O(len(src)/W + 1) word steps."""
-        remaining = src._len
-        start = 0
-        while remaining > 0:
-            take = min(remaining, W)
-            self.append_bits(src.read_bits(start, take), take)
-            start += take
-            remaining -= take
-
-    def slice_bits(self, start: int, count: int) -> "BitStream":
-        """A new stream holding bits [start..start+count)."""
-        out = BitStream()
-        while count > 0:
-            take = min(count, W)
-            out.append_bits(self.read_bits(start, take), take)
-            start += take
             count -= take
         return out
 

@@ -23,9 +23,7 @@ from . import sparsecodec as sc
 from . import syncset as ss
 from .oracle import TextIndex, verify_sync
 from .ranksupport import decompose
-from .text import DEFAULT_TABLE_N, PackedText
-
-MAX_TABLE_N = 1 << 24
+from .text import PackedText
 
 
 class UsageError(Exception):
@@ -77,7 +75,7 @@ def _read_symbols(args) -> tuple[list[int], int]:
 
 def _packed(args) -> PackedText:
     symbols, sigma = _read_symbols(args)
-    return PackedText(symbols, sigma, table_n=args.table_n)
+    return PackedText(symbols, sigma)
 
 
 def _check_tau(t: PackedText, tau: int) -> None:
@@ -165,7 +163,7 @@ def cmd_query(args) -> int:
         raise UsageError("query needs --rank or --select")
     with open(args.container, "rb") as fh:
         stream, decoded_len = BitStream.from_bytes(fh.read())
-    decomp = decompose(sc.SparseEncoding(stream, decoded_len), args.table_n)
+    decomp = decompose(sc.SparseEncoding(stream, decoded_len))
     if args.select is not None:
         print(decomp.select(args.select))
     if args.rank is not None:
@@ -207,7 +205,7 @@ def cmd_bench(args) -> int:
             raise UsageError(f"--sigma must be at least 1, got {sigma}")
         rng = random.Random(args.seed)
         symbols = [rng.randrange(sigma) for _ in range(args.generate)]
-        t = PackedText(symbols, sigma, table_n=args.table_n)
+        t = PackedText(symbols, sigma)
     else:
         if args.input is None:
             raise UsageError("bench needs an input file or --generate")
@@ -256,8 +254,6 @@ def _add_common(p: argparse.ArgumentParser, needs_text: bool = True,
         p.add_argument("--decimal", action="store_true",
                        help="input is a two-column 'index symbol' text file")
         p.add_argument("--sigma", type=int, default=None, help=sigma_help)
-    p.add_argument("--table-n", type=int, default=DEFAULT_TABLE_N,
-                   help="lookup-table budget parameter N")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -331,9 +327,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        table_n = getattr(args, "table_n", None)
-        if table_n is not None and not 2 <= table_n <= MAX_TABLE_N:
-            raise UsageError(f"--table-n must lie in [2..{MAX_TABLE_N}]")
         return args.func(args)
     except (UsageError, InvalidArgument, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)

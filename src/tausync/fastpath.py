@@ -53,4 +53,4 @@ class FastSyncIndex:
 
     def sync_with_support(self, tau: int) -> SyncSupport:
         enc = self.sync_sparse(tau)
-        return SyncSupport(enc, decompose(enc, self.t.table_n))
+        return SyncSupport(enc, decompose(enc))

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DecodeError, InvalidArgument
 from . import sparsecodec as sc
-from .sparsecodec import SparseEncoding
-from .text import DEFAULT_TABLE_N
+from .sparsecodec import DEFAULT_TABLE_N, SparseEncoding
 
 
 @dataclass
@@ -72,7 +71,12 @@ class Decomposition:
 
 
 def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposition:
-    """Split senc(A) greedily by longest-valid-prefix windows."""
+    """Split senc(A) greedily by longest-valid-prefix windows.
+
+    A window parse never holds two adjacent zero-run tokens, so a piece
+    that starts with a zero run after one that ends with a zero run is
+    rejected as the stream's decoder rejects it.
+    """
     tables = sc.parse_tables(table_n)
     stream = enc.stream
     total = len(stream)
@@ -82,9 +86,13 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
     pos = 0
     sym = 0
     ones = 0
+    after_zero_run = False   # the previous piece ends with a zero-run token
     while pos < total:
         info = tables.parse_stream(stream, pos, k)
         if info.b > 0:
+            if after_zero_run and not info.values[0]:
+                raise DecodeError("adjacent zero-run tokens", pos)
+            after_zero_run = not info.values[-1]
             pos += info.b
             sym += info.a
             ones += info.a_plus
@@ -94,6 +102,9 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
                 raise DecodeError("literal token wider than the parse window",
                                   pos)
             x, used = sc.gamma_decode(stream, pos + 1)
+            if after_zero_run:
+                raise DecodeError("adjacent zero-run tokens", pos)
+            after_zero_run = True
             pos += 1 + used
             sym += x
             parses.append(None)

@@ -222,9 +222,7 @@ def oracle_bitmask(symbols, ell: int, oracle) -> BitStream:
     if ell < 1:
         raise InvalidArgument("window length must be positive")
     total = len(symbols)
-    out = BitStream()
-    if total < ell:
-        return out
+    value = length = 0
     memo: dict[tuple[int, ...], tuple[int, int]] = {}
     syms = tuple(symbols)
     for j in range(0, total // ell + (1 if total % ell else 0)):
@@ -241,5 +239,6 @@ def oracle_bitmask(symbols, ell: int, oracle) -> BitStream:
             entry = memo[block] = (mask, width)
         mask, width = entry
         take = min(width, total - ell + 1 - j * ell)
-        out.append_bits_wide(mask & ((1 << take) - 1), take)
-    return out
+        value |= (mask & ((1 << take) - 1)) << length
+        length += take
+    return BitStream.from_int(value, length)

@@ -19,9 +19,9 @@ from ..errors import InvalidArgument
 from .. import sparsecodec as sc
 from .. import transducer as td
 from ..runs import enumerate_runs
-from ..sparsecodec import SparseEncoding
+from ..sparsecodec import DEFAULT_TABLE_N, SparseEncoding
 from ..syncset import SyncIndex, k_of_tau
-from ..text import DEFAULT_TABLE_N, PackedText
+from ..text import PackedText
 
 RUNS_LENGTH_FACTOR = 2          # queried run lengths stay within [tau..2*tau]
 _TRUNC = 4 * RUNS_LENGTH_FACTOR  # descriptor lengths truncated at 8 * P
@@ -50,24 +50,15 @@ def shift_truncate(enc: SparseEncoding, ell: int,
     n = enc.decoded_len
     if not 1 <= ell < n:
         raise InvalidArgument(f"shift {ell} outside [1..{n})")
-    ones = BitStream()
-    for _ in range(ell):
-        sc.append_literal(ones, 1)
-    v1 = BitStream()
-    v1.append_stream(enc.stream)
-    v1.append_stream(ones)
-    v2 = BitStream()
-    v2.append_stream(ones)
-    sc.append_zero_run(v2, n)
-    v3 = BitStream()
-    sc.append_zero_run(v3, n)
-    v3.append_stream(ones)
-    streams = [SparseEncoding(v1, n + ell), SparseEncoding(v2, n + ell),
-               SparseEncoding(v3, n + ell)]
+    ones = [(True, 1)] * ell
+    zeros = [(False, n)]
+    v1 = BitStream.from01(enc.stream.to01() + sc.tokens_to_stream(ones).to01())
+    v2 = sc.tokens_to_stream(ones + zeros)
+    v3 = sc.tokens_to_stream(zeros + ones)
+    streams = [SparseEncoding(v, n + ell) for v in (v1, v2, v3)]
     shifted = td.run_multi(_shift_spec(), streams, table_n)
-    return SparseEncoding(shifted.stream.slice_bits(2 * ell,
-                                                    len(shifted.stream) - 2 * ell),
-                          n)
+    # the output starts with ell literal tokens "11"
+    return SparseEncoding(BitStream.from01(shifted.stream.to01()[2 * ell:]), n)
 
 
 # -- run markers -----------------------------------------------------------------
@@ -374,10 +365,6 @@ def sync_sparse_transducer(sync_index: SyncIndex, run_tables: RunTables,
         e1_hat, e2_hat = e1, e2
     mask = td.run_multi(_sync_spec(), [s1_hat, e1_hat, s2, e2_hat, b_hat],
                         table_n)
-    domain_bits = BitStream()
-    for _ in range(n - 2 * tau + 1):
-        sc.append_literal(domain_bits, 1)
-    if 2 * tau - 1:
-        sc.append_zero_run(domain_bits, 2 * tau - 1)
-    domain = SparseEncoding(domain_bits, n)
+    domain = SparseEncoding(sc.tokens_to_stream(
+        [(True, 1)] * (n - 2 * tau + 1) + [(False, 2 * tau - 1)]), n)
     return td.run_multi(_and_spec(), [mask, domain], table_n)

@@ -8,7 +8,10 @@ and each maximal run ``0^x`` becomes a zero-run token ``0 . gamma(x)``.
 in a valid encoding.
 
 Whole token streams are written and read in one bulk conversion each way,
-as ``BitStream.from_positions`` does for masks.  The writer joins each
+as ``BitStream.from_positions`` does for masks.  There is one writer:
+every token stream in the package, the transducers' outputs included, is
+built by `tokens_to_stream`, `senc_encode`, `senc_from_list` or
+`senc_from_positions`, and is never appended to.  The writer joins each
 token's stream-order digit string (indicator bit, ``floor(lg x)`` zeros,
 binary(x)) and converts the joined string to the stream with one
 ``int(..., 2)``; the digit strings of tokens with ``x < 2**12`` are kept
@@ -19,7 +22,8 @@ between members up to 4096 to the string the first one holds.  The reader format
 the stream once as a digit string, finds each gamma code's terminating 1
 with ``str.find`` and reads its payload with one ``int(..., 2)``.
 
-Table-accelerated paths take the table parameter ``N``; tables are built
+Table-accelerated paths take the table parameter ``N`` (default
+``DEFAULT_TABLE_N`` = 2**16); tables are built
 lazily and memoized, and degrade to token-at-a-time processing with
 identical outputs when windows do not fit.
 """
@@ -33,50 +37,14 @@ from typing import Iterable, Sequence
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
-from .text import DEFAULT_TABLE_N
 
 # Block size for leading-zero scans while decoding gamma codes.
 _SCAN_BLOCK = 32
 
 
-def gamma_bits(x: int) -> int:
-    """Length of gamma(x) in bits: 2*floor(lg x) + 1."""
-    if x < 1:
-        raise InvalidArgument("gamma code requires x >= 1")
-    return 2 * (x.bit_length() - 1) + 1
-
-
 def _reverse_bits(value: int, width: int) -> int:
     """The low `width` bits of value in reverse order."""
     return int(f"{value:0{width}b}"[::-1], 2)
-
-
-# LSB-first bit pattern of gamma(x) and its width, cached for small values
-_gamma_cache: dict[int, tuple[int, int]] = {}
-
-
-def _gamma_pattern(x: int) -> tuple[int, int]:
-    entry = _gamma_cache.get(x)
-    if entry is None:
-        ell = x.bit_length() - 1
-        entry = (_reverse_bits(x, ell + 1) << ell, 2 * ell + 1)
-        if x < (1 << 20):
-            _gamma_cache[x] = entry
-    return entry
-
-
-def gamma_append(stream: BitStream, x: int) -> None:
-    """Append gamma(x): floor(lg x) zeros, then binary(x) MSB-first."""
-    if x < 1:
-        raise InvalidArgument("gamma code requires x >= 1")
-    pattern, nbits = _gamma_pattern(x)
-    stream.append_bits_wide(pattern, nbits)
-
-
-def gamma_encode(x: int) -> BitStream:
-    s = BitStream()
-    gamma_append(s, x)
-    return s
 
 
 def gamma_decode(stream: BitStream, offset: int) -> tuple[int, int]:
@@ -109,25 +77,6 @@ def gamma_decode(stream: BitStream, offset: int) -> tuple[int, int]:
         raise DecodeError("truncated gamma code", offset)
     payload = stream.read_bits_wide(start, z + 1)
     return _reverse_bits(payload, z + 1), 2 * z + 1
-
-
-def append_literal(stream: BitStream, u: int) -> None:
-    if u < 1:
-        raise InvalidArgument("literal token requires a positive value")
-    pattern, nbits = _gamma_pattern(u)
-    stream.append_bits_wide((pattern << 1) | 1, nbits + 1)
-
-
-def append_zero_run(stream: BitStream, x: int) -> None:
-    if x < 1:
-        raise InvalidArgument("zero-run token requires a positive length")
-    pattern, nbits = _gamma_pattern(x)
-    stream.append_bits_wide(pattern << 1, nbits + 1)
-
-
-def token_bits(x: int) -> int:
-    """Bits contributed by one token for value/run-length x: 2*floor(lg x)+2."""
-    return gamma_bits(x) + 1
 
 
 @dataclass(frozen=True)
@@ -199,7 +148,7 @@ def senc_encode(values: Sequence[int]) -> SparseEncoding:
 
 def senc_size(values: Sequence[int]) -> int:
     """Exact encoded size in bits, by the per-token formula."""
-    return sum(token_bits(x) for _, x in _tokens_of(values))
+    return sum(2 * x.bit_length() for _, x in _tokens_of(values))
 
 
 def _checked_tokens(stream: BitStream, offset: int, end: int):
@@ -383,6 +332,10 @@ def window_tokens(window: int, limit: int):
         pos = token_end
 
 
+#: Default table parameter N: parse windows of ceil(lg N) = 16 bits.
+DEFAULT_TABLE_N = 1 << 16
+
+
 class ParseTables:
     """Memoized window parser for a table parameter N.
 
@@ -461,25 +414,11 @@ def stream_to_msb_int(stream: BitStream) -> int:
     The sentinel preserves leading zero bits, so the mapping is injective
     and the result is always positive.
     """
-    nbits = len(stream)
-    out = 1
-    for start in range(0, nbits, 63):
-        take = min(63, nbits - start)
-        chunk = stream.read_bits(start, take)
-        out = (out << take) | _reverse_bits(chunk, take)
-    return out
+    return int("1" + stream.to01(), 2)
 
 
 def msb_int_to_stream(value: int) -> BitStream:
     """Inverse of stream_to_msb_int."""
     if value < 1:
         raise DecodeError("sentinel-coded value must be positive")
-    nbits = value.bit_length() - 1
-    s = BitStream()
-    remaining = nbits
-    while remaining > 0:
-        take = min(63, remaining)
-        chunk = (value >> (remaining - take)) & ((1 << take) - 1)
-        s.append_bits(_reverse_bits(chunk, take), take)
-        remaining -= take
-    return s
+    return BitStream.from01(f"{value:b}"[1:])

@@ -14,14 +14,10 @@ from typing import Sequence
 
 from .errors import InvalidArgument, InvalidInput
 
-DEFAULT_TABLE_N = 1 << 16
-
-
 class PackedText:
     """Immutable text T[-n..2n) = $^n . T . $^n as one code-point string."""
 
-    def __init__(self, symbols: Sequence[int], sigma_in: int,
-                 table_n: int = DEFAULT_TABLE_N):
+    def __init__(self, symbols: Sequence[int], sigma_in: int):
         if sigma_in < 1:
             raise InvalidInput("alphabet size must be at least 1")
         self.n = len(symbols)
@@ -30,7 +26,6 @@ class PackedText:
         self.sigma = 1 << max(1, sigma_in.bit_length())
         self.bits_per_symbol = self.sigma.bit_length() - 1
         self.sentinel = self.sigma - 1
-        self.table_n = table_n
         alphabet = sorted(set(symbols))
         if alphabet and not (0 <= alphabet[0] and alphabet[-1] < sigma_in):
             bad = next(s for s in symbols if not 0 <= s < sigma_in)

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
 from . import sparsecodec as sc
-from .sparsecodec import SparseEncoding
-from .text import DEFAULT_TABLE_N
+from .sparsecodec import DEFAULT_TABLE_N, SparseEncoding
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ class SingleStreamAccelerator:
         key = (state, count)
         entry = self._zero_entries.get(key)
         if entry is None:
-            entry = self._simulate(state, (0,) * count, sc.token_bits(count))
+            entry = self._simulate(state, (0,) * count, 2 * count.bit_length())
             self._zero_entries[key] = entry
         return entry
 
@@ -226,17 +224,13 @@ class SingleStreamAccelerator:
     # output assembly ----------------------------------------------------------
 
     @staticmethod
-    def _flush(y: BitStream, zeros: int, entry: _WindowEntry) -> int:
-        """Append pending zeros and the entry's middle part; new z value."""
+    def _flush(tokens: list, zeros: int, entry: _WindowEntry) -> int:
+        """Emit pending zeros and the entry's middle tokens; new z value."""
         if entry.a == entry.z1:
             return zeros + entry.a
         if zeros + entry.z1:
-            sc.append_zero_run(y, zeros + entry.z1)
-        for is_literal, x in entry.mid_tokens:
-            if is_literal:
-                sc.append_literal(y, x)
-            else:
-                sc.append_zero_run(y, x)
+            tokens.append((False, zeros + entry.z1))
+        tokens.extend(entry.mid_tokens)
         return entry.z2
 
     # main loop ----------------------------------------------------------------
@@ -251,7 +245,7 @@ class SingleStreamAccelerator:
         n = 0
         state = spec.start
         z = 0
-        y = BitStream()
+        tokens: list[tuple[bool, int]] = []
         stats = RunStats()
         while x < total_bits:
             stats.macro_steps += 1
@@ -264,7 +258,7 @@ class SingleStreamAccelerator:
                 window = stream.read_bits_wide(x, avail) | (1 << avail)
             entry = self._entry(state, window, min(lg_m, avail))
             if entry.b > 0:
-                z = self._flush(y, z, entry)
+                z = self._flush(tokens, z, entry)
                 state = entry.state
                 x += entry.b
                 n += entry.a
@@ -279,8 +273,8 @@ class SingleStreamAccelerator:
                     z += 1
                 else:
                     if z:
-                        sc.append_zero_run(y, z)
-                    sc.append_literal(y, out)
+                        tokens.append((False, z))
+                    tokens.append((True, out))
                     z = 0
                 n += 1
             else:
@@ -299,15 +293,15 @@ class SingleStreamAccelerator:
                     stats.micro_steps += 1
                     fixed = min(yleft, self.m_quarter)
                     entry = self._zero_entry(state, fixed)
-                    z = self._flush(y, z, entry)
+                    z = self._flush(tokens, z, entry)
                     state = entry.state
                     n += fixed
                     yleft -= fixed
             x += token_bits
         if z:
-            sc.append_zero_run(y, z)
+            tokens.append((False, z))
         self.last_stats = stats
-        return SparseEncoding(y, n)
+        return SparseEncoding(sc.tokens_to_stream(tokens), n)
 
 
 _accel_cache: dict[tuple[str, int], SingleStreamAccelerator] = {}
@@ -490,7 +484,7 @@ class PairZipper:
         len1, len2 = len(s1), len(s2)
         b1 = b2 = 0
         a = z1 = z2 = z3 = 0
-        out = BitStream()
+        out: list[tuple[bool, int]] = []   # tokens of the zipped encoding
         lg_m = self.lg_m
 
         def window(stream, pos, total):
@@ -516,12 +510,8 @@ class PairZipper:
                 z2 = entry.z2
                 if entry.r:
                     if z3 + entry.lead:
-                        sc.append_zero_run(out, z3 + entry.lead)
-                    for is_literal, v in entry.tokens:
-                        if is_literal:
-                            sc.append_literal(out, v)
-                        else:
-                            sc.append_zero_run(out, v)
+                        out.append((False, z3 + entry.lead))
+                    out.extend(entry.tokens)
                     a += entry.r
                     z3 = 0
                 continue
@@ -538,7 +528,7 @@ class PairZipper:
                 continue
             # both fronts are literal tokens too large for the window
             if z3:
-                sc.append_zero_run(out, z3)
+                out.append((False, z3))
                 z3 = 0
             v1 = v2 = 0
             if z1 == 0:
@@ -555,7 +545,7 @@ class PairZipper:
                 b2 += 1 + used
             else:
                 z2 -= 1
-            sc.append_literal(out, zip_symbol((v1, v2)))
+            out.append((True, zip_symbol((v1, v2))))
             a += 1
         shared = min(z1, z2)
         z1 -= shared
@@ -565,8 +555,8 @@ class PairZipper:
         if z1 or z2:
             raise DecodeError("zip inputs decode to different lengths")
         if z3:
-            sc.append_zero_run(out, z3)
-        return SparseEncoding(out, a)
+            out.append((False, z3))
+        return SparseEncoding(sc.tokens_to_stream(out), a)
 
 
 _zipper_cache: dict[int, PairZipper] = {}

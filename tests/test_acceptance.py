@@ -20,8 +20,8 @@ from tausync import syncset as ss
 from tausync import transducer as td
 from tausync.reference import chain as rchain
 from tausync.reference import ranksupport as ref
-from tausync.bitstream import BitStream
 from tausync.sparsecodec import SparseEncoding
+from tausync.ranksupport import decompose
 from tausync.text import PackedText
 
 FULL = os.environ.get("TAUSYNC_ACCEPT_FULL") == "1"
@@ -62,9 +62,9 @@ def handles(corpus):
     """Shared per-text preprocessing for criteria 1-3."""
     rng = random.Random(SEED + 1)
     out = []
-    for idx, (syms, sigma, family, _) in enumerate(corpus):
+    for syms, sigma, family, _ in corpus:
         n = len(syms)
-        t = PackedText(syms, sigma, table_n=(1 << 12 if idx % 2 else 1 << 16))
+        t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
         out.append((t, handle, orc.TextIndex(syms)))
     return out
@@ -92,15 +92,18 @@ def test_criterion_2_representation_agreement(corpus, handles):
     checked = 0
     queries = 0
     t_start = time.time()
-    for (syms, sigma, family, extra), (t, handle, tidx) in zip(corpus, handles):
+    for idx, ((syms, sigma, family, extra), (t, handle, tidx)) in enumerate(
+            zip(corpus, handles)):
         n = len(syms)
+        table_n = 1 << 12 if idx % 2 else 1 << 16
         ones_prefix = None
         for tau in range(1, n // 2 + 1):
             members = ss.build_sync_explicit(handle.sync_index, tau)
             mask = ss.build_sync_bitmask(handle.sync_index, tau)
             from_mask = [i for i in range(n) if mask.get_bit(i)]
             assert from_mask == members, (syms, tau)
-            support = handle.sync_with_support(tau)
+            enc = handle.sync_sparse(tau)
+            support = fp.SyncSupport(enc, decompose(enc, table_n))
             bits = sc.senc_decode(support.encoding)
             assert [i for i, b in enumerate(bits) if b] == members, (syms, tau)
             assert support.size == len(members)
@@ -156,7 +159,7 @@ def test_criterion_4_codec_golden():
 
 def _senc_from_runs(runs):
     """Build senc directly from run-length input [(symbol, count), ...]."""
-    stream = BitStream()
+    tokens = []
     total = 0
     pending_zeros = 0
     for sym, cnt in runs:
@@ -167,13 +170,12 @@ def _senc_from_runs(runs):
             pending_zeros += cnt
             continue
         if pending_zeros:
-            sc.append_zero_run(stream, pending_zeros)
+            tokens.append((False, pending_zeros))
             pending_zeros = 0
-        for _ in range(cnt):
-            sc.append_literal(stream, sym)
+        tokens.extend([(True, sym)] * cnt)
     if pending_zeros:
-        sc.append_zero_run(stream, pending_zeros)
-    return SparseEncoding(stream, total)
+        tokens.append((False, pending_zeros))
+    return SparseEncoding(sc.tokens_to_stream(tokens), total)
 
 
 def _random_spec(rng, q, sigma, arity, zero_preserving):

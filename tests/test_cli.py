@@ -169,25 +169,24 @@ def test_verify_bad_tau_usage_error(tmp_path, text_file, capsys):
                              "--set", str(listed)], capsys)
 
 
-def test_table_n_out_of_range_usage_error(tmp_path, text_file, capsys):
-    path, _ = text_file
-    arr = tmp_path / "arr.txt"
-    arr.write_text("0 1 1 0\n")
-    cont = tmp_path / "arr.ssb"
-    assert main(["encode", str(arr), "--out", str(cont)]) == 0
-    for table_n in ("1", str((1 << 24) + 1)):
-        for argv in (["sync", path, "--sigma", "4", "--tau", "8"],
-                     ["query", str(cont), "--select", "1"],
-                     ["bench", "--generate", "64", "--tau-list", "4"]):
-            _assert_usage_error(argv + ["--table-n", table_n], capsys)
-
-
 def test_fallback_threshold_flag_rejected(text_file, capsys):
     path, _ = text_file
     with pytest.raises(SystemExit) as exc:
         main(["sync", path, "--tau", "2", "--fallback-threshold", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_table_n_flag_rejected(tmp_path, text_file, capsys):
+    path, _ = text_file
+    cont = tmp_path / "arr.ssb"
+    cont.write_bytes(sc.senc_encode([0, 1, 1, 0]).stream.to_bytes(4))
+    for argv in (["sync", path, "--sigma", "4", "--tau", "8"],
+                 ["query", str(cont), "--select", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--table-n", "4096"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_query_without_rank_or_select_usage_error(tmp_path, capsys):
@@ -213,18 +212,26 @@ def test_decode_corrupted_sparse_container(tmp_path, text_file, capsys):
                  "--format", "sparse", "--out", str(cont)]) == 0
     data = cont.read_bytes()
     declared = int.from_bytes(data[4:12], "little")
+    adjacent = sc.tokens_to_stream([(False, 3), (False, 2), (True, 1)])
     bad_versions = [
         data[:20] + bytes(len(data) - 20),   # no terminating 1-bit
         data[:4] + (declared + 1).to_bytes(8, "little") + data[12:],
+        adjacent.to_bytes(6),                # adjacent zero-run tokens
     ]
     for bad in bad_versions:
         target = tmp_path / "bad.ssb"
         target.write_bytes(bad)
-        assert main(["decode", str(target), "--out",
-                     str(tmp_path / "out.txt")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        errors = []
+        for argv in (["decode", str(target), "--out", str(tmp_path / "out.txt")],
+                     ["query", str(target), "--rank", "6"]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err
+            errors.append(err)
+    # the zero run that follows a zero run starts a new piece of the query's
+    # decomposition; both commands reject it at the same bit
+    assert errors == ["error: adjacent zero-run tokens (bit offset 4)\n"] * 2
 
 
 def test_decode_huge_zero_run_fails_before_expanding(tmp_path, capsys):

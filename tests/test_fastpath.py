@@ -100,7 +100,8 @@ def test_sync_sparse_equals_other_paths(rng):
         n = rng.randint(2, 130)
         sigma = rng.choice([1, 2, 4, 16])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
-        t = PackedText(syms, max(1, sigma), table_n=rng.choice([1 << 12, 1 << 16]))
+        rng.choice([1 << 12, 1 << 16])   # keeps the seeded draws
+        t = PackedText(syms, max(1, sigma))
         handle = fp.FastSyncIndex(t)
         for tau in range(1, n // 2 + 1):
             sparse_bits = sc.senc_decode(handle.sync_sparse(tau))
@@ -123,7 +124,8 @@ def test_sync_transducer_branch_every_tau(rng):
         syms = make_text(rng, n, sigma, kind)
         t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
-        rt = st.RunTables(t, t.table_n, small_limit=(None, 4)[trial % 2])
+        rt = st.RunTables(t, sc.DEFAULT_TABLE_N,
+                          small_limit=(None, 4)[trial % 2])
         tidx = TextIndex(syms)
         for tau in range(1, n // 2 + 1):
             enc = st.sync_sparse_transducer(handle.sync_index, rt, tau)
@@ -164,7 +166,7 @@ def test_sync_transducer_large_run_tables(rng, monkeypatch):
                         (_periodic_stretches(rng, n), 2)):
         t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
-        rt = st.RunTables(t, t.table_n)
+        rt = st.RunTables(t, sc.DEFAULT_TABLE_N)
         tidx = TextIndex(syms)
         for tau in (3, 4, 5):
             keys.clear()

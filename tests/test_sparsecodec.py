@@ -9,16 +9,27 @@ WORKED_EXAMPLE = [0] * 3 + [3] + [0] * 2 + [5] + [0] * 7 + [9, 1] + [0] * 2
 WORKED_BITS = "0011" "1011" "0010" "100101" "000111" "10001001" "11" "0010"
 
 
+def gamma_digits(x: int) -> str:
+    """gamma(x) by definition, one bit at a time: z = floor(lg x) zeros,
+    then the z + 1 binary digits of x, most significant first."""
+    z = x.bit_length() - 1
+    return "0" * z + "".join(str((x >> (z - i)) & 1) for i in range(z + 1))
+
+
+def gamma_stream(x: int) -> BitStream:
+    return BitStream.from01(gamma_digits(x))
+
+
 def test_gamma_basics():
-    assert sc.gamma_encode(1).to01() == "1"
-    assert sc.gamma_encode(5).to01() == "00101"
-    with pytest.raises(InvalidArgument):
-        sc.gamma_encode(0)
+    assert gamma_digits(1) == "1"
+    assert gamma_digits(5) == "00101"
+    assert sc.gamma_decode(BitStream.from01("00101"), 0) == (5, 5)
+    assert sc.gamma_decode(BitStream.from01("1100101"), 2) == (5, 5)
 
 
 def test_gamma_roundtrip_dense():
     for x in range(1, 10 ** 5 + 1):
-        enc = sc.gamma_encode(x)
+        enc = gamma_stream(x)
         got, used = sc.gamma_decode(enc, 0)
         assert got == x and used == len(enc) == 2 * (x.bit_length() - 1) + 1
 
@@ -26,13 +37,12 @@ def test_gamma_roundtrip_dense():
 def test_gamma_roundtrip_sparse_large(rng):
     for _ in range(300):
         x = rng.randrange(1, 1 << rng.randint(1, 80))
-        enc = sc.gamma_encode(x)
+        enc = gamma_stream(x)
         assert sc.gamma_decode(enc, 0) == (x, len(enc))
 
 
 def test_gamma_truncated_raises():
-    enc = sc.gamma_encode(9)
-    cut = enc.slice_bits(0, len(enc) - 1)
+    cut = BitStream.from01(gamma_digits(9)[:-1])
     with pytest.raises(DecodeError):
         sc.gamma_decode(cut, 0)
     with pytest.raises(DecodeError):
@@ -108,9 +118,7 @@ def test_prefix_law(rng):
 
 
 def test_decode_rejects_adjacent_zero_runs():
-    bad = BitStream()
-    sc.append_zero_run(bad, 3)
-    sc.append_zero_run(bad, 2)
+    bad = sc.tokens_to_stream([(False, 3), (False, 2)])
     with pytest.raises(DecodeError):
         sc.decode_token_stream(bad)
 
@@ -165,7 +173,7 @@ def test_prefix_parse_example():
 def test_prefix_parse_long_zero_run_gives_zero():
     enc = sc.senc_encode([0] * (10 ** 6))
     info = sc.parse_tables().parse_stream(
-        enc.stream.slice_bits(0, min(17, len(enc.stream))), 0, 8)
+        BitStream.from01(enc.stream.to01()[:17]), 0, 8)
     assert info.b == 0
 
 
@@ -188,7 +196,7 @@ def test_prefix_parse_maximal(rng):
                 continue
         assert info.b == best, (vals, limit)
         if info.b:
-            piece = enc.stream.slice_bits(0, info.b)
+            piece = BitStream.from01(enc.stream.to01()[:info.b])
             decoded = sc.decode_token_stream(piece)
             assert tuple(decoded) == info.values
             assert sc.senc_encode(decoded).stream == piece
@@ -210,6 +218,8 @@ def test_prefix_parse_rank_select_fields(rng):
 
 
 def test_sentinel_int_roundtrip(rng):
+    assert sc.stream_to_msb_int(BitStream.from01("0011")) == 19
+    assert sc.msb_int_to_stream(19).to01() == "0011"
     for _ in range(100):
         vals = [rng.choice([0, rng.randint(1, 30)]) for _ in range(rng.randint(0, 6))]
         enc = sc.senc_encode(vals)
@@ -226,12 +236,9 @@ EDGE_VALUES = [1, 2, TOKEN_BOUND - 1, TOKEN_BOUND, TOKEN_BOUND + 1,
 
 
 def reference_stream(tokens) -> BitStream:
-    """One indicator bit and one gamma_encode per token, appended in turn."""
-    s = BitStream()
-    for is_literal, x in tokens:
-        s.append_bits(int(is_literal), 1)
-        s.append_stream(sc.gamma_encode(x))
-    return s
+    """One indicator bit and one gamma code by definition per token."""
+    return BitStream.from01("".join("01"[is_literal] + gamma_digits(x)
+                                    for is_literal, x in tokens))
 
 
 def reference_tokens(stream, offset, end):

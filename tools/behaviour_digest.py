@@ -74,8 +74,7 @@ def corpus(rng: random.Random):
             while len(syms) < n:
                 syms.extend([rng.randrange(sigma)] * rng.randint(1, 9))
             syms = syms[:n]
-        table_n = (1 << 12) if idx % 2 else (1 << 16)
-        texts.append((f"c{idx}", syms, sigma, table_n))
+        texts.append((f"c{idx}", syms, sigma))
     return texts
 
 
@@ -135,9 +134,9 @@ def support_answers(tausync, sup, n):
              for j in (-1, 0, 1, n // 3, n - 1, n, n + 1)])
 
 
-def library_items(tausync, name, syms, sigma, table_n, taus):
+def library_items(tausync, name, syms, sigma, taus):
     fp, ss = tausync.fastpath, tausync.syncset
-    t = tausync.PackedText(syms, sigma, table_n=table_n)
+    t = tausync.PackedText(syms, sigma)
     handle = fp.FastSyncIndex(t)
     recomp = handle.sync_index.recomp
     levels = recomp.chain.levels
@@ -159,8 +158,8 @@ def library_items(tausync, name, syms, sigma, table_n, taus):
     return out
 
 
-def runs_items(tausync, name, syms, sigma, table_n):
-    t = tausync.PackedText(syms, sigma, table_n=table_n)
+def runs_items(tausync, name, syms, sigma):
+    t = tausync.PackedText(syms, sigma)
     return {f"{name}:runs_bitmask:{ell}:{p}":
             mask_digest(tausync.runs.runs_bitmask(t, ell, p))
             for ell, p in RUNS_PARAMS if ell <= len(syms)}
@@ -277,30 +276,28 @@ def main(argv) -> int:
     items = {}
     rng = random.Random(0xD16E57)
     texts = corpus(rng)
-    for name, syms, sigma, table_n in texts:
-        items.update(library_items(tausync, name, syms, sigma, table_n,
+    for name, syms, sigma in texts:
+        items.update(library_items(tausync, name, syms, sigma,
                                    range(1, len(syms) // 2 + 1)))
-        items.update(runs_items(tausync, name, syms, sigma, table_n))
+        items.update(runs_items(tausync, name, syms, sigma))
     cli_main = tausync.cli.main
     wide = wide_texts(random.Random(0x5167A))
     for name, syms, sigma, _ in wide:
-        items.update(library_items(tausync, name, syms, sigma, 1 << 16,
+        items.update(library_items(tausync, name, syms, sigma,
                                    range(1, len(syms) // 2 + 1)))
-        items.update(runs_items(tausync, name, syms, sigma, 1 << 16))
+        items.update(runs_items(tausync, name, syms, sigma))
     periodic = long_runs_text(random.Random(0x10CA1))
-    items.update(library_items(tausync, "long", periodic, 3, 1 << 16,
-                               LONG_RUNS_TAUS))
-    items.update(runs_items(tausync, "long", periodic, 3, 1 << 16))
+    items.update(library_items(tausync, "long", periodic, 3, LONG_RUNS_TAUS))
+    items.update(runs_items(tausync, "long", periodic, 3))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, syms, sigma, *_ in texts[:12]:
+        for name, syms, sigma in texts[:12]:
             items.update(cli_items(cli_main, name, syms,
                                    ["--sigma", str(sigma)], tmp))
         for name, syms, _, opts in wide:
             items.update(cli_items(cli_main, name, syms, opts, tmp))
     if not quick:
         big = [rng.randrange(4) for _ in range(1 << 16)]
-        items.update(library_items(tausync, "big", big, 4, 1 << 16,
-                                   (8, 16, 64, 512)))
+        items.update(library_items(tausync, "big", big, 4, (8, 16, 64, 512)))
     print(json.dumps(items, indent=0, sort_keys=True))
     return 0
 
