@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import InvalidArgument, InvalidInput
 
+
 class PackedText:
     """Immutable text T[-n..2n) = $^n . T . $^n as one code-point string."""
 
