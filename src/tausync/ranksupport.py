@@ -1,10 +1,11 @@
 """Rank and select over sparse-encoded bitmasks.
 
-The encoding is decomposed greedily into pieces of about lg N bits (long
-zero runs become single all-zero pieces).  A query finds its piece by
-bisection over the sorted piece arrays -- the symbol starts for rank, the
-ones before each piece for select -- and answers inside the piece from
-the window parse that the decomposition read and kept.
+The encoding is decomposed greedily into pieces of about lg N bits, read
+from one digit string of the stream; a token too wide for a window (a
+long zero run or a wide literal) is a piece of its own.  A query finds
+its piece by bisection over the sorted piece arrays -- the symbol starts
+for rank, the ones before each piece for select -- and answers inside
+the piece from the window parse that the decomposition kept.
 
 The paper's constant-time select and van Emde Boas rank over the same
 decomposition are kept in :mod:`tausync.reference.ranksupport`.
@@ -25,10 +26,11 @@ class Decomposition:
     """Greedy split of senc(A): tuples (p_i, e_i, r_i) plus piece parses.
 
     Piece i covers symbols [p_i..p_{i+1}) and encoding bits [e_i..e_{i+1});
-    r_i counts the ones before p_i.  A piece is either all-zero or spans at
-    most lg N encoding bits.  ``parses[i]`` is the window parse of piece i
-    that `decompose` read, shared with the memoized parse tables, or None
-    for a zero run too long for one window.
+    r_i counts the ones before p_i.  A piece spans at most lg N encoding
+    bits unless it is one token too wide for a window.  ``parses[i]`` is
+    the window parse of piece i that `decompose` read, shared with the
+    memoized parse tables, a one-symbol parse for a wide literal, or None
+    for a long zero run.
     """
 
     enc: SparseEncoding
@@ -73,13 +75,16 @@ class Decomposition:
 def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposition:
     """Split senc(A) greedily by longest-valid-prefix windows.
 
-    A window parse never holds two adjacent zero-run tokens, so a piece
-    that starts with a zero run after one that ends with a zero run is
-    rejected as the stream's decoder rejects it.
+    Each window is a slice of the stream's digit string; a token wider
+    than the window is read with the decoder's checks.  A window parse
+    never holds two adjacent zero-run tokens, so a piece that starts with
+    a zero run after one that ends with a zero run is rejected as the
+    stream's decoder rejects it.
     """
     tables = sc.parse_tables(table_n)
-    stream = enc.stream
-    total = len(stream)
+    parse = tables.parse_digits
+    digits = enc.stream.to01()
+    total = len(digits)
     k = tables.window_bits
     p, e, r = [0], [0], [0]
     parses: list[sc.ParseInfo | None] = []
@@ -88,7 +93,7 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
     ones = 0
     after_zero_run = False   # the previous piece ends with a zero-run token
     while pos < total:
-        info = tables.parse_stream(stream, pos, k)
+        info = parse(digits[pos:pos + k])
         if info.b > 0:
             if after_zero_run and not info.values[0]:
                 raise DecodeError("adjacent zero-run tokens", pos)
@@ -98,16 +103,17 @@ def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposit
             ones += info.a_plus
             parses.append(info)
         else:
-            if stream.get_bit(pos):
-                raise DecodeError("literal token wider than the parse window",
-                                  pos)
-            x, used = sc.gamma_decode(stream, pos + 1)
-            if after_zero_run:
+            # one token wider than the window, read as the decoder reads it
+            x, stop = sc.gamma_at(digits, pos + 1)
+            is_literal = digits[pos] == "1"
+            if after_zero_run and not is_literal:
                 raise DecodeError("adjacent zero-run tokens", pos)
-            after_zero_run = True
-            pos += 1 + used
-            sym += x
-            parses.append(None)
+            after_zero_run = not is_literal
+            sym += 1 if is_literal else x
+            ones += is_literal
+            parses.append(sc.ParseInfo(stop - pos, 1, 1, (x,), (0,), (0,), (0,))
+                          if is_literal else None)
+            pos = stop
         p.append(sym)
         e.append(pos)
         r.append(ones)

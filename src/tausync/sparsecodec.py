@@ -22,10 +22,10 @@ between members up to 4096 to the string the first one holds.  The reader format
 the stream once as a digit string, finds each gamma code's terminating 1
 with ``str.find`` and reads its payload with one ``int(..., 2)``.
 
-Table-accelerated paths take the table parameter ``N`` (default
-``DEFAULT_TABLE_N`` = 2**16); tables are built
-lazily and memoized, and degrade to token-at-a-time processing with
-identical outputs when windows do not fit.
+Window parses take the table parameter ``N`` (default ``DEFAULT_TABLE_N``
+= 2**16), with windows of ceil(lg N) bits.  `ParseTables` owns one memo
+of them, keyed by the window's digit string, which `decompose` slices
+from the stream's digits and `parse_window` forms from an int.
 """
 
 from __future__ import annotations
@@ -151,6 +151,20 @@ def senc_size(values: Sequence[int]) -> int:
     return sum(2 * x.bit_length() for _, x in _tokens_of(values))
 
 
+def gamma_at(digits: str, start: int) -> tuple[int, int]:
+    """(x, end) of the gamma code at digits[start..end) of a digit string."""
+    total = len(digits)
+    if start >= total:
+        raise DecodeError("gamma code starts past end of stream", start)
+    one = digits.find("1", start)
+    if one < 0:
+        raise DecodeError("gamma code has no terminating 1-bit", start)
+    stop = 2 * one - start + 1
+    if stop > total:
+        raise DecodeError("truncated gamma code", start)
+    return int(digits[one:stop], 2), stop
+
+
 def _checked_tokens(stream: BitStream, offset: int, end: int):
     """Yield (is_literal, x) for each token of stream[offset..end).
 
@@ -161,26 +175,17 @@ def _checked_tokens(stream: BitStream, offset: int, end: int):
     if offset < 0 and offset < end:
         raise InvalidArgument("negative bit index")
     digits = stream.to01()
-    total = len(digits)
     pos = offset
     last_zero_run = False
     while pos < end:
-        start = pos + 1
-        if start >= total:
-            raise DecodeError("gamma code starts past end of stream", start)
-        one = digits.find("1", start)
-        if one < 0:
-            raise DecodeError("gamma code has no terminating 1-bit", start)
-        stop = 2 * one - start + 1
-        if stop > total:
-            raise DecodeError("truncated gamma code", start)
+        x, stop = gamma_at(digits, pos + 1)
         if stop > end:
             raise DecodeError("token overruns encoding", pos)
         is_literal = digits[pos] == "1"
         if not is_literal and last_zero_run:
             raise DecodeError("adjacent zero-run tokens", pos)
         last_zero_run = not is_literal
-        yield is_literal, int(digits[one:stop], 2)
+        yield is_literal, x
         pos = stop
 
 
@@ -339,8 +344,10 @@ DEFAULT_TABLE_N = 1 << 16
 class ParseTables:
     """Memoized window parser for a table parameter N.
 
-    Window width is ceil(lg N) bits; short windows are padded with an
-    incomplete literal token so parsing never runs past the real data.
+    A window is named by its digit string in stream order, whose length
+    is the parse limit: a parse reads no bit past it.  The tables own one
+    memo from these strings of at most ``window_bits`` digits to their
+    parses, so it holds fewer than 2**(window_bits + 1) entries.
     """
 
     def __init__(self, table_n: int = DEFAULT_TABLE_N):
@@ -348,27 +355,22 @@ class ParseTables:
             raise InvalidArgument("table parameter must be at least 2")
         self.table_n = table_n
         self.window_bits = max(2, (table_n - 1).bit_length())
-        self._memo: dict[tuple[int, int], ParseInfo] = {}
+        self._memo: dict[str, ParseInfo] = {}
 
-    def parse_window(self, window: int, limit: int) -> ParseInfo:
-        key = (window, limit)
-        info = self._memo.get(key)
+    def parse_digits(self, w: str) -> ParseInfo:
+        """Parse of the window whose stream-order digits are `w`."""
+        info = self._memo.get(w)
         if info is None:
-            info = self._parse(window, limit)
-            self._memo[key] = info
+            if len(w) > self.window_bits:
+                raise InvalidArgument(f"window of {len(w)} bits is wider "
+                                      f"than {self.window_bits}")
+            info = self._memo[w] = self._parse(int(w[::-1] or "0", 2), len(w))
         return info
 
-    def parse_stream(self, stream: BitStream, offset: int, limit: int) -> ParseInfo:
-        """Parse the window at `offset`; limit is clamped to remaining bits."""
-        k = self.window_bits
-        avail = max(0, len(stream) - offset)
-        limit = min(limit, k, avail)
-        if avail >= k:
-            window = stream.read_bits_wide(offset, k)
-        else:
-            # pad with an incomplete literal token
-            window = stream.read_bits_wide(offset, avail) | (1 << avail)
-        return self.parse_window(window, limit)
+    def parse_window(self, window: int, limit: int) -> ParseInfo:
+        """Parse of the low `limit` bits of `window`, bit 0 first."""
+        low = (window & ((1 << limit) - 1)) | (1 << limit)
+        return self.parse_digits(f"{low:b}"[:0:-1])
 
     def _parse(self, window: int, limit: int) -> ParseInfo:
         values: list[int] = []

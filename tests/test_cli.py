@@ -234,6 +234,19 @@ def test_decode_corrupted_sparse_container(tmp_path, text_file, capsys):
     assert errors == ["error: adjacent zero-run tokens (bit offset 4)\n"] * 2
 
 
+def test_query_container_with_wide_literal(tmp_path, capsys):
+    # the literal 300 is a token of 18 bits, wider than a 16-bit window
+    arr = tmp_path / "arr.txt"
+    arr.write_text("0 300 0 1\n")
+    cont = tmp_path / "arr.ssb"
+    assert main(["encode", str(arr), "--out", str(cont)]) == 0
+    capsys.readouterr()
+    for argv, out in ((["--rank", "4"], "2\n"), (["--select", "2"], "3\n"),
+                      (["--rank", "2"], "1\n"), (["--select", "1"], "1\n")):
+        assert main(["query", str(cont)] + argv) == 0, argv
+        assert capsys.readouterr() == (out, "")
+
+
 def test_decode_huge_zero_run_fails_before_expanding(tmp_path, capsys):
     # a container declaring 10 symbols that holds one zero run of 2^40
     stream = sc.senc_from_list(1 << 40, []).stream

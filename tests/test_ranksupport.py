@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tausync.bitstream import BitStream
-from tausync.errors import InvalidArgument
+from tausync.errors import DecodeError, InvalidArgument
 from tausync import ranksupport as rs
 from tausync.reference import ranksupport as ref
 from tausync import sparsecodec as sc
@@ -162,9 +162,11 @@ def test_stored_piece_parses_match_fresh_parse(rng):
         table_n = rng.choice([16, 1 << 12, 1 << 16])
         d = rs.decompose(enc, table_n)
         tables = sc.parse_tables(table_n)
+        digits = enc.stream.to01()
         assert len(d.parses) == d.h
         for i, stored in enumerate(d.parses):
-            fresh = tables.parse_stream(enc.stream, d.e[i], d.e[i + 1] - d.e[i])
+            fresh = tables.parse_digits(
+                digits[d.e[i]:min(d.e[i + 1], d.e[i] + tables.window_bits)])
             if stored is None:
                 # a gamma-coded zero run: no window parse, no ones
                 assert fresh.b == 0 and d.r[i + 1] == d.r[i]
@@ -230,3 +232,177 @@ def test_decomposition_rank_select_match_bisection(members, table_n):
             with pytest.raises(InvalidArgument) as info:
                 query(j)
             assert str(info.value) == message
+
+
+# -- decompose against the window loop it replaced ---------------------------------
+
+def window_loop_decompose(enc, table_n):
+    """(p, e, r, parses) of `decompose` as a loop over the BitStream: each
+    window read with read_bits_wide (padded past the end with an
+    incomplete literal token) and parsed by its (window, limit), and a
+    token wider than the window read with get_bit and gamma_decode.  It
+    rejects a wide literal token."""
+    tables = sc.parse_tables(table_n)
+    stream = enc.stream
+    total = len(stream)
+    k = tables.window_bits
+    p, e, r = [0], [0], [0]
+    parses = []
+    pos = sym = ones = 0
+    after_zero_run = False
+    while pos < total:
+        avail = total - pos
+        if avail >= k:
+            window = stream.read_bits_wide(pos, k)
+        else:
+            window = stream.read_bits_wide(pos, avail) | (1 << avail)
+        info = tables._parse(window, min(k, avail))
+        if info.b > 0:
+            if after_zero_run and not info.values[0]:
+                raise DecodeError("adjacent zero-run tokens", pos)
+            after_zero_run = not info.values[-1]
+            pos += info.b
+            sym += info.a
+            ones += info.a_plus
+            parses.append(info)
+        else:
+            if stream.get_bit(pos):
+                raise DecodeError("literal token wider than the parse window",
+                                  pos)
+            x, used = sc.gamma_decode(stream, pos + 1)
+            if after_zero_run:
+                raise DecodeError("adjacent zero-run tokens", pos)
+            after_zero_run = True
+            pos += 1 + used
+            sym += x
+            parses.append(None)
+        p.append(sym)
+        e.append(pos)
+        r.append(ones)
+    if sym != enc.decoded_len:
+        raise DecodeError(
+            f"decomposition covers {sym} symbols, expected {enc.decoded_len}")
+    return p, e, r, parses
+
+
+def outcome(call, *args):
+    """call(*args), or the type, text and bit offset of the error it raised."""
+    try:
+        return "ok", call(*args)
+    except (DecodeError, InvalidArgument) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "bit_offset", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_sets(), st.sampled_from([16, 1 << 12, 1 << 16]))
+@example((0, []), 16)
+@example((70082, [3, 70050]), 16)
+@example((70082, [3, 70050]), 1 << 16)
+def test_decompose_matches_window_loop(members, table_n):
+    n, positions = members
+    enc = sc.senc_from_positions(n, positions)
+    d = rs.decompose(enc, table_n)
+    assert (d.p, d.e, d.r, d.parses) == window_loop_decompose(enc, table_n)
+
+
+def _tokens(*tokens):
+    return sc.tokens_to_stream(tokens).to01()
+
+
+# (stream digits, declared length, the error both decompositions raise)
+CORRUPT_STREAMS = [
+    pytest.param("110", 2,
+                 "gamma code starts past end of stream (bit offset 3)",
+                 id="indicator-last"),
+    pytest.param("11" + "0" * 20, 30,
+                 "gamma code has no terminating 1-bit (bit offset 3)",
+                 id="no-terminator"),
+    pytest.param(_tokens((False, 1024))[:15], 1024,
+                 "truncated gamma code (bit offset 1)", id="truncated"),
+    pytest.param(_tokens((True, 1), (False, 1024))[:-1], 1025,
+                 "truncated gamma code (bit offset 3)", id="truncated-last"),
+    # zero-run tokens that meet at a piece boundary
+    pytest.param(_tokens((False, 3), (False, 2), (True, 1)), 6,
+                 "adjacent zero-run tokens (bit offset 4)",
+                 id="adjacent-short-short"),
+    pytest.param(_tokens((False, 300), (False, 2), (True, 1)), 303,
+                 "adjacent zero-run tokens (bit offset 18)",
+                 id="adjacent-long-short"),
+    pytest.param(_tokens((True, 1), (False, 2), (False, 300)), 303,
+                 "adjacent zero-run tokens (bit offset 6)",
+                 id="adjacent-short-long"),
+    pytest.param(_tokens((False, 1), (True, 1)), 3,
+                 "decomposition covers 2 symbols, expected 3", id="length"),
+    pytest.param(_tokens((False, 70000), (True, 1)), 70000,
+                 "decomposition covers 70001 symbols, expected 70000",
+                 id="length-long-run"),
+]
+
+
+@pytest.mark.parametrize("table_n", [16, 1 << 12, 1 << 16])
+@pytest.mark.parametrize("digits, n, message", CORRUPT_STREAMS)
+def test_decompose_rejects_like_window_loop(digits, n, message, table_n):
+    enc = sc.SparseEncoding(BitStream.from01(digits), n)
+    got = outcome(rs.decompose, enc, table_n)
+    assert got == outcome(window_loop_decompose, enc, table_n)
+    assert got[:2] == ("DecodeError", message)
+
+
+@st.composite
+def token_containers(draw):
+    """A container of arbitrary tokens -- literals up to 2^20, zero runs up
+    to 10^5, adjacent zero runs allowed -- that may have bits flipped, be
+    cut short or declare a wrong length."""
+    tokens = draw(st.lists(st.one_of(
+        st.tuples(st.just(True), st.integers(1, 1 << 20)),
+        st.tuples(st.just(False), st.integers(1, 10 ** 5))), max_size=12))
+    digits = list(sc.tokens_to_stream(tokens).to01())
+    n = sum(x if not is_literal else 1 for is_literal, x in tokens)
+    corruption = draw(st.sampled_from(["none", "flip", "cut", "length"]))
+    if corruption == "flip" and digits:
+        for i in draw(st.lists(st.integers(0, len(digits) - 1),
+                               min_size=1, max_size=3)):
+            digits[i] = "1" if digits[i] == "0" else "0"
+    elif corruption == "cut":
+        digits = digits[:draw(st.integers(0, len(digits)))]
+    elif corruption == "length":
+        n = max(0, n + draw(st.sampled_from([-1, 1])))
+    return sc.SparseEncoding(BitStream.from01("".join(digits)), n)
+
+
+LENGTH_ERRORS = ("decoded length ", "decomposition covers ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_containers(), st.sampled_from([16, 1 << 12, 1 << 16]))
+@example(sc.SparseEncoding(sc.tokens_to_stream(
+    [(False, 1), (True, 300), (False, 1), (True, 1)]), 4), 1 << 16)
+def test_decompose_accepts_what_decode_accepts(enc, table_n):
+    decoded = outcome(sc.senc_decode, enc)
+    got = outcome(rs.decompose, enc, table_n)
+    if decoded[0] != "ok" or got[0] != "ok":
+        # both reject, and with the same error up to the wording of a
+        # length mismatch
+        assert decoded[0] == got[0] == "DecodeError"
+        if not (decoded[1].startswith(LENGTH_ERRORS[0])
+                and got[1].startswith(LENGTH_ERRORS[1])):
+            assert decoded == got
+        return
+    d, values = got[1], decoded[1]
+    n = enc.decoded_len
+    window = sc.parse_tables(table_n).window_bits
+    # each piece's parse is the piece's own values: a wide literal's too
+    for i, info in enumerate(d.parses):
+        piece = values[d.p[i]:d.p[i + 1]]
+        if info is None:
+            assert not any(piece) and d.e[i + 1] - d.e[i] > window
+        else:
+            assert info.b == d.e[i + 1] - d.e[i]
+            assert info.values == tuple(piece)
+            assert d.r[i + 1] - d.r[i] == info.a_plus
+    nonzero = [i for i, v in enumerate(values) if v]
+    queries = {0, n, n // 2} | {i + di for i in nonzero for di in (0, 1)}
+    for j in sorted(queries):
+        assert d.rank(j) == bisect_left(nonzero, j)
+    for j, pos in enumerate(nonzero, start=1):
+        assert d.select(j) == pos

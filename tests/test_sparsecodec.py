@@ -164,7 +164,7 @@ def test_list_codec_rejects_bad_input():
 
 
 def test_prefix_parse_example():
-    info = sc.parse_tables().parse_stream(BitStream.from01("10110010"), 0, 8)
+    info = sc.parse_tables().parse_digits("10110010")
     assert info.b == 8 and info.a == 3 and info.a_plus == 1
     assert info.values == (3, 0, 0)
     assert info.literal_starts == (0,)
@@ -172,8 +172,7 @@ def test_prefix_parse_example():
 
 def test_prefix_parse_long_zero_run_gives_zero():
     enc = sc.senc_encode([0] * (10 ** 6))
-    info = sc.parse_tables().parse_stream(
-        BitStream.from01(enc.stream.to01()[:17]), 0, 8)
+    info = sc.parse_tables().parse_digits(enc.stream.to01()[:8])
     assert info.b == 0
 
 
@@ -184,7 +183,7 @@ def test_prefix_parse_maximal(rng):
         vals = [rng.choice([0, 0, rng.randint(1, 6)]) for _ in range(rng.randint(0, 12))]
         enc = sc.senc_encode(vals)
         limit = rng.randint(0, k)
-        info = tables.parse_stream(enc.stream, 0, limit)
+        info = tables.parse_digits(enc.stream.to01()[:limit])
         # independent scan over all prefix lengths
         best = 0
         top = min(limit, len(enc.stream))
@@ -207,7 +206,7 @@ def test_prefix_parse_rank_select_fields(rng):
         vals = [rng.choice([0, 1, 0, 3]) for _ in range(rng.randint(1, 10))]
         enc = sc.senc_encode(vals)
         tables = sc.parse_tables(1 << 16)
-        info = tables.parse_stream(enc.stream, 0, tables.window_bits)
+        info = tables.parse_digits(enc.stream.to01()[:tables.window_bits])
         if info.b != len(enc.stream):
             continue
         ones = [i for i, v in enumerate(vals) if v]
@@ -215,6 +214,26 @@ def test_prefix_parse_rank_select_fields(rng):
             assert info.rank(j) == sum(1 for i in ones if i < j)
         for j in range(1, info.a_plus + 1):
             assert info.select(j) == ones[j - 1]
+
+
+def test_parse_window_shares_the_digit_memo(rng):
+    """parse_window reads only the low `limit` bits of its window and
+    returns the parse_digits entry of their digit string, so the memo of
+    4-bit windows holds one entry per string of at most 4 digits."""
+    tables = sc.ParseTables(16)
+    k = tables.window_bits
+    for limit in range(k + 1):
+        for low in range(1 << limit):
+            digits = f"{low:0{limit}b}"[::-1] if limit else ""
+            info = tables.parse_digits(digits)
+            assert info == tables._parse(low, limit)
+            for _ in range(4):
+                high = rng.getrandbits(8) << limit
+                assert tables.parse_window(low | high, limit) is info
+    assert len(tables._memo) == (1 << (k + 1)) - 1
+    with pytest.raises(InvalidArgument):
+        tables.parse_digits("0" * (k + 1))
+    assert len(tables._memo) == (1 << (k + 1)) - 1
 
 
 def test_sentinel_int_roundtrip(rng):
