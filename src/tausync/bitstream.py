@@ -14,7 +14,8 @@ threads.
 from __future__ import annotations
 
 import struct
-from itertools import pairwise
+from itertools import chain, pairwise
+from operator import sub
 from typing import Sequence
 
 from .errors import DecodeError, InvalidArgument
@@ -79,10 +80,14 @@ class BitStream:
         Positions must be strictly increasing and lie in [0..n).  Linear in
         n: the mask is spelled as a digit string and converted once.
         """
-        if positions and not (positions[0] >= 0 and positions[-1] < n):
-            raise InvalidArgument(f"positions outside [0..{n})")
-        if any(a >= b for a, b in pairwise(positions)):
-            raise InvalidArgument("positions must be strictly increasing")
+        # valid iff every distance, from -1 to the first position, between
+        # neighbours and from the last to n, is positive
+        if positions and min(map(sub, chain(positions, (n,)),
+                                 chain((-1,), positions))) < 1:
+            if not (positions[0] >= 0 and positions[-1] < n):
+                raise InvalidArgument(f"positions outside [0..{n})")
+            if any(a >= b for a, b in pairwise(positions)):
+                raise InvalidArgument("positions must be strictly increasing")
         digits = bytearray(b"0") * n
         for i in positions:
             digits[i] = ord("1")

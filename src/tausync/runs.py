@@ -3,7 +3,9 @@
 
 A run is a maximal periodic fragment: extending it one symbol in either
 direction would increase its smallest period.  RUNS_{l,p} keeps the runs
-of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.
+of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.  Short
+period bounds find them by XOR-ing the text, read as one int, with its
+own shifts; longer ones extend periodic probes with `run_extend`.
 """
 
 from __future__ import annotations
@@ -103,10 +105,11 @@ def _extend_left(s: str, b: int, p: int) -> int:
 def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     """RUNS_{ell,p}(T): each qualifying run once, sorted by start and end.
 
-    At p = 1 the runs are the maximal stretches of one symbol, found by
-    one regular-expression scan of the text.  Otherwise probes fragments
-    of length 2p spaced ell + 1 - 2p apart; every qualifying run contains
-    at least one probe.
+    Up to p = SHORT_PERIOD_MAX[lane], a lane being one byte per symbol
+    up to 256 distinct symbols and four bytes past, the text is compared
+    with its shifts by 1..p in int arithmetic (_short_period_runs).
+    Larger p probe fragments of length 2p spaced ell + 1 - 2p apart;
+    every qualifying run contains at least one probe.
     """
     if ell < 2 * p:
         raise InvalidArgument("enumerate_runs requires ell >= 2p")
@@ -116,12 +119,11 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     if n < 2 * p:
         return []
     s = t._padded
-    if p == 1:
-        # a greedy match from the leftmost position of a stretch takes the
-        # whole stretch, so the matches are the maximal ones of length >= ell
-        return [Run(m.start(), m.end(), 1)
-                for m in re.finditer(r"(.)\1{%d,}" % (ell - 1), s[n:2 * n],
-                                     re.DOTALL)]
+    # the sentinel's code point is the alphabet size: past 256, some rank
+    # needs more than one byte
+    lane = 4 if s[0] > "\u0100" else 1
+    if p <= SHORT_PERIOD_MAX[lane]:
+        return _short_period_runs(s[n:2 * n], lane, ell, p)
     delta = ell + 1 - 2 * p
     # a probe whose first half does not recur in it is aperiodic, and
     # run_extend would return None: only periodic probes are extended
@@ -140,6 +142,44 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
         if run is not None:
             prev = run
     return out
+
+
+#: Largest p that enumerate_runs hands to _short_period_runs, by lane
+#: width in bytes: about where the two paths cross at n = 2^16.
+SHORT_PERIOD_MAX = {1: 12, 4: 5}
+
+_NONZERO = re.compile(rb"[^\x00]")
+
+
+def _short_period_runs(text: str, lane: int, ell: int, p: int) -> list[Run]:
+    """RUNS_{ell,p} of `text` (ell >= 2p, len(text) >= 2p) by shifts.
+
+    With the text read as one int X of `lane` bytes per symbol, lane i of
+    X ^ (X >> q lanes) is 0 iff T[i] = T[i + q], for i < n - q (above, the
+    shift fills with zeros, which rank 0 matches).  A maximal zero
+    stretch [b, e) of length >= ell - q is the run [b, e + q) of period q.
+    As ell >= 2p >= q + q', Fine and Wilf put a run of smallest period q'
+    first at q = q', then, with the same bounds, only at multiples of q'.
+    """
+    n = len(text)
+    codec = "latin-1" if lane == 1 else "utf-32-le"
+    x = int.from_bytes(text.encode(codec, "surrogatepass"), "little")
+    found: dict[tuple[int, int], int] = {}
+    for q in range(1, p + 1):
+        z = x ^ (x >> 8 * lane * q)
+        if lane == 4:   # fold each lane into its low byte
+            z |= z >> 16
+            z |= z >> 8
+        diff = z.to_bytes(lane * n, "little")[::lane]
+        stop = n - q
+        zeros = bytes(ell - q)
+        b = diff.find(zeros, 0, stop)
+        while b >= 0:
+            m = _NONZERO.search(diff, b + ell - q, stop)
+            e = m.start() if m else stop
+            found.setdefault((b, e + q), q)
+            b = diff.find(zeros, e, stop)
+    return [Run(b, e, q) for (b, e), q in sorted(found.items())]
 
 
 def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:

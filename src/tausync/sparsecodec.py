@@ -31,6 +31,7 @@ from the stream's digits and `parse_window` forms from an int.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import sub
 from typing import Iterable, Sequence
@@ -397,15 +398,15 @@ class ParseTables:
                          tuple(literal_starts), tuple(ranks), tuple(selects))
 
 
-_default_tables: dict[int, ParseTables] = {}
+@lru_cache(maxsize=4)
+def _shared_tables(table_n: int) -> ParseTables:
+    return ParseTables(table_n)
 
 
 def parse_tables(table_n: int = DEFAULT_TABLE_N) -> ParseTables:
-    tables = _default_tables.get(table_n)
-    if tables is None:
-        tables = ParseTables(table_n)
-        _default_tables[table_n] = tables
-    return tables
+    """The ParseTables that callers of `table_n` share, kept for the four
+    table parameters most recently asked for."""
+    return _shared_tables(table_n)
 
 
 # -- integer view of encodings (used for zipped symbols) ---------------------

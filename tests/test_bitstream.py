@@ -99,3 +99,17 @@ def test_positions_roundtrip_word_edges(rng):
 def test_positions_rejected(n, positions):
     with pytest.raises(InvalidArgument):
         BitStream.from_positions(n, positions)
+
+
+@pytest.mark.parametrize("n, positions, text", [
+    (4, [4], "positions outside [0..4)"),
+    (8, [-1, 3], "positions outside [0..8)"),
+    (8, [5, 3, 9], "positions outside [0..8)"),    # the range is checked first
+    (8, [1, 9, 2], "positions must be strictly increasing"),   # ends in range
+    (8, [2, 2], "positions must be strictly increasing"),
+    (8, [0, 5, 4, 7], "positions must be strictly increasing"),
+])
+def test_positions_rejection_texts(n, positions, text):
+    with pytest.raises(InvalidArgument) as err:
+        BitStream.from_positions(n, positions)
+    assert str(err.value) == text

@@ -158,6 +158,9 @@ def test_enumerate_runs_uniform_text():
 
 
 def test_enumerate_runs_extends_each_run_once(monkeypatch):
+    # a period bound above the shift path's reaches the probes, spaced
+    # one symbol apart at ell = 2p: all but the first fall inside its run
+    p = rn.SHORT_PERIOD_MAX[1] + 1
     t = PackedText([0, 1] * 4096, 2)
     calls = []
     real = rn.run_extend
@@ -167,7 +170,7 @@ def test_enumerate_runs_extends_each_run_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rn, "run_extend", counting)
-    assert rn.enumerate_runs(t, 16, 2) == [rn.Run(0, 8192, 2)]
+    assert rn.enumerate_runs(t, 2 * p, p) == [rn.Run(0, 8192, 2)]
     assert len(calls) <= 2
 
 
@@ -194,28 +197,73 @@ def test_enumerate_matches_brute(rng):
 
 
 @st.composite
-def period_one_texts(draw):
-    """(symbols, sigma): random, run-length and all-equal texts over sigma in
-    {1, 2, 4, 256}; at sigma = 256 the code points pass the newline's."""
+def short_period_texts(draw):
+    """(symbols, sigma): random, run-length and periodic texts over sigma in
+    {1, 2, 4, 256}, where at sigma = 256 the code points pass the
+    newline's, and texts of all 300 symbols of sigma = 300 (four-byte
+    lanes) with planted periodic stretches."""
+    kind = draw(st.sampled_from(["random", "rle", "periodic", "wide"]))
+    if kind == "wide":
+        syms = list(draw(st.permutations(range(300))))
+        word = st.lists(st.integers(0, 299), min_size=1, max_size=7)
+        for base, length, at in draw(st.lists(
+                st.tuples(word, st.integers(1, 40), st.integers(0, 300)),
+                max_size=4)):
+            syms[at:at] = (base * length)[:length]
+        return syms, 300
     sigma = draw(st.sampled_from([1, 2, 4, 256]))
     symbol = st.integers(0, sigma - 1)
-    kind = draw(st.sampled_from(["random", "rle", "equal"]))
     if kind == "random":
         return draw(st.lists(symbol, max_size=200)), sigma
-    if kind == "equal":
-        return [draw(symbol)] * draw(st.integers(0, 200)), sigma
+    if kind == "periodic":
+        base = draw(st.lists(symbol, min_size=1, max_size=8))
+        n = draw(st.integers(0, 200))
+        syms = (base * (n // len(base) + 1))[:n]
+        for at in draw(st.lists(st.integers(0, max(0, n - 1)), max_size=2)):
+            if at < n:
+                syms[at] = draw(symbol)
+        return syms, sigma
     pieces = draw(st.lists(st.tuples(symbol, st.integers(1, 12)), max_size=30))
     return [c for c, length in pieces for _ in range(length)], sigma
 
 
-@settings(max_examples=300, deadline=None)
-@given(period_one_texts(), st.integers(2, 9))
-@example((list(range(10)) + [10] * 5 + [11], 12), 3)   # a run of code point 10
-def test_enumerate_period_one_matches_brute(text, ell):
+# p runs past the shift path's limit for either lane width
+@settings(max_examples=400, deadline=None)
+@given(short_period_texts(), st.integers(1, rn.SHORT_PERIOD_MAX[1] + 2),
+       st.integers(0, 20))
+@example((list(range(10)) + [10] * 5 + [11], 12), 1, 1)   # a run of code point 10
+@example((list(range(257)) + [256, 255] * 4, 257), 2, 0)  # the first wide text
+def test_enumerate_short_periods_match_brute(text, p, extra):
     syms, sigma = text
+    ell = 2 * p + extra
     t = PackedText(syms, sigma)
-    got = [(r.start, r.end, r.period) for r in rn.enumerate_runs(t, ell, 1)]
-    assert got == brute_runs(syms, ell, 1)
+    got = [(r.start, r.end, r.period) for r in rn.enumerate_runs(t, ell, p)]
+    assert got == brute_runs(syms, ell, p)
+
+
+def test_enumerate_runs_paths_agree_on_surrogate_ranks(monkeypatch):
+    # every rank in 0..0xE063 occurs, so the four-byte lanes encode the
+    # UTF-16 surrogate code points 0xD800..0xDFFF; the planted words differ
+    # only above their low byte, which the lane fold must still see
+    syms = list(range(0xE064))
+    two = [0xD800, 0xD900] * 20
+    three = [0xDC00, 0xDFFF, 0xDB00] * 10 + [0xDC00]
+    syms[50000:50000] = three
+    syms[1000:1000] = two
+    at3 = 50000 + len(two)
+    runs = {2: [(1000, 1040, 2)], 3: [(1000, 1040, 2), (at3, at3 + 31, 3)]}
+    runs[5] = runs[3]
+    t = PackedText(syms, len(syms))
+    for p, expect in runs.items():
+        with monkeypatch.context() as m:
+            m.setattr(rn, "SHORT_PERIOD_MAX", {1: p, 4: p})
+            m.setattr(rn, "run_extend", None)   # the shift path extends nothing
+            shifts = rn.enumerate_runs(t, 2 * p, p)
+        with monkeypatch.context() as m:
+            m.setattr(rn, "SHORT_PERIOD_MAX", {1: 0, 4: 0})
+            probes = rn.enumerate_runs(t, 2 * p, p)
+        assert shifts == probes
+        assert [(r.start, r.end, r.period) for r in shifts] == expect
 
 
 def test_overlap_fact_on_all_runs(rng):

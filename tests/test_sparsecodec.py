@@ -422,3 +422,13 @@ def test_reader_matches_reference_on_corruptions(rng):
                     "gamma code has no terminating 1-bit",
                     "truncated gamma code", "token overruns encoding",
                     "adjacent zero-run tokens", "negative bit index"}
+
+
+def test_parse_tables_cache_is_bounded():
+    limit = sc._shared_tables.cache_info().maxsize
+    asked = [sc.parse_tables(16 + k) for k in range(limit + 3)]
+    assert sc._shared_tables.cache_info().currsize == limit
+    assert sc.parse_tables(16 + limit + 2) is asked[-1]   # still shared
+    assert sc.parse_tables(16) is not asked[0]            # dropped, rebuilt
+    assert sc.parse_tables(16).table_n == 16
+    assert sc.parse_tables() is sc.parse_tables(sc.DEFAULT_TABLE_N)

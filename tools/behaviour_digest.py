@@ -14,7 +14,8 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * every recompression chain (`sync_index.recomp.chain.levels`) and the
   `level_bitmask` of every level;
 * `runs_bitmask` of every corpus text at (ell, p) pairs that reach each
-  of its branches: the run enumeration (narrow and wide windows) and the
+  of its branches: the run enumeration (narrow and wide windows, short
+  period bounds by shifts and longer ones by probes) and the
   definitional fill for ell < 2p;
 * the output bytes and exit codes of the CLI `sync` (list, bitmask,
   sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
@@ -25,9 +26,10 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * exit code and stderr of `decode` on fixed corruptions of each of those
   containers (flipped, zeroed and truncated payloads, a wrong declared
   length);
-* the library and CLI items above for two wide-alphabet texts: raw
-  bytes with all 256 values read without `--sigma`, and a `--decimal`
-  text with symbols at and above 2^21;
+* the library and CLI items above for three wide-alphabet texts: raw
+  bytes with all 256 values read without `--sigma`, a `--decimal` text
+  with symbols at and above 2^21, and a `--decimal` text of 300
+  distinct symbols with planted short-period stretches;
 * the library and runs items, at fixed taus, of one text of long runs of
   periods 2 and 3 (each at least 4096 symbols) between random stretches.
 
@@ -79,9 +81,11 @@ def corpus(rng: random.Random):
 
 
 def wide_texts(rng: random.Random):
-    """(name, symbols, sigma, CLI input options) of two wide-alphabet texts:
-    raw bytes with every byte value present, read without --sigma, and a
-    --decimal text with symbols at and above 2^21."""
+    """(name, symbols, sigma, CLI input options) of three wide-alphabet
+    texts: raw bytes with every byte value present, read without --sigma;
+    a --decimal text with symbols at and above 2^21; and a --decimal text
+    of more than 256 distinct symbols (four bytes per symbol in the run
+    enumeration) with planted stretches of periods 1..6."""
     raw = list(range(256)) + [rng.randrange(256) for _ in range(344)]
     rng.shuffle(raw)
     values = [5, (1 << 21) - 1, 1 << 21, 3 << 21, 10 ** 9]
@@ -89,8 +93,16 @@ def wide_texts(rng: random.Random):
     while len(dec) < 400:
         dec.extend([rng.choice(values)] * rng.randint(1, 6))
     dec = dec[:400]
+    spread = list(range(300))
+    rng.shuffle(spread)
+    planted = spread[:20]
+    for k, period in enumerate((1, 2, 3, 4, 5, 6, 2, 1)):
+        word = [rng.randrange(300) for _ in range(period)]
+        length = rng.randint(3 * period, 40)
+        planted += (word * length)[:length] + spread[20 + 35 * k:55 + 35 * k]
     return [("w256", raw, 256, []),
-            ("wdec", dec, max(dec) + 1, ["--decimal"])]
+            ("wdec", dec, max(dec) + 1, ["--decimal"]),
+            ("w300", planted, 300, ["--decimal"])]
 
 
 def long_runs_text(rng: random.Random) -> list[int]:
@@ -108,9 +120,11 @@ LONG_RUNS_TAUS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 32, 64, 256, 1024, 2048,
                   4096)
 
 
-# (ell, p): the run enumeration at narrow and wide windows, and ell < 2p
-# (the definitional fill)
-RUNS_PARAMS = ((2, 1), (3, 1), (8, 2), (16, 5), (5, 3), (7, 4))
+# (ell, p): the run enumeration at narrow and wide windows, by shifts and
+# (p = 6 over more than 256 symbols, p = 13 over any) by probes, and
+# ell < 2p (the definitional fill)
+RUNS_PARAMS = ((2, 1), (3, 1), (8, 2), (16, 5), (12, 6), (30, 13), (5, 3),
+               (7, 4))
 
 
 def mask_digest(mask) -> str:
