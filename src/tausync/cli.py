@@ -104,7 +104,9 @@ def _write_container(path, stream: BitStream, decoded_len: int):
 def cmd_sync(args) -> int:
     t = _packed(args)
     _check_tau(t, args.tau)
-    members = ss.build_sync_explicit(ss.SyncIndex(t), args.tau)
+    index = ss.SyncIndex(t)
+    if args.verify or args.format != "bitmask":
+        members = ss.build_sync_explicit(index, args.tau)
     if args.verify:
         report = verify_sync(t.text(), args.tau, members, TextIndex(t.text()))
         if not report.ok:
@@ -114,7 +116,7 @@ def cmd_sync(args) -> int:
     if args.format == "list":
         _write_lines(args.out, members)
     elif args.format == "bitmask":
-        _write_container(args.out, BitStream.from_positions(t.n, members), t.n)
+        _write_container(args.out, ss.build_sync_bitmask(index, args.tau), t.n)
     else:
         enc = sc.senc_from_positions(t.n, members)
         _write_container(args.out, enc.stream, enc.decoded_len)

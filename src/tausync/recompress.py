@@ -2,19 +2,28 @@
 
 Even rounds merge runs of identical short phrases; odd rounds merge
 adjacent short-phrase pairs across an approximate maximum directed cut.
-`RecompressionIndex` builds the chain on the linear path, which runs
-every round on a plain sorted boundary list and compares phrases by
-content, as slices of the text's code-point string.
+Each round takes a sorted boundary list, compares phrases by content, as
+slices of the text's code-point string, and names the boundaries it drops.
+`RecompressionIndex` stores the chain as one depth byte per boundary f,
+the number of levels that contain f, so B_k = {f : depth[f] > k} and one
+`bytes.translate` gives any level's digit string.
 
 The cut approximation orders its nodes by the canonical (length,
 content) key, which pins down the whole chain.  The paper's packed
-construction of the same chain is kept in :mod:`tausync.reference.chain`.
+construction of the same chain, and the unskipped round driver, are kept
+in :mod:`tausync.reference.chain`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from bisect import bisect_left
+from collections import Counter, deque
 from functools import lru_cache
+from itertools import (accumulate, chain, compress, filterfalse, islice,
+                       pairwise, repeat)
+from operator import ne, sub
+from typing import NamedTuple
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
@@ -96,24 +105,25 @@ def max_dicut(nodes: list, edges: dict) -> tuple[set, set]:
 # -- explicit rounds ----------------------------------------------------------
 #
 # A round maps the sorted interior boundaries f_1 < ... < f_m of B_k to
-# those of B_{k+1}; phrase i spans [f_i..f_{i+1}) with f_0 = 0 and
-# f_{m+1} = n.  Phrases are compared by content, as slices of the text.
+# those of B_{k+1} by naming the ones it drops; phrase i spans
+# [f_i..f_{i+1}) with f_0 = 0 and f_{m+1} = n.  Phrases are compared by
+# content, as slices of the text.
 
 def round_even(t: PackedText, bounds: list[int], k: int) -> list[int]:
-    """Even round: drop f_i iff both neighbor phrases are short and equal."""
+    """Even round: the dropped f_i, those between two equal short phrases."""
     if k % 2:
         raise InvalidArgument("round_even requires even k")
     lim = lambda_floor(k)
     s, n = t._padded, t.n
-    # s holds T[i] at s[i + n]; keeping the input's own int objects lets
-    # all levels of the chain share them
-    return [f for a, f, b in zip([0] + bounds, bounds, bounds[1:] + [n])
-            if f - a > lim or b - f != f - a
-            or s[a + n:f + n] != s[f + n:b + n]]
+    # s holds T[i] at s[i + n]; the neighbors are iterated, not copied
+    return [f for a, f, b in zip(chain((0,), bounds), bounds,
+                                 chain(islice(bounds, 1, None), (n,)))
+            if f - a <= lim and b - f == f - a
+            and s[a + n:f + n] == s[f + n:b + n]]
 
 
 def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
-    """Odd round: drop f_i iff left phrase lands in L and right in R.
+    """Odd round: the dropped f_i, left phrase in L and right phrase in R.
 
     Cut nodes are the distinct short phrases, keyed by their slice of the
     text and ordered by (length, content).
@@ -123,59 +133,116 @@ def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
     lim = lambda_floor(k)
     s, n = t._padded, t.n
     keys = [s[a + n:b + n] if b - a <= lim else None
-            for a, b in zip([0] + bounds, bounds + [n])]
-    edges = {e: w for e, w in Counter(zip(keys, keys[1:])).items()
+            for a, b in zip(chain((0,), bounds), chain(bounds, (n,)))]
+    edges = {e: w for e, w in Counter(pairwise(keys)).items()
              if None not in e}
     L, R = max_dicut(sorted({u for e in edges for u in e},
                             key=lambda u: (len(u), u)), edges)
-    return [f for f, u, v in zip(bounds, keys, keys[1:])
-            if not (u in L and v in R)]
+    return [f for f, u, v in zip(bounds, keys, islice(keys, 1, None))
+            if u in L and v in R]
 
 
-class ChainHandle:
-    """The full chain B_0 >= B_1 >= ... >= B_q = empty in explicit form."""
-
-    def __init__(self, levels: list[list[int]], n: int):
-        self.levels = levels          # levels[k] = sorted boundary list
-        self.n = n
-        self.q = len(levels) - 1      # first empty level
-
-    def boundaries(self, k: int) -> list[int]:
-        if k < 0:
-            raise InvalidArgument("level must be non-negative")
-        if k >= len(self.levels):
-            return []
-        return self.levels[k]
-
-
-def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:
-    """B_k (given as `bounds`), B_{k+1}, ... up to the first empty level."""
-    levels = [bounds]
-    while bounds:
-        bounds = (round_odd if k % 2 else round_even)(t, bounds, k)
-        k += 1
-        levels.append(bounds)
-    return levels
+class ChainHandle(NamedTuple):
+    """The chain B_0 >= B_1 >= ... >= B_q = empty, one sorted list per level."""
+    levels: list[list[int]]
 
 
 def build_chain_linear(t: PackedText) -> ChainHandle:
-    """Run all rounds explicitly until the boundary set empties."""
-    return ChainHandle(_rounds_from(t, list(range(1, t.n)), 0), t.n)
+    """The chain in list form, read from a RecompressionIndex."""
+    return RecompressionIndex(t).chain
 
 
-# -- public level reporting ----------------------------------------------------
+# -- the chain as one depth byte per boundary ---------------------------------
+
+#: Depths above this are stored as it in `depth`, and exactly in `deep`.
+DEPTH_CAP = 255
+
+
+def _gaps(bounds: list[int]) -> bytes | array:
+    """f_1 - 0, f_2 - f_1, ...: one byte each unless some gap is wider."""
+    gaps = list(map(sub, bounds, chain((0,), bounds)))
+    try:
+        return bytes(gaps)
+    except ValueError:
+        return array("I", gaps)   # n < 2^32: 3n code points fill the memory
+
 
 class RecompressionIndex:
-    """Preprocessed access to every level, in list or bitmask form."""
+    """The chain as depths, B_k = {f : depth[f] > k}, and the even levels
+    from 2 up, which tau queries read as lists, as gap strings."""
 
     def __init__(self, t: PackedText):
         self.t = t
-        self.chain = build_chain_linear(t)
+        n = t.n
+        self.cap = DEPTH_CAP
+        self.depth = bytearray(n)        # min(levels containing f, cap)
+        self.deep: dict[int, int] = {}   # f -> its depth, when above cap
+        self.gaps: dict[int, bytes | array] = {}
+        # round 0 compares single symbols: it drops f iff T[f - 1] = T[f]
+        self.depth[1:] = b"\x01" * (n - 1)
+        text = t._padded[n:2 * n]
+        bounds = list(compress(range(1, n), map(ne, text, text[1:])))
+        # quiet: the last even round dropped nothing
+        k, quiet = 1, len(bounds) == n - 1
+        while bounds:
+            if k % 2 == 0:
+                self.gaps[k] = _gaps(bounds)
+            dropped = (round_odd if k % 2 else round_even)(t, bounds, k)
+            k += 1
+            if dropped:   # each boundary is recorded once, when it drops
+                if k > self.cap:
+                    self.deep.update(dict.fromkeys(dropped, k))
+                deque(map(self.depth.__setitem__, dropped,
+                          repeat(min(k, self.cap))), 0)
+                bounds = list(filterfalse(set(dropped).__contains__, bounds))
+            elif k % 2 == 0 and quiet:
+                # rounds k-2 and k-1 dropped nothing, and a round depends only
+                # on (boundaries, floor(lambda), parity): skip to its growth
+                while lambda_floor(k) == lambda_floor(k - 2):
+                    self.gaps[k] = _gaps(bounds)
+                    k += 2
+            quiet = k % 2 == 1 and not dropped
+        self.q = max(self.deep.values(), default=max(self.depth, default=0))
 
-    def level_list(self, k: int) -> list[int]:
+    @property
+    def chain(self) -> ChainHandle:
+        """The chain in list form, rebuilt from the depths on each access."""
+        return ChainHandle([self._level(k, 0, self.t.n)
+                            for k in range(self.q + 1)])
+
+    def _digits(self, k: int, lo: int, hi: int, one: int = 1) -> bytearray:
+        """depth[lo:hi] as bytes: `one` where f is in B_k, one - 1 elsewhere."""
+        if k < 0:
+            raise InvalidArgument("level must be non-negative")
+        if k < self.cap:
+            return self.depth[lo:hi].translate(
+                bytes([one - 1]) * (k + 1) + bytes([one]) * (255 - k))
+        out = bytearray([one - 1]) * (hi - lo)
+        for f, d in self.deep.items():
+            if d > k and lo <= f < hi:
+                out[f - lo] = one
+        return out
+
+    def _level(self, k: int, lo: int, hi: int) -> list[int]:
+        gaps = self.gaps.get(k)
+        if gaps is None:
+            return list(compress(range(hi - lo), self._digits(k, lo, hi)))
+        out = list(accumulate(gaps, initial=-lo))   # [-lo, f_1 - lo, ...]
+        return out[bisect_left(out, 0, 1):bisect_left(out, hi - lo, 1)]
+
+    def level_list(self, k: int, lo: int = 0,
+                   hi: int | None = None) -> list[int]:
+        """B_k's boundaries in [lo..hi) (default [0..n)), minus lo, sorted."""
         if lambda_exceeds_4n(k, self.t.n):
             return []
-        return self.chain.boundaries(k)
+        return self._level(k, lo, self.t.n if hi is None else hi)
+
+    def level_digits(self, k: int, lo: int, hi: int) -> bytearray:
+        """The mask of level_list(k, lo, hi) as '0'/'1' digits, one per f."""
+        if lambda_exceeds_4n(k, self.t.n):
+            return bytearray(b"0") * (hi - lo)
+        return self._digits(k, lo, hi, ord("1"))
 
     def level_bitmask(self, k: int) -> BitStream:
-        return BitStream.from_positions(self.t.n, self.level_list(k))
+        digits = self.level_digits(k, 0, self.t.n)
+        return BitStream.from_int(int(digits[::-1] or b"0", 2), self.t.n)

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from ..bitstream import BitStream
 from ..errors import InvalidArgument
-from ..recompress import (ChainHandle, _rounds_from, alpha, build_chain_linear,
-                          lambda_floor, max_dicut)
+from ..recompress import (ChainHandle, alpha, build_chain_linear,
+                          lambda_floor, max_dicut, round_even, round_odd)
 from ..text import PackedText
 
 DEFAULT_FALLBACK_THRESHOLD = 256
@@ -183,6 +183,22 @@ def build_context_sets(t: PackedText,
     return ContextSets(t, K)
 
 
+def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:
+    """B_k (given as `bounds`), B_{k+1}, ... up to the first empty level.
+
+    Runs every round, with no skipping, and removes each round's dropped
+    boundaries by membership: the reference for the depths that
+    `RecompressionIndex` records.
+    """
+    levels = [bounds]
+    while bounds:
+        dropped = set((round_odd if k % 2 else round_even)(t, bounds, k))
+        bounds = [f for f in bounds if f not in dropped]
+        k += 1
+        levels.append(bounds)
+    return levels
+
+
 def build_chain_packed(t: PackedText,
                        threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ChainHandle:
     """The chain by the packed rounds, equal to build_chain_linear(t).
@@ -208,7 +224,7 @@ def build_chain_packed(t: PackedText,
         # trim to the first empty level
         while len(levels) > 1 and not levels[-2]:
             levels.pop()
-    return ChainHandle(levels, t.n)
+    return ChainHandle(levels)
 
 
 # -- bitmask reporting ---------------------------------------------------------

@@ -354,7 +354,7 @@ def sync_sparse_transducer(sync_index: SyncIndex, run_tables: RunTables,
     k = k_of_tau(tau)
     # B_k shifted left by tau: the sync transducer only tests > 0
     b_hat = sc.senc_from_positions(
-        n, [f - tau for f in sync_index.recomp.chain.boundaries(k) if f >= tau])
+        n, [f - tau for f in sync_index.recomp.level_list(k) if f >= tau])
     s1, e1 = run_tables.markers(tau, tau)
     s2, e2 = run_tables.markers(tau, 2 * tau)
     s1_hat = shift_truncate(s1, 1, table_n)

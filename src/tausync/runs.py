@@ -18,7 +18,7 @@ from .errors import InvalidArgument
 from .text import PackedText
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(order=True, slots=True)
 class Run:
     """Maximal periodic fragment T[start..end) with smallest period."""
 

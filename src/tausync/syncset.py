@@ -12,12 +12,15 @@ steps over sorted lists, with nothing cached between queries:
 * one enumeration of the tau-runs RUNS_{tau, tau//3}; the highly
   periodic windows are exactly those inside its runs of length
   >= 2*tau (RUNS_{2*tau, tau//3} is that subset);
-* the boundary candidates are one slice of the sorted B_k, found by two
-  bisects, and the few new run candidates are merged into it;
+* the boundary candidates are B_k in [tau..n-tau], shifted by tau, read
+  from the chain in one bulk step, and the few new run candidates are
+  merged into them;
 * each run of length >= 2*tau drops one contiguous block of candidates,
   found by two bisects; with no such run the candidate list is the set.
 
-The bitmask form is the mask of that list.
+`build_sync_bitmask` builds the same set as a mask without listing it:
+B_k's digit string over [tau..n-tau], run candidates set and long runs'
+blocks cleared by slice assignment, then one int().
 """
 
 from __future__ import annotations
@@ -60,23 +63,26 @@ def _check_tau(t: PackedText, tau: int) -> None:
 def sync_candidates(index: SyncIndex, tau: int, runs: list[Run]) -> list[int]:
     """Sorted, deduplicated candidate positions before the period filter.
 
-    `runs` is RUNS_{tau, tau//3}.  B_k is sorted, so its candidates are
-    one slice; the few run candidates not already in it are merged in.
+    `runs` is RUNS_{tau, tau//3}.  The boundary candidates are B_k in
+    [tau..n-tau], shifted by tau; the few run candidates not already in
+    it are merged in.
     """
     n = index.t.n
     hi = n - 2 * tau
-    bounds = index.recomp.level_list(k_of_tau(tau))
-    cands = [f - tau for f in
-             bounds[bisect_left(bounds, tau):bisect_right(bounds, n - tau)]]
+    cands = index.recomp.level_list(k_of_tau(tau), tau, n - tau + 1)
     if runs:
-        extra = {i for r in runs for i in (r.start - 1, r.end - 2 * tau + 1)
-                 if 0 <= i <= hi}
-        new = sorted(i for i in extra if not _contains(cands, i))
+        new = sorted(i for i in _run_candidates(runs, tau, hi)
+                     if not _contains(cands, i))
         if new:
             # two sorted runs: the sort is one merge
             cands += new
             cands.sort()
     return cands
+
+
+def _run_candidates(runs: list[Run], tau: int, hi: int) -> set[int]:
+    return {i for r in runs for i in (r.start - 1, r.end - 2 * tau + 1)
+            if 0 <= i <= hi}
 
 
 def _contains(xs: list[int], x: int) -> bool:
@@ -97,8 +103,7 @@ def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
     _check_tau(t, tau)
     runs = enumerate_runs(t, tau, tau // 3)
     cands = sync_candidates(index, tau, runs)
-    blocks = [(r.start, r.end - 2 * tau) for r in runs
-              if r.end - r.start >= 2 * tau]
+    blocks = _blocks(runs, tau)
     if not blocks:
         return cands
     # the blocks are disjoint and in order: two runs of period <= tau // 3
@@ -113,6 +118,21 @@ def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
     return out
 
 
+def _blocks(runs: list[Run], tau: int) -> list[tuple[int, int]]:
+    """[first..last] of the windows inside each run of length >= 2*tau."""
+    return [(r.start, r.end - 2 * tau) for r in runs
+            if r.end - r.start >= 2 * tau]
+
+
 def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:
-    """The same set as an n-bit mask: the mask of build_sync_explicit."""
-    return BitStream.from_positions(index.t.n, build_sync_explicit(index, tau))
+    """The same set as an n-bit mask, built without listing it."""
+    t = index.t
+    _check_tau(t, tau)
+    n = t.n
+    runs = enumerate_runs(t, tau, tau // 3)
+    digits = index.recomp.level_digits(k_of_tau(tau), tau, n - tau + 1)
+    for i in _run_candidates(runs, tau, n - 2 * tau):
+        digits[i] = ord("1")
+    for first, last in _blocks(runs, tau):
+        digits[first:last + 1] = b"0" * (last + 1 - first)
+    return BitStream.from_int(int(digits[::-1] or b"0", 2), n)

@@ -7,6 +7,7 @@ import pytest
 
 import tausync
 from tausync import sparsecodec as sc
+from tausync import syncset as ss
 from tausync.bitstream import BitStream
 from tausync.cli import main
 from tausync.oracle import TextIndex, verify_sync
@@ -95,7 +96,7 @@ def test_cli_loads_no_reference_or_transducer_module(tmp_path, text_file):
     assert _run_fresh(script) == ["[]"]
 
 
-def test_sync_bitmask_and_sparse_verified(tmp_path, text_file):
+def test_sync_bitmask_and_sparse_verified(tmp_path, text_file, monkeypatch):
     path, symbols = text_file
     listed = tmp_path / "sync.txt"
     assert main(["sync", path, "--sigma", "4", "--tau", "8",
@@ -109,6 +110,12 @@ def test_sync_bitmask_and_sparse_verified(tmp_path, text_file):
     mask, decoded_len = BitStream.from_bytes((tmp_path / "sync.bitmask").read_bytes())
     assert decoded_len == len(mask) == len(symbols)
     assert mask.to_positions() == members
+    # without --verify, the bitmask is built without listing the set
+    monkeypatch.setattr(ss, "build_sync_explicit", None)
+    cont = tmp_path / "unlisted.bitmask"
+    assert main(["sync", path, "--sigma", "4", "--tau", "8", "--format",
+                 "bitmask", "--out", str(cont)]) == 0
+    assert cont.read_bytes() == (tmp_path / "sync.bitmask").read_bytes()
 
 
 def test_sync_bad_tau_usage_error(text_file):

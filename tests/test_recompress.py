@@ -1,8 +1,10 @@
 import hashlib
 import random
+from itertools import count
 
 from conftest import make_text
 from tausync import recompress as rc
+from tausync import syncset as ss
 from tausync.bitstream import BitStream
 from tausync.oracle import verify_chain
 from tausync.reference import chain as rchain
@@ -60,22 +62,21 @@ def test_round_even_merges_identical_run():
     syms = [4, 0, 1, 2, 0, 1, 2, 0, 1, 2, 5]
     t = PackedText(syms, 6)
     k = 18  # lambda_18 = (8/7)^9 ~ 3.33
-    assert rc.round_even(t, [1, 4, 7, 10], k) == [1, 10]
+    # the three abc phrases merge: B_{k+1} = [1, 10]
+    assert rc.round_even(t, [1, 4, 7, 10], k) == [4, 7]
 
 
 def test_round_even_no_merge_when_distinct():
     syms = [0, 1, 2, 3, 4, 5]
     t = PackedText(syms, 6)
-    bounds = [1, 2, 3, 4, 5]
-    assert rc.round_even(t, bounds, 0) == bounds
+    assert rc.round_even(t, [1, 2, 3, 4, 5], 0) == []
 
 
 def test_round_odd_no_short_pairs_is_identity():
     # all phrases longer than lambda_1 = 1: no edges, nothing dropped
     syms = [0, 1, 2, 0, 1, 2]
     t = PackedText(syms, 3)
-    bounds = [2, 4]
-    assert rc.round_odd(t, bounds, 1) == bounds
+    assert rc.round_odd(t, [2, 4], 1) == []
 
 
 def test_chain_n1_and_n0():
@@ -168,6 +169,77 @@ def test_level_empty_when_lambda_exceeds_4n():
     while not rc.lambda_exceeds_4n(k, t.n):
         k += 1
     assert index.level_list(k) == []
+
+
+def _assert_depths_match_rounds(t, index):
+    """Every level read from the depths equals the unskipped reference
+    chain, up to q + 3 and past the first level beyond lambda > 4n."""
+    want = rchain._rounds_from(t, list(range(1, t.n)), 0)
+    assert index.q == len(want) - 1
+    assert index.chain.levels == want
+    past = next(k for k in count() if rc.lambda_exceeds_4n(k, t.n))
+    lo, hi = t.n // 5, t.n - t.n // 7
+    for k in range(max(index.q + 3, past + 1) + 1):
+        level = want[k] if k < min(len(want), past) else []
+        assert index.level_list(k) == level, k
+        assert index.level_bitmask(k) == BitStream.from_positions(t.n, level)
+        inner = [f for f in level if lo <= f < hi]
+        assert index.level_list(k, lo, hi) == [f - lo for f in inner]
+        digits = bytearray(b"0") * (hi - lo)
+        for f in inner:
+            digits[f - lo] = ord("1")
+        assert index.level_digits(k, lo, hi) == digits
+
+
+def test_depths_reproduce_every_level(rng):
+    texts = list(pinned_texts().values())
+    for trial in range(20):
+        sigma = rng.choice([1, 2, 4, 16])
+        kind = rng.choice(["random", "periodic", "rle"])
+        texts.append((make_text(rng, rng.randint(0, 150), sigma, kind), sigma))
+    for syms, sigma in texts:
+        t = PackedText(syms, sigma)
+        _assert_depths_match_rounds(t, rc.RecompressionIndex(t))
+
+
+def test_depth_overflow_past_a_small_cap(monkeypatch, rng):
+    # levels from the cap up are read from the exact depths in `deep`
+    texts = [pinned_texts()["runs"]]
+    texts += [(make_text(rng, 120, 2, kind), 2) for kind in ("random", "rle")]
+    for syms, sigma in texts:
+        t = PackedText(syms, sigma)
+        full = ss.SyncIndex(t)
+        for cap in (1, 2, 5):
+            monkeypatch.setattr(rc, "DEPTH_CAP", cap)
+            index = rc.RecompressionIndex(t)
+            assert index.deep and max(index.depth) == cap
+            _assert_depths_match_rounds(t, index)
+            capped = ss.SyncIndex(t, index)
+            for tau in (1, 3, 16, 17, 40, t.n // 2):
+                assert (ss.build_sync_explicit(capped, tau)
+                        == ss.build_sync_explicit(full, tau))
+                assert (ss.build_sync_bitmask(capped, tau)
+                        == ss.build_sync_bitmask(full, tau))
+
+
+def test_fixed_point_skip_skips_rounds(monkeypatch):
+    # on long runs an even round and the odd round after it drop nothing
+    # before floor(lambda) grows; the rounds up to that growth are skipped
+    calls = []
+    for name in ("round_even", "round_odd"):
+        real = getattr(rc, name)
+
+        def counting(t, bounds, k, real=real):
+            calls.append(k)
+            return real(t, bounds, k)
+
+        monkeypatch.setattr(rc, name, counting)
+    t = PackedText(*pinned_texts()["runs"])
+    index = rc.RecompressionIndex(t)
+    # round 0 is read off the symbols; some of rounds 1..q-1 are skipped
+    assert set(calls) < set(range(1, index.q))
+    assert len(calls) == len(set(calls))
+    _assert_depths_match_rounds(t, index)
 
 
 def test_context_sets_match_linear_path(rng):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import adversarial_text, make_text
+from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
 from tausync.recompress import build_chain_linear
@@ -139,6 +141,63 @@ def test_bitmask_equals_explicit(rng):
             mask = ss.build_sync_bitmask(index, tau)
             got = [i for i in range(n) if mask.get_bit(i)]
             assert got == ss.build_sync_explicit(index, tau)
+
+
+@st.composite
+def sync_texts(draw):
+    """(symbols, sigma, taus).  Texts of n <= 64 -- random, run-length,
+    periodic over sigma in {1, 2, 4, 256}, and planted-offset blocks --
+    with every tau in [1..n//2]; and texts of 300 distinct symbols with
+    planted periodic stretches (four-byte lanes) with a few taus."""
+    kind = draw(st.sampled_from(["random", "rle", "periodic", "planted",
+                                 "wide"]))
+    if kind == "wide":
+        syms = list(draw(st.permutations(range(300))))
+        word = st.lists(st.integers(0, 299), min_size=1, max_size=5)
+        for base, length, at in draw(st.lists(
+                st.tuples(word, st.integers(1, 60), st.integers(0, 300)),
+                max_size=3)):
+            syms[at:at] = (base * length)[:length]
+        taus = draw(st.lists(st.integers(1, len(syms) // 2), min_size=1,
+                             max_size=4))
+        return syms, 300, taus
+    if kind == "planted":
+        tau = draw(st.integers(1, 10))
+        syms = []
+        for s in draw(st.lists(st.integers(0, tau - 1), min_size=1,
+                               max_size=max(1, 64 // (3 * tau)))):
+            syms += [0] * (2 * tau + s - 1) + [1] + [0] * (tau - s)
+        return syms, 2, list(range(1, len(syms) // 2 + 1))
+    sigma = draw(st.sampled_from([1, 2, 4, 256]))
+    symbol = st.integers(0, sigma - 1)
+    n = draw(st.integers(2, 64))
+    if kind == "random":
+        syms = draw(st.lists(symbol, min_size=n, max_size=n))
+    elif kind == "periodic":
+        base = draw(st.lists(symbol, min_size=1, max_size=6))
+        syms = (base * n)[:n]
+    else:
+        syms = []
+        while len(syms) < n:
+            syms += [draw(symbol)] * draw(st.integers(1, 12))
+        syms = syms[:n]
+    return syms, sigma, list(range(1, n // 2 + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sync_texts())
+@example(([0, 0], 1, [1]))
+@example(([0, 1, 0], 2, [1]))
+def test_bitmask_is_the_mask_of_the_explicit_set(text):
+    syms, sigma, taus = text
+    t = PackedText(syms, sigma)
+    index = ss.SyncIndex(t)
+    tidx = TextIndex(syms)
+    for tau in taus:
+        members = ss.build_sync_explicit(index, tau)
+        assert (ss.build_sync_bitmask(index, tau)
+                == BitStream.from_positions(t.n, members)), tau
+        assert verify_sync(syms, tau, members, tidx).ok, tau
 
 
 def test_adversarial_first_position(rng):
