@@ -2,12 +2,14 @@
 
 Library layout:
 
-* :mod:`tausync.bitstream` -- LSB-first bit streams and the container format
+* :mod:`tausync.bitstream` -- LSB-first bit streams, each one integer, and
+  the container format
 * :mod:`tausync.text` -- the sentinel-padded text
 * :mod:`tausync.recompress` -- restricted recompression boundary chains
 * :mod:`tausync.runs` -- periods, run extensions, filtered run families
 * :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
-* :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings
+* :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings,
+  all read from their digit strings by one gamma reader
 * :mod:`tausync.ranksupport` -- rank/select by bisection over a decomposition
 * :mod:`tausync.fastpath` -- sparse-output query pipeline
 * :mod:`tausync.oracle` -- brute-force references backing the test suite
@@ -23,9 +25,9 @@ package, or running the CLI, loads neither module.
 from .bitstream import BitStream, W
 from .errors import DecodeError, InvalidArgument, InvalidInput
 from .text import PackedText
-from .sparsecodec import (SparseEncoding, gamma_decode, senc_decode,
-                          senc_encode, senc_from_list, senc_from_positions,
-                          senc_size, senc_to_list)
+from .sparsecodec import (SparseEncoding, senc_decode, senc_encode,
+                          senc_from_list, senc_from_positions, senc_size,
+                          senc_to_list)
 from .recompress import RecompressionIndex, max_dicut
 from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,

@@ -1,14 +1,15 @@
 """Immutable bit streams with a fixed LSB-first bit order.
 
-Bit ``i`` of a stream lives in storage word ``i // W`` at intra-word
-position ``i % W``, least-significant bit first.  Every bitmask in the
-package (boundary masks, run masks, sparse encodings) uses this order, as
-does the serialized container format.
+A stream is one non-negative integer below ``2**len`` plus its length:
+bit ``i`` of the stream is bit ``i`` of the integer.  Every bitmask in
+the package (boundary masks, run masks, sparse encodings) uses this
+order, as does the serialized container format.
 
 A stream is built once, in bulk -- empty by ``BitStream()``, or by
-``from01``, ``from_int``, ``from_positions`` or ``from_bytes`` -- and never
-changes after that, so it hashes by value and can be shared across
-threads.
+``from01``, ``from_digits``, ``from_int``, ``from_positions`` or
+``from_bytes`` -- and never changes after that, so it hashes by value
+and can be shared across threads.  ``from_digits`` is the one place that
+turns a stream-order digit string into a stream.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from typing import Sequence
 
 from .errors import DecodeError, InvalidArgument
 
-#: Machine word width used for chunked read operations.
+#: Widest read of `read_bits`.
 W = 64
 
 MAGIC = b"SSB1"
 
 
 class BitStream:
-    """An immutable sequence of bits packed into 64-bit words."""
+    """An immutable sequence of bits held as one integer."""
 
-    __slots__ = ("_words", "_len")
+    __slots__ = ("_value", "_len")
 
     def __init__(self):
-        self._words: list[int] = []
+        self._value = 0
         self._len = 0
 
     def __len__(self) -> int:
@@ -41,10 +42,10 @@ class BitStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitStream):
             return NotImplemented
-        return self._len == other._len and self._words == other._words
+        return self._len == other._len and self._value == other._value
 
     def __hash__(self):
-        return hash((self._len, tuple(self._words)))
+        return hash((self._len, self._value))
 
     def __repr__(self) -> str:
         if self._len <= 80:
@@ -59,17 +60,21 @@ class BitStream:
         bad = bits.translate({ord("0"): None, ord("1"): None})
         if bad:
             raise InvalidArgument(f"not a bit: {bad[0]!r}")
-        return cls.from_int(int(bits[::-1] or "0", 2), len(bits))
+        return cls.from_digits(bits, len(bits))
+
+    @classmethod
+    def from_digits(cls, digits: str | bytes, length: int) -> "BitStream":
+        """The length-`length` stream whose bit i is digit i of `digits`,
+        0 past its end.  The digits are not checked to be '0' or '1'."""
+        return cls.from_int(int(digits[::-1] or "0", 2), length)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitStream":
         """Build a length-`length` stream whose bit i is bit i of value."""
         if value < 0 or value >> length:
             raise InvalidArgument("value does not fit in length bits")
-        nwords = -(-length // W)
         s = cls()
-        s._words = list(struct.unpack(f"<{nwords}Q",
-                                      value.to_bytes(8 * nwords, "little")))
+        s._value = value
         s._len = length
         return s
 
@@ -91,31 +96,29 @@ class BitStream:
         digits = bytearray(b"0") * n
         for i in positions:
             digits[i] = ord("1")
-        return cls.from_int(int(digits[::-1] or b"0", 2), n)
+        return cls.from_digits(digits, n)
 
     def to01(self) -> str:
         if not self._len:
             return ""
-        return format(self.to_int(), f"0{self._len}b")[::-1]
+        return format(self._value, f"0{self._len}b")[::-1]
 
     def to_int(self) -> int:
         """The whole stream as one integer, bit i of the result = bit i."""
-        words = self._words
-        return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
+        return self._value
 
     def to_positions(self) -> list[int]:
         """Positions of the set bits, in increasing order."""
-        digits = format(self.to_int(), "b")[::-1]
+        digits = format(self._value, "b")[::-1]
         return [i for i, ch in enumerate(digits) if ch == "1"]
 
     # -- core operations -----------------------------------------------------
 
     def get_bit(self, i: int) -> int:
+        """Bit i; 0 at or beyond the stream length."""
         if i < 0:
             raise InvalidArgument("negative bit index")
-        if i >= self._len:
-            return 0
-        return (self._words[i // W] >> (i % W)) & 1
+        return (self._value >> i) & 1
 
     def read_bits(self, start: int, count: int) -> int:
         """Read `count` bits at [start..start+count), LSB-first.
@@ -126,38 +129,7 @@ class BitStream:
             raise InvalidArgument(f"count {count} not in [0..{W}]")
         if start < 0:
             raise InvalidArgument("negative start")
-        if count == 0:
-            return 0
-        words = self._words
-        wi = start >> 6
-        off = start & 63
-        nwords = len(words)
-        lo = words[wi] >> off if wi < nwords else 0
-        got = W - off
-        if got < count and wi + 1 < nwords:
-            lo |= words[wi + 1] << got
-        value = lo & ((1 << count) - 1)
-        end = start + count
-        if end > self._len:
-            valid = self._len - start
-            if valid <= 0:
-                return 0
-            value &= (1 << valid) - 1
-        return value
-
-    def read_bits_wide(self, start: int, count: int) -> int:
-        """Like read_bits but without the word-width cap (internal use)."""
-        if count <= W:
-            return self.read_bits(start, count)
-        out = 0
-        shift = 0
-        while count > 0:
-            take = count if count < W else W
-            out |= self.read_bits(start, take) << shift
-            start += take
-            shift += take
-            count -= take
-        return out
+        return (self._value >> start) & ((1 << count) - 1)
 
     # -- serialization -------------------------------------------------------
 
@@ -166,7 +138,7 @@ class BitStream:
 
         Bit i is stored at byte i // 8, bit i % 8.
         """
-        payload = self.to_int().to_bytes((self._len + 7) // 8, "little")
+        payload = self._value.to_bytes((self._len + 7) // 8, "little")
         return MAGIC + struct.pack("<QQ", decoded_len, self._len) + payload
 
     @classmethod

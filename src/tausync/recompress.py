@@ -245,4 +245,4 @@ class RecompressionIndex:
 
     def level_bitmask(self, k: int) -> BitStream:
         digits = self.level_digits(k, 0, self.t.n)
-        return BitStream.from_int(int(digits[::-1] or b"0", 2), self.t.n)
+        return BitStream.from_digits(digits, self.t.n)

@@ -24,8 +24,9 @@ with ``str.find`` and reads its payload with one ``int(..., 2)``.
 
 Window parses take the table parameter ``N`` (default ``DEFAULT_TABLE_N``
 = 2**16), with windows of ceil(lg N) bits.  `ParseTables` owns one memo
-of them, keyed by the window's digit string, which `decompose` slices
-from the stream's digits and `parse_window` forms from an int.
+of them, keyed by the window's digit string, which `decompose` and the
+transducers slice from the stream's digits.  Every token stream, whole
+or windowed, is read by `gamma_at` over its digit string.
 """
 
 from __future__ import annotations
@@ -38,46 +39,6 @@ from typing import Iterable, Sequence
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
-
-# Block size for leading-zero scans while decoding gamma codes.
-_SCAN_BLOCK = 32
-
-
-def _reverse_bits(value: int, width: int) -> int:
-    """The low `width` bits of value in reverse order."""
-    return int(f"{value:0{width}b}"[::-1], 2)
-
-
-def gamma_decode(stream: BitStream, offset: int) -> tuple[int, int]:
-    """Decode a gamma code at `offset`; returns (x, bits_consumed)."""
-    end = len(stream)
-    if offset >= end:
-        raise DecodeError("gamma code starts past end of stream", offset)
-    # fast path: the whole code fits one word read
-    chunk = stream.read_bits(offset, min(64, end - offset))
-    if chunk:
-        z = (chunk & -chunk).bit_length() - 1
-        width = 2 * z + 1
-        if width <= 64 and offset + width <= end:
-            payload = (chunk >> z) & ((1 << (z + 1)) - 1)
-            return _reverse_bits(payload, z + 1), width
-    pos = offset
-    z = 0
-    while True:
-        take = min(_SCAN_BLOCK, end - pos)
-        if take <= 0:
-            raise DecodeError("gamma code has no terminating 1-bit", offset)
-        block = stream.read_bits(pos, take)
-        if block:
-            z += (block & -block).bit_length() - 1
-            break
-        z += take
-        pos += take
-    start = offset + z
-    if start + z + 1 > end:
-        raise DecodeError("truncated gamma code", offset)
-    payload = stream.read_bits_wide(start, z + 1)
-    return _reverse_bits(payload, z + 1), 2 * z + 1
 
 
 @dataclass(frozen=True)
@@ -134,7 +95,7 @@ def _token_digits(is_literal: bool, x: int) -> str:
 def _digits_to_stream(digits: list[str]) -> BitStream:
     """The stream whose bit i is character i of the joined digit strings."""
     joined = "".join(digits)
-    return BitStream.from_int(int(joined[::-1] or "0", 2), len(joined))
+    return BitStream.from_digits(joined, len(joined))
 
 
 def tokens_to_stream(tokens: Iterable[tuple[bool, int]]) -> BitStream:
@@ -318,26 +279,6 @@ class ParseInfo:
 _EMPTY_PARSE = ParseInfo(0, 0, 0, (), (), (), ())
 
 
-def window_tokens(window: int, limit: int):
-    """Yield (token_end, is_literal, x) for each token of the longest prefix
-    of the low `limit` bits of `window` that is a valid sparse encoding."""
-    pos = 0
-    last_zero_run = False
-    while pos < limit:
-        indicator = (window >> pos) & 1
-        rest = window >> (pos + 1)
-        if rest == 0:
-            return
-        z = (rest & -rest).bit_length() - 1
-        token_end = pos + 2 * z + 2
-        if token_end > limit or (last_zero_run and not indicator):
-            return
-        last_zero_run = not indicator
-        payload = (window >> (pos + 1 + z)) & ((1 << (z + 1)) - 1)
-        yield token_end, bool(indicator), _reverse_bits(payload, z + 1)
-        pos = token_end
-
-
 #: Default table parameter N: parse windows of ceil(lg N) = 16 bits.
 DEFAULT_TABLE_N = 1 << 16
 
@@ -365,25 +306,30 @@ class ParseTables:
             if len(w) > self.window_bits:
                 raise InvalidArgument(f"window of {len(w)} bits is wider "
                                       f"than {self.window_bits}")
-            info = self._memo[w] = self._parse(int(w[::-1] or "0", 2), len(w))
+            info = self._memo[w] = self._parse(w)
         return info
 
-    def parse_window(self, window: int, limit: int) -> ParseInfo:
-        """Parse of the low `limit` bits of `window`, bit 0 first."""
-        low = (window & ((1 << limit) - 1)) | (1 << limit)
-        return self.parse_digits(f"{low:b}"[:0:-1])
-
-    def _parse(self, window: int, limit: int) -> ParseInfo:
+    @staticmethod
+    def _parse(w: str) -> ParseInfo:
+        """Greedy parse of `w`, token by token, up to the first token that
+        does not fit in `w` or that follows a zero run with another."""
         values: list[int] = []
         literal_starts: list[int] = []
         b = 0
-        for token_end, is_literal, x in window_tokens(window, limit):
+        while b < len(w):
+            is_literal = w[b] == "1"
+            if not is_literal and values and not values[-1]:
+                break
+            try:
+                x, stop = gamma_at(w, b + 1)
+            except DecodeError:
+                break
             if is_literal:
                 literal_starts.append(b)
                 values.append(x)
             else:
                 values.extend([0] * x)
-            b = token_end
+            b = stop
         if b == 0:
             return _EMPTY_PARSE
         ranks = []

@@ -135,4 +135,4 @@ def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:
         digits[i] = ord("1")
     for first, last in _blocks(runs, tau):
         digits[first:last + 1] = b"0" * (last + 1 - first)
-    return BitStream.from_int(int(digits[::-1] or b"0", 2), n)
+    return BitStream.from_digits(digits, n)

@@ -8,6 +8,10 @@ per-state window tables.  Long zero-run tokens are crossed by alternating
 flexible micro-steps (pseudoforest jumps through transitions that read
 and write zero) and fixed micro-steps of M^(1/4) symbols.
 
+Each input is read from its digit string, as `decompose` reads it: a
+window is a slice of lg M digits, parsed by the shared
+`sparsecodec.parse_tables`, and a wider token is read by `gamma_at`.
+
 Multi-stream execution zips the inputs positionwise: a zipped symbol is 0
 where all streams are 0 and otherwise carries a sentinel 1 bit followed
 by the sparse encoding of the symbol tuple (the sentinel keeps leading
@@ -17,6 +21,7 @@ zero bits of the inner encoding, making the integer view unambiguous).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
@@ -176,8 +181,8 @@ class SingleStreamAccelerator:
         self.table_n = table_n
         self.lg_m = max(2, (max(4, table_n).bit_length() - 1) // 4)
         self.m_quarter = max(1, isqrt(isqrt(1 << self.lg_m)))
-        self._tables = sc.ParseTables(table_n)
-        self._window_entries: dict[tuple[int, int, int], _WindowEntry] = {}
+        self._tables = sc.parse_tables(table_n)
+        self._window_entries: dict[tuple[int, str], _WindowEntry] = {}
         self._zero_entries: dict[tuple[int, int], _WindowEntry] = {}
         succ: list[Optional[int]] = []
         for s in range(spec.num_states):
@@ -188,11 +193,11 @@ class SingleStreamAccelerator:
 
     # table construction -------------------------------------------------------
 
-    def _entry(self, state: int, window: int, limit: int) -> _WindowEntry:
-        key = (state, window, limit)
+    def _entry(self, state: int, w: str) -> _WindowEntry:
+        key = (state, w)
         entry = self._window_entries.get(key)
         if entry is None:
-            info = self._tables.parse_window(window, limit)
+            info = self._tables.parse_digits(w)
             entry = self._simulate(state, info.values, info.b)
             self._window_entries[key] = entry
         return entry
@@ -238,8 +243,8 @@ class SingleStreamAccelerator:
     def run(self, enc: SparseEncoding,
             collect_stats: bool = False) -> SparseEncoding:
         spec = self.spec
-        stream = enc.stream
-        total_bits = len(stream)
+        digits = enc.stream.to01()
+        total_bits = len(digits)
         lg_m = self.lg_m
         x = 0
         n = 0
@@ -251,12 +256,7 @@ class SingleStreamAccelerator:
             stats.macro_steps += 1
             if collect_stats:
                 stats.macro_bit_positions.append(x)
-            avail = total_bits - x
-            if avail >= lg_m:
-                window = stream.read_bits_wide(x, lg_m)
-            else:
-                window = stream.read_bits_wide(x, avail) | (1 << avail)
-            entry = self._entry(state, window, min(lg_m, avail))
+            entry = self._entry(state, digits[x:x + lg_m])
             if entry.b > 0:
                 z = self._flush(tokens, z, entry)
                 state = entry.state
@@ -264,10 +264,8 @@ class SingleStreamAccelerator:
                 n += entry.a
                 continue
             # long token: decode it directly
-            indicator = stream.get_bit(x)
-            value, used = sc.gamma_decode(stream, x + 1)
-            token_bits = 1 + used
-            if indicator:
+            value, stop = sc.gamma_at(digits, x + 1)
+            if digits[x] == "1":
                 state, out = spec.delta(state, value)
                 if out == 0:
                     z += 1
@@ -297,26 +295,33 @@ class SingleStreamAccelerator:
                     state = entry.state
                     n += fixed
                     yleft -= fixed
-            x += token_bits
+            x = stop
         if z:
             tokens.append((False, z))
         self.last_stats = stats
         return SparseEncoding(sc.tokens_to_stream(tokens), n)
 
 
+#: Most accelerators `_accel_cache` keeps; the least recently used goes.
+_ACCEL_CACHE_LIMIT = 64
 _accel_cache: dict[tuple[str, int], SingleStreamAccelerator] = {}
 
 
 def accelerate_single(spec: TransducerSpec,
                       table_n: int = DEFAULT_TABLE_N) -> SingleStreamAccelerator:
-    """Accelerator for a single-stream spec; cached when spec.key is set."""
+    """Accelerator for a single-stream spec; cached when spec.key is set.
+
+    The cache is keyed by spec.key, not by the spec, because equal specs
+    are rebuilt as new objects (see `_flatten_spec`)."""
     if spec.key is None:
         return SingleStreamAccelerator(spec, table_n)
     cache_key = (spec.key, table_n)
-    accel = _accel_cache.get(cache_key)
+    accel = _accel_cache.pop(cache_key, None)
     if accel is None:
         accel = SingleStreamAccelerator(spec, table_n)
-        _accel_cache[cache_key] = accel
+        if len(_accel_cache) >= _ACCEL_CACHE_LIMIT:
+            del _accel_cache[next(iter(_accel_cache))]
+    _accel_cache[cache_key] = accel
     return accel
 
 
@@ -392,22 +397,17 @@ class PairZipper:
         self.table_n = table_n
         self.lg_m = max(2, (max(4, table_n).bit_length() - 1) // 4)
         self.z_cap = 1 << self.lg_m
-        self._tables = sc.ParseTables(table_n)
-        self._entries: dict[tuple[int, int, int, int], _ZipEntry] = {}
+        self._tables = sc.parse_tables(table_n)
+        self._entries: dict[tuple[str, str, int, int], _ZipEntry] = {}
 
     # -- table construction ----------------------------------------------------
 
-    def _parses(self, window: int, limit: int) -> list[tuple[int, tuple]]:
-        """All (bits, decoded values) sparse-encoding prefixes of the window."""
-        out = [(0, ())]
-        values: list[int] = []
-        for token_end, is_literal, v in sc.window_tokens(window, limit):
-            if is_literal:
-                values.append(v)
-            else:
-                values.extend([0] * v)
-            out.append((token_end, tuple(values)))
-        return out
+    def _parses(self, w: str) -> list[tuple[int, tuple]]:
+        """All (bits, decoded values) sparse-encoding prefixes of the window:
+        the prefixes its parse takes whole, which end where its tokens do."""
+        parse = self._tables.parse_digits
+        return [(j, info.values) for j in range(len(w) + 1)
+                if (info := parse(w[:j])).b == j]
 
     @staticmethod
     def _trailing_zeros(seq: tuple) -> int:
@@ -418,14 +418,13 @@ class PairZipper:
             z += 1
         return z
 
-    def _entry(self, w1: int, limit1: int, w2: int, limit2: int,
-               z1: int, z2: int) -> _ZipEntry:
+    def _entry(self, w1: str, w2: str, z1: int, z2: int) -> _ZipEntry:
         z1c = min(z1, self.z_cap)
         z2c = min(z2, self.z_cap)
-        key = (w1 | (limit1 << self.lg_m), w2 | (limit2 << self.lg_m), z1c, z2c)
+        key = (w1, w2, z1c, z2c)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._build_entry(w1, limit1, w2, limit2, z1c, z2c)
+            entry = self._build_entry(w1, w2, z1c, z2c)
             self._entries[key] = entry
         if z1 > z1c or z2 > z2c:
             entry = _ZipEntry(entry.b1, entry.b2,
@@ -433,11 +432,10 @@ class PairZipper:
                               entry.lead, entry.r, entry.tokens)
         return entry
 
-    def _build_entry(self, w1: int, limit1: int, w2: int, limit2: int,
-                     z1: int, z2: int) -> _ZipEntry:
+    def _build_entry(self, w1: str, w2: str, z1: int, z2: int) -> _ZipEntry:
         best = None
-        parses1 = self._parses(w1, limit1)
-        parses2 = self._parses(w2, limit2)
+        parses1 = self._parses(w1)
+        parses2 = self._parses(w2)
         for b1, vals1 in parses1:
             lx = z1 + len(vals1)
             tz1 = len(vals1) if not vals1 else self._trailing_zeros(vals1)
@@ -480,18 +478,12 @@ class PairZipper:
     def zip(self, e1: SparseEncoding, e2: SparseEncoding) -> SparseEncoding:
         if e1.decoded_len != e2.decoded_len:
             raise InvalidArgument("zip inputs must share one decoded length")
-        s1, s2 = e1.stream, e2.stream
-        len1, len2 = len(s1), len(s2)
+        d1, d2 = e1.stream.to01(), e2.stream.to01()
+        len1, len2 = len(d1), len(d2)
         b1 = b2 = 0
         a = z1 = z2 = z3 = 0
         out: list[tuple[bool, int]] = []   # tokens of the zipped encoding
         lg_m = self.lg_m
-
-        def window(stream, pos, total):
-            avail = total - pos
-            if avail >= lg_m:
-                return stream.read_bits_wide(pos, lg_m), lg_m
-            return stream.read_bits_wide(pos, avail) | (1 << avail), avail
 
         while b1 < len1 or b2 < len2:
             shared = min(z1, z2)
@@ -500,9 +492,7 @@ class PairZipper:
                 z2 -= shared
                 a += shared
                 z3 += shared
-            w1, lim1 = window(s1, b1, len1)
-            w2, lim2 = window(s2, b2, len2)
-            entry = self._entry(w1, lim1, w2, lim2, z1, z2)
+            entry = self._entry(d1[b1:b1 + lg_m], d2[b2:b2 + lg_m], z1, z2)
             if entry.b1 or entry.b2:
                 b1 += entry.b1
                 b2 += entry.b2
@@ -516,14 +506,12 @@ class PairZipper:
                     z3 = 0
                 continue
             # large-token fallbacks
-            if b1 < len1 and s1.get_bit(b1) == 0:
-                v, used = sc.gamma_decode(s1, b1 + 1)
-                b1 += 1 + used
+            if b1 < len1 and d1[b1] == "0":
+                v, b1 = sc.gamma_at(d1, b1 + 1)
                 z1 += v
                 continue
-            if b2 < len2 and s2.get_bit(b2) == 0:
-                v, used = sc.gamma_decode(s2, b2 + 1)
-                b2 += 1 + used
+            if b2 < len2 and d2[b2] == "0":
+                v, b2 = sc.gamma_at(d2, b2 + 1)
                 z2 += v
                 continue
             # both fronts are literal tokens too large for the window
@@ -534,15 +522,13 @@ class PairZipper:
             if z1 == 0:
                 if b1 >= len1:
                     raise DecodeError("first encoding exhausted early", b1)
-                v1, used = sc.gamma_decode(s1, b1 + 1)
-                b1 += 1 + used
+                v1, b1 = sc.gamma_at(d1, b1 + 1)
             else:
                 z1 -= 1
             if z2 == 0:
                 if b2 >= len2:
                     raise DecodeError("second encoding exhausted early", b2)
-                v2, used = sc.gamma_decode(s2, b2 + 1)
-                b2 += 1 + used
+                v2, b2 = sc.gamma_at(d2, b2 + 1)
             else:
                 z2 -= 1
             out.append((True, zip_symbol((v1, v2))))
@@ -559,15 +545,11 @@ class PairZipper:
         return SparseEncoding(sc.tokens_to_stream(out), a)
 
 
-_zipper_cache: dict[int, PairZipper] = {}
-
-
+@lru_cache(maxsize=4)
 def _zipper(table_n: int) -> PairZipper:
-    z = _zipper_cache.get(table_n)
-    if z is None:
-        z = PairZipper(table_n)
-        _zipper_cache[table_n] = z
-    return z
+    """The PairZipper of `table_n`, kept for the four table parameters most
+    recently asked for, as `sparsecodec.parse_tables` keeps its tables."""
+    return PairZipper(table_n)
 
 
 def zip_pair(e1: SparseEncoding, e2: SparseEncoding,

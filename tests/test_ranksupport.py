@@ -3,6 +3,7 @@ from bisect import bisect_left, bisect_right
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import gamma_read
 from tausync.bitstream import BitStream
 from tausync.errors import DecodeError, InvalidArgument
 from tausync import ranksupport as rs
@@ -237,13 +238,13 @@ def test_decomposition_rank_select_match_bisection(members, table_n):
 # -- decompose against the window loop it replaced ---------------------------------
 
 def window_loop_decompose(enc, table_n):
-    """(p, e, r, parses) of `decompose` as a loop over the BitStream: each
-    window read with read_bits_wide (padded past the end with an
-    incomplete literal token) and parsed by its (window, limit), and a
-    token wider than the window read with get_bit and gamma_decode.  It
-    rejects a wide literal token."""
+    """(p, e, r, parses) of `decompose` as a loop over the stream's integer
+    to_int(): each window's bits shifted out of it and parsed by their
+    digit string, and a token wider than the window read with get_bit
+    and gamma_read.  It rejects a wide literal token."""
     tables = sc.parse_tables(table_n)
     stream = enc.stream
+    value = stream.to_int()
     total = len(stream)
     k = tables.window_bits
     p, e, r = [0], [0], [0]
@@ -251,12 +252,9 @@ def window_loop_decompose(enc, table_n):
     pos = sym = ones = 0
     after_zero_run = False
     while pos < total:
-        avail = total - pos
-        if avail >= k:
-            window = stream.read_bits_wide(pos, k)
-        else:
-            window = stream.read_bits_wide(pos, avail) | (1 << avail)
-        info = tables._parse(window, min(k, avail))
+        limit = min(k, total - pos)
+        window = (value >> pos) & ((1 << limit) - 1)
+        info = tables._parse(f"{window:0{limit}b}"[::-1])
         if info.b > 0:
             if after_zero_run and not info.values[0]:
                 raise DecodeError("adjacent zero-run tokens", pos)
@@ -269,7 +267,7 @@ def window_loop_decompose(enc, table_n):
             if stream.get_bit(pos):
                 raise DecodeError("literal token wider than the parse window",
                                   pos)
-            x, used = sc.gamma_decode(stream, pos + 1)
+            x, used = gamma_read(stream, pos + 1)
             if after_zero_run:
                 raise DecodeError("adjacent zero-run tokens", pos)
             after_zero_run = True

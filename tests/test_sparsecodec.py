@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import decodable_prefixes, digit_strings, gamma_read
 from tausync.bitstream import BitStream
 from tausync.errors import DecodeError, InvalidArgument
 from tausync import sparsecodec as sc
@@ -16,37 +17,44 @@ def gamma_digits(x: int) -> str:
     return "0" * z + "".join(str((x >> (z - i)) & 1) for i in range(z + 1))
 
 
-def gamma_stream(x: int) -> BitStream:
-    return BitStream.from01(gamma_digits(x))
+def gamma_both(digits: str, offset: int) -> tuple[int, int]:
+    """(x, bits used) of the gamma code at `offset`, read by `gamma_at` and
+    by the integer reader `gamma_read`, which must agree."""
+    x, stop = sc.gamma_at(digits, offset)
+    assert gamma_read(BitStream.from01(digits), offset) == (x, stop - offset)
+    return x, stop - offset
 
 
 def test_gamma_basics():
     assert gamma_digits(1) == "1"
     assert gamma_digits(5) == "00101"
-    assert sc.gamma_decode(BitStream.from01("00101"), 0) == (5, 5)
-    assert sc.gamma_decode(BitStream.from01("1100101"), 2) == (5, 5)
+    assert gamma_both("00101", 0) == (5, 5)
+    assert gamma_both("1100101", 2) == (5, 5)
 
 
 def test_gamma_roundtrip_dense():
     for x in range(1, 10 ** 5 + 1):
-        enc = gamma_stream(x)
-        got, used = sc.gamma_decode(enc, 0)
+        enc = gamma_digits(x)
+        got, used = gamma_both(enc, 0)
         assert got == x and used == len(enc) == 2 * (x.bit_length() - 1) + 1
 
 
 def test_gamma_roundtrip_sparse_large(rng):
     for _ in range(300):
         x = rng.randrange(1, 1 << rng.randint(1, 80))
-        enc = gamma_stream(x)
-        assert sc.gamma_decode(enc, 0) == (x, len(enc))
+        enc = gamma_digits(x)
+        assert gamma_both(enc, 0) == (x, len(enc))
 
 
 def test_gamma_truncated_raises():
-    cut = BitStream.from01(gamma_digits(9)[:-1])
-    with pytest.raises(DecodeError):
-        sc.gamma_decode(cut, 0)
-    with pytest.raises(DecodeError):
-        sc.gamma_decode(BitStream.from01("000"), 0)
+    for digits, text in ((gamma_digits(9)[:-1], "truncated gamma code"),
+                         ("000", "gamma code has no terminating 1-bit"),
+                         ("", "gamma code starts past end of stream")):
+        with pytest.raises(DecodeError) as got:
+            sc.gamma_at(digits, 0)
+        with pytest.raises(DecodeError) as want:
+            gamma_read(BitStream.from01(digits), 0)
+        assert str(got.value) == str(want.value) == f"{text} (bit offset 0)"
 
 
 def test_worked_example_exact():
@@ -216,24 +224,41 @@ def test_prefix_parse_rank_select_fields(rng):
             assert info.select(j) == ones[j - 1]
 
 
-def test_parse_window_shares_the_digit_memo(rng):
-    """parse_window reads only the low `limit` bits of its window and
-    returns the parse_digits entry of their digit string, so the memo of
-    4-bit windows holds one entry per string of at most 4 digits."""
+def test_parse_digits_memo_holds_each_window_once():
+    """The memo of 4-bit windows holds one entry per string of at most 4
+    digits, the parse of that string, and takes no wider window."""
     tables = sc.ParseTables(16)
     k = tables.window_bits
     for limit in range(k + 1):
         for low in range(1 << limit):
             digits = f"{low:0{limit}b}"[::-1] if limit else ""
             info = tables.parse_digits(digits)
-            assert info == tables._parse(low, limit)
-            for _ in range(4):
-                high = rng.getrandbits(8) << limit
-                assert tables.parse_window(low | high, limit) is info
+            assert info == tables._parse(digits)
+            assert tables.parse_digits(digits) is info
     assert len(tables._memo) == (1 << (k + 1)) - 1
     with pytest.raises(InvalidArgument):
         tables.parse_digits("0" * (k + 1))
     assert len(tables._memo) == (1 << (k + 1)) - 1
+
+
+def test_parse_is_the_longest_decodable_prefix_exhaustively():
+    """Each window of up to 8 digits parses to its longest prefix that
+    decodes whole, with that prefix's values; its literal tokens start at
+    the shorter decodable prefixes followed by a 1."""
+    tables = sc.ParseTables(1 << 8)
+    windows = digit_strings(tables.window_bits)
+    assert len(windows) == 511
+    for w in windows:
+        prefixes = decodable_prefixes(w)
+        b, values = prefixes[-1]
+        info = tables.parse_digits(w)
+        assert (info.b, info.a, info.values) == (b, len(values), values), w
+        assert info.literal_starts == tuple(j for j, _ in prefixes[:-1]
+                                            if w[j] == "1"), w
+        assert info.ranks == tuple(sum(map(bool, values[:j]))
+                                   for j in range(len(values))), w
+        assert info.selects == tuple(j for j, v in enumerate(values) if v), w
+        assert info.a_plus == len(info.selects)
 
 
 def test_sentinel_int_roundtrip(rng):
@@ -261,13 +286,13 @@ def reference_stream(tokens) -> BitStream:
 
 
 def reference_tokens(stream, offset, end):
-    """Token-at-a-time reader: get_bit for the indicator, gamma_decode for x."""
+    """Token-at-a-time reader: get_bit for the indicator, gamma_read for x."""
     out = []
     pos = offset
     last_zero_run = False
     while pos < end:
         indicator = stream.get_bit(pos)
-        x, used = sc.gamma_decode(stream, pos + 1)
+        x, used = gamma_read(stream, pos + 1)
         if pos + 1 + used > end:
             raise DecodeError("token overruns encoding", pos)
         if not indicator and last_zero_run:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import decodable_prefixes, digit_strings
 from tausync.errors import InvalidArgument
 from tausync.oracle import run_reference_by_runs, run_reference_transducer
 from tausync import sparsecodec as sc
@@ -167,6 +168,12 @@ def test_zip_pair_matches_naive(rng):
         assert got.stream == want.stream, (a1, a2)
 
 
+def test_zipper_parses_are_the_decodable_prefixes():
+    zipper = td.PairZipper(1 << 8)
+    for w in digit_strings(8):
+        assert zipper._parses(w) == decodable_prefixes(w), w
+
+
 def test_zip_length_mismatch():
     with pytest.raises(InvalidArgument):
         td.zip_pair(sc.senc_encode([1]), sc.senc_encode([1, 2]))
@@ -224,3 +231,22 @@ def test_zip_size_law_reported(rng, capsys):
         ratios.append(len(zipped.stream) / max(1, total_in))
     print(f"zip size ratio: max {max(ratios):.2f} mean "
           f"{sum(ratios) / len(ratios):.2f}")
+
+
+def test_transducer_caches_are_bounded():
+    enc = sc.senc_encode([0, 3, 0, 0, 1])
+    limit = td._ACCEL_CACHE_LIMIT
+    specs = [td.TransducerSpec(1, 0, 1, lambda s, x: (0, x),
+                               key=f"test:id:{k}") for k in range(limit + 3)]
+    accels = [td.accelerate_single(spec) for spec in specs]
+    assert len(td._accel_cache) == limit
+    assert td.accelerate_single(specs[-1]) is accels[-1]   # still shared
+    assert td.accelerate_single(specs[0]) is not accels[0]  # dropped, rebuilt
+    assert td.run_sparse(specs[0], enc).stream == enc.stream
+    assert len(td._accel_cache) == limit
+
+    zipped = sc.senc_encode(td.zip_naive([sc.senc_decode(enc)] * 2))
+    zip_limit = td._zipper.cache_info().maxsize
+    for table_n in range(16, 16 + zip_limit + 3):
+        assert td.zip_pair(enc, enc, table_n).stream == zipped.stream
+    assert td._zipper.cache_info().currsize == zip_limit

@@ -31,7 +31,12 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   with symbols at and above 2^21, and a `--decimal` text of 300
   distinct symbols with planted short-period stretches;
 * the library and runs items, at fixed taus, of one text of long runs of
-  periods 2 and 3 (each at least 4096 symbols) between random stretches.
+  periods 2 and 3 (each at least 4096 symbols) between random stretches;
+* the accelerated transducers: the `sync_sparse_transducer` stream of
+  twelve corpus texts at fixed taus and two table parameters, `zip_multi`
+  of 2 and 3 seeded encodings (long zero runs, literals up to 2^40) at
+  three table parameters, and `run_multi` and `run_sparse` of one fixed
+  spec over inputs with a 10^6-symbol zero run.
 
 Run it in each checkout and diff the outputs:
 
@@ -179,6 +184,78 @@ def runs_items(tausync, name, syms, sigma):
             for ell, p in RUNS_PARAMS if ell <= len(syms)}
 
 
+TRANSDUCER_TAUS = (1, 2, 3, 4, 6, 8, 16)
+
+
+def stream_digest(enc) -> str:
+    return digest((enc.stream.to01(), enc.decoded_len))
+
+
+def transducer_sync_items(tausync, name, syms, sigma):
+    """sync_sparse_transducer of one text at fixed taus and two tables."""
+    st = tausync.reference.sync_transducer
+    t = tausync.PackedText(syms, sigma)
+    index = tausync.fastpath.FastSyncIndex(t).sync_index
+    out = {}
+    for table_n in (1 << 12, 1 << 16):
+        tables = st.RunTables(t, table_n)
+        for tau in TRANSDUCER_TAUS:
+            if tau <= len(syms) // 2:
+                out[f"{name}:transducer:sync:{table_n}:{tau}"] = stream_digest(
+                    st.sync_sparse_transducer(index, tables, tau))
+    return out
+
+
+def sparse_values(rng: random.Random, n: int) -> list[int]:
+    """n values: zero runs of up to 3000 and literals up to 2^40."""
+    vals = []
+    while len(vals) < n:
+        if rng.random() < 0.5:
+            vals.extend([0] * rng.choice([rng.randint(1, 9),
+                                          rng.randint(1, 3000)]))
+        else:
+            vals.append(rng.randrange(1, 1 << rng.randint(1, 40)))
+    return vals[:n]
+
+
+def zip_items(tausync, rng: random.Random):
+    """zip_multi of 2 and 3 seeded encodings at three table parameters."""
+    sc, td = tausync.sparsecodec, tausync.transducer
+    out = {}
+    for case, n in enumerate((0, 1, 5, 40, 300, 300, 5000, 5000)):
+        encs = [sc.senc_encode(sparse_values(rng, n)) for _ in range(3)]
+        for table_n in (16, 1 << 12, 1 << 16):
+            for arity in (2, 3):
+                zipped = td.zip_multi(encs[:arity], table_n)
+                out[f"transducer:zip:{case}:{table_n}:{arity}"] = (
+                    stream_digest(zipped))
+    return out
+
+
+def long_zero_run_items(tausync):
+    """run_multi and run_sparse of one fixed spec over 10^6 zeros."""
+    sc, td = tausync.sparsecodec, tausync.transducer
+
+    def delta(state, a, b=0):
+        if a == b == 0:
+            return (state + 1) % 5, 0
+        return (state + a + 2 * b) % 5, (a + b + state) % 7
+
+    big = 10 ** 6
+    n = 2 * big + 3
+    first = sc.senc_from_list(n, [(0, 3), (big + 1, 5), (n - 1, 1 << 33)])
+    second = sc.senc_from_list(n, [(1, 2), (big + 2, 4)])
+    pair = td.TransducerSpec(5, 0, 2, delta, key="digest:long")
+    single = td.TransducerSpec(5, 0, 1, delta, key="digest:long:single")
+    out = {}
+    for table_n in (1 << 12, 1 << 16):
+        out[f"transducer:run_multi:{table_n}"] = stream_digest(
+            td.run_multi(pair, [first, second], table_n))
+        out[f"transducer:run_sparse:{table_n}"] = stream_digest(
+            td.run_sparse(single, first, table_n))
+    return out
+
+
 def cli_call(main, argv, target):
     """(exit code, output bytes) of one CLI call writing to `target`."""
     if os.path.exists(target):
@@ -286,6 +363,8 @@ def main(argv) -> int:
     sys.path.insert(0, src)
     import tausync
     import tausync.cli
+    import tausync.reference.sync_transducer
+    import tausync.transducer
 
     items = {}
     rng = random.Random(0xD16E57)
@@ -303,6 +382,10 @@ def main(argv) -> int:
     periodic = long_runs_text(random.Random(0x10CA1))
     items.update(library_items(tausync, "long", periodic, 3, LONG_RUNS_TAUS))
     items.update(runs_items(tausync, "long", periodic, 3))
+    for name, syms, sigma in texts[:12]:
+        items.update(transducer_sync_items(tausync, name, syms, sigma))
+    items.update(zip_items(tausync, random.Random(0x21B)))
+    items.update(long_zero_run_items(tausync))
     with tempfile.TemporaryDirectory() as tmp:
         for name, syms, sigma in texts[:12]:
             items.update(cli_items(cli_main, name, syms,
