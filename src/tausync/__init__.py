@@ -9,8 +9,8 @@ Library layout:
 * :mod:`tausync.runs` -- periods, run extensions, filtered run families
 * :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
 * :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings,
-  all read from their digit strings by one gamma reader
-* :mod:`tausync.ranksupport` -- rank/select by bisection over a decomposition
+  each read by one walk over its digit string in window-sized pieces
+* :mod:`tausync.ranksupport` -- rank/select by bisection over those pieces
 * :mod:`tausync.fastpath` -- sparse-output query pipeline
 * :mod:`tausync.oracle` -- brute-force references backing the test suite
 * :mod:`tausync.reference` -- the paper's constructions kept as tested
@@ -22,7 +22,7 @@ The accelerated transducers of :mod:`tausync.transducer` serve only
 package, or running the CLI, loads neither module.
 """
 
-from .bitstream import BitStream, W
+from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument, InvalidInput
 from .text import PackedText
 from .sparsecodec import (SparseEncoding, senc_decode, senc_encode,

@@ -9,7 +9,9 @@ A stream is built once, in bulk -- empty by ``BitStream()``, or by
 ``from01``, ``from_digits``, ``from_int``, ``from_positions`` or
 ``from_bytes`` -- and never changes after that, so it hashes by value
 and can be shared across threads.  ``from_digits`` is the one place that
-turns a stream-order digit string into a stream.
+turns a stream-order digit string into a stream.  A stream is read whole,
+by ``to01``, ``to_int``, ``to_positions`` or ``to_bytes``; it has no
+reader of single bits or words.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from operator import sub
 from typing import Sequence
 
 from .errors import DecodeError, InvalidArgument
-
-#: Widest read of `read_bits`.
-W = 64
 
 MAGIC = b"SSB1"
 
@@ -111,25 +110,6 @@ class BitStream:
         """Positions of the set bits, in increasing order."""
         digits = format(self._value, "b")[::-1]
         return [i for i, ch in enumerate(digits) if ch == "1"]
-
-    # -- core operations -----------------------------------------------------
-
-    def get_bit(self, i: int) -> int:
-        """Bit i; 0 at or beyond the stream length."""
-        if i < 0:
-            raise InvalidArgument("negative bit index")
-        return (self._value >> i) & 1
-
-    def read_bits(self, start: int, count: int) -> int:
-        """Read `count` bits at [start..start+count), LSB-first.
-
-        Positions at or beyond the stream length contribute 0.
-        """
-        if count > W or count < 0:
-            raise InvalidArgument(f"count {count} not in [0..{W}]")
-        if start < 0:
-            raise InvalidArgument("negative start")
-        return (self._value >> start) & ((1 << count) - 1)
 
     # -- serialization -------------------------------------------------------
 

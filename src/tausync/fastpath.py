@@ -3,8 +3,8 @@ optionally with rank/select support.
 
 A tau query lists the set explicitly (`build_sync_explicit`) and encodes
 that list with `senc_from_positions`.  Its rank/select support is the
-greedy decomposition of that encoding, which answers both queries by
-bisection over its piece arrays.
+greedy decomposition of that encoding, which holds the encoding and its
+size and answers both queries by bisection over its piece arrays.
 
 The paper's five-stream transducer construction of the same stream is
 kept in :mod:`tausync.reference.sync_transducer`.
@@ -12,31 +12,11 @@ kept in :mod:`tausync.reference.sync_transducer`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import sparsecodec as sc
 from .ranksupport import Decomposition, decompose
 from .sparsecodec import SparseEncoding
 from .syncset import SyncIndex, build_sync_explicit
 from .text import PackedText
-
-
-@dataclass
-class SyncSupport:
-    """A sparse-encoded synchronizing set with rank/select support."""
-
-    encoding: SparseEncoding
-    decomp: Decomposition
-
-    @property
-    def size(self) -> int:
-        return self.decomp.r[-1]
-
-    def select(self, j: int) -> int:
-        return self.decomp.select(j)
-
-    def rank(self, j: int) -> int:
-        return self.decomp.rank(j)
 
 
 class FastSyncIndex:
@@ -51,6 +31,5 @@ class FastSyncIndex:
         members = build_sync_explicit(self.sync_index, tau)
         return sc.senc_from_positions(self.t.n, members)
 
-    def sync_with_support(self, tau: int) -> SyncSupport:
-        enc = self.sync_sparse(tau)
-        return SyncSupport(enc, decompose(enc))
+    def sync_with_support(self, tau: int) -> Decomposition:
+        return decompose(self.sync_sparse(tau))

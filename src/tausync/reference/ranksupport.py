@@ -20,12 +20,23 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from ..bitstream import BitStream, W
+from ..bitstream import BitStream
 from ..errors import InvalidArgument
 from ..ranksupport import Decomposition
 
 
 # -- plain bitvector rank/select ------------------------------------------------
+
+#: Bits per word of `BitVectorRS`.
+W = 64
+
+
+def _words(bits: BitStream) -> list[int]:
+    """The stream's W-bit words, LSB-first; the last one holds its tail."""
+    value = bits.to_int()
+    return [(value >> start) & ((1 << W) - 1)
+            for start in range(0, len(bits), W)]
+
 
 class BitVectorRS:
     """Word-blocked rank and select over a fixed bitmask."""
@@ -33,12 +44,10 @@ class BitVectorRS:
     def __init__(self, bits: BitStream):
         self.bits = bits
         self.n = len(bits)
-        words = []
+        words = _words(bits)
         prefix = [0]
         total = 0
-        for start in range(0, self.n, W):
-            w = bits.read_bits(start, min(W, self.n - start))
-            words.append(w)
+        for w in words:
             total += w.bit_count()
             prefix.append(total)
         self._words = words
@@ -77,7 +86,7 @@ class SelectSupport:
     """Constant-window select over a sparse-encoded 0/1 mask."""
 
     def __init__(self, decomp: Decomposition):
-        self.enc = enc = decomp.enc
+        self.enc = enc = decomp.encoding
         self.decomp = decomp
         nbits = max(len(enc.stream), 1)
         # encoding positions of the literal tokens, from the pieces' parses
@@ -306,7 +315,7 @@ class RankSupport:
     """Rank over a sparse-encoded 0/1 mask via a vEB index on piece starts."""
 
     def __init__(self, decomp: Decomposition, m: int | None = None):
-        self.enc = enc = decomp.enc
+        self.enc = enc = decomp.encoding
         self.decomp = decomp
         h = decomp.h
         min_m = max(1, len(enc.stream) // max(1, decomp.table_n.bit_length() - 1))

@@ -64,7 +64,7 @@ def shift_truncate(enc: SparseEncoding, ell: int,
 # -- run markers -----------------------------------------------------------------
 
 # descriptor literal standing for "no relevant run here": code of senc([0])
-_NO_RUN = sc.stream_to_msb_int(sc.senc_encode([0]).stream)
+_NO_RUN = td.stream_to_msb_int(sc.senc_encode([0]).stream)
 
 
 def _descriptor(pairs: Sequence[tuple[int, int]]) -> int:
@@ -75,13 +75,13 @@ def _descriptor(pairs: Sequence[tuple[int, int]]) -> int:
     for p, l in pairs:
         flat.append(p)
         flat.append(l)
-    return sc.stream_to_msb_int(sc.senc_encode(flat).stream)
+    return td.stream_to_msb_int(sc.senc_encode(flat).stream)
 
 
 def _decode_descriptor(value: int) -> list[tuple[int, int]]:
     if value == _NO_RUN:
         return []
-    vals = sc.decode_token_stream(sc.msb_int_to_stream(value))
+    vals = sc.decode_token_stream(td.msb_int_to_stream(value))
     return [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
 
 

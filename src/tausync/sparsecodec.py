@@ -18,15 +18,17 @@ binary(x)) and converts the joined string to the stream with one
 in a table of at most 2 * 4096 strings, filled on first use.  A 0/1 mask
 (``senc_from_positions``) is written as the zero-run tokens around its
 members joined by the literal token 1; a second table maps each distance
-between members up to 4096 to the string the first one holds.  The reader formats
-the stream once as a digit string, finds each gamma code's terminating 1
-with ``str.find`` and reads its payload with one ``int(..., 2)``.
+between members up to 4096 to the string the first one holds.
 
-Window parses take the table parameter ``N`` (default ``DEFAULT_TABLE_N``
-= 2**16), with windows of ceil(lg N) bits.  `ParseTables` owns one memo
-of them, keyed by the window's digit string, which `decompose` and the
-transducers slice from the stream's digits.  Every token stream, whole
-or windowed, is read by `gamma_at` over its digit string.
+There is one reader, `_walk`: it formats the stream once as a digit
+string and splits it into pieces, each the longest valid prefix of the
+next ceil(lg N)-bit window, N being the table parameter (default
+``DEFAULT_TABLE_N`` = 2**16).  `ParseTables` owns one memo of window
+parses keyed by the window's digits, which the transducers share.  A
+token wider than the window is read by `gamma_at`, which finds a gamma
+code's terminating 1 with ``str.find``.  `senc_decode`, `senc_to_list`,
+`decode_token_stream` and `ranksupport.decompose` all read this way,
+and so reject a corrupt stream with the same error.
 """
 
 from __future__ import annotations
@@ -127,55 +129,6 @@ def gamma_at(digits: str, start: int) -> tuple[int, int]:
     return int(digits[one:stop], 2), stop
 
 
-def _checked_tokens(stream: BitStream, offset: int, end: int):
-    """Yield (is_literal, x) for each token of stream[offset..end).
-
-    Rejects adjacent zero-run tokens and tokens that overrun `end`.  A
-    gamma code may run on past `end` up to the end of the stream; such a
-    token is rejected as overrunning `end`.
-    """
-    if offset < 0 and offset < end:
-        raise InvalidArgument("negative bit index")
-    digits = stream.to01()
-    pos = offset
-    last_zero_run = False
-    while pos < end:
-        x, stop = gamma_at(digits, pos + 1)
-        if stop > end:
-            raise DecodeError("token overruns encoding", pos)
-        is_literal = digits[pos] == "1"
-        if not is_literal and last_zero_run:
-            raise DecodeError("adjacent zero-run tokens", pos)
-        last_zero_run = not is_literal
-        yield is_literal, x
-        pos = stop
-
-
-def decode_token_stream(stream: BitStream, offset: int = 0,
-                        end: int | None = None) -> list[int]:
-    """Decode a whole token stream into the dense sequence.
-
-    Rejects adjacent zero-run tokens and tokens that overrun `end`.
-    """
-    values: list[int] = []
-    for is_literal, x in _checked_tokens(
-            stream, offset, len(stream) if end is None else end):
-        if is_literal:
-            values.append(x)
-        else:
-            values.extend([0] * x)
-    return values
-
-
-def senc_decode(enc: SparseEncoding) -> list[int]:
-    """The dense sequence, expanded only once its length checks out."""
-    n, pairs = senc_to_list(enc)
-    values = [0] * n
-    for pos, value in pairs:
-        values[pos] = value
-    return values
-
-
 def senc_from_list(n: int, pairs: Sequence[tuple[int, int]]) -> SparseEncoding:
     """Encode from (position, value) pairs with strictly increasing positions."""
     digits = []
@@ -235,21 +188,6 @@ def senc_from_positions(n: int, positions: Sequence[int]) -> SparseEncoding:
             prev = pos
     digits = "11".join(map(_ZERO_RUN_DIGITS.__getitem__, distances()))
     return SparseEncoding(_digits_to_stream([digits]), n)
-
-
-def senc_to_list(enc: SparseEncoding) -> tuple[int, list[tuple[int, int]]]:
-    """Inverse of senc_from_list: (n, sorted (position, value) pairs)."""
-    pairs = []
-    pos = 0
-    for is_literal, x in _checked_tokens(enc.stream, 0, len(enc.stream)):
-        if is_literal:
-            pairs.append((pos, x))
-            pos += 1
-        else:
-            pos += x
-    if pos != enc.decoded_len:
-        raise DecodeError(f"decoded length {pos} != declared {enc.decoded_len}")
-    return pos, pairs
 
 
 @dataclass(frozen=True)
@@ -355,19 +293,88 @@ def parse_tables(table_n: int = DEFAULT_TABLE_N) -> ParseTables:
     return _shared_tables(table_n)
 
 
-# -- integer view of encodings (used for zipped symbols) ---------------------
+# -- the reader ------------------------------------------------------------------
 
-def stream_to_msb_int(stream: BitStream) -> int:
-    """Interpret stream bits as MSB-first digits, prefixed by a sentinel 1.
+def _walk(stream: BitStream, table_n: int):
+    """(p, e, r, parses) of the greedy split of a token stream into
+    pieces, as `ranksupport.Decomposition` holds them.
 
-    The sentinel preserves leading zero bits, so the mapping is injective
-    and the result is always positive.
+    A token wider than the window is a piece of its own: a wide literal
+    gets a one-symbol parse, a long zero run None.  A window parse never
+    holds two adjacent zero-run tokens, so a piece that starts with a
+    zero run after one that ends with a zero run is rejected here.
     """
-    return int("1" + stream.to01(), 2)
+    tables = parse_tables(table_n)
+    parse = tables.parse_digits
+    digits = stream.to01()
+    total = len(digits)
+    k = tables.window_bits
+    p, e, r = [0], [0], [0]
+    parses: list[ParseInfo | None] = []
+    pos = sym = ones = 0
+    after_zero_run = False   # the previous piece ends with a zero-run token
+    while pos < total:
+        info = parse(digits[pos:pos + k])
+        if info.b > 0:
+            if after_zero_run and not info.values[0]:
+                raise DecodeError("adjacent zero-run tokens", pos)
+            after_zero_run = not info.values[-1]
+            pos += info.b
+            sym += info.a
+            ones += info.a_plus
+            parses.append(info)
+        else:
+            x, stop = gamma_at(digits, pos + 1)
+            is_literal = digits[pos] == "1"
+            if after_zero_run and not is_literal:
+                raise DecodeError("adjacent zero-run tokens", pos)
+            after_zero_run = not is_literal
+            sym += 1 if is_literal else x
+            ones += is_literal
+            parses.append(ParseInfo(stop - pos, 1, 1, (x,), (0,), (0,), (0,))
+                          if is_literal else None)
+            pos = stop
+        p.append(sym)
+        e.append(pos)
+        r.append(ones)
+    return p, e, r, parses
 
 
-def msb_int_to_stream(value: int) -> BitStream:
-    """Inverse of stream_to_msb_int."""
-    if value < 1:
-        raise DecodeError("sentinel-coded value must be positive")
-    return BitStream.from01(f"{value:b}"[1:])
+def read_pieces(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N):
+    """The pieces (p, e, r, parses) of an encoding's stream, once they are
+    checked to cover its declared length."""
+    pieces = _walk(enc.stream, table_n)
+    covered = pieces[0][-1]
+    if covered != enc.decoded_len:
+        raise DecodeError(f"decoded length {covered} != declared "
+                          f"{enc.decoded_len}")
+    return pieces
+
+
+def _expand(p: list[int], parses: list[ParseInfo | None]) -> list[int]:
+    """The dense sequence of the pieces: zeros but for their parses."""
+    values = [0] * p[-1]
+    for start, info in zip(p, parses):
+        if info is not None:
+            values[start:start + info.a] = info.values
+    return values
+
+
+def decode_token_stream(stream: BitStream) -> list[int]:
+    """The dense sequence of a whole token stream, of whatever length."""
+    p, _, _, parses = _walk(stream, DEFAULT_TABLE_N)
+    return _expand(p, parses)
+
+
+def senc_decode(enc: SparseEncoding) -> list[int]:
+    """The dense sequence, expanded only once its length checks out."""
+    p, _, _, parses = read_pieces(enc)
+    return _expand(p, parses)
+
+
+def senc_to_list(enc: SparseEncoding) -> tuple[int, list[tuple[int, int]]]:
+    """Inverse of senc_from_list: (n, sorted (position, value) pairs)."""
+    p, _, _, parses = read_pieces(enc)
+    return p[-1], [(start + j, info.values[j])
+                   for start, info in zip(p, parses) if info is not None
+                   for j in info.selects]

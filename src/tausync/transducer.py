@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
+from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
 from . import sparsecodec as sc
 from .sparsecodec import DEFAULT_TABLE_N, SparseEncoding
@@ -332,6 +333,22 @@ def run_sparse(spec: TransducerSpec, enc: SparseEncoding,
 
 # -- zipped symbols ------------------------------------------------------------
 
+def stream_to_msb_int(stream: BitStream) -> int:
+    """Interpret stream bits as MSB-first digits, prefixed by a sentinel 1.
+
+    The sentinel preserves leading zero bits, so the mapping is injective
+    and the result is always positive.
+    """
+    return int("1" + stream.to01(), 2)
+
+
+def msb_int_to_stream(value: int) -> BitStream:
+    """Inverse of stream_to_msb_int."""
+    if value < 1:
+        raise DecodeError("sentinel-coded value must be positive")
+    return BitStream.from01(f"{value:b}"[1:])
+
+
 _zip_symbol_cache: dict[tuple[int, ...], int] = {}
 _unzip_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -344,7 +361,7 @@ def zip_symbol(values: Sequence[int]) -> int:
         if all(v == 0 for v in key):
             out = 0
         else:
-            out = sc.stream_to_msb_int(sc.senc_encode(key).stream)
+            out = stream_to_msb_int(sc.senc_encode(key).stream)
         if len(_zip_symbol_cache) < (1 << 20):
             _zip_symbol_cache[key] = out
     return out
@@ -356,7 +373,7 @@ def unzip_symbol(x: int, arity: int) -> tuple[int, ...]:
     key = (x, arity)
     out = _unzip_cache.get(key)
     if out is None:
-        values = sc.decode_token_stream(sc.msb_int_to_stream(x))
+        values = sc.decode_token_stream(msb_int_to_stream(x))
         if len(values) != arity:
             raise DecodeError(
                 f"zipped symbol decodes to {len(values)} values, "

@@ -1,11 +1,10 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from tausync.bitstream import BitStream
 from tausync.errors import DecodeError
-from tausync.sparsecodec import decode_token_stream
 from tausync.text import PackedText
 
 
@@ -62,15 +61,49 @@ def digit_strings(k: int) -> list[str]:
             for bits in product("01", repeat=n)]
 
 
+def reference_tokens(stream) -> list[tuple[bool, int]]:
+    """(is_literal, x) of each token of a whole stream, read one token at a
+    time: the indicator bit from to_int(), then x by `gamma_read`.  Rejects
+    adjacent zero-run tokens and bad gamma codes as the package's reader
+    does, with the same errors."""
+    value = stream.to_int()
+    tokens = []
+    pos = 0
+    while pos < len(stream):
+        is_literal = bool(value >> pos & 1)
+        x, used = gamma_read(stream, pos + 1)
+        if not is_literal and tokens and not tokens[-1][0]:
+            raise DecodeError("adjacent zero-run tokens", pos)
+        tokens.append((is_literal, x))
+        pos += 1 + used
+    return tokens
+
+
+def reference_pairs(enc) -> tuple[int, list[tuple[int, int]]]:
+    """(n, (position, value) pairs) of a sparse encoding by
+    `reference_tokens`, once the tokens cover its declared length."""
+    pairs = []
+    pos = 0
+    for is_literal, x in reference_tokens(enc.stream):
+        if is_literal:
+            pairs.append((pos, x))
+        pos += 1 if is_literal else x
+    if pos != enc.decoded_len:
+        raise DecodeError(f"decoded length {pos} != declared {enc.decoded_len}")
+    return pos, pairs
+
+
 def decodable_prefixes(w: str) -> list[tuple[int, tuple[int, ...]]]:
-    """(b, decoded values) of every prefix w[:b] that decodes whole."""
+    """(b, decoded values) of every prefix w[:b] that decodes whole, by
+    `reference_tokens`."""
     out = []
     for b in range(len(w) + 1):
         try:
-            values = decode_token_stream(BitStream.from01(w[:b]))
+            tokens = reference_tokens(BitStream.from01(w[:b]))
         except DecodeError:
             continue
-        out.append((b, tuple(values)))
+        out.append((b, tuple(chain.from_iterable(
+            [x] if is_literal else [0] * x for is_literal, x in tokens))))
     return out
 
 

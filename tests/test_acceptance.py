@@ -100,10 +100,10 @@ def test_criterion_2_representation_agreement(corpus, handles):
         for tau in range(1, n // 2 + 1):
             members = ss.build_sync_explicit(handle.sync_index, tau)
             mask = ss.build_sync_bitmask(handle.sync_index, tau)
-            from_mask = [i for i in range(n) if mask.get_bit(i)]
+            from_mask = mask.to_positions()
             assert from_mask == members, (syms, tau)
             enc = handle.sync_sparse(tau)
-            support = fp.SyncSupport(enc, decompose(enc, table_n))
+            support = decompose(enc, table_n)
             bits = sc.senc_decode(support.encoding)
             assert [i for i, b in enumerate(bits) if b] == members, (syms, tau)
             assert support.size == len(members)

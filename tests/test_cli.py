@@ -241,6 +241,34 @@ def test_decode_corrupted_sparse_container(tmp_path, text_file, capsys):
     assert errors == ["error: adjacent zero-run tokens (bit offset 4)\n"] * 2
 
 
+def _tokens(*tokens):
+    return sc.tokens_to_stream(tokens)
+
+
+@pytest.mark.parametrize("stream, n, message", [
+    (sc.senc_from_positions(40, [1, 5]).stream, 41,
+     "decoded length 40 != declared 41"),
+    # a zero run wider than a window, then a zero run in the next piece
+    (_tokens((False, 300), (False, 2), (True, 1)), 303,
+     "adjacent zero-run tokens (bit offset 18)"),
+    (BitStream.from01(_tokens((True, 1), (False, 1024)).to01()[:-1]), 1025,
+     "truncated gamma code (bit offset 3)"),
+], ids=["length", "adjacent-across-pieces", "truncated"])
+def test_readers_reject_alike(tmp_path, text_file, capsys, stream, n, message):
+    # decode, query and verify --set read a container the same way, and
+    # reject a corrupt one with the same text
+    path, _ = text_file
+    cont = tmp_path / "bad.ssb"
+    cont.write_bytes(stream.to_bytes(n))
+    for argv in (["decode", str(cont), "--out", str(tmp_path / "out.txt")],
+                 ["query", str(cont), "--rank", "0"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert main(["verify", path, "--sigma", "4", "--tau", "8",
+                 "--set", str(cont)]) == 1
+    assert capsys.readouterr() == ("", f"unreadable set: {message}\n")
+
+
 def test_query_container_with_wide_literal(tmp_path, capsys):
     # the literal 300 is a token of 18 bits, wider than a 16-bit window
     arr = tmp_path / "arr.txt"

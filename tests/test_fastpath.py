@@ -108,7 +108,7 @@ def test_sync_sparse_equals_other_paths(rng):
             got = [i for i, b in enumerate(sparse_bits) if b]
             assert got == ss.build_sync_explicit(handle.sync_index, tau)
             mask = ss.build_sync_bitmask(handle.sync_index, tau)
-            assert got == [i for i in range(n) if mask.get_bit(i)]
+            assert got == mask.to_positions()
             pairs += 1
     assert pairs > 300
 

@@ -291,7 +291,7 @@ def test_runs_bitmask_interval_equivalence(rng):
         p = rng.randint(1, max(1, n // 4))
         ell = rng.randint(2 * p, n)
         mask = rn.runs_bitmask(t, ell, p)
-        bits = [mask.get_bit(i) for i in range(n - ell + 1)]
+        bits = [mask.to_int() >> i & 1 for i in range(n - ell + 1)]
         intervals = []
         i = 0
         while i < len(bits):
@@ -316,15 +316,15 @@ def test_runs_bitmask_matches_periods(rng):
         ell = rng.randint(p + 1, n + 1)
         if ell > n:
             continue
-        mask = rn.runs_bitmask(t, ell, p)
+        value = rn.runs_bitmask(t, ell, p).to_int()
         for i in range(n - ell + 1):
-            assert mask.get_bit(i) == (brute_period(syms[i:i + ell]) <= p)
+            assert value >> i & 1 == (brute_period(syms[i:i + ell]) <= p)
 
 
 def test_runs_bitmask_packed_table_path():
     # short windows take the run enumeration too
     syms = [0, 0, 1, 0, 0, 1, 0, 0, 0, 1] * 6
     t = PackedText(syms, 2)
-    mask = rn.runs_bitmask(t, 6, 3)
+    value = rn.runs_bitmask(t, 6, 3).to_int()
     for i in range(t.n - 6 + 1):
-        assert mask.get_bit(i) == (brute_period(syms[i:i + 6]) <= 3)
+        assert value >> i & 1 == (brute_period(syms[i:i + 6]) <= 3)

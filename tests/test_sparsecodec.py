@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import decodable_prefixes, digit_strings, gamma_read
+from conftest import (decodable_prefixes, digit_strings, gamma_read,
+                      reference_pairs)
 from tausync.bitstream import BitStream
 from tausync.errors import DecodeError, InvalidArgument
 from tausync import sparsecodec as sc
@@ -191,22 +194,14 @@ def test_prefix_parse_maximal(rng):
         vals = [rng.choice([0, 0, rng.randint(1, 6)]) for _ in range(rng.randint(0, 12))]
         enc = sc.senc_encode(vals)
         limit = rng.randint(0, k)
-        info = tables.parse_digits(enc.stream.to01()[:limit])
+        window = enc.stream.to01()[:limit]
+        info = tables.parse_digits(window)
         # independent scan over all prefix lengths
-        best = 0
-        top = min(limit, len(enc.stream))
-        for b in range(top + 1):
-            try:
-                sc.decode_token_stream(enc.stream, 0, b)
-                best = b
-            except DecodeError:
-                continue
-        assert info.b == best, (vals, limit)
+        best, values = decodable_prefixes(window)[-1]
+        assert (info.b, info.values) == (best, values), (vals, limit)
         if info.b:
-            piece = BitStream.from01(enc.stream.to01()[:info.b])
-            decoded = sc.decode_token_stream(piece)
-            assert tuple(decoded) == info.values
-            assert sc.senc_encode(decoded).stream == piece
+            piece = BitStream.from01(window[:info.b])
+            assert sc.senc_encode(values).stream == piece
 
 
 def test_prefix_parse_rank_select_fields(rng):
@@ -261,17 +256,6 @@ def test_parse_is_the_longest_decodable_prefix_exhaustively():
         assert info.a_plus == len(info.selects)
 
 
-def test_sentinel_int_roundtrip(rng):
-    assert sc.stream_to_msb_int(BitStream.from01("0011")) == 19
-    assert sc.msb_int_to_stream(19).to01() == "0011"
-    for _ in range(100):
-        vals = [rng.choice([0, rng.randint(1, 30)]) for _ in range(rng.randint(0, 6))]
-        enc = sc.senc_encode(vals)
-        code = sc.stream_to_msb_int(enc.stream)
-        assert code >= 1
-        assert sc.msb_int_to_stream(code) == enc.stream
-
-
 # -- bulk writer and reader against per-token references ----------------------
 
 TOKEN_BOUND = 1 << 12   # the token-digit table covers x < TOKEN_BOUND
@@ -283,24 +267,6 @@ def reference_stream(tokens) -> BitStream:
     """One indicator bit and one gamma code by definition per token."""
     return BitStream.from01("".join("01"[is_literal] + gamma_digits(x)
                                     for is_literal, x in tokens))
-
-
-def reference_tokens(stream, offset, end):
-    """Token-at-a-time reader: get_bit for the indicator, gamma_read for x."""
-    out = []
-    pos = offset
-    last_zero_run = False
-    while pos < end:
-        indicator = stream.get_bit(pos)
-        x, used = gamma_read(stream, pos + 1)
-        if pos + 1 + used > end:
-            raise DecodeError("token overruns encoding", pos)
-        if not indicator and last_zero_run:
-            raise DecodeError("adjacent zero-run tokens", pos)
-        last_zero_run = not indicator
-        out.append((bool(indicator), x))
-        pos += 1 + used
-    return out
 
 
 values_st = st.one_of(st.sampled_from(EDGE_VALUES),
@@ -409,13 +375,11 @@ def test_writer_rejects_bad_tokens():
         sc.senc_from_list(3, [(3, 1)])
 
 
-def _outcome(read, stream, offset, end):
+def _outcome(read, enc):
     try:
-        return "ok", list(read(stream, offset, end))
+        return "ok", read(enc)
     except DecodeError as exc:
         return type(exc), str(exc), exc.bit_offset
-    except InvalidArgument as exc:
-        return type(exc), str(exc)
 
 
 def test_reader_matches_reference_on_corruptions(rng):
@@ -434,19 +398,18 @@ def test_reader_matches_reference_on_corruptions(rng):
             bits += rng.choices("01", k=rng.randint(1, 5))
         if bits and rng.random() < 0.1:
             bits = ["0"] * rng.randint(1, 80) + bits   # leading zero runs
-        stream = BitStream.from01("".join(bits))
-        offset = rng.choice([0, 0, 0, rng.randint(-1, len(bits) + 1)])
-        end = rng.choice([len(bits), len(bits),
-                          rng.randint(0, len(bits) + 3)])
-        got = _outcome(sc._checked_tokens, stream, offset, end)
-        assert got == _outcome(reference_tokens, stream, offset, end), (
-            "".join(bits), offset, end)
-        seen.add(got[1].split(" (")[0] if got[0] != "ok" else "ok")
+        enc = sc.SparseEncoding(BitStream.from01("".join(bits)),
+                                len(vals) + rng.choice([0, 0, 0, -1, 1]))
+        got = _outcome(sc.senc_to_list, enc)
+        assert got == _outcome(reference_pairs, enc), "".join(bits)
+        # the error text without its bit offset or lengths
+        seen.add(re.sub(r" \(bit offset \d+\)$| \d+ != .*", "", got[1])
+                 if got[0] != "ok" else "ok")
     # every rejection of the reader is reached
-    assert seen >= {"ok", "gamma code starts past end of stream",
+    assert seen == {"ok", "gamma code starts past end of stream",
                     "gamma code has no terminating 1-bit",
-                    "truncated gamma code", "token overruns encoding",
-                    "adjacent zero-run tokens", "negative bit index"}
+                    "truncated gamma code", "adjacent zero-run tokens",
+                    "decoded length"}
 
 
 def test_parse_tables_cache_is_bounded():

@@ -139,7 +139,7 @@ def test_bitmask_equals_explicit(rng):
         index = ss.SyncIndex(t)
         for tau in range(1, n // 2 + 1):
             mask = ss.build_sync_bitmask(index, tau)
-            got = [i for i in range(n) if mask.get_bit(i)]
+            got = mask.to_positions()
             assert got == ss.build_sync_explicit(index, tau)
 
 

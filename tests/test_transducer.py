@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import decodable_prefixes, digit_strings
+from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import run_reference_by_runs, run_reference_transducer
 from tausync import sparsecodec as sc
@@ -139,6 +140,17 @@ def test_macro_step_progress(rng):
     positions = accel.last_stats.macro_bit_positions
     for a, b in zip(positions, positions[2:]):
         assert b - a > accel.lg_m
+
+
+def test_sentinel_int_roundtrip(rng):
+    assert td.stream_to_msb_int(BitStream.from01("0011")) == 19
+    assert td.msb_int_to_stream(19).to01() == "0011"
+    for _ in range(100):
+        vals = [rng.choice([0, rng.randint(1, 30)]) for _ in range(rng.randint(0, 6))]
+        enc = sc.senc_encode(vals)
+        code = td.stream_to_msb_int(enc.stream)
+        assert code >= 1
+        assert td.msb_int_to_stream(code) == enc.stream
 
 
 def test_zip_pair_example_and_unzip():

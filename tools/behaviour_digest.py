@@ -23,9 +23,10 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   wrote;
 * `decode`, `query --rank J` and `query --select J` (fixed J) of each
   `sync --format sparse` container: exit code, stdout and stderr;
-* exit code and stderr of `decode` on fixed corruptions of each of those
-  containers (flipped, zeroed and truncated payloads, a wrong declared
-  length);
+* exit code and stderr of `decode`, and exit code, stdout and stderr of
+  `verify --set` at the container's tau, on fixed corruptions of each of
+  those containers (flipped, zeroed and truncated payloads, a wrong
+  declared length);
 * the library and CLI items above for three wide-alphabet texts: raw
   bytes with all 256 values read without `--sigma`, a `--decimal` text
   with symbols at and above 2^21, and a `--decimal` text of 300
@@ -293,8 +294,9 @@ def corruptions(data: bytes):
     return out
 
 
-def sparse_container_items(main, name, n, container, tmp):
-    """decode and query of a sparse container, and decode of corruptions."""
+def sparse_container_items(main, name, n, container, verify, tmp):
+    """decode and query of a sparse container, and decode and `verify`
+    (the argv that names the text and tau) of its corruptions."""
     target = os.path.join(tmp, "out")
     out = {f"{name}:cli:sparse:decode": digest(
         cli_call(main, ["decode", container], target))}
@@ -312,6 +314,8 @@ def sparse_container_items(main, name, n, container, tmp):
             fh.write(corrupted)
         code, _, err = cli_capture(main, ["decode", bad, "--out", target])
         out[f"{name}:cli:sparse:corrupt:{tag}"] = digest((code, err))
+        out[f"{name}:cli:sparse:verify_corrupt:{tag}"] = digest(
+            cli_capture(main, verify + ["--set", bad]))
     return out
 
 
@@ -343,8 +347,9 @@ def cli_items(main, name, syms, opts, tmp):
         if cmd == "sync" and tag == "sparse" and os.path.exists(target):
             container = os.path.join(tmp, f"{name}.sync.ssb")
             os.replace(target, container)
-            out.update(sparse_container_items(main, name, len(syms),
-                                              container, tmp))
+            out.update(sparse_container_items(
+                main, name, len(syms), container,
+                ["verify", path, *opts, "--tau", tau], tmp))
     array = os.path.join(tmp, f"{name}.txt")
     with open(array, "w") as fh:
         fh.write(" ".join(map(str, syms)))
