@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed input,
 3 I/O error.
-All commands are thin wrappers over the library.
+All commands are thin wrappers over the library.  The one-shot commands
+`sync` and `recompress` build the recompression chain only down to the
+level they read; `bench` serves many tau and builds all of it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import random
 import sys
 import time
+from functools import lru_cache
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument, InvalidInput
@@ -104,7 +107,7 @@ def _write_container(path, stream: BitStream, decoded_len: int):
 def cmd_sync(args) -> int:
     t = _packed(args)
     _check_tau(t, args.tau)
-    index = ss.SyncIndex(t)
+    index = ss.SyncIndex(t, rc.RecompressionIndex(t, ss.k_of_tau(args.tau)))
     if args.verify or args.format != "bitmask":
         members = ss.build_sync_explicit(index, args.tau)
     if args.verify:
@@ -125,7 +128,8 @@ def cmd_sync(args) -> int:
 
 def cmd_recompress(args) -> int:
     t = _packed(args)
-    index = rc.RecompressionIndex(t)
+    # a negative level is refused by level_list, as on the whole chain
+    index = rc.RecompressionIndex(t, max(args.level, 0))
     if args.format == "list":
         _write_lines(args.out, index.level_list(args.level))
     else:
@@ -272,43 +276,36 @@ def build_parser() -> argparse.ArgumentParser:
                    default="list")
     p.add_argument("--verify", action="store_true",
                    help="check the result against the reference conditions")
-    p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("recompress", help="report one boundary level")
     _add_common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--format", choices=["list", "bitmask"], default="list")
-    p.set_defaults(func=cmd_recompress)
 
     p = sub.add_parser("runs", help="report length/period-filtered runs")
     _add_common(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--format", choices=["list", "bitmask"], default="list")
-    p.set_defaults(func=cmd_runs)
 
     p = sub.add_parser("encode", help="sparse-encode a decimal array")
     _add_common(p, needs_text=False)
     p.add_argument("input", help="whitespace-separated integers")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a sparse container")
     _add_common(p, needs_text=False)
     p.add_argument("input", help="container file")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("query", help="rank/select against a container")
     _add_common(p, needs_text=False)
     p.add_argument("container")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--select", type=int, default=None)
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("verify", help="verify a stored synchronizing set")
     _add_common(p)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--set", required=True, help="set file (list or container)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="timing and size report as CSV")
     _add_common(p, text_optional=True,
@@ -320,16 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bench a generated random text of N symbols")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for generated bench texts")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
+# one parser per process; parse_args gives each call a fresh namespace
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up at call time, so a wrapped or patched cmd_* is called
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, InvalidArgument, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ Each round takes a sorted boundary list, compares phrases by content, as
 slices of the text's code-point string, and names the boundaries it drops.
 `RecompressionIndex` stores the chain as one depth byte per boundary f,
 the number of levels that contain f, so B_k = {f : depth[f] > k} and one
-`bytes.translate` gives any level's digit string.
+`bytes.translate` gives any level's digit string.  Given a top level, it
+runs only the rounds that level needs.
 
 The cut approximation orders its nodes by the canonical (length,
 content) key, which pins down the whole chain.  The paper's packed
@@ -22,6 +23,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from itertools import (accumulate, chain, compress, filterfalse, islice,
                        pairwise, repeat)
+from math import inf
 from operator import ne, sub
 from typing import NamedTuple
 
@@ -32,7 +34,7 @@ from .text import PackedText
 
 # -- phrase-length schedule ---------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)   # rounds and k_of_tau read k up to about 250
 def lambda_frac(k: int) -> tuple[int, int]:
     """lambda_k = (8/7)^(k//2) as an exact (numerator, denominator) pair."""
     h = k // 2
@@ -44,17 +46,23 @@ def lambda_floor(k: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
 def alpha(k: int) -> int:
     """Context radius: alpha_0 = 1, alpha_k = alpha_{k-1} + floor(lambda_{k-1})."""
-    if k == 0:
-        return 1
-    return alpha(k - 1) + lambda_floor(k - 1)
+    return 1 + sum(map(lambda_floor, range(k)))
 
 
 def lambda_exceeds_4n(k: int, n: int) -> bool:
-    num, den = lambda_frac(k)
-    return num > 4 * n * den
+    """lambda_k > 4n, in O(log n) steps for any k: lambda_k grows with
+    k // 2, which is compared with the first h where (8/7)^h > 4n."""
+    return n == 0 or k // 2 >= _first_h_past_4n(n)
+
+
+@lru_cache(maxsize=64)
+def _first_h_past_4n(n: int) -> int:
+    h, num, den = 0, 1, 1
+    while num <= 4 * n * den:
+        h, num, den = h + 1, 8 * num, 7 * den
+    return h
 
 
 # -- approximate maximum directed cut ----------------------------------------
@@ -169,11 +177,19 @@ def _gaps(bounds: list[int]) -> bytes | array:
 
 class RecompressionIndex:
     """The chain as depths, B_k = {f : depth[f] > k}, and the even levels
-    from 2 up, which tau queries read as lists, as gap strings."""
+    from 2 up, which tau queries read as lists, as gap strings.
 
-    def __init__(self, t: PackedText):
+    With `top` the rounds stop at level top: B_0..B_top read as in the
+    whole chain, and a deeper level is refused unless lambda_k > 4n
+    already says it is empty.  A one-shot query needs only its own level.
+    """
+
+    def __init__(self, t: PackedText, top: int | None = None):
+        if top is not None and top < 0:
+            raise InvalidArgument("level must be non-negative")
         self.t = t
         n = t.n
+        self.top = inf if top is None else top   # the deepest level read
         self.cap = DEPTH_CAP
         self.depth = bytearray(n)        # min(levels containing f, cap)
         self.deep: dict[int, int] = {}   # f -> its depth, when above cap
@@ -181,32 +197,40 @@ class RecompressionIndex:
         # round 0 compares single symbols: it drops f iff T[f - 1] = T[f]
         self.depth[1:] = b"\x01" * (n - 1)
         text = t._padded[n:2 * n]
-        bounds = list(compress(range(1, n), map(ne, text, text[1:])))
+        bounds = [] if top == 0 else list(
+            compress(range(1, n), map(ne, text, text[1:])))
         # quiet: the last even round dropped nothing
         k, quiet = 1, len(bounds) == n - 1
-        while bounds:
+        while bounds and k < self.top:
             if k % 2 == 0:
                 self.gaps[k] = _gaps(bounds)
             dropped = (round_odd if k % 2 else round_even)(t, bounds, k)
             k += 1
             if dropped:   # each boundary is recorded once, when it drops
-                if k > self.cap:
-                    self.deep.update(dict.fromkeys(dropped, k))
-                deque(map(self.depth.__setitem__, dropped,
-                          repeat(min(k, self.cap))), 0)
+                self._record(dropped, k)
                 bounds = list(filterfalse(set(dropped).__contains__, bounds))
             elif k % 2 == 0 and quiet:
                 # rounds k-2 and k-1 dropped nothing, and a round depends only
                 # on (boundaries, floor(lambda), parity): skip to its growth
-                while lambda_floor(k) == lambda_floor(k - 2):
+                while k < self.top and lambda_floor(k) == lambda_floor(k - 2):
                     self.gaps[k] = _gaps(bounds)
                     k += 2
             quiet = k % 2 == 1 and not dropped
-        self.q = max(self.deep.values(), default=max(self.depth, default=0))
+        if bounds:   # the loop stopped at top: these lie in B_0..B_top
+            self._record(bounds, top + 1)
+        self.q = min(self.top, max(self.deep.values(),
+                               default=max(self.depth, default=0)))
+
+    def _record(self, fs: list[int], d: int) -> None:
+        """Give each f in fs depth d."""
+        if d > self.cap:
+            self.deep.update(dict.fromkeys(fs, d))
+        deque(map(self.depth.__setitem__, fs, repeat(min(d, self.cap))), 0)
 
     @property
     def chain(self) -> ChainHandle:
-        """The chain in list form, rebuilt from the depths on each access."""
+        """B_0..B_q in list form, rebuilt from the depths on each access;
+        a truncated index's ends at B_top."""
         return ChainHandle([self._level(k, 0, self.t.n)
                             for k in range(self.q + 1)])
 
@@ -214,6 +238,9 @@ class RecompressionIndex:
         """depth[lo:hi] as bytes: `one` where f is in B_k, one - 1 elsewhere."""
         if k < 0:
             raise InvalidArgument("level must be non-negative")
+        if k > self.top:
+            raise InvalidArgument(f"level {k} is past this index's top "
+                                  f"level {self.top}")
         if k < self.cap:
             return self.depth[lo:hi].translate(
                 bytes([one - 1]) * (k + 1) + bytes([one]) * (255 - k))

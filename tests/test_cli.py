@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,8 +10,11 @@ import tausync
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.bitstream import BitStream
-from tausync.cli import main
+from tausync import cli
+from tausync.cli import build_parser, main
 from tausync.oracle import TextIndex, verify_sync
+from tausync.recompress import RecompressionIndex
+from tausync.text import PackedText
 
 
 @pytest.fixture
@@ -338,8 +342,6 @@ def test_recompress_and_runs_commands(tmp_path, text_file, capsys):
     assert main(["recompress", path, "--sigma", "4", "--level", "2",
                  "--format", "list"]) == 0
     listed = [int(x) for x in capsys.readouterr().out.split()]
-    from tausync.text import PackedText
-    from tausync.recompress import RecompressionIndex
     assert listed == RecompressionIndex(PackedText(symbols, 4)).level_list(2)
     assert main(["runs", path, "--sigma", "4", "--ell", "6", "--period", "3",
                  "--format", "list"]) == 0
@@ -372,3 +374,115 @@ def test_decimal_wide_symbols_match_renamed_text(tmp_path, capsys):
                      "--format", "list", "--verify"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and outputs[0].split()
+
+
+def _seeded_texts():
+    """(symbols, sigma) of three small seeded texts."""
+    rng = random.Random(23)
+    rle = []
+    while len(rle) < 110:
+        rle.extend([rng.randrange(16)] * rng.randint(1, 9))
+    return [([rng.randrange(4) for _ in range(70)], 4),
+            ([rng.randrange(2) for _ in range(90)], 2), (rle[:110], 16)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_cli_sync_matches_the_whole_index(tmp_path, case):
+    # sync builds the chain only down to k(tau); at every tau its three
+    # formats match the whole-chain SyncIndex
+    symbols, sigma = _seeded_texts()[case]
+    path = tmp_path / "text.bin"
+    path.write_bytes(bytes(symbols))
+    n = len(symbols)
+    index = ss.SyncIndex(PackedText(symbols, sigma))
+    out = tmp_path / "out"
+    for tau in range(1, n // 2 + 1):
+        want = ss.build_sync_explicit(index, tau)
+        got = {}
+        for fmt in ("list", "bitmask", "sparse"):
+            assert main(["sync", str(path), "--sigma", str(sigma), "--tau",
+                         str(tau), "--format", fmt, "--out", str(out)]) == 0
+            got[fmt] = out.read_bytes()
+        assert got["list"] == "".join(f"{i}\n" for i in want).encode(), tau
+        mask = ss.build_sync_bitmask(index, tau)
+        assert got["bitmask"] == mask.to_bytes(n), tau
+        enc = sc.senc_from_positions(n, want)
+        assert got["sparse"] == enc.stream.to_bytes(enc.decoded_len), tau
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_cli_recompress_matches_the_whole_index(tmp_path, case):
+    symbols, sigma = _seeded_texts()[case]
+    path = tmp_path / "text.bin"
+    path.write_bytes(bytes(symbols))
+    index = RecompressionIndex(PackedText(symbols, sigma))
+    out = tmp_path / "out"
+    for k in range(index.q + 3):
+        argv = ["recompress", str(path), "--sigma", str(sigma), "--level",
+                str(k), "--out", str(out)]
+        assert main(argv + ["--format", "list"]) == 0
+        assert out.read_text() == "".join(f"{f}\n" for f in
+                                          index.level_list(k)), k
+        assert main(argv + ["--format", "bitmask"]) == 0
+        assert out.read_bytes() == index.level_bitmask(k).to_bytes(
+            len(symbols)), k
+
+
+def test_recompress_huge_level_is_quick(tmp_path, capsys):
+    # a level far past the chain prints what the first empty level does
+    rng = random.Random(64)
+    symbols = [rng.randrange(4) for _ in range(64)]
+    path = tmp_path / "text.bin"
+    path.write_bytes(bytes(symbols))
+    q = RecompressionIndex(PackedText(symbols, 4)).q
+    for fmt in ("list", "bitmask"):
+        outputs = []
+        for level in (q + 1, 10 ** 9):
+            out = tmp_path / f"{level}.{fmt}"
+            start = time.perf_counter()
+            assert main(["recompress", str(path), "--sigma", "4", "--level",
+                         str(level), "--format", fmt, "--out", str(out)]) == 0
+            assert time.perf_counter() - start < 1.0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def test_recompress_negative_level_usage_error(text_file, capsys):
+    path, _ = text_file
+    assert main(["recompress", path, "--sigma", "4", "--level", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: level must be non-negative\n")
+
+
+def test_successive_calls_share_no_arguments(tmp_path, capsys):
+    # one parser serves every call; each call parses its own arguments
+    cont = tmp_path / "set.bin"
+    enc = sc.senc_from_positions(40, [1, 5, 17, 30])
+    cont.write_bytes(enc.stream.to_bytes(enc.decoded_len))
+    assert main(["query", str(cont), "--rank", "6"]) == 0
+    assert capsys.readouterr() == ("2\n", "")
+    assert main(["query", str(cont), "--select", "3"]) == 0
+    assert capsys.readouterr() == ("17\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["sync", "--help"], ["recompress", "--help"],
+    ["bench", "--help"], ["sync", "text.bin"], ["nope"],
+    ["query", "c.bin", "--rank", "x"], ["runs", "t", "--ell", "2"]])
+def test_shared_parser_prints_as_a_fresh_one(argv, capsys):
+    # help and usage errors read as from a parser built for the call
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+    first = run(main)
+    assert run(build_parser().parse_args) == first == run(main)
+
+
+def test_main_calls_the_module_command(monkeypatch, capsys):
+    # a cmd_* replaced on the module after the first call is the one called
+    assert main(["query", "absent.ssb"]) == 2
+    assert capsys.readouterr().err == "error: query needs --rank or --select\n"
+    seen = []
+    monkeypatch.setattr(cli, "cmd_decode", lambda args: seen.append(args) or 0)
+    assert main(["decode", "absent.ssb"]) == 0
+    assert [args.input for args in seen] == ["absent.ssb"]

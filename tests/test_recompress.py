@@ -2,10 +2,13 @@ import hashlib
 import random
 from itertools import count
 
+import pytest
+
 from conftest import make_text
 from tausync import recompress as rc
 from tausync import syncset as ss
 from tausync.bitstream import BitStream
+from tausync.errors import InvalidArgument
 from tausync.oracle import verify_chain
 from tausync.reference import chain as rchain
 from tausync.text import PackedText
@@ -214,6 +217,10 @@ def test_depth_overflow_past_a_small_cap(monkeypatch, rng):
             index = rc.RecompressionIndex(t)
             assert index.deep and max(index.depth) == cap
             _assert_depths_match_rounds(t, index)
+            # a truncated build records the survivors of its top level too
+            for top in (cap, cap + 3, index.q // 2):
+                truncated = rc.RecompressionIndex(t, top)
+                assert truncated.chain.levels == index.chain.levels[:top + 1]
             capped = ss.SyncIndex(t, index)
             for tau in (1, 3, 16, 17, 40, t.n // 2):
                 assert (ss.build_sync_explicit(capped, tau)
@@ -222,9 +229,8 @@ def test_depth_overflow_past_a_small_cap(monkeypatch, rng):
                         == ss.build_sync_bitmask(full, tau))
 
 
-def test_fixed_point_skip_skips_rounds(monkeypatch):
-    # on long runs an even round and the odd round after it drop nothing
-    # before floor(lambda) grows; the rounds up to that growth are skipped
+def _count_rounds(monkeypatch) -> list[int]:
+    """The k of every round the chain builds run from now on."""
     calls = []
     for name in ("round_even", "round_odd"):
         real = getattr(rc, name)
@@ -234,12 +240,104 @@ def test_fixed_point_skip_skips_rounds(monkeypatch):
             return real(t, bounds, k)
 
         monkeypatch.setattr(rc, name, counting)
+    return calls
+
+
+def test_fixed_point_skip_skips_rounds(monkeypatch):
+    # on long runs an even round and the odd round after it drop nothing
+    # before floor(lambda) grows; the rounds up to that growth are skipped
+    calls = _count_rounds(monkeypatch)
     t = PackedText(*pinned_texts()["runs"])
     index = rc.RecompressionIndex(t)
     # round 0 is read off the symbols; some of rounds 1..q-1 are skipped
     assert set(calls) < set(range(1, index.q))
     assert len(calls) == len(set(calls))
     _assert_depths_match_rounds(t, index)
+
+
+def _wide_text(rng) -> list[int]:
+    """300 distinct symbols with planted stretches of periods 1..6."""
+    spread = list(range(300))
+    rng.shuffle(spread)
+    out = spread[:20]
+    for k, period in enumerate((1, 2, 3, 4, 5, 6)):
+        word = [rng.randrange(300) for _ in range(period)]
+        length = rng.randint(3 * period, 40)
+        out += (word * length)[:length] + spread[20 + 35 * k:55 + 35 * k]
+    return out
+
+
+def _assert_refused(index, k):
+    n = index.t.n
+    for read in (lambda: index.level_list(k), lambda: index.level_bitmask(k),
+                 lambda: index.level_digits(k, 0, n)):
+        with pytest.raises(InvalidArgument, match="past this index's top"):
+            read()
+
+
+def test_truncated_index_reads_like_the_whole_chain(rng):
+    # every top in 0..q+2 on random, run-heavy (its skip fires), wide and
+    # tiny texts: B_0..B_top as in the whole chain, deeper levels refused
+    texts = [(make_text(rng, 180, 4, "random"), 4),
+             (make_text(rng, 150, 2, "rle"), 2), pinned_texts()["runs"],
+             (_wide_text(rng), 300), ([], 1), ([0], 1), ([0, 1], 2)]
+    for syms, sigma in texts:
+        t = PackedText(syms, sigma)
+        n = t.n
+        lo, hi = n // 5, n - n // 7
+        full = rc.RecompressionIndex(t)
+        levels = full.chain.levels
+        want = [(full.level_list(k), full.level_list(k, lo, hi),
+                 full.level_digits(k, 0, n)) for k in range(full.q + 3)]
+        for top in range(full.q + 3):
+            index = rc.RecompressionIndex(t, top)
+            assert index.q == min(top, full.q)
+            assert index.chain.levels == levels[:top + 1]
+            for k in range(top + 1):
+                got = (index.level_list(k), index.level_list(k, lo, hi),
+                       index.level_digits(k, 0, n))
+                assert got == want[k], (n, top, k)
+                assert index.level_bitmask(k) == full.level_bitmask(k)
+            past = top + 1
+            while not rc.lambda_exceeds_4n(past, n):
+                _assert_refused(index, past)
+                past += 1
+            assert index.level_list(past) == [] == full.level_list(past)
+
+
+def test_truncation_inside_a_skipped_stretch(monkeypatch):
+    # a top whose level the fixed-point skip jumps over stops the skip
+    # there; no round at or past top runs
+    calls = _count_rounds(monkeypatch)
+    t = PackedText(*pinned_texts()["runs"])
+    full = rc.RecompressionIndex(t)
+    inside = sorted(set(range(2, full.q)) - {k + 1 for k in calls})
+    assert inside
+    for top in inside:
+        del calls[:]
+        index = rc.RecompressionIndex(t, top)
+        assert max(calls) < top
+        assert index.chain.levels == full.chain.levels[:top + 1]
+        _assert_refused(index, top + 1)
+
+
+def test_truncated_index_rejects_a_negative_top():
+    with pytest.raises(InvalidArgument, match="level must be non-negative"):
+        rc.RecompressionIndex(PackedText([0, 1, 0], 2), -1)
+
+
+def test_lambda_exceeds_4n_at_huge_levels():
+    # decided without computing (8/7)^(k/2)
+    for n in (0, 1, 2, 64, 1 << 16):
+        first = next(k for k in count() if rc.lambda_exceeds_4n(k, n))
+        num, den = rc.lambda_frac(first)
+        assert num > 4 * n * den
+        if first:
+            num, den = rc.lambda_frac(first - 1)
+            assert num <= 4 * n * den
+        assert rc.lambda_exceeds_4n(10 ** 12, n)
+    assert not rc.lambda_exceeds_4n(-1, 1)
+    assert rc.lambda_frac.cache_info().maxsize is not None
 
 
 def test_context_sets_match_linear_path(rng):

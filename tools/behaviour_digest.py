@@ -21,6 +21,10 @@ Prints one JSON object mapping item names to SHA-256 digests of:
   sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
   commands, and of `encode` followed by `decode` of the container it
   wrote;
+* the output bytes and exit codes of CLI `sync` (list, bitmask, sparse)
+  at the taus whose level k(tau) is 0, 2, 12, 22 and 52 where n allows,
+  and at n//2, and of `recompress` (list, bitmask) at levels q, q+1 and
+  10^9, for the CLI texts below and the text of long runs;
 * `decode`, `query --rank J` and `query --select J` (fixed J) of each
   `sync --format sparse` container: exit code, stdout and stderr;
 * exit code and stderr of `decode`, and exit code, stdout and stderr of
@@ -361,6 +365,37 @@ def cli_items(main, name, syms, opts, tmp):
     return out
 
 
+# taus of level k(tau) = 0, 2, 12, 22 and 52: the one-shot CLI commands
+# build the chain only down to k(tau)
+ONESHOT_TAUS = (8, 16, 32, 64, 512)
+
+
+def oneshot_items(tausync, main, name, syms, sigma, opts, tmp):
+    """CLI `sync` at ONESHOT_TAUS and n//2, and `recompress` at levels q,
+    q + 1 and 10^9, where q is the whole chain's."""
+    path = os.path.join(tmp, f"{name}.oneshot")
+    with open(path, "wb") as fh:
+        if "--decimal" in opts:
+            fh.write("".join(f"{i} {s}\n" for i, s in enumerate(syms)).encode())
+        else:
+            fh.write(bytes(syms))
+    n = len(syms)
+    q = tausync.RecompressionIndex(tausync.PackedText(syms, sigma)).q
+    target = os.path.join(tmp, "out")
+    out = {}
+    for tau in sorted({t for t in ONESHOT_TAUS if t <= n // 2} | {n // 2}):
+        for fmt in ("list", "bitmask", "sparse"):
+            out[f"{name}:cli:oneshot:sync:{fmt}:{tau}"] = digest(cli_call(
+                main, ["sync", path, *opts, "--tau", str(tau), "--format", fmt],
+                target))
+    for tag, level in (("q", q), ("q+1", q + 1), ("10^9", 10 ** 9)):
+        for fmt in ("list", "bitmask"):
+            out[f"{name}:cli:oneshot:recompress:{fmt}:{tag}"] = digest(cli_call(
+                main, ["recompress", path, *opts, "--level", str(level),
+                       "--format", fmt], target))
+    return out
+
+
 def main(argv) -> int:
     quick = "--quick" in argv
     args = [a for a in argv if a != "--quick"]
@@ -397,6 +432,14 @@ def main(argv) -> int:
                                    ["--sigma", str(sigma)], tmp))
         for name, syms, _, opts in wide:
             items.update(cli_items(cli_main, name, syms, opts, tmp))
+        for name, syms, sigma in texts[:12]:
+            items.update(oneshot_items(tausync, cli_main, name, syms, sigma,
+                                       ["--sigma", str(sigma)], tmp))
+        for name, syms, sigma, opts in wide:
+            items.update(oneshot_items(tausync, cli_main, name, syms, sigma,
+                                       opts, tmp))
+        items.update(oneshot_items(tausync, cli_main, "long", periodic, 3,
+                                   ["--sigma", "3"], tmp))
     if not quick:
         big = [rng.randrange(4) for _ in range(1 << 16)]
         items.update(library_items(tausync, "big", big, 4, (8, 16, 64, 512)))
