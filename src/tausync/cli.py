@@ -108,7 +108,7 @@ def cmd_sync(args) -> int:
     t = _packed(args)
     _check_tau(t, args.tau)
     index = ss.SyncIndex(t, rc.RecompressionIndex(t, ss.k_of_tau(args.tau)))
-    if args.verify or args.format != "bitmask":
+    if args.verify or args.format == "list":
         members = ss.build_sync_explicit(index, args.tau)
     if args.verify:
         report = verify_sync(t.text(), args.tau, members, TextIndex(t.text()))
@@ -121,7 +121,7 @@ def cmd_sync(args) -> int:
     elif args.format == "bitmask":
         _write_container(args.out, ss.build_sync_bitmask(index, args.tau), t.n)
     else:
-        enc = sc.senc_from_positions(t.n, members)
+        enc = ss.build_sync_sparse(index, args.tau)
         _write_container(args.out, enc.stream, enc.decoded_len)
     return 0
 

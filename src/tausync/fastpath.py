@@ -1,8 +1,8 @@
 """Sparse-output query path: the synchronizing set as a sparse encoding,
 optionally with rank/select support.
 
-A tau query lists the set explicitly (`build_sync_explicit`) and encodes
-that list with `senc_from_positions`.  Its rank/select support is the
+A tau query writes the set's gap sequence (`syncset.build_sync_sparse`)
+as tokens without listing the set.  Its rank/select support is the
 greedy decomposition of that encoding, which holds the encoding and its
 size and answers both queries by bisection over its piece arrays.
 
@@ -12,10 +12,9 @@ kept in :mod:`tausync.reference.sync_transducer`.
 
 from __future__ import annotations
 
-from . import sparsecodec as sc
 from .ranksupport import Decomposition, decompose
 from .sparsecodec import SparseEncoding
-from .syncset import SyncIndex, build_sync_explicit
+from .syncset import SyncIndex, build_sync_sparse
 from .text import PackedText
 
 
@@ -27,9 +26,8 @@ class FastSyncIndex:
         self.sync_index = SyncIndex(t)
 
     def sync_sparse(self, tau: int) -> SparseEncoding:
-        """senc of the tau-synchronizing set, encoded from the explicit set."""
-        members = build_sync_explicit(self.sync_index, tau)
-        return sc.senc_from_positions(self.t.n, members)
+        """senc of the tau-synchronizing set, written from its gaps."""
+        return build_sync_sparse(self.sync_index, tau)
 
     def sync_with_support(self, tau: int) -> Decomposition:
         return decompose(self.sync_sparse(tau))

@@ -176,12 +176,13 @@ def _gaps(bounds: list[int]) -> bytes | array:
 
 
 class RecompressionIndex:
-    """The chain as depths, B_k = {f : depth[f] > k}, and the even levels
-    from 2 up, which tau queries read as lists, as gap strings.
+    """The chain as depths, B_k = {f : depth[f] > k}, and the nonempty
+    even levels from 2 up, which tau queries read, as gap strings.
 
     With `top` the rounds stop at level top: B_0..B_top read as in the
-    whole chain, and a deeper level is refused unless lambda_k > 4n
-    already says it is empty.  A one-shot query needs only its own level.
+    whole chain (an even top keeps its gap string too), and a deeper level
+    is refused unless lambda_k > 4n already says it is empty.  A one-shot
+    query needs only its own level.
     """
 
     def __init__(self, t: PackedText, top: int | None = None):
@@ -218,6 +219,8 @@ class RecompressionIndex:
             quiet = k % 2 == 1 and not dropped
         if bounds:   # the loop stopped at top: these lie in B_0..B_top
             self._record(bounds, top + 1)
+            if top % 2 == 0:   # then k == top and bounds is B_top
+                self.gaps[top] = _gaps(bounds)
         self.q = min(self.top, max(self.deep.values(),
                                default=max(self.depth, default=0)))
 
@@ -260,13 +263,13 @@ class RecompressionIndex:
     def level_list(self, k: int, lo: int = 0,
                    hi: int | None = None) -> list[int]:
         """B_k's boundaries in [lo..hi) (default [0..n)), minus lo, sorted."""
-        if lambda_exceeds_4n(k, self.t.n):
+        if k >= 0 and lambda_exceeds_4n(k, self.t.n):   # _digits refuses k < 0
             return []
         return self._level(k, lo, self.t.n if hi is None else hi)
 
     def level_digits(self, k: int, lo: int, hi: int) -> bytearray:
         """The mask of level_list(k, lo, hi) as '0'/'1' digits, one per f."""
-        if lambda_exceeds_4n(k, self.t.n):
+        if k >= 0 and lambda_exceeds_4n(k, self.t.n):
             return bytearray(b"0") * (hi - lo)
         return self._digits(k, lo, hi, ord("1"))
 

@@ -11,14 +11,15 @@ Whole token streams are written and read in one bulk conversion each way,
 as ``BitStream.from_positions`` does for masks.  There is one writer:
 every token stream in the package, the transducers' outputs included, is
 built by `tokens_to_stream`, `senc_encode`, `senc_from_list` or
-`senc_from_positions`, and is never appended to.  The writer joins each
+`senc_from_gaps`, and is never appended to.  The writer joins each
 token's stream-order digit string (indicator bit, ``floor(lg x)`` zeros,
 binary(x)) and converts the joined string to the stream with one
 ``int(..., 2)``; the digit strings of tokens with ``x < 2**12`` are kept
 in a table of at most 2 * 4096 strings, filled on first use.  A 0/1 mask
-(``senc_from_positions``) is written as the zero-run tokens around its
-members joined by the literal token 1; a second table maps each distance
-between members up to 4096 to the string the first one holds.
+is written from its gaps (`senc_from_gaps`, which `senc_from_positions`
+calls): each member is the zero-run token before it and the literal
+token 1, one string per distance from a second table, read by list index
+for the gaps of a byte string.
 
 There is one reader, `_walk`: it formats the stream once as a digit
 string and splits it into pieces, each the longest valid prefix of the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import islice
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -150,35 +151,55 @@ def senc_from_list(n: int, pairs: Sequence[tuple[int, int]]) -> SparseEncoding:
     return SparseEncoding(_digits_to_stream(digits), n)
 
 
-class _ZeroRunDigits(dict):
-    """Digits of the zero run before a mask member, keyed by the distance
-    d from the previous member: the zero-run token of length d - 1, or ""
-    for d = 1.  Filled on first use for d <= _TOKEN_DIGITS_LIMIT, sharing
-    the strings of _TOKEN_DIGITS."""
+class _MemberDigits(dict):
+    """Digits of a mask member at distance d from the one before: the
+    zero-run token of length d - 1 (none for d = 1), then the literal
+    token 1.  Filled on first use for d <= _TOKEN_DIGITS_LIMIT."""
 
     def __missing__(self, d: int) -> str:
-        digits = _token_digits(False, d - 1) if d != 1 else ""
+        digits = (_token_digits(False, d - 1) if d != 1 else "") + "11"
         if d <= _TOKEN_DIGITS_LIMIT:
             self[d] = digits
         return digits
 
 
-_ZERO_RUN_DIGITS = _ZeroRunDigits()
+_MEMBER_DIGITS = _MemberDigits()
+# the same strings for the gaps of a byte string, indexed by the gap
+_GAP_DIGITS = [None] + [_MEMBER_DIGITS[d] for d in range(1, 256)]
+
+
+def senc_from_gaps(n: int, pieces) -> SparseEncoding:
+    """Encode the n-bit 0/1 mask whose ones are given as pieces in order.
+
+    A piece (first, gaps, last) holds the members first, first + gaps[0],
+    ..., last, with `gaps` a byte string or a sequence of ints, or every
+    position in [first..last] if `gaps` is None.  Each member is one
+    cached digit string for its distance from the one before.
+    """
+    digits = []
+    prev = -1
+    for first, gaps, last in pieces:
+        digits.append(_MEMBER_DIGITS[first - prev])
+        if gaps is None:
+            digits.append("11" * (last - first))
+        else:
+            table = _GAP_DIGITS if type(gaps) is bytes else _MEMBER_DIGITS
+            digits.append("".join(map(table.__getitem__, gaps)))
+        prev = last
+    if n - prev > 1:
+        digits.append(_token_digits(False, n - prev - 1))
+    return SparseEncoding(_digits_to_stream(digits), n)
 
 
 def senc_from_positions(n: int, positions: Sequence[int]) -> SparseEncoding:
     """Encode the n-bit 0/1 mask with ones at `positions`, strictly increasing.
 
-    The same stream as senc_from_list(n, [(i, 1) for i in positions]), in
-    bulk: the distances between members by `map`, one cached digit string
-    per zero run, and one join with the literal token 1 ("11") between
-    the runs.
+    The same stream as senc_from_list(n, [(i, 1) for i in positions]),
+    written by `senc_from_gaps` from the distances between members.
     """
-    def distances():
-        # to each member from the one before, and to n from the last
-        return map(sub, chain(positions, (n,)), chain((-1,), positions))
-
-    if positions and min(distances()) < 1:
+    gaps = list(map(sub, islice(positions, 1, None), positions))
+    if positions and (positions[0] < 0 or positions[-1] >= n
+                      or min(gaps, default=1) < 1):
         prev = -1
         for pos in positions:
             if pos <= prev:
@@ -186,8 +207,8 @@ def senc_from_positions(n: int, positions: Sequence[int]) -> SparseEncoding:
             if not 0 <= pos < n:
                 raise InvalidArgument("position out of range")
             prev = pos
-    digits = "11".join(map(_ZERO_RUN_DIGITS.__getitem__, distances()))
-    return SparseEncoding(_digits_to_stream([digits]), n)
+    return senc_from_gaps(n, [(positions[0], gaps, positions[-1])]
+                          if positions else [])
 
 
 @dataclass(frozen=True)

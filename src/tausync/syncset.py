@@ -1,4 +1,4 @@
-"""Tau-synchronizing set construction, explicit and bitmask forms.
+"""Tau-synchronizing set construction, in explicit, sparse and bitmask form.
 
 A position i in [0..n-2tau] joins the set iff its 2tau-window is not
 highly periodic (per > tau/3) and either i + tau is a boundary of the
@@ -6,17 +6,17 @@ recompression level k(tau), or a tau-run starts at i + 1 or ends at
 i + 2tau - 1.  The result satisfies the consistency and density
 conditions and has fewer than 70n/tau members.
 
-`build_sync_explicit` is the one construction of the set, in bulk
-steps over sorted lists, with nothing cached between queries:
-
-* one enumeration of the tau-runs RUNS_{tau, tau//3}; the highly
-  periodic windows are exactly those inside its runs of length
-  >= 2*tau (RUNS_{2*tau, tau//3} is that subset);
-* the boundary candidates are B_k in [tau..n-tau], shifted by tau, read
-  from the chain in one bulk step, and the few new run candidates are
-  merged into them;
-* each run of length >= 2*tau drops one contiguous block of candidates,
-  found by two bisects; with no such run the candidate list is the set.
+`sync_gaps` is the one construction of the set, as its gap sequence in
+a few pieces, with nothing cached between queries.  One enumeration of
+the tau-runs RUNS_{tau, tau//3} gives both edits to the boundary
+candidates: the few run candidates that are not boundaries, and one
+block of windows inside each run of length >= 2*tau, which are exactly
+the highly periodic windows.  At k = 0, B_0 is [1..n), so the set is
+the intervals between the blocks.  At k >= 2, the members between two
+edits are a slice of B_k's gap string, found by counting B_k's digits.
+`build_sync_explicit` accumulates the pieces' gaps into the sorted list
+and `build_sync_sparse` writes them with `senc_from_gaps`; neither lists
+the candidates.
 
 `build_sync_bitmask` builds the same set as a mask without listing it:
 B_k's digit string over [tau..n-tau], run candidates set and long runs'
@@ -25,12 +25,13 @@ blocks cleared by slice assignment, then one int().
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from itertools import accumulate, pairwise
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
 from .recompress import RecompressionIndex, lambda_frac
 from .runs import Run, enumerate_runs
+from .sparsecodec import SparseEncoding, senc_from_gaps
 from .text import PackedText
 
 
@@ -60,68 +61,75 @@ def _check_tau(t: PackedText, tau: int) -> None:
         raise InvalidArgument(f"tau {tau} outside [1..{t.n // 2}]")
 
 
-def sync_candidates(index: SyncIndex, tau: int, runs: list[Run]) -> list[int]:
-    """Sorted, deduplicated candidate positions before the period filter.
-
-    `runs` is RUNS_{tau, tau//3}.  The boundary candidates are B_k in
-    [tau..n-tau], shifted by tau; the few run candidates not already in
-    it are merged in.
-    """
-    n = index.t.n
-    hi = n - 2 * tau
-    cands = index.recomp.level_list(k_of_tau(tau), tau, n - tau + 1)
-    if runs:
-        new = sorted(i for i in _run_candidates(runs, tau, hi)
-                     if not _contains(cands, i))
-        if new:
-            # two sorted runs: the sort is one merge
-            cands += new
-            cands.sort()
-    return cands
-
-
 def _run_candidates(runs: list[Run], tau: int, hi: int) -> set[int]:
     return {i for r in runs for i in (r.start - 1, r.end - 2 * tau + 1)
             if 0 <= i <= hi}
-
-
-def _contains(xs: list[int], x: int) -> bool:
-    at = bisect_left(xs, x)
-    return at < len(xs) and xs[at] == x
-
-
-def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
-    """Sorted synchronizing positions for one tau.
-
-    One enumeration of the tau-runs serves both steps.  A window is
-    highly periodic iff it lies inside a run of length >= 2*tau with
-    period at most tau // 3: those runs are the tau-runs of length
-    >= 2*tau, and each drops the block of candidates in
-    [start..end - 2*tau].
-    """
-    t = index.t
-    _check_tau(t, tau)
-    runs = enumerate_runs(t, tau, tau // 3)
-    cands = sync_candidates(index, tau, runs)
-    blocks = _blocks(runs, tau)
-    if not blocks:
-        return cands
-    # the blocks are disjoint and in order: two runs of period <= tau // 3
-    # overlap by fewer than 2 * tau symbols
-    out: list[int] = []
-    kept = 0
-    for first, last in blocks:
-        lo = bisect_left(cands, first, kept)
-        out += cands[kept:lo]
-        kept = bisect_right(cands, last, lo)
-    out += cands[kept:]
-    return out
 
 
 def _blocks(runs: list[Run], tau: int) -> list[tuple[int, int]]:
     """[first..last] of the windows inside each run of length >= 2*tau."""
     return [(r.start, r.end - 2 * tau) for r in runs
             if r.end - r.start >= 2 * tau]
+
+
+# the edits to the boundary candidates, in the order they sort at one f
+_BLOCK, _NEW, _END = range(3)
+
+
+def sync_gaps(index: SyncIndex, tau: int) -> list[tuple]:
+    """The set for one tau as pieces (first, gaps, last) in order, as
+    `senc_from_gaps` reads them: the members first, first + gaps[0], ...,
+    last, or every position in [first..last] if `gaps` is None."""
+    t = index.t
+    _check_tau(t, tau)
+    n, k = t.n, k_of_tau(tau)
+    runs = enumerate_runs(t, tau, tau // 3)
+    # the blocks are disjoint and in order: two runs of period <= tau // 3
+    # overlap by fewer than 2 * tau symbols
+    blocks = _blocks(runs, tau)
+    if k == 0:   # B_0 is [1..n): the intervals between the blocks
+        cuts = [(None, -1)] + blocks + [(n - 2 * tau + 1, None)]
+        return [(last + 1, None, first - 1) for (_, last), (first, _)
+                in pairwise(cuts) if first > last + 1]
+    digits = index.recomp.level_digits(k, 0, n)
+    gaps = index.recomp.gaps.get(k, b"")   # kept for every nonempty level
+    new = [i + tau for i in _run_candidates(runs, tau, n - 2 * tau)
+           if digits[i + tau] != ord("1")]
+    edits = sorted([(f, _NEW, f) for f in new]
+                   + [(first + tau, _BLOCK, last + tau) for first, last in blocks])
+    # no run candidate lies in a block: its run would share tau symbols
+    # with the block's run, and two such runs are one (Fine and Wilf).
+    # gaps[j] ends at B_k's first boundary from `at` on, and gaps[end]
+    # at the first one past n - tau.
+    pieces = []
+    at, j = tau, digits.count(b"1", 0, tau)
+    end = len(gaps) - digits.count(b"1", n - tau + 1)
+    for f, edit, last in edits + [(n - tau + 1, _END, n - tau)]:
+        count = end - j if edit == _END else digits.count(b"1", at, f)
+        if count:   # the boundary candidates in [at..f)
+            pieces.append((digits.find(b"1", at) - tau, gaps[j + 1:j + count],
+                           digits.rfind(b"1", at, f) - tau))
+            j += count
+        if edit == _NEW:
+            pieces.append((f - tau, b"", f - tau))
+        elif edit == _BLOCK:
+            j += digits.count(b"1", f, last + 1)
+        at = last + 1
+    return pieces
+
+
+def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
+    """Sorted synchronizing positions for one tau, from `sync_gaps`."""
+    out: list[int] = []
+    for first, gaps, last in sync_gaps(index, tau):
+        out += (range(first, last + 1) if gaps is None
+                else accumulate(gaps, initial=first))
+    return out
+
+
+def build_sync_sparse(index: SyncIndex, tau: int) -> SparseEncoding:
+    """senc of the synchronizing set, written from `sync_gaps`."""
+    return senc_from_gaps(index.t.n, sync_gaps(index, tau))
 
 
 def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:

@@ -453,6 +453,19 @@ def test_recompress_negative_level_usage_error(text_file, capsys):
     assert capsys.readouterr() == ("", "error: level must be non-negative\n")
 
 
+def test_recompress_negative_level_on_an_empty_text(tmp_path, capsys):
+    # every level of an empty text is empty, but a negative one is refused
+    # first, as on any other text
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    for fmt in ("list", "bitmask"):
+        out = tmp_path / f"level.{fmt}"
+        assert main(["recompress", str(path), "--level", "-1", "--format",
+                     fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: level must be non-negative\n")
+        assert not out.exists()
+
+
 def test_successive_calls_share_no_arguments(tmp_path, capsys):
     # one parser serves every call; each call parses its own arguments
     cont = tmp_path / "set.bin"

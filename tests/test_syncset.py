@@ -1,3 +1,6 @@
+import random
+from array import array
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -5,8 +8,9 @@ from conftest import adversarial_text, make_text
 from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
-from tausync.recompress import build_chain_linear
-from tausync.runs import period
+from tausync.recompress import RecompressionIndex, build_chain_linear
+from tausync.runs import enumerate_runs, period
+from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.text import PackedText
 
@@ -244,3 +248,99 @@ def test_order_preserving_renaming_keeps_chain_and_sets(rng):
         assert _chain_and_sets(renamed, values[-1] + 1) == want
         dense = sorted(rng.sample(range(256), sigma))
         assert _chain_and_sets([dense[s] for s in syms], 256) == want
+
+
+def _oracle_set(syms, level, tau, tidx):
+    """The set by its definition, with B_k = `level` and the runs and
+    periods from the oracle."""
+    runs = [(start, end) for start, end, per in tidx.runs
+            if end - start >= tau and per <= tau // 3]
+    starts = {start for start, _ in runs}
+    ends = {end for _, end in runs}
+    bounds = set(level)
+    periodic = tidx.periodic_window_mask(2 * tau, tau // 3)
+    return [i for i in range(len(syms) - 2 * tau + 1) if not periodic[i]
+            and (i + tau in bounds or i + 1 in starts
+                 or i + 2 * tau - 1 in ends)]
+
+
+def _gap_cases(index, tau, members):
+    """The cases of `sync_gaps` that one query reaches."""
+    n, k = index.t.n, ss.k_of_tau(tau)
+    runs = enumerate_runs(index.t, tau, tau // 3)
+    blocks = ss._blocks(runs, tau)
+    if k == 0:
+        return {"k=0 with blocks"} if blocks and members else set()
+    level = index.recomp.level_list(k)
+    cands = [f - tau for f in level if tau <= f <= n - tau]
+    out = set()
+    if not level:
+        out.add("empty level")
+    if not members:
+        out.add("no members")
+    if type(index.recomp.gaps.get(k)) is array and members:
+        out.add("gap string with a gap above 255")
+    if len(cands) < 2 or not members:
+        return out
+    if any(first <= cands[1] and last >= cands[0] for first, last in blocks):
+        out.add("block cuts the first gap")
+    if any(first <= cands[-1] and last >= cands[-2] for first, last in blocks):
+        out.add("block cuts the last gap")
+    if any(cands[0] < x < cands[-1] and x not in cands
+           and not any(first <= x <= last for first, last in blocks)
+           for x in ss._run_candidates(runs, tau, n - 2 * tau)):
+        out.add("run candidate between two boundaries")
+    return out
+
+
+def _gap_path_texts():
+    rng = random.Random(0x6A95)
+    texts = [(make_text(rng, rng.randint(2, 300), (2, 3, 4)[i % 3],
+                        ("random", "periodic", "rle")[i % 3]),
+              (2, 3, 4)[i % 3]) for i in range(30)]
+
+    def noise(m):
+        return [rng.randrange(4) for _ in range(m)]
+
+    return texts + [([0, 1] * 60 + noise(200), 4),
+                    (noise(200) + [0, 1] * 60, 4),
+                    (noise(150) + [0] * 300 + noise(150), 4),
+                    ([0] * 80, 1)]
+
+
+def test_gap_path_matches_the_oracle():
+    # every tau of every text, in all three forms; the texts reach each
+    # case of the construction
+    reached = set()
+    for syms, sigma in _gap_path_texts():
+        t = PackedText(syms, sigma)
+        n = t.n
+        index = ss.SyncIndex(t)
+        tidx = TextIndex(syms)
+        for tau in range(1, n // 2 + 1):
+            want = _oracle_set(syms, index.recomp.level_list(ss.k_of_tau(tau)),
+                               tau, tidx)
+            assert ss.build_sync_explicit(index, tau) == want, (syms, tau)
+            assert (ss.build_sync_bitmask(index, tau)
+                    == BitStream.from_positions(n, want)), (syms, tau)
+            assert (ss.build_sync_sparse(index, tau)
+                    == sc.senc_from_list(n, [(i, 1) for i in want])), (syms, tau)
+            reached |= _gap_cases(index, tau, want)
+    assert reached == {
+        "k=0 with blocks", "empty level", "no members",
+        "gap string with a gap above 255", "block cuts the first gap",
+        "block cuts the last gap", "run candidate between two boundaries"}
+
+
+def test_truncated_index_keeps_the_gaps_of_its_top():
+    # the CLI's index stops at top = k(tau), which is even: it records
+    # B_top's gap string, and the set reads as from the whole chain
+    for syms, sigma in _gap_path_texts()[-4:]:
+        t = PackedText(syms, sigma)
+        full = ss.SyncIndex(t)
+        for tau in range(16, t.n // 2 + 1):
+            k = ss.k_of_tau(tau)
+            index = ss.SyncIndex(t, RecompressionIndex(t, k))
+            assert index.recomp.gaps.get(k) == full.recomp.gaps.get(k)
+            assert (k in index.recomp.gaps) == bool(index.recomp.level_list(k))
+            assert ss.sync_gaps(index, tau) == ss.sync_gaps(full, tau), tau

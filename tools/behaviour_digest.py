@@ -49,6 +49,13 @@ Run it in each checkout and diff the outputs:
 
 where SRC_DIR is the checkout's `src/` directory (default: the `src/`
 next to this script).  `--quick` skips the 2^16 text.
+
+The quick digest is also kept, one hash per group of items (a text and
+an item kind, see `group_of`), in `tests/behaviour_digest.json`, which a
+Tier-1 test compares group by group.  A change that alters behaviour on
+purpose regenerates it with
+
+    python3 tools/behaviour_digest.py --update-snapshot
 """
 
 from __future__ import annotations
@@ -396,11 +403,9 @@ def oneshot_items(tausync, main, name, syms, sigma, opts, tmp):
     return out
 
 
-def main(argv) -> int:
-    quick = "--quick" in argv
-    args = [a for a in argv if a != "--quick"]
-    src = os.path.abspath(args[0]) if args else os.path.join(HERE, "..", "src")
-    sys.path.insert(0, src)
+def collect(quick: bool) -> dict:
+    """Every item, by name; `quick` skips the 2^16 text.  Imports
+    `tausync` from wherever `sys.path` finds it."""
     import tausync
     import tausync.cli
     import tausync.reference.sync_transducer
@@ -443,6 +448,45 @@ def main(argv) -> int:
     if not quick:
         big = [rng.randrange(4) for _ in range(1 << 16)]
         items.update(library_items(tausync, "big", big, 4, (8, 16, 64, 512)))
+    return items
+
+
+#: The committed snapshot of the quick digest, one hash per group.
+SNAPSHOT = os.path.join(HERE, "..", "tests", "behaviour_digest.json")
+
+
+def group_of(key: str) -> str:
+    """The text and item kind of a key: its leading parts, at most three,
+    before the first that starts with a digit ("c0:bitmask:1" is in
+    "c0:bitmask", "c0:cli:sync:list:default" in "c0:cli:sync")."""
+    parts = key.split(":")
+    head = parts[:3]
+    for i, part in enumerate(head):
+        if part[:1].isdigit():
+            return ":".join(head[:i])
+    return ":".join(head)
+
+
+def group_digests(items: dict) -> dict:
+    """One digest per group, over its sorted (key, digest) pairs."""
+    groups: dict = {}
+    for key in sorted(items):
+        groups.setdefault(group_of(key), []).append((key, items[key]))
+    return {group: digest(pairs) for group, pairs in groups.items()}
+
+
+def main(argv) -> int:
+    update = "--update-snapshot" in argv
+    quick = update or "--quick" in argv
+    args = [a for a in argv if a not in ("--quick", "--update-snapshot")]
+    src = os.path.abspath(args[0]) if args else os.path.join(HERE, "..", "src")
+    sys.path.insert(0, src)
+    items = collect(quick)
+    if update:
+        with open(SNAPSHOT, "w") as fh:
+            json.dump(group_digests(items), fh, indent=0, sort_keys=True)
+            fh.write("\n")
+        return 0
     print(json.dumps(items, indent=0, sort_keys=True))
     return 0
 

@@ -4,15 +4,19 @@
 `run` alternates `perfbench/run.py` between a parent and a change
 checkout, one pair per seed, at the run length `BENCHMARK.json` sets
 (`run_seconds`), and appends each run's result to a JSON lines file;
-the side that runs first alternates from pair to pair:
+the side that runs first alternates from pair to pair.  Each record also
+keeps the run's machine-speed factor, which `perfbench/run.py` prints on
+stderr (`speed factor X`: NOMINAL_S over the median probe sample, so a
+slower machine reads lower), or null if the run printed none:
 
     python3 tools/bench_pairs.py run PARENT CHANGE --workload random-large \\
         --seeds 601-610 --log pairs.jsonl
 
 `summarize` reads one or more such logs and writes a `BENCH_*.json`
-trend file: the Python version, CPU count and git revisions, and per
-workload and end-to-end metric each side's median and quartiles, the
-ratio of the medians and the number of pairs the change won:
+trend file: the Python version, CPU count and git revisions, per
+workload each side's median speed factor, and per workload and
+end-to-end metric each side's median and quartiles, the ratio of the
+medians and the number of pairs the change won:
 
     python3 tools/bench_pairs.py summarize pairs.jsonl --parent-rev REV \\
         --change-rev REV --out BENCH_N.json
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -41,13 +46,17 @@ def seed_list(spec: str) -> list[int]:
     return out
 
 
-def run_one(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one benchmark run, as a dict."""
+def run_one(root: str, workload: str, seed: int,
+            seconds: float) -> tuple[dict, float | None]:
+    """The last stdout line of one benchmark run, as a dict, and the speed
+    factor it printed on stderr (None if it printed none)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    factor = re.search(r"speed factor ([0-9.]+)", proc.stderr)
+    return (json.loads(proc.stdout.strip().splitlines()[-1]),
+            float(factor.group(1)) if factor else None)
 
 
 def load_benchmark(path: str) -> dict:
@@ -63,10 +72,12 @@ def cmd_run(args) -> int:
         for i, seed in enumerate(seed_list(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_one(sides[side], args.workload, seed, seconds)
+                result, factor = run_one(sides[side], args.workload, seed,
+                                         seconds)
                 log.write(json.dumps({"workload": args.workload, "seed": seed,
                                       "side": side, "first": side == order[0],
                                       "seconds": seconds,
+                                      "speed_factor": factor,
                                       "result": result}) + "\n")
                 log.flush()
                 print(f"{args.workload} seed={seed} {side}: "
@@ -81,11 +92,19 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _median_or_none(values: list) -> float | None:
+    """The median of the values present; logs written before the factor
+    was kept have none."""
+    present = [v for v in values if v is not None]
+    return statistics.median(present) if present else None
+
+
 def summarize(records: list[dict], better: dict[str, str]) -> dict:
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in records):
-        runs = {(r["seed"], r["side"]): r["result"] for r in records
-                if r["workload"] == workload}
+        mine = [r for r in records if r["workload"] == workload]
+        runs = {(r["seed"], r["side"]): r["result"] for r in mine}
+        factors = {(r["seed"], r["side"]): r.get("speed_factor") for r in mine}
         seeds = sorted({seed for seed, _ in runs})
         pairs = [s for s in seeds if (s, "parent") in runs and (s, "change") in runs]
         entry = {"seeds": pairs,
@@ -93,6 +112,9 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict:
                                  if r["workload"] == workload),
                  "correct": {side: all(runs[s, side]["correct"] for s in pairs)
                              for side in ("parent", "change")},
+                 "speed_factor": {side: _median_or_none(
+                     [factors[s, side] for s in pairs])
+                     for side in ("parent", "change")},
                  "failed_of_attempted": {
                      side: [[runs[s, side]["failed"], runs[s, side]["attempted"]]
                             for s in pairs] for side in ("parent", "change")},
