@@ -7,7 +7,7 @@ Library layout:
 * :mod:`tausync.text` -- the sentinel-padded text
 * :mod:`tausync.recompress` -- restricted recompression boundary chains
 * :mod:`tausync.runs` -- periods, run extensions, filtered run families
-* :mod:`tausync.syncset` -- synchronizing sets, explicit and bitmask forms
+* :mod:`tausync.syncset` -- synchronizing sets, explicit, sparse and bitmask
 * :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings,
   each read by one walk over its digit string in window-sized pieces
 * :mod:`tausync.ranksupport` -- rank/select by bisection over those pieces
