@@ -17,8 +17,8 @@ reader of single bits or words.
 from __future__ import annotations
 
 import struct
-from itertools import chain, pairwise
-from operator import sub
+from itertools import accumulate, chain, count, pairwise
+from operator import add, sub
 from typing import Sequence
 
 from .errors import DecodeError, InvalidArgument
@@ -107,9 +107,12 @@ class BitStream:
         return self._value
 
     def to_positions(self) -> list[int]:
-        """Positions of the set bits, in increasing order."""
-        digits = format(self._value, "b")[::-1]
-        return [i for i, ch in enumerate(digits) if ch == "1"]
+        """Positions of the set bits, in increasing order: the j-th (from 0)
+        follows j set bits and the zeros of the first j + 1 runs of them."""
+        zeros = self.to01().split("1")   # runs before each set bit, and after
+        at = list(map(add, accumulate(map(len, zeros)), count()))
+        at.pop()   # the sum past the last run: the length
+        return at
 
     # -- serialization -------------------------------------------------------
 

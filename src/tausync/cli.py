@@ -128,7 +128,7 @@ def cmd_sync(args) -> int:
 
 def cmd_recompress(args) -> int:
     t = _packed(args)
-    # a negative level is refused by level_list, as on the whole chain
+    # a negative level is refused by level_digits, as on the whole chain
     index = rc.RecompressionIndex(t, max(args.level, 0))
     if args.format == "list":
         _write_lines(args.out, index.level_list(args.level))

@@ -5,9 +5,12 @@ adjacent short-phrase pairs across an approximate maximum directed cut.
 Each round takes a sorted boundary list, compares phrases by content, as
 slices of the text's code-point string, and names the boundaries it drops.
 `RecompressionIndex` stores the chain as one depth byte per boundary f,
-the number of levels that contain f, so B_k = {f : depth[f] > k} and one
-`bytes.translate` gives any level's digit string.  Given a top level, it
-runs only the rounds that level needs.
+the number of levels that contain f, so B_k = {f : depth[f] > k}, and
+`level_digits` reads every level, the list, the mask and the whole chain
+alike, as one `bytes.translate` of the depths.  The even levels are also
+kept as gap strings, written at one place in the round loop, for the
+tau queries.  Given a top level, the index runs only the rounds that
+level needs.
 
 The cut approximation orders its nodes by the canonical (length,
 content) key, which pins down the whole chain.  The paper's packed
@@ -18,11 +21,9 @@ in :mod:`tausync.reference.chain`.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import (accumulate, chain, compress, filterfalse, islice,
-                       pairwise, repeat)
+from itertools import chain, compress, filterfalse, islice, pairwise, repeat
 from math import inf
 from operator import ne, sub
 from typing import NamedTuple
@@ -155,11 +156,6 @@ class ChainHandle(NamedTuple):
     levels: list[list[int]]
 
 
-def build_chain_linear(t: PackedText) -> ChainHandle:
-    """The chain in list form, read from a RecompressionIndex."""
-    return RecompressionIndex(t).chain
-
-
 # -- the chain as one depth byte per boundary ---------------------------------
 
 #: Depths above this are stored as it in `depth`, and exactly in `deep`.
@@ -177,7 +173,8 @@ def _gaps(bounds: list[int]) -> bytes | array:
 
 class RecompressionIndex:
     """The chain as depths, B_k = {f : depth[f] > k}, and the nonempty
-    even levels from 2 up, which tau queries read, as gap strings.
+    even levels from 2 up, which tau queries read, as gap strings; levels
+    that no round between them changes share one string.
 
     With `top` the rounds stop at level top: B_0..B_top read as in the
     whole chain (an even top keeps its gap string too), and a deeper level
@@ -191,7 +188,6 @@ class RecompressionIndex:
         self.t = t
         n = t.n
         self.top = inf if top is None else top   # the deepest level read
-        self.cap = DEPTH_CAP
         self.depth = bytearray(n)        # min(levels containing f, cap)
         self.deep: dict[int, int] = {}   # f -> its depth, when above cap
         self.gaps: dict[int, bytes | array] = {}
@@ -200,79 +196,63 @@ class RecompressionIndex:
         text = t._padded[n:2 * n]
         bounds = [] if top == 0 else list(
             compress(range(1, n), map(ne, text, text[1:])))
-        # quiet: the last even round dropped nothing
-        k, quiet = 1, len(bounds) == n - 1
-        while bounds and k < self.top:
-            if k % 2 == 0:
-                self.gaps[k] = _gaps(bounds)
+        # bounds is B_k; at an even k, quiet says that rounds k-2 and k-1
+        # dropped nothing; gaps is the gap string of bounds, once made
+        k, quiet, gaps = 1, len(bounds) == n - 1, None
+        while bounds and k <= self.top:
+            if k % 2 == 0:   # one string per stretch that no round changes
+                gaps = self.gaps[k] = gaps or _gaps(bounds)
+            if k == self.top:
+                break
+            if k % 2 == 0 and quiet and lambda_floor(k) == lambda_floor(k - 2):
+                # rounds k-2 and k-1 dropped nothing, and a round depends only
+                # on (boundaries, floor(lambda), parity): so would k and k+1
+                k += 2
+                continue
             dropped = (round_odd if k % 2 else round_even)(t, bounds, k)
             k += 1
             if dropped:   # each boundary is recorded once, when it drops
                 self._record(dropped, k)
                 bounds = list(filterfalse(set(dropped).__contains__, bounds))
-            elif k % 2 == 0 and quiet:
-                # rounds k-2 and k-1 dropped nothing, and a round depends only
-                # on (boundaries, floor(lambda), parity): skip to its growth
-                while k < self.top and lambda_floor(k) == lambda_floor(k - 2):
-                    self.gaps[k] = _gaps(bounds)
-                    k += 2
-            quiet = k % 2 == 1 and not dropped
+                gaps = None
+            quiet = not dropped and (quiet or k % 2 == 1)
         if bounds:   # the loop stopped at top: these lie in B_0..B_top
             self._record(bounds, top + 1)
-            if top % 2 == 0:   # then k == top and bounds is B_top
-                self.gaps[top] = _gaps(bounds)
         self.q = min(self.top, max(self.deep.values(),
                                default=max(self.depth, default=0)))
 
     def _record(self, fs: list[int], d: int) -> None:
         """Give each f in fs depth d."""
-        if d > self.cap:
+        if d > DEPTH_CAP:
             self.deep.update(dict.fromkeys(fs, d))
-        deque(map(self.depth.__setitem__, fs, repeat(min(d, self.cap))), 0)
+        deque(map(self.depth.__setitem__, fs, repeat(min(d, DEPTH_CAP))), 0)
 
     @property
     def chain(self) -> ChainHandle:
         """B_0..B_q in list form, rebuilt from the depths on each access;
         a truncated index's ends at B_top."""
-        return ChainHandle([self._level(k, 0, self.t.n)
+        return ChainHandle([self.level_bitmask(k).to_positions()
                             for k in range(self.q + 1)])
 
-    def _digits(self, k: int, lo: int, hi: int, one: int = 1) -> bytearray:
-        """depth[lo:hi] as bytes: `one` where f is in B_k, one - 1 elsewhere."""
+    def level_digits(self, k: int) -> bytearray:
+        """B_k as '0'/'1' digits over [0..n): the one reader of every level."""
         if k < 0:
             raise InvalidArgument("level must be non-negative")
+        if lambda_exceeds_4n(k, self.t.n):
+            return bytearray(b"0") * self.t.n
         if k > self.top:
             raise InvalidArgument(f"level {k} is past this index's top "
                                   f"level {self.top}")
-        if k < self.cap:
-            return self.depth[lo:hi].translate(
-                bytes([one - 1]) * (k + 1) + bytes([one]) * (255 - k))
-        out = bytearray([one - 1]) * (hi - lo)
-        for f, d in self.deep.items():
-            if d > k and lo <= f < hi:
-                out[f - lo] = one
+        out = self.depth.translate((b"0" * (k + 1) + b"1" * 255)[:256])
+        for f, d in self.deep.items():   # depths from the cap up
+            if d > k:
+                out[f] = ord("1")
         return out
 
-    def _level(self, k: int, lo: int, hi: int) -> list[int]:
-        gaps = self.gaps.get(k)
-        if gaps is None:
-            return list(compress(range(hi - lo), self._digits(k, lo, hi)))
-        out = list(accumulate(gaps, initial=-lo))   # [-lo, f_1 - lo, ...]
-        return out[bisect_left(out, 0, 1):bisect_left(out, hi - lo, 1)]
-
-    def level_list(self, k: int, lo: int = 0,
-                   hi: int | None = None) -> list[int]:
-        """B_k's boundaries in [lo..hi) (default [0..n)), minus lo, sorted."""
-        if k >= 0 and lambda_exceeds_4n(k, self.t.n):   # _digits refuses k < 0
-            return []
-        return self._level(k, lo, self.t.n if hi is None else hi)
-
-    def level_digits(self, k: int, lo: int, hi: int) -> bytearray:
-        """The mask of level_list(k, lo, hi) as '0'/'1' digits, one per f."""
-        if k >= 0 and lambda_exceeds_4n(k, self.t.n):
-            return bytearray(b"0") * (hi - lo)
-        return self._digits(k, lo, hi, ord("1"))
+    def level_list(self, k: int) -> list[int]:
+        """B_k's boundaries, sorted."""
+        return self.level_bitmask(k).to_positions()
 
     def level_bitmask(self, k: int) -> BitStream:
-        digits = self.level_digits(k, 0, self.t.n)
-        return BitStream.from_digits(digits, self.t.n)
+        return BitStream.from_digits(self.level_digits(k), self.t.n)
+

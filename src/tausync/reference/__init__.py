@@ -9,9 +9,9 @@
   auxiliary bitmasks and van Emde Boas rank over the piece starts
 
 Tests import these modules and check them against the production
-structures: the packed chain equals `build_chain_linear`, the transducer
-stream equals `FastSyncIndex.sync_sparse` bit for bit, and the reference
-select and rank, built over the same decomposition, answer as
+structures: the packed chain equals `RecompressionIndex(t).chain`, the
+transducer stream equals `FastSyncIndex.sync_sparse` bit for bit, and the
+reference select and rank, built over the same decomposition, answer as
 `Decomposition.select` and `Decomposition.rank` do, error messages
 included.  No production module imports this package.
 """

@@ -3,9 +3,9 @@ tested reproduction.  No production module imports this one.
 
 `build_chain_packed` simulates the initial rounds on boundary-context sets
 (one entry per distinct context), then switches to the linear rounds of
-`tausync.recompress`.  It yields the same chain as `build_chain_linear`,
-and shares its cut approximation and its canonical (length, content) node
-order.
+`tausync.recompress`.  It yields the same chain as
+`RecompressionIndex(t).chain`, and shares its cut approximation and its
+canonical (length, content) node order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ..bitstream import BitStream
 from ..errors import InvalidArgument
-from ..recompress import (ChainHandle, alpha, build_chain_linear,
+from ..recompress import (ChainHandle, RecompressionIndex, alpha,
                           lambda_floor, max_dicut, round_even, round_odd)
 from ..text import PackedText
 
@@ -201,7 +201,7 @@ def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:
 
 def build_chain_packed(t: PackedText,
                        threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ChainHandle:
-    """The chain by the packed rounds, equal to build_chain_linear(t).
+    """The chain by the packed rounds, equal to RecompressionIndex(t).chain.
 
     B_0..B_K are read off the context sets C_0..C_K by a window scan of
     the padded text; the linear rounds continue from B_K.  When packing
@@ -209,7 +209,7 @@ def build_chain_packed(t: PackedText,
     """
     contexts = build_context_sets(t, threshold)
     if contexts is None:
-        return build_chain_linear(t)
+        return RecompressionIndex(t).chain
     K = contexts.K
     levels = []
     for k in range(K + 1):

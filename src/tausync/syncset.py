@@ -91,7 +91,7 @@ def sync_gaps(index: SyncIndex, tau: int) -> list[tuple]:
         cuts = [(None, -1)] + blocks + [(n - 2 * tau + 1, None)]
         return [(last + 1, None, first - 1) for (_, last), (first, _)
                 in pairwise(cuts) if first > last + 1]
-    digits = index.recomp.level_digits(k, 0, n)
+    digits = index.recomp.level_digits(k)
     gaps = index.recomp.gaps.get(k, b"")   # kept for every nonempty level
     new = [i + tau for i in _run_candidates(runs, tau, n - 2 * tau)
            if digits[i + tau] != ord("1")]
@@ -138,7 +138,7 @@ def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:
     _check_tau(t, tau)
     n = t.n
     runs = enumerate_runs(t, tau, tau // 3)
-    digits = index.recomp.level_digits(k_of_tau(tau), tau, n - tau + 1)
+    digits = index.recomp.level_digits(k_of_tau(tau))[tau:n - tau + 1]
     for i in _run_candidates(runs, tau, n - 2 * tau):
         digits[i] = ord("1")
     for first, last in _blocks(runs, tau):

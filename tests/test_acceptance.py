@@ -130,7 +130,7 @@ def test_criterion_3_recompression_chain(corpus, handles):
         assert report.ok, (syms, report)
         if rchain.packed_round_count(t.n, t.bits_per_symbol, 2) is not None:
             packed = rchain.build_chain_packed(t, 2)
-            assert packed.levels == rc.build_chain_linear(t).levels, syms
+            assert packed.levels == rc.RecompressionIndex(t).chain.levels, syms
             packed_checked += 1
     assert packed_checked >= 100
     print(f"\ncriterion 3: PASS ({len(corpus)} chains verified, "

@@ -1,0 +1,104 @@
+"""Cache ownership: per-text tables belong to one index, and every
+module-level cache stays within its stated bound after a mixed run."""
+
+import contextlib
+import io
+import random
+from array import array
+
+from tausync import cli
+from tausync import recompress as rc
+from tausync import sparsecodec as sc
+from tausync import syncset as ss
+from tausync.fastpath import FastSyncIndex
+from tausync.ranksupport import decompose
+from tausync.text import PackedText
+
+TAUS = (1, 3, 8, 16, 40)
+
+
+def _answers(handle):
+    """Every query form at TAUS, compared by value."""
+    out = []
+    for tau in TAUS:
+        support = handle.sync_with_support(tau)
+        out.append((ss.build_sync_explicit(handle.sync_index, tau),
+                    ss.build_sync_bitmask(handle.sync_index, tau),
+                    handle.sync_sparse(tau), support.size,
+                    [support.select(j) for j in range(1, support.size + 1)]))
+    return out
+
+
+def _tables(handle):
+    """The mutable per-text tables of an index, and its gap strings (a
+    one-byte bytes object is a shared constant, so those are left out)."""
+    recomp = handle.sync_index.recomp
+    return [handle.t, handle.sync_index, recomp, recomp.depth, recomp.deep,
+            recomp.gaps] + [g for g in recomp.gaps.values()
+                            if type(g) is array or len(g) > 1]
+
+
+def test_two_indices_share_no_per_text_tables():
+    rng = random.Random(23)
+    texts = [([rng.randrange(4) for _ in range(700)], 4),
+             ([rng.randrange(2) for _ in range(3)] * 100
+              + [rng.randrange(2) for _ in range(400)], 2)]
+    a, b = (FastSyncIndex(PackedText(syms, sigma)) for syms, sigma in texts)
+    assert len(_tables(a)) > 6 and len(_tables(b)) > 6
+    assert not {id(x) for x in _tables(a)} & {id(x) for x in _tables(b)}
+    # querying one index leaves the other as a fresh one would answer
+    before = _answers(a)
+    _answers(b)
+    fresh = FastSyncIndex(PackedText(*texts[0]))
+    assert _answers(a) == before == _answers(fresh)
+
+
+def _cli(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_module_caches_stay_within_their_bounds(tmp_path):
+    rng = random.Random(24)
+    # indices over 80 text lengths: one _first_h_past_4n entry each
+    for n in range(2, 82):
+        handle = FastSyncIndex(PackedText([rng.randrange(3)
+                                           for _ in range(n)], 3))
+        assert handle.sync_sparse(n // 2).decoded_len == n
+        assert len(handle.sync_index.recomp.level_bitmask(0)) == n
+    rc.alpha(600)   # lambda_frac at every k below 600
+    # zero runs and member distances past the token-digit limit
+    wide = sc.senc_encode([1] + [0] * 5000 + [2] + [0] * 4097 + [3])
+    assert sc.senc_decode(wide)[5001] == 2
+    far = sc.senc_from_positions(20000, [0, 4500, 9100, 19999])
+    # six table parameters, where four tables are kept
+    for table_n in range(2, 8):
+        assert decompose(far, table_n).size == 4
+    text = tmp_path / "text.bin"
+    text.write_bytes(bytes(rng.randrange(4) for _ in range(256)))
+    container = str(tmp_path / "set.ssb")
+    for tau in (4, 16, 64):
+        assert _cli(["sync", str(text), "--sigma", "4", "--tau", str(tau),
+                     "--format", "sparse", "--out", container]) == 0
+        assert _cli(["query", container, "--select", "1"]) == 0
+        assert _cli(["recompress", str(text), "--level", str(tau)]) == 0
+
+    assert [len(table) for table in sc._TOKEN_DIGITS] == [4096, 4096]
+    assert sum(d is not None for table in sc._TOKEN_DIGITS
+               for d in table) <= 2 * 4096
+    assert len(sc._MEMBER_DIGITS) <= 4096
+    assert max(sc._MEMBER_DIGITS) <= 4096
+    tables = sc._shared_tables.cache_info()
+    assert tables.maxsize == 4 and tables.currsize <= 4
+    for table_n in range(4, 8):   # the four kept, each memo within its bound
+        memo = sc.parse_tables(table_n)._memo
+        assert len(memo) < 2 ** (sc.parse_tables(table_n).window_bits + 1)
+    for cache, bound in ((rc.lambda_frac, 512), (rc._first_h_past_4n, 64),
+                         (cli._parser, 1)):
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound, cache
+    # the run filled these two to their bounds
+    assert rc._first_h_past_4n.cache_info().currsize == 64
+    assert rc.lambda_frac.cache_info().currsize == 512

@@ -61,7 +61,7 @@ def test_verify_sync_range_check():
 def test_verify_chain_accepts_and_rejects(rng):
     syms = make_text(rng, 70, 2, "random")
     t = PackedText(syms, 2)
-    chain = rc.build_chain_linear(t)
+    chain = rc.RecompressionIndex(t).chain
     assert orc.verify_chain(syms, chain.levels, rc.lambda_frac, rc.alpha).ok
     levels = [list(l) for l in chain.levels]
     victim = next(k for k, l in enumerate(levels) if l)
@@ -72,7 +72,7 @@ def test_verify_chain_accepts_and_rejects(rng):
 def test_verify_chain_trivial_small():
     for syms in ([], [0], [0, 1]):
         t = PackedText(syms, 2)
-        chain = rc.build_chain_linear(t)
+        chain = rc.RecompressionIndex(t).chain
         assert orc.verify_chain(syms, chain.levels, rc.lambda_frac, rc.alpha).ok
 
 

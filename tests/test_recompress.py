@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import count
+from itertools import accumulate, count
 
 import pytest
 
@@ -83,11 +83,11 @@ def test_round_odd_no_short_pairs_is_identity():
 
 
 def test_chain_n1_and_n0():
-    assert rc.build_chain_linear(PackedText([0], 1)).levels == [[]]
-    assert rc.build_chain_linear(PackedText([], 1)).levels == [[]]
+    assert rc.RecompressionIndex(PackedText([0], 1)).chain.levels == [[]]
+    assert rc.RecompressionIndex(PackedText([], 1)).chain.levels == [[]]
 
 
-# SHA-256 of repr(build_chain_linear(t).levels) for seeded texts.  The
+# SHA-256 of repr(RecompressionIndex(t).chain.levels) for seeded texts.  The
 # chain is a function of the text alone, so a round that picks another
 # valid cut changes these even where verify_chain still passes.
 PINNED_CHAINS = {
@@ -119,14 +119,14 @@ def test_chain_pinned_exactly():
     texts = pinned_texts()
     assert texts.keys() == PINNED_CHAINS.keys()
     for name, (syms, sigma) in texts.items():
-        levels = rc.build_chain_linear(PackedText(syms, sigma)).levels
+        levels = rc.RecompressionIndex(PackedText(syms, sigma)).chain.levels
         got = hashlib.sha256(repr(levels).encode()).hexdigest()
         assert got == PINNED_CHAINS[name], name
 
 
 def test_chain_periodic_text_collapses_quickly():
     t = PackedText([0] * 64, 2)
-    chain = rc.build_chain_linear(t)
+    chain = rc.RecompressionIndex(t).chain
     assert len(chain.levels[1]) == 0
 
 
@@ -136,7 +136,7 @@ def test_chain_properties_random(rng):
         sigma = rng.choice([1, 2, 4, 16])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma))
-        chain = rc.build_chain_linear(t)
+        chain = rc.RecompressionIndex(t).chain
         report = verify_chain(syms, chain.levels, rc.lambda_frac, rc.alpha)
         assert report.ok, report
 
@@ -144,7 +144,7 @@ def test_chain_properties_random(rng):
 def test_chain_mutation_fails_oracle(rng):
     syms = make_text(rng, 90, 2, "random")
     t = PackedText(syms, 2)
-    chain = rc.build_chain_linear(t)
+    chain = rc.RecompressionIndex(t).chain
     levels = [list(l) for l in chain.levels]
     victim = next(k for k, l in enumerate(levels) if 0 < len(l) <= 8)
     removed = levels[victim].pop(len(levels[victim]) // 2)
@@ -181,17 +181,18 @@ def _assert_depths_match_rounds(t, index):
     assert index.q == len(want) - 1
     assert index.chain.levels == want
     past = next(k for k in count() if rc.lambda_exceeds_4n(k, t.n))
-    lo, hi = t.n // 5, t.n - t.n // 7
     for k in range(max(index.q + 3, past + 1) + 1):
         level = want[k] if k < min(len(want), past) else []
         assert index.level_list(k) == level, k
         assert index.level_bitmask(k) == BitStream.from_positions(t.n, level)
-        inner = [f for f in level if lo <= f < hi]
-        assert index.level_list(k, lo, hi) == [f - lo for f in inner]
-        digits = bytearray(b"0") * (hi - lo)
-        for f in inner:
-            digits[f - lo] = ord("1")
-        assert index.level_digits(k, lo, hi) == digits
+        digits = bytearray(b"0") * t.n
+        for f in level:
+            digits[f] = ord("1")
+        assert index.level_digits(k) == digits
+    # the gap strings: every nonempty even level from 2 up, and no other
+    assert index.gaps.keys() == {k for k in range(2, len(want), 2) if want[k]}
+    for k, gaps in index.gaps.items():
+        assert list(accumulate(gaps)) == want[k], k
 
 
 def test_depths_reproduce_every_level(rng):
@@ -255,6 +256,42 @@ def test_fixed_point_skip_skips_rounds(monkeypatch):
     _assert_depths_match_rounds(t, index)
 
 
+# The rounds the fixed-point skip leaves out of the whole build of each
+# pinned text; every other round in 1..q-1 runs once, in order.
+PINNED_SKIPS = {
+    "random-s4-4096": [10, 11],
+    "period7": [4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 20, 21],
+    "runs": [4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 20, 21, 24, 25],
+    "random-s256-2048": [10, 11],
+    "n0": [],
+    "n1": [],
+}
+
+
+def test_skipped_rounds_are_pinned(monkeypatch):
+    # the chain does not show a skip that stops a pair of rounds too early
+    # or too late, but the rounds that run do
+    calls = _count_rounds(monkeypatch)
+    for name, (syms, sigma) in pinned_texts().items():
+        del calls[:]
+        index = rc.RecompressionIndex(PackedText(syms, sigma))
+        skipped = PINNED_SKIPS[name]
+        assert calls == [k for k in range(1, index.q) if k not in skipped], name
+
+
+def test_a_skipped_stretch_shares_one_gap_string(monkeypatch):
+    # no round runs between the even level before a skipped stretch and
+    # the levels inside it, so they hold one gap string, not copies
+    calls = _count_rounds(monkeypatch)
+    t = PackedText(*pinned_texts()["runs"])
+    index = rc.RecompressionIndex(t)
+    skipped = sorted(set(range(4, index.q, 2)) - set(calls))
+    assert skipped
+    for k in skipped:
+        assert index.gaps[k] is index.gaps[k - 2], k
+        assert list(accumulate(index.gaps[k])) == index.level_list(k), k
+
+
 def _wide_text(rng) -> list[int]:
     """300 distinct symbols with planted stretches of periods 1..6."""
     spread = list(range(300))
@@ -268,9 +305,8 @@ def _wide_text(rng) -> list[int]:
 
 
 def _assert_refused(index, k):
-    n = index.t.n
     for read in (lambda: index.level_list(k), lambda: index.level_bitmask(k),
-                 lambda: index.level_digits(k, 0, n)):
+                 lambda: index.level_digits(k)):
         with pytest.raises(InvalidArgument, match="past this index's top"):
             read()
 
@@ -284,18 +320,16 @@ def test_truncated_index_reads_like_the_whole_chain(rng):
     for syms, sigma in texts:
         t = PackedText(syms, sigma)
         n = t.n
-        lo, hi = n // 5, n - n // 7
         full = rc.RecompressionIndex(t)
         levels = full.chain.levels
-        want = [(full.level_list(k), full.level_list(k, lo, hi),
-                 full.level_digits(k, 0, n)) for k in range(full.q + 3)]
+        want = [(full.level_list(k), full.level_digits(k))
+                for k in range(full.q + 3)]
         for top in range(full.q + 3):
             index = rc.RecompressionIndex(t, top)
             assert index.q == min(top, full.q)
             assert index.chain.levels == levels[:top + 1]
             for k in range(top + 1):
-                got = (index.level_list(k), index.level_list(k, lo, hi),
-                       index.level_digits(k, 0, n))
+                got = (index.level_list(k), index.level_digits(k))
                 assert got == want[k], (n, top, k)
                 assert index.level_bitmask(k) == full.level_bitmask(k)
             past = top + 1
@@ -351,7 +385,7 @@ def test_context_sets_match_linear_path(rng):
             continue
         checked += 1
         packed = rchain.build_chain_packed(t, 2)
-        assert packed.levels == rc.build_chain_linear(t).levels, syms
+        assert packed.levels == rc.RecompressionIndex(t).chain.levels, syms
     assert checked >= 10
 
 

@@ -8,7 +8,7 @@ from conftest import adversarial_text, make_text
 from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
-from tausync.recompress import RecompressionIndex, build_chain_linear
+from tausync.recompress import RecompressionIndex
 from tausync.runs import enumerate_runs, period
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
@@ -220,7 +220,7 @@ def _chain_and_sets(syms, sigma):
     t = PackedText(syms, sigma)
     index = ss.SyncIndex(t)
     sets = [ss.build_sync_explicit(index, tau) for tau in range(1, t.n // 2 + 1)]
-    return build_chain_linear(t).levels, sets
+    return RecompressionIndex(t).chain.levels, sets
 
 
 def test_order_preserving_renaming_keeps_chain_and_sets(rng):
