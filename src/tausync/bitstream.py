@@ -107,11 +107,11 @@ class BitStream:
         return self._value
 
     def to_positions(self) -> list[int]:
-        """Positions of the set bits, in increasing order: the j-th (from 0)
-        follows j set bits and the zeros of the first j + 1 runs of them."""
-        zeros = self.to01().split("1")   # runs before each set bit, and after
+        """Positions of the set bits, in increasing order: set bit j (from
+        0) has j set bits and the first j + 1 runs of zeros before it."""
+        zeros = self.to01().split("1")   # the zero runs around the set bits
         at = list(map(add, accumulate(map(len, zeros)), count()))
-        at.pop()   # the sum past the last run: the length
+        at.pop()   # past the last run: the stream's length
         return at
 
     # -- serialization -------------------------------------------------------

@@ -255,4 +255,3 @@ class RecompressionIndex:
 
     def level_bitmask(self, k: int) -> BitStream:
         return BitStream.from_digits(self.level_digits(k), self.t.n)
-
