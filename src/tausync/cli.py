@@ -128,12 +128,15 @@ def cmd_sync(args) -> int:
 
 def cmd_recompress(args) -> int:
     t = _packed(args)
-    # a negative level is refused by level_digits, as on the whole chain
-    index = rc.RecompressionIndex(t, max(args.level, 0))
+    # level_digits refuses a negative level and reads one with lambda > 4n
+    # as empty before it looks at the top, so neither needs a round
+    level = args.level
+    top = 0 if level < 0 or rc.lambda_exceeds_4n(level, t.n) else level
+    index = rc.RecompressionIndex(t, top)
     if args.format == "list":
-        _write_lines(args.out, index.level_list(args.level))
+        _write_lines(args.out, index.level_list(level))
     else:
-        mask = index.level_bitmask(args.level)
+        mask = index.level_bitmask(level)
         _write_container(args.out, mask, t.n)
     return 0
 
@@ -170,10 +173,12 @@ def cmd_query(args) -> int:
     with open(args.container, "rb") as fh:
         stream, decoded_len = BitStream.from_bytes(fh.read())
     decomp = decompose(sc.SparseEncoding(stream, decoded_len))
+    answers = []
     if args.select is not None:
-        print(decomp.select(args.select))
+        answers.append(decomp.select(args.select))
     if args.rank is not None:
-        print(decomp.rank(args.rank))
+        answers.append(decomp.rank(args.rank))
+    _write_lines(args.out, answers)
     return 0
 
 
@@ -197,7 +202,7 @@ def cmd_verify(args) -> int:
         print(f"verification failed: {report.condition}: {report.detail}",
               file=sys.stderr)
         return 1
-    print("ok")
+    _write_lines(args.out, ["ok"])
     return 0
 
 

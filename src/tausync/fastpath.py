@@ -3,8 +3,9 @@ optionally with rank/select support.
 
 A tau query writes the set's gap sequence (`syncset.build_sync_sparse`)
 as tokens without listing the set.  Its rank/select support is the
-greedy decomposition of that encoding, which holds the encoding and its
-size and answers both queries by bisection over its piece arrays.
+greedy decomposition of that encoding into pieces of at most lg N = 16
+bits, which holds the encoding and its size and answers both queries by
+bisection over its piece arrays.
 
 The paper's five-stream transducer construction of the same stream is
 kept in :mod:`tausync.reference.sync_transducer`.

@@ -1,12 +1,13 @@
 """Rank and select over sparse-encoded bitmasks.
 
 The decomposition of an encoding is the split that the package's one
-token reader, `sparsecodec.read_pieces`, walks it in: pieces of about
-lg N bits, each with its window parse, and a piece of its own for each
-token too wide for a window (a long zero run or a wide literal).  A query
-finds its piece by bisection over the sorted piece arrays -- the symbol
-starts for rank, the ones before each piece for select -- and answers
-inside the piece from its parse.
+token reader, `sparsecodec.read_pieces`, walks it in: pieces of at most
+``sparsecodec.WINDOW_BITS`` = 16 bits (lg N for N = 2**16), each with
+its window parse, and a piece of its own for each token too wide for a
+window (a long zero run or a literal of 256 or more).  A query finds
+its piece by bisection over the sorted piece arrays -- the symbol starts
+for rank, the ones before each piece for select -- and answers inside
+the piece from its parse.
 
 The paper's constant-time select and van Emde Boas rank over the same
 decomposition are kept in :mod:`tausync.reference.ranksupport`.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgument
 from . import sparsecodec as sc
-from .sparsecodec import DEFAULT_TABLE_N, SparseEncoding
+from .sparsecodec import SparseEncoding
 
 
 @dataclass
@@ -27,15 +28,14 @@ class Decomposition:
     """Greedy split of senc(A): tuples (p_i, e_i, r_i) plus piece parses.
 
     Piece i covers symbols [p_i..p_{i+1}) and encoding bits [e_i..e_{i+1});
-    r_i counts the ones (nonzero symbols) before p_i.  A piece spans at most lg N encoding
-    bits unless it is one token too wide for a window.  ``parses[i]`` is
-    the window parse of piece i that the reader kept, shared with the
-    memoized parse tables, a one-symbol parse for a wide literal, or None
-    for a long zero run.
+    r_i counts the ones (nonzero symbols) before p_i.  A piece spans at
+    most ``WINDOW_BITS`` encoding bits unless it is one token too wide for
+    a window.  ``parses[i]`` is the window parse of piece i that the
+    reader kept, shared with the memo of `sparsecodec.TABLES`, a
+    one-symbol parse for a wide literal, or None for a long zero run.
     """
 
     encoding: SparseEncoding
-    table_n: int
     p: list[int]
     e: list[int]
     r: list[int]
@@ -78,7 +78,7 @@ class Decomposition:
         return self.select_in(bisect_left(self.r, j) - 1, j)
 
 
-def decompose(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N) -> Decomposition:
+def decompose(enc: SparseEncoding) -> Decomposition:
     """Split senc(A) greedily by longest-valid-prefix windows, rejecting
     what `sparsecodec.senc_decode` rejects, with the same error."""
-    return Decomposition(enc, table_n, *sc.read_pieces(enc, table_n))
+    return Decomposition(enc, *sc.read_pieces(enc))

@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from ..bitstream import BitStream
 from ..errors import InvalidArgument
 from ..ranksupport import Decomposition
+from .. import sparsecodec as sc
 
 
 # -- plain bitvector rank/select ------------------------------------------------
@@ -312,13 +313,17 @@ class VebIndex:
 # -- rank support ------------------------------------------------------------------
 
 class RankSupport:
-    """Rank over a sparse-encoded 0/1 mask via a vEB index on piece starts."""
+    """Rank over a sparse-encoded 0/1 mask via a vEB index on piece starts.
+
+    The space parameter m is at least |senc(A)| / lg N, with lg N the
+    window width of 16 bits.
+    """
 
     def __init__(self, decomp: Decomposition, m: int | None = None):
         self.enc = enc = decomp.encoding
         self.decomp = decomp
         h = decomp.h
-        min_m = max(1, len(enc.stream) // max(1, decomp.table_n.bit_length() - 1))
+        min_m = max(1, len(enc.stream) // sc.WINDOW_BITS)
         if m is None:
             m = min_m
         if m < min_m:

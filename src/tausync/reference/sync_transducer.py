@@ -7,7 +7,8 @@ the same stream, bit for bit, the way the paper does: run tables split by
 period scale (geometric length ranges for large tau, per-position run
 descriptors for small tau), stream shifting, and a fixed five-stream
 transducer over the boundary set B_k(tau) of the chain, shifted by tau,
-and the shifted run markers.
+and the shifted run markers.  The transducers and the small-run period
+bound take the package's one window width, lg N = 16 bits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..errors import InvalidArgument
 from .. import sparsecodec as sc
 from .. import transducer as td
 from ..runs import enumerate_runs
-from ..sparsecodec import DEFAULT_TABLE_N, SparseEncoding
+from ..sparsecodec import SparseEncoding
 from ..syncset import SyncIndex, k_of_tau
 from ..text import PackedText
 
@@ -27,9 +28,11 @@ RUNS_LENGTH_FACTOR = 2          # queried run lengths stay within [tau..2*tau]
 _TRUNC = 4 * RUNS_LENGTH_FACTOR  # descriptor lengths truncated at 8 * P
 
 
-def default_small_runs_limit(table_n: int, bits_per_symbol: int) -> int:
-    lg_n = max(1, table_n.bit_length() - 1)
-    return max(1, lg_n // ((16 * RUNS_LENGTH_FACTOR + 4) * bits_per_symbol))
+def default_small_runs_limit(bits_per_symbol: int) -> int:
+    """Period bound of the per-position descriptors: lg N / (36 lg sigma),
+    at least 1 (which is 1 at lg N = 16)."""
+    return max(1, sc.WINDOW_BITS
+               // ((16 * RUNS_LENGTH_FACTOR + 4) * bits_per_symbol))
 
 
 # -- stream shifting -------------------------------------------------------------
@@ -44,8 +47,7 @@ def _shift_spec() -> td.TransducerSpec:
     return td.TransducerSpec(1, 0, 3, delta, key="shift:mask")
 
 
-def shift_truncate(enc: SparseEncoding, ell: int,
-                   table_n: int = DEFAULT_TABLE_N) -> SparseEncoding:
+def shift_truncate(enc: SparseEncoding, ell: int) -> SparseEncoding:
     """senc(V[ell..n) . 0^ell) from senc(V), by the three-stream rewrite."""
     n = enc.decoded_len
     if not 1 <= ell < n:
@@ -56,7 +58,7 @@ def shift_truncate(enc: SparseEncoding, ell: int,
     v2 = sc.tokens_to_stream(ones + zeros)
     v3 = sc.tokens_to_stream(zeros + ones)
     streams = [SparseEncoding(v, n + ell) for v in (v1, v2, v3)]
-    shifted = td.run_multi(_shift_spec(), streams, table_n)
+    shifted = td.run_multi(_shift_spec(), streams)
     # the output starts with ell literal tokens "11"
     return SparseEncoding(BitStream.from01(shifted.stream.to01()[2 * ell:]), n)
 
@@ -112,13 +114,10 @@ def _window_runs(window: tuple[int, ...]) -> list[tuple[int, int, int]]:
 class RunTables:
     """Start/end marker machinery for RUNS_{ell, tau//3} queries."""
 
-    def __init__(self, t: PackedText, table_n: int,
-                 small_limit: Optional[int] = None):
+    def __init__(self, t: PackedText, small_limit: Optional[int] = None):
         self.t = t
-        self.table_n = table_n
         self.small_limit = (small_limit if small_limit is not None
-                            else default_small_runs_limit(table_n,
-                                                          t.bits_per_symbol))
+                            else default_small_runs_limit(t.bits_per_symbol))
         # exact thresholds floor(1.1^j) via integer scaling
         self.ranges: list[tuple[int, int]] = []
         j = 0
@@ -232,7 +231,7 @@ class RunTables:
         def delta(s, x):
             return 0, 0 if x == _NO_RUN else x
         spec = td.TransducerSpec(1, 0, 1, delta, key="runs:strip")
-        return td.accelerate_single(spec, self.table_n).run(enc)
+        return td.accelerate_single(spec).run(enc)
 
     def _filter_chain(self, r0: SparseEncoding) -> list[SparseEncoding]:
         chain = [r0]
@@ -253,7 +252,7 @@ class RunTables:
 
             spec = td.TransducerSpec(1, 0, 1, delta,
                                      key=f"runs:filter:{P}:{j}")
-            chain.append(td.accelerate_single(spec, self.table_n).run(chain[-1]))
+            chain.append(td.accelerate_single(spec).run(chain[-1]))
             j += 1
         return chain
 
@@ -292,8 +291,8 @@ class RunTables:
 
         spec = td.TransducerSpec(1, 0, 2, delta,
                                  key=f"runs:large:{j}:{tau}:{ell}")
-        s = td.run_multi(spec, [s_per, s_len], self.table_n)
-        e = td.run_multi(spec, [e_per, e_len], self.table_n)
+        s = td.run_multi(spec, [s_per, s_len])
+        e = td.run_multi(spec, [e_per, e_len])
         return s, e
 
     def _small_query(self, tau: int, ell: int):
@@ -314,7 +313,7 @@ class RunTables:
 
         spec = td.TransducerSpec(1, 0, 1, delta,
                                  key=f"runs:small:{self.small_limit}:{j}:{tau}:{ell}")
-        accel = td.accelerate_single(spec, self.table_n)
+        accel = td.accelerate_single(spec)
         return accel.run(start_chain[j]), accel.run(end_chain[j])
 
 
@@ -346,25 +345,22 @@ def sync_sparse_transducer(sync_index: SyncIndex, run_tables: RunTables,
                            tau: int) -> SparseEncoding:
     """The paper's five-stream transducer construction of sync_sparse.
 
-    Bit-identical to `FastSyncIndex.sync_sparse` for every tau.  The
-    transducers use the table parameter of `run_tables`.
+    Bit-identical to `FastSyncIndex.sync_sparse` for every tau.
     """
     n = sync_index.t.n
-    table_n = run_tables.table_n
     k = k_of_tau(tau)
     # B_k shifted left by tau: the sync transducer only tests > 0
     b_hat = sc.senc_from_positions(
         n, [f - tau for f in sync_index.recomp.level_list(k) if f >= tau])
     s1, e1 = run_tables.markers(tau, tau)
     s2, e2 = run_tables.markers(tau, 2 * tau)
-    s1_hat = shift_truncate(s1, 1, table_n)
+    s1_hat = shift_truncate(s1, 1)
     if tau > 1:
-        e1_hat = shift_truncate(e1, 2 * tau - 2, table_n)
-        e2_hat = shift_truncate(e2, 2 * tau - 2, table_n)
+        e1_hat = shift_truncate(e1, 2 * tau - 2)
+        e2_hat = shift_truncate(e2, 2 * tau - 2)
     else:
         e1_hat, e2_hat = e1, e2
-    mask = td.run_multi(_sync_spec(), [s1_hat, e1_hat, s2, e2_hat, b_hat],
-                        table_n)
+    mask = td.run_multi(_sync_spec(), [s1_hat, e1_hat, s2, e2_hat, b_hat])
     domain = SparseEncoding(sc.tokens_to_stream(
         [(True, 1)] * (n - 2 * tau + 1) + [(False, 2 * tau - 1)]), n)
-    return td.run_multi(_and_spec(), [mask, domain], table_n)
+    return td.run_multi(_and_spec(), [mask, domain])

@@ -23,19 +23,18 @@ for the gaps of a byte string.
 
 There is one reader, `_walk`: it formats the stream once as a digit
 string and splits it into pieces, each the longest valid prefix of the
-next ceil(lg N)-bit window, N being the table parameter (default
-``DEFAULT_TABLE_N`` = 2**16).  `ParseTables` owns one memo of window
-parses keyed by the window's digits, which the transducers share.  A
-token wider than the window is read by `gamma_at`, which finds a gamma
-code's terminating 1 with ``str.find``.  `senc_decode`, `senc_to_list`,
-`decode_token_stream` and `ranksupport.decompose` all read this way,
-and so reject a corrupt stream with the same error.
+next ``WINDOW_BITS`` = 16-bit window (lg N bits for the paper's tables
+over N = 2**16 windows).  `TABLES`, the one `ParseTables`, owns the memo
+of window parses keyed by the window's digits, which the transducers
+share.  A token wider than the window is read by `gamma_at`, which
+finds a gamma code's terminating 1 with ``str.find``.  `senc_decode`,
+`senc_to_list`, `decode_token_stream` and `ranksupport.decompose` all
+read this way, and so reject a corrupt stream with the same error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from operator import sub
 from typing import Iterable, Sequence
@@ -238,33 +237,29 @@ class ParseInfo:
 _EMPTY_PARSE = ParseInfo(0, 0, 0, (), (), (), ())
 
 
-#: Default table parameter N: parse windows of ceil(lg N) = 16 bits.
-DEFAULT_TABLE_N = 1 << 16
+#: Width of a parse window in encoding bits: lg N for tables over N = 2**16.
+WINDOW_BITS = 16
 
 
 class ParseTables:
-    """Memoized window parser for a table parameter N.
+    """Memoized window parser.
 
     A window is named by its digit string in stream order, whose length
     is the parse limit: a parse reads no bit past it.  The tables own one
-    memo from these strings of at most ``window_bits`` digits to their
-    parses, so it holds fewer than 2**(window_bits + 1) entries.
+    memo from these strings of at most ``WINDOW_BITS`` digits to their
+    parses, so it holds fewer than 2**(WINDOW_BITS + 1) entries.
     """
 
-    def __init__(self, table_n: int = DEFAULT_TABLE_N):
-        if table_n < 2:
-            raise InvalidArgument("table parameter must be at least 2")
-        self.table_n = table_n
-        self.window_bits = max(2, (table_n - 1).bit_length())
+    def __init__(self):
         self._memo: dict[str, ParseInfo] = {}
 
     def parse_digits(self, w: str) -> ParseInfo:
         """Parse of the window whose stream-order digits are `w`."""
         info = self._memo.get(w)
         if info is None:
-            if len(w) > self.window_bits:
+            if len(w) > WINDOW_BITS:
                 raise InvalidArgument(f"window of {len(w)} bits is wider "
-                                      f"than {self.window_bits}")
+                                      f"than {WINDOW_BITS}")
             info = self._memo[w] = self._parse(w)
         return info
 
@@ -303,20 +298,13 @@ class ParseTables:
                          tuple(literal_starts), tuple(ranks), tuple(selects))
 
 
-@lru_cache(maxsize=4)
-def _shared_tables(table_n: int) -> ParseTables:
-    return ParseTables(table_n)
-
-
-def parse_tables(table_n: int = DEFAULT_TABLE_N) -> ParseTables:
-    """The ParseTables that callers of `table_n` share, kept for the four
-    table parameters most recently asked for."""
-    return _shared_tables(table_n)
+#: The one ParseTables: the reader and the transducers parse through it.
+TABLES = ParseTables()
 
 
 # -- the reader ------------------------------------------------------------------
 
-def _walk(stream: BitStream, table_n: int):
+def _walk(stream: BitStream):
     """(p, e, r, parses) of the greedy split of a token stream into
     pieces, as `ranksupport.Decomposition` holds them.
 
@@ -325,11 +313,10 @@ def _walk(stream: BitStream, table_n: int):
     holds two adjacent zero-run tokens, so a piece that starts with a
     zero run after one that ends with a zero run is rejected here.
     """
-    tables = parse_tables(table_n)
-    parse = tables.parse_digits
+    parse = TABLES.parse_digits
     digits = stream.to01()
     total = len(digits)
-    k = tables.window_bits
+    k = WINDOW_BITS
     p, e, r = [0], [0], [0]
     parses: list[ParseInfo | None] = []
     pos = sym = ones = 0
@@ -361,10 +348,10 @@ def _walk(stream: BitStream, table_n: int):
     return p, e, r, parses
 
 
-def read_pieces(enc: SparseEncoding, table_n: int = DEFAULT_TABLE_N):
+def read_pieces(enc: SparseEncoding):
     """The pieces (p, e, r, parses) of an encoding's stream, once they are
     checked to cover its declared length."""
-    pieces = _walk(enc.stream, table_n)
+    pieces = _walk(enc.stream)
     covered = pieces[0][-1]
     if covered != enc.decoded_len:
         raise DecodeError(f"decoded length {covered} != declared "
@@ -383,7 +370,7 @@ def _expand(p: list[int], parses: list[ParseInfo | None]) -> list[int]:
 
 def decode_token_stream(stream: BitStream) -> list[int]:
     """The dense sequence of a whole token stream, of whatever length."""
-    p, _, _, parses = _walk(stream, DEFAULT_TABLE_N)
+    p, _, _, parses = _walk(stream)
     return _expand(p, parses)
 
 

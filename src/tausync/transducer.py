@@ -3,14 +3,16 @@ table-accelerated execution directly on sparse encodings.
 
 The accelerated runner keeps the invariant (input bits consumed, symbols
 consumed, current state, trailing-zero count, emitted prefix) and
-advances in macro-steps of up to lg M encoding bits via lazily built
-per-state window tables.  Long zero-run tokens are crossed by alternating
-flexible micro-steps (pseudoforest jumps through transitions that read
-and write zero) and fixed micro-steps of M^(1/4) symbols.
+advances in macro-steps of up to lg M = ``LG_M`` encoding bits via lazily
+built per-state window tables.  Long zero-run tokens are crossed by
+alternating flexible micro-steps (pseudoforest jumps through transitions
+that read and write zero) and fixed micro-steps of M^(1/4) symbols.
+lg M is a quarter of the parse window, lg N = ``sparsecodec.WINDOW_BITS``
+= 16, so M = 16.
 
 Each input is read from its digit string, as `decompose` reads it: a
 window is a slice of lg M digits, parsed by the shared
-`sparsecodec.parse_tables`, and a wider token is read by `gamma_at`.
+`sparsecodec.TABLES`, and a wider token is read by `gamma_at`.
 
 Multi-stream execution zips the inputs positionwise: a zipped symbol is 0
 where all streams are 0 and otherwise carries a sentinel 1 bit followed
@@ -21,14 +23,20 @@ zero bits of the inner encoding, making the integer view unambiguous).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
 from . import sparsecodec as sc
-from .sparsecodec import DEFAULT_TABLE_N, SparseEncoding
+from .sparsecodec import SparseEncoding
+
+#: Bits per transducer window: lg M = lg N / 4.
+LG_M = sc.WINDOW_BITS // 4
+#: Symbols per fixed micro-step across a zero run: M^(1/4).
+M_QUARTER = isqrt(isqrt(1 << LG_M))
+#: Pending zeros past which zipper entries share one table entry.
+Z_CAP = 1 << LG_M
 
 
 @dataclass(frozen=True)
@@ -175,14 +183,10 @@ class RunStats:
 class SingleStreamAccelerator:
     """Runs a single-stream transducer directly on sparse encodings."""
 
-    def __init__(self, spec: TransducerSpec, table_n: int = DEFAULT_TABLE_N):
+    def __init__(self, spec: TransducerSpec):
         if spec.arity != 1:
             raise InvalidArgument("single-stream accelerator requires arity 1")
         self.spec = spec
-        self.table_n = table_n
-        self.lg_m = max(2, (max(4, table_n).bit_length() - 1) // 4)
-        self.m_quarter = max(1, isqrt(isqrt(1 << self.lg_m)))
-        self._tables = sc.parse_tables(table_n)
         self._window_entries: dict[tuple[int, str], _WindowEntry] = {}
         self._zero_entries: dict[tuple[int, int], _WindowEntry] = {}
         succ: list[Optional[int]] = []
@@ -198,7 +202,7 @@ class SingleStreamAccelerator:
         key = (state, w)
         entry = self._window_entries.get(key)
         if entry is None:
-            info = self._tables.parse_digits(w)
+            info = sc.TABLES.parse_digits(w)
             entry = self._simulate(state, info.values, info.b)
             self._window_entries[key] = entry
         return entry
@@ -246,7 +250,6 @@ class SingleStreamAccelerator:
         spec = self.spec
         digits = enc.stream.to01()
         total_bits = len(digits)
-        lg_m = self.lg_m
         x = 0
         n = 0
         state = spec.start
@@ -257,7 +260,7 @@ class SingleStreamAccelerator:
             stats.macro_steps += 1
             if collect_stats:
                 stats.macro_bit_positions.append(x)
-            entry = self._entry(state, digits[x:x + lg_m])
+            entry = self._entry(state, digits[x:x + LG_M])
             if entry.b > 0:
                 z = self._flush(tokens, z, entry)
                 state = entry.state
@@ -290,7 +293,7 @@ class SingleStreamAccelerator:
                     if not yleft:
                         break
                     stats.micro_steps += 1
-                    fixed = min(yleft, self.m_quarter)
+                    fixed = min(yleft, M_QUARTER)
                     entry = self._zero_entry(state, fixed)
                     z = self._flush(tokens, z, entry)
                     state = entry.state
@@ -305,30 +308,27 @@ class SingleStreamAccelerator:
 
 #: Most accelerators `_accel_cache` keeps; the least recently used goes.
 _ACCEL_CACHE_LIMIT = 64
-_accel_cache: dict[tuple[str, int], SingleStreamAccelerator] = {}
+_accel_cache: dict[str, SingleStreamAccelerator] = {}
 
 
-def accelerate_single(spec: TransducerSpec,
-                      table_n: int = DEFAULT_TABLE_N) -> SingleStreamAccelerator:
+def accelerate_single(spec: TransducerSpec) -> SingleStreamAccelerator:
     """Accelerator for a single-stream spec; cached when spec.key is set.
 
     The cache is keyed by spec.key, not by the spec, because equal specs
     are rebuilt as new objects (see `_flatten_spec`)."""
     if spec.key is None:
-        return SingleStreamAccelerator(spec, table_n)
-    cache_key = (spec.key, table_n)
-    accel = _accel_cache.pop(cache_key, None)
+        return SingleStreamAccelerator(spec)
+    accel = _accel_cache.pop(spec.key, None)
     if accel is None:
-        accel = SingleStreamAccelerator(spec, table_n)
+        accel = SingleStreamAccelerator(spec)
         if len(_accel_cache) >= _ACCEL_CACHE_LIMIT:
             del _accel_cache[next(iter(_accel_cache))]
-    _accel_cache[cache_key] = accel
+    _accel_cache[spec.key] = accel
     return accel
 
 
-def run_sparse(spec: TransducerSpec, enc: SparseEncoding,
-               table_n: int = DEFAULT_TABLE_N) -> SparseEncoding:
-    return accelerate_single(spec, table_n).run(enc)
+def run_sparse(spec: TransducerSpec, enc: SparseEncoding) -> SparseEncoding:
+    return accelerate_single(spec).run(enc)
 
 
 # -- zipped symbols ------------------------------------------------------------
@@ -410,11 +410,7 @@ class _ZipEntry:
 class PairZipper:
     """Merges two sparse encodings into the encoding of their zip."""
 
-    def __init__(self, table_n: int = DEFAULT_TABLE_N):
-        self.table_n = table_n
-        self.lg_m = max(2, (max(4, table_n).bit_length() - 1) // 4)
-        self.z_cap = 1 << self.lg_m
-        self._tables = sc.parse_tables(table_n)
+    def __init__(self):
         self._entries: dict[tuple[str, str, int, int], _ZipEntry] = {}
 
     # -- table construction ----------------------------------------------------
@@ -422,7 +418,7 @@ class PairZipper:
     def _parses(self, w: str) -> list[tuple[int, tuple]]:
         """All (bits, decoded values) sparse-encoding prefixes of the window:
         the prefixes its parse takes whole, which end where its tokens do."""
-        parse = self._tables.parse_digits
+        parse = sc.TABLES.parse_digits
         return [(j, info.values) for j in range(len(w) + 1)
                 if (info := parse(w[:j])).b == j]
 
@@ -436,8 +432,8 @@ class PairZipper:
         return z
 
     def _entry(self, w1: str, w2: str, z1: int, z2: int) -> _ZipEntry:
-        z1c = min(z1, self.z_cap)
-        z2c = min(z2, self.z_cap)
+        z1c = min(z1, Z_CAP)
+        z2c = min(z2, Z_CAP)
         key = (w1, w2, z1c, z2c)
         entry = self._entries.get(key)
         if entry is None:
@@ -500,7 +496,6 @@ class PairZipper:
         b1 = b2 = 0
         a = z1 = z2 = z3 = 0
         out: list[tuple[bool, int]] = []   # tokens of the zipped encoding
-        lg_m = self.lg_m
 
         while b1 < len1 or b2 < len2:
             shared = min(z1, z2)
@@ -509,7 +504,7 @@ class PairZipper:
                 z2 -= shared
                 a += shared
                 z3 += shared
-            entry = self._entry(d1[b1:b1 + lg_m], d2[b2:b2 + lg_m], z1, z2)
+            entry = self._entry(d1[b1:b1 + LG_M], d2[b2:b2 + LG_M], z1, z2)
             if entry.b1 or entry.b2:
                 b1 += entry.b1
                 b2 += entry.b2
@@ -562,16 +557,13 @@ class PairZipper:
         return SparseEncoding(sc.tokens_to_stream(out), a)
 
 
-@lru_cache(maxsize=4)
-def _zipper(table_n: int) -> PairZipper:
-    """The PairZipper of `table_n`, kept for the four table parameters most
-    recently asked for, as `sparsecodec.parse_tables` keeps its tables."""
-    return PairZipper(table_n)
+#: The one PairZipper; its entries are keyed by two lg M-digit windows and
+#: two pending-zero counts capped at Z_CAP, so they are bounded.
+ZIPPER = PairZipper()
 
 
-def zip_pair(e1: SparseEncoding, e2: SparseEncoding,
-             table_n: int = DEFAULT_TABLE_N) -> SparseEncoding:
-    return _zipper(table_n).zip(e1, e2)
+def zip_pair(e1: SparseEncoding, e2: SparseEncoding) -> SparseEncoding:
+    return ZIPPER.zip(e1, e2)
 
 
 def _relabel_spec() -> TransducerSpec:
@@ -590,8 +582,7 @@ def _flatten_spec(arity: int) -> TransducerSpec:
     return TransducerSpec(1, 0, 1, delta, key=f"zip:flatten:{arity}")
 
 
-def zip_multi(encodings: Sequence[SparseEncoding],
-              table_n: int = DEFAULT_TABLE_N) -> SparseEncoding:
+def zip_multi(encodings: Sequence[SparseEncoding]) -> SparseEncoding:
     """senc(zip(A_1..A_t)) from the individual encodings, recursively."""
     t = len(encodings)
     if t < 1:
@@ -599,16 +590,16 @@ def zip_multi(encodings: Sequence[SparseEncoding],
     if t > 6:
         raise InvalidArgument("zip supports at most 6 streams")
     if t == 1:
-        return accelerate_single(_relabel_spec(), table_n).run(encodings[0])
+        return accelerate_single(_relabel_spec()).run(encodings[0])
     acc = encodings[0]
     arity = 1
     for enc in encodings[1:]:
-        pair = zip_pair(acc, enc, table_n)
+        pair = zip_pair(acc, enc)
         arity += 1
         if arity == 2:
             acc = pair
         else:
-            acc = accelerate_single(_flatten_spec(arity), table_n).run(pair)
+            acc = accelerate_single(_flatten_spec(arity)).run(pair)
     return acc
 
 
@@ -625,13 +616,13 @@ def _reduced_spec(spec: TransducerSpec) -> TransducerSpec:
     return TransducerSpec(spec.num_states, spec.start, 1, delta1, key)
 
 
-def run_multi(spec: TransducerSpec, encodings: Sequence[SparseEncoding],
-              table_n: int = DEFAULT_TABLE_N) -> SparseEncoding:
+def run_multi(spec: TransducerSpec,
+              encodings: Sequence[SparseEncoding]) -> SparseEncoding:
     """Accelerated multi-stream execution: zip, then run the reduced spec."""
     if len(encodings) != spec.arity:
         raise InvalidArgument(
             f"expected {spec.arity} encodings, got {len(encodings)}")
     if spec.arity == 1:
-        return accelerate_single(spec, table_n).run(encodings[0])
-    zipped = zip_multi(encodings, table_n)
-    return accelerate_single(_reduced_spec(spec), table_n).run(zipped)
+        return accelerate_single(spec).run(encodings[0])
+    zipped = zip_multi(encodings)
+    return accelerate_single(_reduced_spec(spec)).run(zipped)

@@ -92,10 +92,9 @@ def test_criterion_2_representation_agreement(corpus, handles):
     checked = 0
     queries = 0
     t_start = time.time()
-    for idx, ((syms, sigma, family, extra), (t, handle, tidx)) in enumerate(
-            zip(corpus, handles)):
+    for (syms, sigma, family, extra), (t, handle, tidx) in zip(corpus,
+                                                               handles):
         n = len(syms)
-        table_n = 1 << 12 if idx % 2 else 1 << 16
         ones_prefix = None
         for tau in range(1, n // 2 + 1):
             members = ss.build_sync_explicit(handle.sync_index, tau)
@@ -103,7 +102,7 @@ def test_criterion_2_representation_agreement(corpus, handles):
             from_mask = mask.to_positions()
             assert from_mask == members, (syms, tau)
             enc = handle.sync_sparse(tau)
-            support = decompose(enc, table_n)
+            support = decompose(enc)
             bits = sc.senc_decode(support.encoding)
             assert [i for i, b in enumerate(bits) if b] == members, (syms, tau)
             assert support.size == len(members)
@@ -207,7 +206,6 @@ def test_criterion_5_transducer_master_property():
         arity = rng.randint(1, 3)
         zero_preserving = spec_idx % 2 == 0
         spec = _random_spec(rng, q, sigma, arity, zero_preserving)
-        table_n = rng.choice([1 << 8, 1 << 12, 1 << 16])
         for input_idx in range(50):
             if zero_preserving and input_idx < 2:
                 # inputs containing zero-runs of length 10^6
@@ -230,7 +228,7 @@ def test_criterion_5_transducer_master_property():
                 out_runs = orc.run_reference_by_runs(tup_delta, spec.start,
                                                      tuple_runs)
                 want = _senc_from_runs(out_runs)
-                got = td.run_multi(spec, encs, table_n)
+                got = td.run_multi(spec, encs)
                 assert got.stream == want.stream
                 assert got.decoded_len == want.decoded_len
             elif not zero_preserving and input_idx == 0 and arity == 1:
@@ -244,7 +242,7 @@ def test_criterion_5_transducer_master_property():
                 out_runs = orc.run_reference_by_runs(
                     one_delta, spec.start, [((s,), c) for s, c in runs])
                 want = _senc_from_runs(out_runs)
-                got = td.run_multi(spec, [enc], table_n)
+                got = td.run_multi(spec, [enc])
                 assert got.stream == want.stream
             else:
                 n = rng.randint(0, 160)
@@ -259,8 +257,7 @@ def test_criterion_5_transducer_master_property():
                     streams.append(vals[:n])
                 want = sc.senc_encode(orc.run_reference_transducer(
                     spec.delta, spec.start, streams))
-                got = td.run_multi(spec, [sc.senc_encode(s) for s in streams],
-                                   table_n)
+                got = td.run_multi(spec, [sc.senc_encode(s) for s in streams])
                 assert got.stream == want.stream, (spec_idx, input_idx)
                 assert got.decoded_len == want.decoded_len
             total_runs += 1

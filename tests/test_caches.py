@@ -10,6 +10,7 @@ from tausync import cli
 from tausync import recompress as rc
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
+from tausync import transducer as td
 from tausync.fastpath import FastSyncIndex
 from tausync.ranksupport import decompose
 from tausync.text import PackedText
@@ -73,9 +74,13 @@ def test_module_caches_stay_within_their_bounds(tmp_path):
     wide = sc.senc_encode([1] + [0] * 5000 + [2] + [0] * 4097 + [3])
     assert sc.senc_decode(wide)[5001] == 2
     far = sc.senc_from_positions(20000, [0, 4500, 9100, 19999])
-    # six table parameters, where four tables are kept
-    for table_n in range(2, 8):
-        assert decompose(far, table_n).size == 4
+    assert decompose(far).size == 4
+    # more keyed accelerators than are kept, and a pair zip
+    for k in range(td._ACCEL_CACHE_LIMIT + 6):
+        spec = td.TransducerSpec(1, 0, 1, lambda s, x: (0, x),
+                                 key=f"caches:{k}")
+        assert td.run_sparse(spec, wide).stream == wide.stream
+    assert td.zip_pair(far, far).decoded_len == 20000
     text = tmp_path / "text.bin"
     text.write_bytes(bytes(rng.randrange(4) for _ in range(256)))
     container = str(tmp_path / "set.ssb")
@@ -90,11 +95,11 @@ def test_module_caches_stay_within_their_bounds(tmp_path):
                for d in table) <= 2 * 4096
     assert len(sc._MEMBER_DIGITS) <= 4096
     assert max(sc._MEMBER_DIGITS) <= 4096
-    tables = sc._shared_tables.cache_info()
-    assert tables.maxsize == 4 and tables.currsize <= 4
-    for table_n in range(4, 8):   # the four kept, each memo within its bound
-        memo = sc.parse_tables(table_n)._memo
-        assert len(memo) < 2 ** (sc.parse_tables(table_n).window_bits + 1)
+    # the one window memo: strings of at most 16 digits
+    assert sc.WINDOW_BITS == 16
+    assert len(sc.TABLES._memo) < 2 ** 17
+    assert max(map(len, sc.TABLES._memo)) <= 16
+    assert td._ACCEL_CACHE_LIMIT == 64 and len(td._accel_cache) == 64
     for cache, bound in ((rc.lambda_frac, 512), (rc._first_h_past_4n, 64),
                          (cli._parser, 1)):
         info = cache.cache_info()

@@ -208,6 +208,40 @@ def test_query_without_rank_or_select_usage_error(tmp_path, capsys):
     _assert_usage_error(["query", str(cont)], capsys)
 
 
+def test_query_out_writes_the_answers(tmp_path, capsys):
+    cont = tmp_path / "set.ssb"
+    enc = sc.senc_from_positions(40, [1, 5, 17, 30])
+    cont.write_bytes(enc.stream.to_bytes(enc.decoded_len))
+    out = tmp_path / "answers.txt"
+    argv = ["query", str(cont), "--select", "3", "--rank", "6"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("17\n2\n", "")
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == "17\n2\n"
+    # an answer out of range writes nothing
+    out.unlink()
+    assert main(["query", str(cont), "--select", "3", "--rank", "41",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: rank argument 41 outside "
+                                       "[0..40]\n")
+    assert not out.exists()
+
+
+def test_verify_out_writes_ok(tmp_path, text_file, capsys):
+    path, _ = text_file
+    listed = tmp_path / "sync.txt"
+    assert main(["sync", path, "--sigma", "4", "--tau", "8",
+                 "--out", str(listed)]) == 0
+    argv = ["verify", path, "--sigma", "4", "--tau", "8", "--set", str(listed)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    out = tmp_path / "verdict.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == "ok\n"
+
+
 def test_bench_sigma_help_names_generate_default(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--help"])

@@ -27,7 +27,7 @@ def test_shift_truncate_random(rng):
         n = rng.randint(2, 90)
         vals = [rng.choice([0, 0, rng.randint(1, 60)]) for _ in range(n)]
         ell = rng.randint(1, n - 1)
-        got = st.shift_truncate(sc.senc_encode(vals), ell, 1 << 12)
+        got = st.shift_truncate(sc.senc_encode(vals), ell)
         assert sc.senc_decode(got) == vals[ell:] + [0] * ell
         assert got.decoded_len == n
 
@@ -35,7 +35,7 @@ def test_shift_truncate_random(rng):
 def test_run_markers_no_runs():
     syms = list(range(50))
     t = PackedText(syms, 50)
-    rt = st.RunTables(t, 1 << 12)
+    rt = st.RunTables(t)
     for tau in (3, 7, 20):
         s, e = rt.markers(tau, tau)
         assert sc.senc_decode(s) == [0] * 50
@@ -45,7 +45,7 @@ def test_run_markers_no_runs():
 def test_run_markers_uniform_text():
     n = 30
     t = PackedText([0] * n, 1)
-    rt = st.RunTables(t, 1 << 12)
+    rt = st.RunTables(t)
     s, e = rt.markers(3, 3)
     sbits, ebits = sc.senc_decode(s), sc.senc_decode(e)
     assert sbits[0] == 1 and sum(sbits) == 1
@@ -58,7 +58,7 @@ def test_run_markers_match_enumeration(rng):
         sigma = rng.choice([1, 2, 4])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma))
-        rt = st.RunTables(t, 1 << 12, small_limit=rng.choice([None, 4, 8]))
+        rt = st.RunTables(t, small_limit=rng.choice([None, 4, 8]))
         for tau in range(1, n + 1):
             for ell in (tau, 2 * tau):
                 s, e = rt.markers(tau, ell)
@@ -79,7 +79,7 @@ def test_run_markers_prefix_sum_law(rng):
         n = rng.randint(4, 90)
         syms = make_text(rng, n, 2, rng.choice(["periodic", "rle"]))
         t = PackedText(syms, 2)
-        rt = st.RunTables(t, 1 << 12)
+        rt = st.RunTables(t)
         for tau in range(1, n // 2 + 1):
             s, e = rt.markers(tau, 2 * tau)
             sbits = sc.senc_decode(s)
@@ -124,8 +124,7 @@ def test_sync_transducer_branch_every_tau(rng):
         syms = make_text(rng, n, sigma, kind)
         t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
-        rt = st.RunTables(t, sc.DEFAULT_TABLE_N,
-                          small_limit=(None, 4)[trial % 2])
+        rt = st.RunTables(t, small_limit=(None, 4)[trial % 2])
         tidx = TextIndex(syms)
         for tau in range(1, n // 2 + 1):
             enc = st.sync_sparse_transducer(handle.sync_index, rt, tau)
@@ -156,9 +155,9 @@ def test_sync_transducer_large_run_tables(rng, monkeypatch):
     keys = []
     run_multi = st.td.run_multi
 
-    def recording(spec, streams, table_n):
+    def recording(spec, streams):
         keys.append(spec.key)
-        return run_multi(spec, streams, table_n)
+        return run_multi(spec, streams)
 
     monkeypatch.setattr(st.td, "run_multi", recording)
     n = 4096
@@ -166,7 +165,7 @@ def test_sync_transducer_large_run_tables(rng, monkeypatch):
                         (_periodic_stretches(rng, n), 2)):
         t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
-        rt = st.RunTables(t, sc.DEFAULT_TABLE_N)
+        rt = st.RunTables(t)
         tidx = TextIndex(syms)
         for tau in (3, 4, 5):
             keys.clear()

@@ -53,15 +53,14 @@ def test_decompose_reassembles(rng):
         bits = [1 if rng.random() < rng.choice([0.05, 0.4]) else 0
                 for _ in range(n)]
         enc = sc.senc_encode(bits)
-        d = rs.decompose(enc, 1 << 12)
+        d = rs.decompose(enc)
         bits = enc.stream.to01()
         assert "".join(bits[d.e[i]:d.e[i + 1]] for i in range(d.h)) == bits
         # consecutive tuples advance the encoding
         for i in range(d.h):
             assert d.e[i + 1] > d.e[i]
-        lg = (1 << 12).bit_length() - 1
         for i in range(d.h - 1):
-            assert d.e[i + 2] - d.e[i] > lg
+            assert d.e[i + 2] - d.e[i] > sc.WINDOW_BITS
 
 
 def test_select_examples():
@@ -79,12 +78,20 @@ def test_select_matches_naive(rng):
         n = rng.randrange(0, 300)
         bits = [1 if rng.random() < rng.choice([0.03, 0.3, 0.8]) else 0
                 for _ in range(n)]
-        sel = ref.SelectSupport(rs.decompose(sc.senc_encode(bits),
-                                            rng.choice([16, 1 << 16])))
+        with_long_zero_run(rng, bits)
+        sel = ref.SelectSupport(rs.decompose(sc.senc_encode(bits)))
         ones = [i for i, b in enumerate(bits) if b]
         assert sel.count == len(ones)
         for j, pos in enumerate(ones, start=1):
             assert sel.select(j) == pos
+
+
+def with_long_zero_run(rng, bits):
+    """Insert, half the time, a zero run too wide for one parse window,
+    which the decomposition makes a piece of its own."""
+    if rng.random() < 0.5:
+        cut = rng.randrange(len(bits) + 1)
+        bits[cut:cut] = [0] * rng.randint(256, 600)
 
 
 def test_veb_examples():
@@ -124,8 +131,10 @@ def test_rank_handle(rng):
         n = rng.randrange(0, 250)
         bits = [1 if rng.random() < rng.choice([0.05, 0.5]) else 0
                 for _ in range(n)]
+        with_long_zero_run(rng, bits)
+        n = len(bits)
         enc = sc.senc_encode(bits)
-        rk = ref.RankSupport(rs.decompose(enc, rng.choice([16, 1 << 16])))
+        rk = ref.RankSupport(rs.decompose(enc))
         pref = prefix_sums(bits)
         assert rk.rank(0) == 0 and rk.rank(n) == pref[n]
         for j in range(n + 1):
@@ -137,7 +146,7 @@ def test_rank_handle(rng):
 def test_rank_m_floor_enforced():
     enc = sc.senc_encode([1] * 500)
     with pytest.raises(InvalidArgument):
-        ref.RankSupport(rs.decompose(enc, 1 << 16), m=1)
+        ref.RankSupport(rs.decompose(enc), m=1)
 
 
 def test_select_after_rank_identity(rng):
@@ -160,14 +169,12 @@ def test_stored_piece_parses_match_fresh_parse(rng):
         if rng.random() < 0.2:
             bits += [0] * 70000 + [1]   # a zero run too long for one window
         enc = sc.senc_encode(bits)
-        table_n = rng.choice([16, 1 << 12, 1 << 16])
-        d = rs.decompose(enc, table_n)
-        tables = sc.parse_tables(table_n)
+        d = rs.decompose(enc)
         digits = enc.stream.to01()
         assert len(d.parses) == d.h
         for i, stored in enumerate(d.parses):
-            fresh = tables.parse_digits(
-                digits[d.e[i]:min(d.e[i + 1], d.e[i] + tables.window_bits)])
+            fresh = sc.ParseTables._parse(
+                digits[d.e[i]:min(d.e[i + 1], d.e[i] + sc.WINDOW_BITS)])
             if stored is None:
                 # a gamma-coded zero run: no window parse, no ones
                 assert fresh.b == 0 and d.r[i + 1] == d.r[i]
@@ -203,12 +210,12 @@ def member_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(member_sets(), st.sampled_from([16, 1 << 12, 1 << 16]))
-@example((0, []), 16)
-@example((70082, [3, 70050]), 1 << 16)
-def test_decomposition_rank_select_match_bisection(members, table_n):
+@given(member_sets())
+@example((0, []))
+@example((70082, [3, 70050]))
+def test_decomposition_rank_select_match_bisection(members):
     n, positions = members
-    d = rs.decompose(sc.senc_from_positions(n, positions), table_n)
+    d = rs.decompose(sc.senc_from_positions(n, positions))
     if n > 70000:
         assert None in d.parses   # the long zero run has no window parse
     # the reference structures answer over the same decomposition
@@ -237,16 +244,14 @@ def test_decomposition_rank_select_match_bisection(members, table_n):
 
 # -- decompose against the window loop it replaced ---------------------------------
 
-def window_loop_decompose(enc, table_n):
+def window_loop_decompose(enc, k=sc.WINDOW_BITS):
     """(p, e, r, parses) of `decompose` as a loop over the stream's integer
-    to_int(): each window's bits shifted out of it and parsed by their
-    digit string, and a token wider than the window read with its bits
-    and gamma_read.  It rejects a wide literal token."""
-    tables = sc.parse_tables(table_n)
+    to_int(): each k-bit window's bits shifted out of it and parsed by
+    their digit string, and a token wider than the window read with its
+    bits and gamma_read.  It rejects a wide literal token."""
     stream = enc.stream
     value = stream.to_int()
     total = len(stream)
-    k = tables.window_bits
     p, e, r = [0], [0], [0]
     parses = []
     pos = sym = ones = 0
@@ -254,7 +259,7 @@ def window_loop_decompose(enc, table_n):
     while pos < total:
         limit = min(k, total - pos)
         window = (value >> pos) & ((1 << limit) - 1)
-        info = tables._parse(f"{window:0{limit}b}"[::-1])
+        info = sc.ParseTables._parse(f"{window:0{limit}b}"[::-1])
         if info.b > 0:
             if after_zero_run and not info.values[0]:
                 raise DecodeError("adjacent zero-run tokens", pos)
@@ -291,15 +296,14 @@ def outcome(call, *args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(member_sets(), st.sampled_from([16, 1 << 12, 1 << 16]))
-@example((0, []), 16)
-@example((70082, [3, 70050]), 16)
-@example((70082, [3, 70050]), 1 << 16)
-def test_decompose_matches_window_loop(members, table_n):
+@given(member_sets())
+@example((0, []))
+@example((70082, [3, 70050]))
+def test_decompose_matches_window_loop(members):
     n, positions = members
     enc = sc.senc_from_positions(n, positions)
-    d = rs.decompose(enc, table_n)
-    assert (d.p, d.e, d.r, d.parses) == window_loop_decompose(enc, table_n)
+    d = rs.decompose(enc)
+    assert (d.p, d.e, d.r, d.parses) == window_loop_decompose(enc)
 
 
 def _tokens(*tokens):
@@ -336,12 +340,14 @@ CORRUPT_STREAMS = [
 ]
 
 
-@pytest.mark.parametrize("table_n", [16, 1 << 12, 1 << 16])
+# The loop reads windows of lg N bits at three N: a corrupt stream is
+# rejected at its bad token, whatever the window it falls in.
+@pytest.mark.parametrize("loop_n", [16, 1 << 12, 1 << 16])
 @pytest.mark.parametrize("digits, n, message", CORRUPT_STREAMS)
-def test_decompose_rejects_like_window_loop(digits, n, message, table_n):
+def test_decompose_rejects_like_window_loop(digits, n, message, loop_n):
     enc = sc.SparseEncoding(BitStream.from01(digits), n)
-    got = outcome(rs.decompose, enc, table_n)
-    assert got == outcome(window_loop_decompose, enc, table_n)
+    got = outcome(rs.decompose, enc)
+    assert got == outcome(window_loop_decompose, enc, loop_n.bit_length() - 1)
     assert got[:2] == ("DecodeError", message)
 
 
@@ -368,15 +374,15 @@ def token_containers(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(token_containers(), st.sampled_from([16, 1 << 12, 1 << 16]))
+@given(token_containers())
 @example(sc.SparseEncoding(sc.tokens_to_stream(
-    [(False, 1), (True, 300), (False, 1), (True, 1)]), 4), 1 << 16)
-def test_decompose_accepts_what_decode_accepts(enc, table_n):
+    [(False, 1), (True, 300), (False, 1), (True, 1)]), 4))
+def test_decompose_accepts_what_decode_accepts(enc):
     # the token-at-a-time reader is the oracle: decode, the list reader
     # and the decomposition accept what it accepts and reject the rest
     # with its error
     want = outcome(reference_pairs, enc)
-    got = outcome(rs.decompose, enc, table_n)
+    got = outcome(rs.decompose, enc)
     assert outcome(sc.senc_to_list, enc) == want
     if want[0] != "ok" or got[0] != "ok":
         assert got == want
@@ -388,7 +394,7 @@ def test_decompose_accepts_what_decode_accepts(enc, table_n):
         values[pos] = value
     assert sc.senc_decode(enc) == values
     d = got[1]
-    window = sc.parse_tables(table_n).window_bits
+    window = sc.WINDOW_BITS
     # each piece's parse is the piece's own values: a wide literal's too
     for i, info in enumerate(d.parses):
         piece = values[d.p[i]:d.p[i + 1]]

@@ -5,6 +5,7 @@ from itertools import accumulate, count
 import pytest
 
 from conftest import make_text
+from tausync import cli
 from tausync import recompress as rc
 from tausync import syncset as ss
 from tausync.bitstream import BitStream
@@ -242,6 +243,28 @@ def _count_rounds(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(rc, name, counting)
     return calls
+
+
+def test_cli_recompress_past_lambda_4n_runs_no_round(monkeypatch, tmp_path):
+    # a level with lambda > 4n is empty on any text: the CLI builds no round
+    # for it, and writes what the level after the chain's last writes
+    symbols, sigma = pinned_texts()["random-s4-4096"]
+    path = tmp_path / "text.bin"
+    path.write_bytes(bytes(symbols))
+    q = rc.RecompressionIndex(PackedText(symbols, sigma)).q
+    assert rc.lambda_exceeds_4n(10 ** 9, len(symbols))
+    calls = _count_rounds(monkeypatch)
+    out = tmp_path / "out"
+    for fmt in ("list", "bitmask"):
+        outputs = []
+        for level in (q + 1, 10 ** 9):
+            del calls[:]
+            assert cli.main(["recompress", str(path), "--sigma", str(sigma),
+                             "--format", fmt, "--level", str(level),
+                             "--out", str(out)]) == 0
+            outputs.append((bool(calls), out.read_bytes()))
+        assert outputs[0][1] == outputs[1][1]
+        assert [ran for ran, _ in outputs] == [True, False]
 
 
 def test_fixed_point_skip_skips_rounds(monkeypatch):

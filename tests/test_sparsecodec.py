@@ -175,7 +175,7 @@ def test_list_codec_rejects_bad_input():
 
 
 def test_prefix_parse_example():
-    info = sc.parse_tables().parse_digits("10110010")
+    info = sc.TABLES.parse_digits("10110010")
     assert info.b == 8 and info.a == 3 and info.a_plus == 1
     assert info.values == (3, 0, 0)
     assert info.literal_starts == (0,)
@@ -183,13 +183,13 @@ def test_prefix_parse_example():
 
 def test_prefix_parse_long_zero_run_gives_zero():
     enc = sc.senc_encode([0] * (10 ** 6))
-    info = sc.parse_tables().parse_digits(enc.stream.to01()[:8])
+    info = sc.TABLES.parse_digits(enc.stream.to01()[:8])
     assert info.b == 0
 
 
 def test_prefix_parse_maximal(rng):
-    tables = sc.parse_tables(1 << 16)
-    k = tables.window_bits
+    tables = sc.TABLES
+    k = sc.WINDOW_BITS
     for _ in range(300):
         vals = [rng.choice([0, 0, rng.randint(1, 6)]) for _ in range(rng.randint(0, 12))]
         enc = sc.senc_encode(vals)
@@ -208,8 +208,7 @@ def test_prefix_parse_rank_select_fields(rng):
     for _ in range(100):
         vals = [rng.choice([0, 1, 0, 3]) for _ in range(rng.randint(1, 10))]
         enc = sc.senc_encode(vals)
-        tables = sc.parse_tables(1 << 16)
-        info = tables.parse_digits(enc.stream.to01()[:tables.window_bits])
+        info = sc.TABLES.parse_digits(enc.stream.to01()[:sc.WINDOW_BITS])
         if info.b != len(enc.stream):
             continue
         ones = [i for i, v in enumerate(vals) if v]
@@ -220,28 +219,28 @@ def test_prefix_parse_rank_select_fields(rng):
 
 
 def test_parse_digits_memo_holds_each_window_once():
-    """The memo of 4-bit windows holds one entry per string of at most 4
-    digits, the parse of that string, and takes no wider window."""
-    tables = sc.ParseTables(16)
-    k = tables.window_bits
-    for limit in range(k + 1):
-        for low in range(1 << limit):
-            digits = f"{low:0{limit}b}"[::-1] if limit else ""
-            info = tables.parse_digits(digits)
-            assert info == tables._parse(digits)
-            assert tables.parse_digits(digits) is info
-    assert len(tables._memo) == (1 << (k + 1)) - 1
+    """The memo holds one entry per string asked for, every string of at
+    most 12 digits and windows of the full 16, the parse of that string,
+    and takes no wider window."""
+    tables = sc.ParseTables()
+    k = sc.WINDOW_BITS
+    windows = digit_strings(12) + ["0" * k, "1" * k, "0011" * (k // 4)]
+    for digits in windows:
+        info = tables.parse_digits(digits)
+        assert info == tables._parse(digits)
+        assert tables.parse_digits(digits) is info
+    assert len(tables._memo) == len(windows)
     with pytest.raises(InvalidArgument):
         tables.parse_digits("0" * (k + 1))
-    assert len(tables._memo) == (1 << (k + 1)) - 1
+    assert len(tables._memo) == len(windows)
 
 
 def test_parse_is_the_longest_decodable_prefix_exhaustively():
     """Each window of up to 8 digits parses to its longest prefix that
     decodes whole, with that prefix's values; its literal tokens start at
     the shorter decodable prefixes followed by a 1."""
-    tables = sc.ParseTables(1 << 8)
-    windows = digit_strings(tables.window_bits)
+    tables = sc.ParseTables()
+    windows = digit_strings(8)
     assert len(windows) == 511
     for w in windows:
         prefixes = decodable_prefixes(w)
@@ -413,10 +412,13 @@ def test_reader_matches_reference_on_corruptions(rng):
 
 
 def test_parse_tables_cache_is_bounded():
-    limit = sc._shared_tables.cache_info().maxsize
-    asked = [sc.parse_tables(16 + k) for k in range(limit + 3)]
-    assert sc._shared_tables.cache_info().currsize == limit
-    assert sc.parse_tables(16 + limit + 2) is asked[-1]   # still shared
-    assert sc.parse_tables(16) is not asked[0]            # dropped, rebuilt
-    assert sc.parse_tables(16).table_n == 16
-    assert sc.parse_tables() is sc.parse_tables(sc.DEFAULT_TABLE_N)
+    # the reader keeps the parses of the one memo, keyed by windows of at
+    # most WINDOW_BITS digits
+    enc = sc.senc_from_positions(3000, list(range(0, 3000, 7)))
+    digits = enc.stream.to01()
+    _, e, _, parses = sc.read_pieces(enc)
+    assert len(parses) > 100
+    for start, info in zip(e, parses):
+        assert sc.TABLES._memo[digits[start:start + sc.WINDOW_BITS]] is info
+    assert max(map(len, sc.TABLES._memo)) <= sc.WINDOW_BITS
+    assert len(sc.TABLES._memo) < 2 ** (sc.WINDOW_BITS + 1)

@@ -38,10 +38,10 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * the library and runs items, at fixed taus, of one text of long runs of
   periods 2 and 3 (each at least 4096 symbols) between random stretches;
 * the accelerated transducers: the `sync_sparse_transducer` stream of
-  twelve corpus texts at fixed taus and two table parameters, `zip_multi`
-  of 2 and 3 seeded encodings (long zero runs, literals up to 2^40) at
-  three table parameters, and `run_multi` and `run_sparse` of one fixed
-  spec over inputs with a 10^6-symbol zero run.
+  twelve corpus texts at fixed taus, `zip_multi` of 2 and 3 seeded
+  encodings (long zero runs, literals up to 2^40), and `run_multi` and
+  `run_sparse` of one fixed spec over inputs with a 10^6-symbol zero
+  run.  Their keys name N = 2^16, the table size of the 16-bit windows.
 
 Run it in each checkout and diff the outputs:
 
@@ -203,19 +203,19 @@ def stream_digest(enc) -> str:
     return digest((enc.stream.to01(), enc.decoded_len))
 
 
+#: N in the transducer item keys: windows of lg N = 16 bits.
+WINDOW_N = 1 << 16
+
+
 def transducer_sync_items(tausync, name, syms, sigma):
-    """sync_sparse_transducer of one text at fixed taus and two tables."""
+    """sync_sparse_transducer of one text at fixed taus."""
     st = tausync.reference.sync_transducer
     t = tausync.PackedText(syms, sigma)
     index = tausync.fastpath.FastSyncIndex(t).sync_index
-    out = {}
-    for table_n in (1 << 12, 1 << 16):
-        tables = st.RunTables(t, table_n)
-        for tau in TRANSDUCER_TAUS:
-            if tau <= len(syms) // 2:
-                out[f"{name}:transducer:sync:{table_n}:{tau}"] = stream_digest(
-                    st.sync_sparse_transducer(index, tables, tau))
-    return out
+    tables = st.RunTables(t)
+    return {f"{name}:transducer:sync:{WINDOW_N}:{tau}": stream_digest(
+                st.sync_sparse_transducer(index, tables, tau))
+            for tau in TRANSDUCER_TAUS if tau <= len(syms) // 2}
 
 
 def sparse_values(rng: random.Random, n: int) -> list[int]:
@@ -231,16 +231,14 @@ def sparse_values(rng: random.Random, n: int) -> list[int]:
 
 
 def zip_items(tausync, rng: random.Random):
-    """zip_multi of 2 and 3 seeded encodings at three table parameters."""
+    """zip_multi of 2 and 3 seeded encodings."""
     sc, td = tausync.sparsecodec, tausync.transducer
     out = {}
     for case, n in enumerate((0, 1, 5, 40, 300, 300, 5000, 5000)):
         encs = [sc.senc_encode(sparse_values(rng, n)) for _ in range(3)]
-        for table_n in (16, 1 << 12, 1 << 16):
-            for arity in (2, 3):
-                zipped = td.zip_multi(encs[:arity], table_n)
-                out[f"transducer:zip:{case}:{table_n}:{arity}"] = (
-                    stream_digest(zipped))
+        for arity in (2, 3):
+            out[f"transducer:zip:{case}:{WINDOW_N}:{arity}"] = (
+                stream_digest(td.zip_multi(encs[:arity])))
     return out
 
 
@@ -259,13 +257,10 @@ def long_zero_run_items(tausync):
     second = sc.senc_from_list(n, [(1, 2), (big + 2, 4)])
     pair = td.TransducerSpec(5, 0, 2, delta, key="digest:long")
     single = td.TransducerSpec(5, 0, 1, delta, key="digest:long:single")
-    out = {}
-    for table_n in (1 << 12, 1 << 16):
-        out[f"transducer:run_multi:{table_n}"] = stream_digest(
-            td.run_multi(pair, [first, second], table_n))
-        out[f"transducer:run_sparse:{table_n}"] = stream_digest(
-            td.run_sparse(single, first, table_n))
-    return out
+    return {f"transducer:run_multi:{WINDOW_N}": stream_digest(
+                td.run_multi(pair, [first, second])),
+            f"transducer:run_sparse:{WINDOW_N}": stream_digest(
+                td.run_sparse(single, first))}
 
 
 def cli_call(main, argv, target):

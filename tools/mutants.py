@@ -1,0 +1,281 @@
+#!/usr/bin/env python3
+"""A catalogue of mutants of tausync, and the tests that must kill them.
+
+Each mutant is one exact text replacement in one file under `src/`, with
+the test node ids expected to kill it.  The tool copies `src/` and
+`tests/` to a temporary directory, checks that every mutant's old text
+occurs exactly once in its file (and stops with exit 2 if one does not,
+so a mutant is updated along with the code it mutates), runs all the
+named tests once on the unmutated copy (they must pass), and then, one
+mutant at a time, applies it, runs its tests and restores the file.  A
+mutant is killed when every test named for it fails; a parametrized test
+named without its parameters fails when any of its cases does.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named ones
+    python3 tools/mutants.py --list
+
+It prints one line per mutant (killed or survived, the seconds it took,
+and any named test that passed) and exits 1 if one survived.  It is not
+part of Tier-1; a change to a mutated function runs it.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str          # relative to the repository root
+    old: str
+    new: str
+    tests: tuple       # node ids, relative to the repository root
+
+
+SC = "src/tausync/sparsecodec.py"
+TD = "src/tausync/transducer.py"
+RC = "src/tausync/recompress.py"
+CLI = "src/tausync/cli.py"
+
+MUTANTS = [
+    # -- the window parse and the piece walk ------------------------------------
+    Mutant("parse-accepts-adjacent-zero-runs", SC,
+           "            if not is_literal and values and not values[-1]:\n"
+           "                break\n",
+           "",
+           ("tests/test_sparsecodec.py::"
+            "test_parse_is_the_longest_decodable_prefix_exhaustively",
+            "tests/test_transducer.py::"
+            "test_zipper_parses_are_the_decodable_prefixes",
+            "tests/test_ranksupport.py::"
+            "test_decompose_rejects_like_window_loop",
+            "tests/test_ranksupport.py::"
+            "test_decompose_accepts_what_decode_accepts")),
+    Mutant("memo-takes-wider-windows", SC,
+           "            if len(w) > WINDOW_BITS:",
+           "            if len(w) > WINDOW_BITS + 1:",
+           ("tests/test_sparsecodec.py::"
+            "test_parse_digits_memo_holds_each_window_once",)),
+    Mutant("walk-no-adjacency-check-at-a-piece-boundary", SC,
+           "            if after_zero_run and not info.values[0]:\n"
+           "                raise DecodeError(\"adjacent zero-run tokens\", pos)\n",
+           "",
+           ("tests/test_ranksupport.py::test_decompose_rejects_like_window_loop"
+            "[adjacent-short-short-65536]",
+            "tests/test_ranksupport.py::test_decompose_rejects_like_window_loop"
+            "[adjacent-long-short-65536]",
+            "tests/test_sparsecodec.py::"
+            "test_reader_matches_reference_on_corruptions",
+            "tests/test_ranksupport.py::"
+            "test_decompose_accepts_what_decode_accepts")),
+    Mutant("walk-no-adjacency-check-at-a-wide-token", SC,
+           "            if after_zero_run and not is_literal:\n"
+           "                raise DecodeError(\"adjacent zero-run tokens\", pos)\n",
+           "",
+           ("tests/test_ranksupport.py::test_decompose_rejects_like_window_loop"
+            "[adjacent-short-long-65536]",
+            "tests/test_ranksupport.py::"
+            "test_decompose_accepts_what_decode_accepts")),
+    Mutant("walk-wide-literal-counts-no-one", SC,
+           "            ones += is_literal\n",
+           "",
+           ("tests/test_ranksupport.py::"
+            "test_decompose_accepts_what_decode_accepts",
+            "tests/test_cli.py::test_query_container_with_wide_literal")),
+    Mutant("walk-wide-literal-stores-a-wrong-b", SC,
+           "ParseInfo(stop - pos, 1, 1, (x,), (0,), (0,), (0,))",
+           "ParseInfo(stop - pos - 1, 1, 1, (x,), (0,), (0,), (0,))",
+           ("tests/test_ranksupport.py::"
+            "test_decompose_accepts_what_decode_accepts",)),
+    Mutant("walk-drops-a-wide-literal", SC,
+           "            parses.append(ParseInfo(stop - pos, 1, 1, (x,), (0,), "
+           "(0,), (0,))\n"
+           "                          if is_literal else None)\n",
+           "            parses.append(None)\n",
+           ("tests/test_ranksupport.py::"
+            "test_decompose_accepts_what_decode_accepts",
+            "tests/test_sparsecodec.py::"
+            "test_reader_matches_reference_on_corruptions")),
+    # -- the transducers --------------------------------------------------------
+    Mutant("zipper-parses-drop-the-empty-prefix", TD,
+           "[(j, info.values) for j in range(len(w) + 1)",
+           "[(j, info.values) for j in range(1, len(w) + 1)",
+           ("tests/test_transducer.py::"
+            "test_zipper_parses_are_the_decodable_prefixes",)),
+    Mutant("zipper-ignores-zeros-past-the-cap", TD,
+           "        if z1 > z1c or z2 > z2c:\n",
+           "        if False:\n",
+           ("tests/test_transducer.py::test_zip_pair_matches_naive",)),
+    Mutant("zipper-swaps-two-wide-literals", TD,
+           "            out.append((True, zip_symbol((v1, v2))))",
+           "            out.append((True, zip_symbol((v2, v1))))",
+           ("tests/test_transducer.py::test_zip_pair_matches_naive",
+            "tests/test_transducer.py::test_zip_multi_inverts")),
+    Mutant("accel-wide-literal-read-as-zero", TD,
+           "                state, out = spec.delta(state, value)",
+           "                state, out = spec.delta(state, 0)",
+           ("tests/test_transducer.py::test_accelerated_equals_naive",
+            "tests/test_acceptance.py::"
+            "test_criterion_5_transducer_master_property")),
+    Mutant("accel-fixed-micro-step-drops-its-output", TD,
+           "                    z = self._flush(tokens, z, entry)\n"
+           "                    state = entry.state\n"
+           "                    n += fixed\n",
+           "                    z += fixed\n"
+           "                    state = entry.state\n"
+           "                    n += fixed\n",
+           ("tests/test_transducer.py::test_accelerated_equals_naive",
+            "tests/test_acceptance.py::"
+            "test_criterion_5_transducer_master_property")),
+    # -- the recompression chain ------------------------------------------------
+    Mutant("chain-fresh-gap-string-per-level", RC,
+           "gaps = self.gaps[k] = gaps or _gaps(bounds)",
+           "gaps = self.gaps[k] = _gaps(bounds)",
+           ("tests/test_recompress.py::"
+            "test_a_skipped_stretch_shares_one_gap_string",)),
+    Mutant("chain-gaps-kept-after-a-drop", RC,
+           "                gaps = None\n",
+           "",
+           ("tests/test_recompress.py::test_depths_reproduce_every_level",)),
+    Mutant("chain-quiet-forgets-the-even-round", RC,
+           "quiet = not dropped and (quiet or k % 2 == 1)",
+           "quiet = not dropped",
+           ("tests/test_recompress.py::test_skipped_rounds_are_pinned",)),
+    Mutant("chain-exact-depths-ignored", RC,
+           "            if d > k:\n                out[f] = ord(\"1\")\n",
+           "            pass\n",
+           ("tests/test_recompress.py::test_depth_overflow_past_a_small_cap",)),
+    Mutant("chain-lambda-check-after-the-top-check", RC,
+           "        if lambda_exceeds_4n(k, self.t.n):\n"
+           "            return bytearray(b\"0\") * self.t.n\n"
+           "        if k > self.top:\n"
+           "            raise InvalidArgument(f\"level {k} is past this index's top \"\n"
+           "                                  f\"level {self.top}\")\n",
+           "        if k > self.top:\n"
+           "            raise InvalidArgument(f\"level {k} is past this index's top \"\n"
+           "                                  f\"level {self.top}\")\n"
+           "        if lambda_exceeds_4n(k, self.t.n):\n"
+           "            return bytearray(b\"0\") * self.t.n\n",
+           ("tests/test_recompress.py::"
+            "test_truncated_index_reads_like_the_whole_chain",)),
+    Mutant("chain-stops-a-level-before-top", RC,
+           "            if k == self.top:\n",
+           "            if k == self.top - 1:\n",
+           ("tests/test_recompress.py::test_depth_overflow_past_a_small_cap",)),
+    Mutant("chain-top-gap-string-not-kept", RC,
+           "        while bounds and k <= self.top:\n",
+           "        while bounds and k < self.top:\n",
+           ("tests/test_syncset.py::"
+            "test_truncated_index_keeps_the_gaps_of_its_top",)),
+    # -- the CLI ----------------------------------------------------------------
+    Mutant("recompress-builds-rounds-past-lambda-4n", CLI,
+           "    top = 0 if level < 0 or rc.lambda_exceeds_4n(level, t.n) "
+           "else level\n",
+           "    top = max(level, 0)\n",
+           ("tests/test_recompress.py::"
+            "test_cli_recompress_past_lambda_4n_runs_no_round",)),
+]
+
+
+def check(tree: str, mutants) -> list[str]:
+    """Problems with the catalogue against the files under `tree`."""
+    problems = []
+    names = [m.name for m in mutants]
+    for name in sorted({n for n in names if names.count(n) > 1}):
+        problems.append(f"{name}: the name is used twice")
+    for m in mutants:
+        path = os.path.join(tree, m.path)
+        if not os.path.exists(path):
+            problems.append(f"{m.name}: no file {m.path}")
+            continue
+        with open(path) as fh:
+            found = fh.read().count(m.old)
+        if found != 1:
+            problems.append(f"{m.name}: old text found {found} times in "
+                            f"{m.path}, expected once")
+    return problems
+
+
+def run_tests(tree: str, tests) -> tuple[int, set, str]:
+    """(pytest exit code, failed node ids, output) of `tests` in `tree`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         *tests], cwd=tree, env=env, capture_output=True, text=True)
+    failed = set(re.findall(r"^FAILED (\S+)", result.stdout, re.M))
+    return result.returncode, failed, result.stdout + result.stderr
+
+
+def failed_test(test: str, failed: set) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def main(argv) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}  {m.path}  ({len(m.tests)} tests)")
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    problems = check(ROOT, chosen)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="tausync-mutants-") as tree:
+        for part in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        tests = sorted({t for m in chosen for t in m.tests})
+        start = time.perf_counter()
+        code, _, output = run_tests(tree, tests)
+        if code != 0:
+            print(output, file=sys.stderr)
+            print("the named tests do not pass on the unmutated code",
+                  file=sys.stderr)
+            return 2
+        print(f"unmutated: {len(tests)} tests pass "
+              f"({time.perf_counter() - start:.1f}s)")
+        survivors = 0
+        for m in chosen:
+            path = os.path.join(tree, m.path)
+            with open(path) as fh:
+                original = fh.read()
+            with open(path, "w") as fh:
+                fh.write(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                code, failed, output = run_tests(tree, m.tests)
+            finally:
+                with open(path, "w") as fh:
+                    fh.write(original)
+            seconds = time.perf_counter() - start
+            if code not in (0, 1):
+                print(output, file=sys.stderr)
+                print(f"{m.name}: pytest exited {code}", file=sys.stderr)
+                return 2
+            passed = [t for t in m.tests if not failed_test(t, failed)]
+            survivors += bool(passed)
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{verdict:8} {m.name} ({seconds:.1f}s)"
+                  + "".join(f"\n         passed: {t}" for t in passed))
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
