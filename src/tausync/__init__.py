@@ -10,7 +10,7 @@ Library layout:
 * :mod:`tausync.syncset` -- synchronizing sets, explicit, sparse and bitmask
 * :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings,
   each read by one walk over its digit string in window-sized pieces
-* :mod:`tausync.ranksupport` -- rank/select by bisection over those pieces
+* :mod:`tausync.ranksupport` -- rank/select over member lists and those pieces
 * :mod:`tausync.fastpath` -- sparse-output query pipeline
 * :mod:`tausync.oracle` -- brute-force references backing the test suite
 * :mod:`tausync.reference` -- the paper's constructions kept as tested

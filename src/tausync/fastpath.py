@@ -2,10 +2,10 @@
 optionally with rank/select support.
 
 A tau query writes the set's gap sequence (`syncset.build_sync_sparse`)
-as tokens without listing the set.  Its rank/select support is the
-greedy decomposition of that encoding into pieces of at most lg N = 16
-bits, which holds the encoding and its size and answers both queries by
-bisection over its piece arrays.
+as tokens without listing the set.  Its rank/select support
+(`ranksupport.SyncSupport`) is built in the same pass: the encoding
+written from the `syncset.sync_gaps` pieces, beside the member list
+accumulated from the same pieces, so it never reads the stream back.
 
 The paper's five-stream transducer construction of the same stream is
 kept in :mod:`tausync.reference.sync_transducer`.
@@ -13,9 +13,9 @@ kept in :mod:`tausync.reference.sync_transducer`.
 
 from __future__ import annotations
 
-from .ranksupport import Decomposition, decompose
-from .sparsecodec import SparseEncoding
-from .syncset import SyncIndex, build_sync_sparse
+from .ranksupport import SyncSupport
+from .sparsecodec import SparseEncoding, senc_from_gaps
+from .syncset import SyncIndex, build_sync_sparse, members_of, sync_gaps
 from .text import PackedText
 
 
@@ -30,5 +30,8 @@ class FastSyncIndex:
         """senc of the tau-synchronizing set, written from its gaps."""
         return build_sync_sparse(self.sync_index, tau)
 
-    def sync_with_support(self, tau: int) -> Decomposition:
-        return decompose(self.sync_sparse(tau))
+    def sync_with_support(self, tau: int) -> SyncSupport:
+        """The encoding of `sync_sparse` and the member list, from one
+        `sync_gaps` call."""
+        pieces = sync_gaps(self.sync_index, tau)
+        return SyncSupport(senc_from_gaps(self.t.n, pieces), members_of(pieces))

@@ -1,7 +1,9 @@
-"""Rank and select over sparse-encoded bitmasks.
+"""Rank and select over the synchronizing set and over sparse encodings.
 
-The decomposition of an encoding is the split that the package's one
-token reader, `sparsecodec.read_pieces`, walks it in: pieces of at most
+`SyncSupport` answers from a tau query's sorted member list, kept
+beside its encoding.  `Decomposition` answers from an encoding alone,
+as CLI `query` must: it is the split that the package's one token
+reader, `sparsecodec.read_pieces`, walks it in: pieces of at most
 ``sparsecodec.WINDOW_BITS`` = 16 bits (lg N for N = 2**16), each with
 its window parse, and a piece of its own for each token too wide for a
 window (a long zero run or a literal of 256 or more).  A query finds
@@ -21,6 +23,31 @@ from dataclasses import dataclass
 from .errors import InvalidArgument
 from . import sparsecodec as sc
 from .sparsecodec import SparseEncoding
+
+
+class SyncSupport:
+    """Rank and select over the sorted `members` of `encoding`'s mask,
+    with the checks and error texts of `Decomposition`'s."""
+
+    __slots__ = ("encoding", "members", "size")
+
+    def __init__(self, encoding: SparseEncoding, members: list[int]):
+        self.encoding = encoding
+        self.members = members
+        self.size = len(members)
+
+    def rank(self, j: int) -> int:
+        """Number of ones at positions < j, for j in [0..n]."""
+        n = self.encoding.decoded_len
+        if j < 0 or j > n:
+            raise InvalidArgument(f"rank argument {j} outside [0..{n}]")
+        return bisect_left(self.members, j)
+
+    def select(self, j: int) -> int:
+        """Position of the j-th one (1-indexed)."""
+        if not 1 <= j <= self.size:
+            raise InvalidArgument(f"select argument {j} out of range")
+        return self.members[j - 1]
 
 
 @dataclass

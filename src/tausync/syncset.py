@@ -14,9 +14,9 @@ block of windows inside each run of length >= 2*tau, which are exactly
 the highly periodic windows.  At k = 0, B_0 is [1..n), so the set is
 the intervals between the blocks.  At k >= 2, the members between two
 edits are a slice of B_k's gap string, found by counting B_k's digits.
-`build_sync_explicit` accumulates the pieces' gaps into the sorted list
-and `build_sync_sparse` writes them with `senc_from_gaps`; neither lists
-the candidates.
+`members_of` accumulates the pieces' gaps into the sorted list, which
+`build_sync_explicit` returns, and `build_sync_sparse` writes them with
+`senc_from_gaps`; neither lists the candidates.
 
 `build_sync_bitmask` builds the same set as a mask without listing it:
 B_k's digit string over [tau..n-tau], run candidates set and long runs'
@@ -118,13 +118,18 @@ def sync_gaps(index: SyncIndex, tau: int) -> list[tuple]:
     return pieces
 
 
-def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
-    """Sorted synchronizing positions for one tau, from `sync_gaps`."""
+def members_of(pieces: list[tuple]) -> list[int]:
+    """The sorted members that `sync_gaps` pieces hold."""
     out: list[int] = []
-    for first, gaps, last in sync_gaps(index, tau):
+    for first, gaps, last in pieces:
         out += (range(first, last + 1) if gaps is None
                 else accumulate(gaps, initial=first))
     return out
+
+
+def build_sync_explicit(index: SyncIndex, tau: int) -> list[int]:
+    """Sorted synchronizing positions for one tau, from `sync_gaps`."""
+    return members_of(sync_gaps(index, tau))
 
 
 def build_sync_sparse(index: SyncIndex, tau: int) -> SparseEncoding:

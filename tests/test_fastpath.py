@@ -1,11 +1,13 @@
 import pytest
 
 from conftest import adversarial_text, make_text
+from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, verify_sync
 from tausync import fastpath as fp
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
+from tausync.ranksupport import decompose
 from tausync.reference import sync_transducer as st
 from tausync.runs import enumerate_runs
 from tausync.text import PackedText
@@ -209,6 +211,59 @@ def test_sync_with_support(rng):
                 assert sup.rank(j) == pref
                 if j < n and j in mset:
                     pref += 1
+
+
+def _answer(query, j):
+    try:
+        return query(j)
+    except Exception as exc:   # compared by type and text
+        return type(exc), str(exc)
+
+
+def test_support_answers_as_the_decomposition(rng):
+    """The member-list support gives every rank and select answer, in and
+    out of range, that the decomposition of the same stream gives."""
+    texts = [make_text(rng, rng.randint(40, 260), 4, kind)
+             for kind in ("random", "rle", "periodic") for _ in range(2)]
+    texts += [[0, 1] * 40, make_text(rng, 1500, 2, "rle")]
+    empty = 0
+    for syms in texts:
+        n = len(syms)
+        handle = fp.FastSyncIndex(PackedText(syms, max(syms) + 1))
+        taus = range(1, n // 2 + 1) if n < 1000 else (1, 5, 16, 40, 100, 700)
+        for tau in taus:
+            sup = handle.sync_with_support(tau)
+            enc = handle.sync_sparse(tau)
+            assert (sup.encoding.stream, sup.encoding.decoded_len) == \
+                (enc.stream, enc.decoded_len)
+            decomp = decompose(enc)
+            assert sup.size == decomp.size
+            empty += sup.size == 0
+            for j in range(-2, n + 3):
+                assert _answer(sup.rank, j) == _answer(decomp.rank, j), \
+                    (syms, tau, j)
+            for j in range(-2, sup.size + 3):
+                assert _answer(sup.select, j) == _answer(decomp.select, j), \
+                    (syms, tau, j)
+    assert empty >= 30   # [0, 1] * 40 has an empty set from tau = 6 on
+
+
+def test_support_never_reads_its_stream(monkeypatch):
+    def no_reading(stream):
+        raise AssertionError("the stream was read")
+
+    monkeypatch.setattr(sc, "_walk", no_reading)
+    monkeypatch.setattr(BitStream, "to01", no_reading)
+    syms = [0, 1, 0, 2, 1, 0, 1, 2] * 16 + [3] * 20 + [1, 2] * 30
+    handle = fp.FastSyncIndex(PackedText(syms, 4))
+    for tau in (1, 4, 16, 40, len(syms) // 2):
+        enc = handle.sync_sparse(tau)
+        with pytest.raises(AssertionError):
+            decompose(enc)
+        sup = handle.sync_with_support(tau)
+        assert sup.encoding.stream == enc.stream
+        assert [sup.select(j) for j in range(1, sup.size + 1)] == \
+            ss.build_sync_explicit(handle.sync_index, tau)
 
 
 def test_sync_sparse_size_reported(rng, capsys):

@@ -2,10 +2,11 @@
 """A catalogue of mutants of tausync, and the tests that must kill them.
 
 Each mutant is one exact text replacement in one file under `src/`, with
-the test node ids expected to kill it.  The tool copies `src/` and
-`tests/` to a temporary directory, checks that every mutant's old text
-occurs exactly once in its file (and stops with exit 2 if one does not,
-so a mutant is updated along with the code it mutates), runs all the
+the test node ids expected to kill it.  The tool copies `src/`, `tests/`
+and `tools/` (the behaviour digest test loads its tool) to a temporary
+directory, checks that every mutant's old text occurs exactly once in
+its file (and stops with exit 2 if one does not, so a mutant is updated
+along with the code it mutates), runs all the
 named tests once on the unmutated copy (they must pass), and then, one
 mutant at a time, applies it, runs its tests and restores the file.  A
 mutant is killed when every test named for it fails; a parametrized test
@@ -47,6 +48,17 @@ SC = "src/tausync/sparsecodec.py"
 TD = "src/tausync/transducer.py"
 RC = "src/tausync/recompress.py"
 CLI = "src/tausync/cli.py"
+RS = "src/tausync/ranksupport.py"
+SS = "src/tausync/syncset.py"
+
+SUPPORT_TESTS = ("tests/test_fastpath.py::"
+                 "test_support_answers_as_the_decomposition",
+                 "tests/test_behaviour_digest.py::"
+                 "test_quick_digest_matches_the_snapshot")
+GAP_TESTS = ("tests/test_syncset.py::test_gap_path_matches_the_oracle",
+             "tests/test_syncset.py::test_explicit_matches_definition",
+             "tests/test_behaviour_digest.py::"
+             "test_quick_digest_matches_the_snapshot")
 
 MUTANTS = [
     # -- the window parse and the piece walk ------------------------------------
@@ -178,6 +190,33 @@ MUTANTS = [
            "        while bounds and k < self.top:\n",
            ("tests/test_syncset.py::"
             "test_truncated_index_keeps_the_gaps_of_its_top",)),
+    # -- the set's gap pieces and the library support ----------------------------
+    Mutant("gaps-slice-shifted-by-one", SS,
+           "gaps[j + 1:j + count]",
+           "gaps[j + 2:j + count + 1]",
+           GAP_TESTS),
+    Mutant("gaps-first-count-reads-one-digit-more", SS,
+           "at, j = tau, digits.count(b\"1\", 0, tau)",
+           "at, j = tau, digits.count(b\"1\", 0, tau + 1)",
+           GAP_TESTS),
+    Mutant("gaps-end-counts-one-digit-more", SS,
+           "end = len(gaps) - digits.count(b\"1\", n - tau + 1)",
+           "end = len(gaps) - digits.count(b\"1\", n - tau)",
+           GAP_TESTS),
+    Mutant("support-rank-bisects-right", RS,
+           "        return bisect_left(self.members, j)\n",
+           "        return bisect_right(self.members, j)\n",
+           SUPPORT_TESTS + ("tests/test_fastpath.py::test_sync_with_support",)),
+    Mutant("support-select-reads-the-next-member", RS,
+           "        return self.members[j - 1]\n",
+           "        return self.members[j]\n",
+           SUPPORT_TESTS + ("tests/test_fastpath.py::test_sync_with_support",
+                            "tests/test_fastpath.py::"
+                            "test_support_never_reads_its_stream")),
+    Mutant("support-select-accepts-zero", RS,
+           "        if not 1 <= j <= self.size:\n",
+           "        if not 0 <= j <= self.size:\n",
+           SUPPORT_TESTS),
     # -- the CLI ----------------------------------------------------------------
     Mutant("recompress-builds-rounds-past-lambda-4n", CLI,
            "    top = 0 if level < 0 or rc.lambda_exceeds_4n(level, t.n) "
@@ -237,7 +276,7 @@ def main(argv) -> int:
         print("\n".join(problems), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="tausync-mutants-") as tree:
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
         tests = sorted({t for m in chosen for t in m.tests})
