@@ -27,7 +27,7 @@ from .sparsecodec import SparseEncoding
 
 class SyncSupport:
     """Rank and select over the sorted `members` of `encoding`'s mask,
-    with the checks and error texts of `Decomposition`'s."""
+    with `Decomposition`'s range checks and error texts."""
 
     __slots__ = ("encoding", "members", "size")
 
