@@ -4,6 +4,9 @@ Even rounds merge runs of identical short phrases; odd rounds merge
 adjacent short-phrase pairs across an approximate maximum directed cut.
 Each round takes a sorted boundary list, compares phrases by content, as
 slices of the text's code-point string, and names the boundaries it drops.
+Only a boundary between two short phrases can drop: a round tests both
+lengths before it slices, an odd round keys only those boundaries, by
+their (left, right) phrase pair, and the cut is one sweep over the nodes.
 `RecompressionIndex` stores the chain as one depth byte per boundary f,
 the number of levels that contain f, so B_k = {f : depth[f] > k}, and
 `level_digits` reads every level, the list, the mask and the whole chain
@@ -21,9 +24,9 @@ in :mod:`tausync.reference.chain`.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import defaultdict, deque
 from functools import lru_cache
-from itertools import chain, compress, filterfalse, islice, pairwise, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from math import inf
 from operator import ne, sub
 from typing import NamedTuple
@@ -73,41 +76,33 @@ def max_dicut(nodes: list, edges: dict) -> tuple[set, set]:
 
     Derandomized conditional expectations: nodes are placed in the given
     order on the side maximizing the expected cut, undecided endpoints
-    counting as fair coins; ties go to L.  Deterministic for a fixed node
-    order and weight map.
+    counting as fair coins; ties go to L.  `lean` is a node's doubled
+    score difference, L minus R: its out-weight minus its in-weight, less
+    (plus) w per neighbour placed in L (R).  Deterministic for a fixed
+    node order and weight map.
     """
-    out_edges: dict = {u: [] for u in nodes}
-    in_edges: dict = {u: [] for u in nodes}
+    at = {u: i for i, u in enumerate(nodes)}
+    lean = [0] * len(nodes)
+    near: list[list] = [[] for _ in nodes]   # neighbour, weight, ...
     for (u, v), w in edges.items():
         if u == v:
             raise InvalidArgument("self-loop in cut instance")
-        out_edges[u].append((v, w))
-        in_edges[v].append((u, w))
-    side: dict = {}
-    L: set = set()
-    R: set = set()
-    for u in nodes:
-        # doubled scores keep the comparison integral
-        score_l = 0
-        score_r = 0
-        for v, w in out_edges[u]:
-            sv = side.get(v)
-            if sv is None:
-                score_l += w
-            elif sv == "R":
-                score_l += 2 * w
-        for v, w in in_edges[u]:
-            sv = side.get(v)
-            if sv is None:
-                score_r += w
-            elif sv == "L":
-                score_r += 2 * w
-        if score_l >= score_r:
-            side[u] = "L"
+        i, j = at[u], at[v]
+        lean[i] += w
+        lean[j] -= w
+        near[i] += j, w
+        near[j] += i, w
+    L, R = set(), set()
+    for i, u in enumerate(nodes):
+        step = iter(near[i])
+        if lean[i] >= 0:
             L.add(u)
+            for j, w in zip(step, step):
+                lean[j] -= w
         else:
-            side[u] = "R"
             R.add(u)
+            for j, w in zip(step, step):
+                lean[j] += w
     return L, R
 
 
@@ -122,33 +117,37 @@ def round_even(t: PackedText, bounds: list[int], k: int) -> list[int]:
     """Even round: the dropped f_i, those between two equal short phrases."""
     if k % 2:
         raise InvalidArgument("round_even requires even k")
-    lim = lambda_floor(k)
-    s, n = t._padded, t.n
-    # s holds T[i] at s[i + n]; the neighbors are iterated, not copied
+    lim, n = lambda_floor(k), t.n
+    s = t._padded[n:2 * n]
     return [f for a, f, b in zip(chain((0,), bounds), bounds,
                                  chain(islice(bounds, 1, None), (n,)))
-            if f - a <= lim and b - f == f - a
-            and s[a + n:f + n] == s[f + n:b + n]]
+            if f - a <= lim and b - f == f - a and s[a:f] == s[f:b]]
 
 
 def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
     """Odd round: the dropped f_i, left phrase in L and right phrase in R.
 
-    Cut nodes are the distinct short phrases, keyed by their slice of the
-    text and ordered by (length, content).
+    `pairs` maps each (left, right) pair of short phrases to its
+    boundaries, whose number is the edge's weight; cut nodes are the
+    distinct phrases, ordered by (length, content).
     """
     if k % 2 == 0:
         raise InvalidArgument("round_odd requires odd k")
-    lim = lambda_floor(k)
-    s, n = t._padded, t.n
-    keys = [s[a + n:b + n] if b - a <= lim else None
-            for a, b in zip(chain((0,), bounds), chain(bounds, (n,)))]
-    edges = {e: w for e, w in Counter(pairwise(keys)).items()
-             if None not in e}
-    L, R = max_dicut(sorted({u for e in edges for u in e},
-                            key=lambda u: (len(u), u)), edges)
-    return [f for f, u, v in zip(bounds, keys, islice(keys, 1, None))
-            if u in L and v in R]
+    lim, n = lambda_floor(k), t.n
+    s = t._padded[n:2 * n]
+    pairs: defaultdict = defaultdict(list)
+    keyed, right = -1, None   # the last keyed f: its right is the next left
+    for a, f, b in zip(chain((0,), bounds), bounds,
+                       chain(islice(bounds, 1, None), (n,))):
+        if f - a <= lim and b - f <= lim:
+            left = right if keyed == a else s[a:f]
+            right = s[f:b]
+            pairs[left, right].append(f)
+            keyed = f
+    L, R = max_dicut(sorted(sorted({u for e in pairs for u in e}), key=len),
+                     {e: len(fs) for e, fs in pairs.items()})
+    return sorted(chain.from_iterable(
+        fs for (u, v), fs in pairs.items() if u in L and v in R))
 
 
 class ChainHandle(NamedTuple):

@@ -83,6 +83,104 @@ def test_round_odd_no_short_pairs_is_identity():
     assert rc.round_odd(t, [2, 4], 1) == []
 
 
+# -- the cut and the rounds against the plain statement of their rules --------
+
+def rule_max_dicut(nodes: list, edges: dict) -> tuple[set, set]:
+    """The cut rule as stated: out/in lists, a side per placed node, and
+    each node's doubled scores for L and R; ties go to L."""
+    out_edges = {u: [] for u in nodes}
+    in_edges = {u: [] for u in nodes}
+    for (u, v), w in edges.items():
+        out_edges[u].append((v, w))
+        in_edges[v].append((u, w))
+    side = {}
+    for u in nodes:
+        score_l = sum(w * {None: 1, "R": 2}.get(side.get(v), 0)
+                      for v, w in out_edges[u])
+        score_r = sum(w * {None: 1, "L": 2}.get(side.get(v), 0)
+                      for v, w in in_edges[u])
+        side[u] = "L" if score_l >= score_r else "R"
+    return ({u for u in nodes if side[u] == "L"},
+            {u for u in nodes if side[u] == "R"})
+
+
+def rule_round_even(t: PackedText, bounds: list, k: int) -> list:
+    """Boundaries between two equal phrases of length <= lambda_k, read
+    from the padded text."""
+    lim, s, n = rc.lambda_floor(k), t._padded, t.n
+    fs = [0] + bounds + [n]
+    return [fs[i] for i in range(1, len(fs) - 1)
+            if fs[i] - fs[i - 1] <= lim
+            and fs[i + 1] - fs[i] == fs[i] - fs[i - 1]
+            and s[fs[i - 1] + n:fs[i] + n] == s[fs[i] + n:fs[i + 1] + n]]
+
+
+def rule_round_odd(t: PackedText, bounds: list, k: int) -> list:
+    """A key per phrase (None when longer than lambda_k), a weight per
+    adjacent key pair, and the boundaries from the cut's L to its R."""
+    lim, s, n = rc.lambda_floor(k), t._padded, t.n
+    fs = [0] + bounds + [n]
+    keys = [s[a + n:b + n] if b - a <= lim else None
+            for a, b in zip(fs, fs[1:])]
+    edges = {}
+    for e in zip(keys, keys[1:]):
+        if None not in e:
+            edges[e] = edges.get(e, 0) + 1
+    L, R = rule_max_dicut(sorted({u for e in edges for u in e},
+                                 key=lambda u: (len(u), u)), edges)
+    return [f for f, u, v in zip(bounds, keys, keys[1:])
+            if u in L and v in R]
+
+
+def random_digraph(rng: random.Random, nodes: list) -> dict:
+    """Weighted edges over some of `nodes`, antiparallel pairs included."""
+    edges = {}
+    for _ in range(rng.randint(0, 3 * len(nodes))):
+        u, v = rng.sample(nodes, 2)
+        edges[(u, v)] = edges.get((u, v), 0) + rng.randint(1, 5)
+        if rng.random() < 0.3:
+            edges[(v, u)] = edges.get((v, u), 0) + rng.randint(1, 5)
+    return edges
+
+
+def test_max_dicut_matches_the_rule(rng):
+    for trial in range(300):
+        size = rng.randint(2, 12)
+        if trial % 2:   # (length, content) nodes, as the packed rounds pass
+            nodes = sorted({(len(w), w) for w in (
+                "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                for _ in range(size))})
+        else:
+            nodes = [f"{rng.choice('abc')}{i}" for i in range(size)]
+        if len(nodes) < 2:
+            continue
+        edges = random_digraph(rng, nodes)
+        nodes.append(("isolated",) if trial % 2 else "isolated")
+        rng.shuffle(nodes)   # the cut follows the order it is given
+        assert rc.max_dicut(nodes, edges) == rule_max_dicut(nodes, edges)
+
+
+def test_max_dicut_refuses_a_self_loop():
+    with pytest.raises(InvalidArgument, match="self-loop"):
+        rc.max_dicut(["u", "v"], {("u", "v"): 1, ("v", "v"): 2})
+
+
+def test_rounds_match_the_rules(rng):
+    for kind in ("random", "rle", "periodic"):
+        for sigma in (1, 2, 4, 256):
+            for _ in range(3):
+                syms = make_text(rng, rng.randint(0, 600), sigma, kind)
+                t = PackedText(syms, sigma)
+                bounds, k = list(range(1, t.n)), 0
+                while bounds:   # every k the chain reaches
+                    rule, kernel = ((rule_round_odd, rc.round_odd) if k % 2
+                                    else (rule_round_even, rc.round_even))
+                    got = kernel(t, bounds, k)
+                    assert got == sorted(got) == rule(t, bounds, k), (kind, k)
+                    bounds = sorted(set(bounds).difference(got))
+                    k += 1
+
+
 def test_chain_n1_and_n0():
     assert rc.RecompressionIndex(PackedText([0], 1)).chain.levels == [[]]
     assert rc.RecompressionIndex(PackedText([], 1)).chain.levels == [[]]

@@ -10,14 +10,18 @@ along with the code it mutates), runs all the
 named tests once on the unmutated copy (they must pass), and then, one
 mutant at a time, applies it, runs its tests and restores the file.  A
 mutant is killed when every test named for it fails; a parametrized test
-named without its parameters fails when any of its cases does.
+named without its parameters fails when any of its cases does.  A
+mutant's run that takes 20 s more than three times its tests' unmutated
+time is stopped and split into one run per test, and a test that again
+overruns its own limit counts as failed.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # the named ones
     python3 tools/mutants.py --list
 
 It prints one line per mutant (killed or survived, the seconds it took,
-and any named test that passed) and exits 1 if one survived.  It is not
+any named test that passed and any that timed out) and exits 1 if one
+survived.  It is not
 part of Tier-1; a change to a mutated function runs it.
 """
 
@@ -59,6 +63,13 @@ GAP_TESTS = ("tests/test_syncset.py::test_gap_path_matches_the_oracle",
              "tests/test_syncset.py::test_explicit_matches_definition",
              "tests/test_behaviour_digest.py::"
              "test_quick_digest_matches_the_snapshot")
+CHAIN_TESTS = ("tests/test_recompress.py::test_chain_pinned_exactly",
+               "tests/test_behaviour_digest.py::"
+               "test_quick_digest_matches_the_snapshot")
+ROUND_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
+                             "test_rounds_match_the_rules",)
+CUT_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
+                           "test_max_dicut_matches_the_rule",)
 
 MUTANTS = [
     # -- the window parse and the piece walk ------------------------------------
@@ -190,6 +201,26 @@ MUTANTS = [
            "        while bounds and k < self.top:\n",
            ("tests/test_syncset.py::"
             "test_truncated_index_keeps_the_gaps_of_its_top",)),
+    Mutant("odd-round-keys-only-shorter-right-phrases", RC,
+           "if f - a <= lim and b - f <= lim:",
+           "if f - a <= lim and b - f < lim:",
+           ROUND_TESTS),
+    Mutant("cut-ties-go-to-r", RC,
+           "        if lean[i] >= 0:\n",
+           "        if lean[i] > 0:\n",
+           CUT_TESTS),
+    Mutant("cut-l-placement-adds-to-its-neighbours", RC,
+           "            L.add(u)\n"
+           "            for j, w in zip(step, step):\n"
+           "                lean[j] -= w\n",
+           "            L.add(u)\n"
+           "            for j, w in zip(step, step):\n"
+           "                lean[j] += w\n",
+           CUT_TESTS),
+    Mutant("odd-round-orders-nodes-by-length-alone", RC,
+           "sorted(sorted({u for e in pairs for u in e}), key=len)",
+           "sorted({u for e in pairs for u in e}, key=len)",
+           ROUND_TESTS),
     # -- the set's gap pieces and the library support ----------------------------
     Mutant("gaps-slice-shifted-by-one", SS,
            "gaps[j + 1:j + count]",
@@ -246,19 +277,51 @@ def check(tree: str, mutants) -> list[str]:
     return problems
 
 
-def run_tests(tree: str, tests) -> tuple[int, set, str]:
-    """(pytest exit code, failed node ids, output) of `tests` in `tree`."""
+def run_tests(tree: str, tests, took: dict | None = None
+              ) -> tuple[int, set, str]:
+    """(pytest exit code, failed node ids, output) of `tests` in `tree`.
+
+    With `took`, the unmutated seconds of each test, a run still going
+    after `time_limit` is stopped and each test is run alone; one that
+    again overruns its limit (a mutant can make a build loop forever)
+    counts as failed."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         *tests], cwd=tree, env=env, capture_output=True, text=True)
+    limit = None if took is None else time_limit(tests, took)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "--durations=0",
+             "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        if len(tests) == 1:
+            return 1, set(tests), f"timed out after {limit:.0f}s: {tests[0]}\n"
+        runs = [run_tests(tree, (test,), took) for test in tests]
+        return (max(code for code, _, _ in runs),
+                set().union(*(failed for _, failed, _ in runs)),
+                "".join(output for _, _, output in runs))
     failed = set(re.findall(r"^FAILED (\S+)", result.stdout, re.M))
     return result.returncode, failed, result.stdout + result.stderr
 
 
 def failed_test(test: str, failed: set) -> bool:
     return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def durations(output: str) -> dict:
+    """Seconds per test node id (all phases and parameters summed) from
+    pytest's --durations=0 report."""
+    took: dict = {}
+    for secs, test in re.findall(r"^([0-9.]+)s \w+ +([^\s\[]+)", output,
+                                 re.M):
+        took[test] = took.get(test, 0.0) + float(secs)
+    return took
+
+
+def time_limit(tests, took: dict) -> float:
+    """Seconds a run of `tests` may take: pytest's start-up, and three
+    times their unmutated time."""
+    return 20.0 + 3 * sum(took.get(t.partition("[")[0], 0.0) for t in tests)
 
 
 def main(argv) -> int:
@@ -289,6 +352,7 @@ def main(argv) -> int:
             return 2
         print(f"unmutated: {len(tests)} tests pass "
               f"({time.perf_counter() - start:.1f}s)")
+        took = durations(output)
         survivors = 0
         for m in chosen:
             path = os.path.join(tree, m.path)
@@ -298,7 +362,7 @@ def main(argv) -> int:
                 fh.write(original.replace(m.old, m.new))
             start = time.perf_counter()
             try:
-                code, failed, output = run_tests(tree, m.tests)
+                code, failed, output = run_tests(tree, m.tests, took)
             finally:
                 with open(path, "w") as fh:
                     fh.write(original)
@@ -311,7 +375,9 @@ def main(argv) -> int:
             survivors += bool(passed)
             verdict = "SURVIVED" if passed else "killed"
             print(f"{verdict:8} {m.name} ({seconds:.1f}s)"
-                  + "".join(f"\n         passed: {t}" for t in passed))
+                  + "".join(f"\n         passed: {t}" for t in passed)
+                  + "".join(f"\n         {line}" for line in
+                            re.findall(r"^timed out .*", output, re.M)))
     print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
