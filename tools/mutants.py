@@ -21,8 +21,8 @@ overruns its own limit counts as failed.
 
 It prints one line per mutant (killed or survived, the seconds it took,
 any named test that passed and any that timed out) and exits 1 if one
-survived.  It is not
-part of Tier-1; a change to a mutated function runs it.
+survived.  It is not part of Tier-1; a change to a mutated function runs
+it.
 """
 
 from __future__ import annotations
@@ -282,12 +282,13 @@ def run_tests(tree: str, tests, took: dict | None = None
     """(pytest exit code, failed node ids, output) of `tests` in `tree`.
 
     With `took`, the unmutated seconds of each test, a run still going
-    after `time_limit` is stopped and each test is run alone; one that
-    again overruns its limit (a mutant can make a build loop forever)
-    counts as failed."""
+    after 20 s (pytest's start-up) plus three times their sum is stopped
+    and each test is run alone; one that again overruns its limit (a
+    mutant can make a build loop forever) counts as failed."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    limit = None if took is None else time_limit(tests, took)
+    limit = None if took is None else 20.0 + 3 * sum(
+        took.get(test.partition("[")[0], 0.0) for test in tests)
     try:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "--durations=0",
@@ -316,12 +317,6 @@ def durations(output: str) -> dict:
                                  re.M):
         took[test] = took.get(test, 0.0) + float(secs)
     return took
-
-
-def time_limit(tests, took: dict) -> float:
-    """Seconds a run of `tests` may take: pytest's start-up, and three
-    times their unmutated time."""
-    return 20.0 + 3 * sum(took.get(t.partition("[")[0], 0.0) for t in tests)
 
 
 def main(argv) -> int:
