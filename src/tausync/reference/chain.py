@@ -18,7 +18,9 @@ from ..recompress import (ChainHandle, RecompressionIndex, alpha,
                           lambda_floor, max_dicut, round_even, round_odd)
 from ..text import PackedText
 
-DEFAULT_FALLBACK_THRESHOLD = 256
+# log_sigma(n) must reach this for a packed round; 2, so that test-sized
+# texts take the packed rounds
+_THRESHOLD = 2
 
 
 class SubstringCounter:
@@ -58,19 +60,19 @@ class SubstringCounter:
         return self._index.get(tuple(s), 0)
 
 
-def packed_round_count(n: int, bits_per_symbol: int,
-                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> int | None:
-    """Number of context-simulated rounds K, or None when packing is off.
+def packed_round_count(n: int, bits_per_symbol: int) -> int | None:
+    """Number of context-simulated rounds K, or None when the text is too
+    short for one.
 
-    K = 2 * floor(log_{8/7}(log_sigma(n) / threshold)), capped so contexts
+    K = 2 * floor(log_{8/7}(log_sigma(n) / _THRESHOLD)), capped so contexts
     stay inside the padded text.
     """
-    if n < 2 or threshold < 1:
+    if n < 2:
         return None
     lg_n = n.bit_length() - 1
-    # largest h with (8/7)^h <= lg(n) / (threshold * bits)
+    # largest h with (8/7)^h <= lg(n) / (_THRESHOLD * bits)
     h = -1
-    while (8 ** (h + 1)) * threshold * bits_per_symbol <= (7 ** (h + 1)) * lg_n:
+    while (8 ** (h + 1)) * _THRESHOLD * bits_per_symbol <= (7 ** (h + 1)) * lg_n:
         h += 1
     if h < 0:
         return None
@@ -174,10 +176,10 @@ class ContextSets:
         return lambda window: window in ck
 
 
-def build_context_sets(t: PackedText,
-                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ContextSets | None:
-    """C_0..C_K for the packed rounds; None when the fallback applies."""
-    K = packed_round_count(t.n, t.bits_per_symbol, threshold)
+def build_context_sets(t: PackedText) -> ContextSets | None:
+    """C_0..C_K for the packed rounds; None when the text is too short
+    for one."""
+    K = packed_round_count(t.n, t.bits_per_symbol)
     if K is None:
         return None
     return ContextSets(t, K)
@@ -199,15 +201,15 @@ def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:
     return levels
 
 
-def build_chain_packed(t: PackedText,
-                       threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ChainHandle:
+def build_chain_packed(t: PackedText) -> ChainHandle:
     """The chain by the packed rounds, equal to RecompressionIndex(t).chain.
 
     B_0..B_K are read off the context sets C_0..C_K by a window scan of
-    the padded text; the linear rounds continue from B_K.  When packing
-    is off (see packed_round_count) this is the linear path.
+    the padded text; the linear rounds continue from B_K.  On a text too
+    short for one packed round (see packed_round_count) this is the
+    linear path.
     """
-    contexts = build_context_sets(t, threshold)
+    contexts = build_context_sets(t)
     if contexts is None:
         return RecompressionIndex(t).chain
     K = contexts.K

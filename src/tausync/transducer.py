@@ -245,8 +245,7 @@ class SingleStreamAccelerator:
 
     # main loop ----------------------------------------------------------------
 
-    def run(self, enc: SparseEncoding,
-            collect_stats: bool = False) -> SparseEncoding:
+    def run(self, enc: SparseEncoding) -> SparseEncoding:
         spec = self.spec
         digits = enc.stream.to01()
         total_bits = len(digits)
@@ -258,8 +257,7 @@ class SingleStreamAccelerator:
         stats = RunStats()
         while x < total_bits:
             stats.macro_steps += 1
-            if collect_stats:
-                stats.macro_bit_positions.append(x)
+            stats.macro_bit_positions.append(x)
             entry = self._entry(state, digits[x:x + LG_M])
             if entry.b > 0:
                 z = self._flush(tokens, z, entry)

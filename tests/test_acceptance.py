@@ -127,8 +127,8 @@ def test_criterion_3_recompression_chain(corpus, handles):
         report = orc.verify_chain(syms, handle.sync_index.recomp.chain.levels,
                                   rc.lambda_frac, rc.alpha, tidx)
         assert report.ok, (syms, report)
-        if rchain.packed_round_count(t.n, t.bits_per_symbol, 2) is not None:
-            packed = rchain.build_chain_packed(t, 2)
+        if rchain.packed_round_count(t.n, t.bits_per_symbol) is not None:
+            packed = rchain.build_chain_packed(t)
             assert packed.levels == rc.RecompressionIndex(t).chain.levels, syms
             packed_checked += 1
     assert packed_checked >= 100

@@ -54,13 +54,26 @@ def test_run_markers_uniform_text():
     assert ebits[n - 1] == 1 and sum(ebits) == 1
 
 
+def test_run_markers_reject_tau_and_ell_out_of_range():
+    rt = st.RunTables(PackedText([0, 1] * 5, 2))
+    for tau in (0, 11):
+        with pytest.raises(InvalidArgument,
+                           match=rf"^tau {tau} outside \[1..10\]$"):
+            rt.markers(tau, tau)
+    for ell in (3, 9):
+        with pytest.raises(InvalidArgument,
+                           match=r"^ell must lie in \[tau..2\*tau\]$"):
+            rt.markers(4, ell)
+
+
 def test_run_markers_match_enumeration(rng):
     for trial in range(25):
         n = rng.randint(1, 120)
         sigma = rng.choice([1, 2, 4])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma))
-        rt = st.RunTables(t, small_limit=rng.choice([None, 4, 8]))
+        rng.randrange(3)   # keeps the seeded draws
+        rt = st.RunTables(t)
         for tau in range(1, n + 1):
             for ell in (tau, 2 * tau):
                 s, e = rt.markers(tau, ell)
@@ -126,7 +139,7 @@ def test_sync_transducer_branch_every_tau(rng):
         syms = make_text(rng, n, sigma, kind)
         t = PackedText(syms, sigma)
         handle = fp.FastSyncIndex(t)
-        rt = st.RunTables(t, small_limit=(None, 4)[trial % 2])
+        rt = st.RunTables(t)
         tidx = TextIndex(syms)
         for tau in range(1, n // 2 + 1):
             enc = st.sync_sparse_transducer(handle.sync_index, rt, tau)
@@ -153,7 +166,8 @@ def _periodic_stretches(rng, n: int) -> list[int]:
 
 def test_sync_transducer_large_run_tables(rng, monkeypatch):
     """At n = 4096 and tau in 3..5, the run markers come from the
-    transducer over the large-range tables, which no smaller test reaches."""
+    transducer over the large-range tables, which no smaller test reaches:
+    each marker set equals the enumeration, and the stream sync_sparse's."""
     keys = []
     run_multi = st.td.run_multi
 
@@ -173,6 +187,12 @@ def test_sync_transducer_large_run_tables(rng, monkeypatch):
             keys.clear()
             enc = st.sync_sparse_transducer(handle.sync_index, rt, tau)
             assert any(k.startswith("runs:large:") for k in keys), tau
+            for ell in (tau, 2 * tau):
+                runs = enumerate_runs(t, ell, tau // 3)
+                s, e = (sc.senc_decode(m) for m in rt.markers(tau, ell))
+                assert {i for i, b in enumerate(s) if b} == {r.start for r in runs}
+                assert {i for i, b in enumerate(e) if b} == \
+                    {r.end - 1 for r in runs}
             assert enc.stream.to01() == handle.sync_sparse(tau).stream.to01()
             got = [i for i, b in enumerate(sc.senc_decode(enc)) if b]
             assert verify_sync(syms, tau, got, tidx).ok, tau

@@ -502,10 +502,10 @@ def test_context_sets_match_linear_path(rng):
         sigma = rng.choice([1, 2, 4])
         syms = make_text(rng, n, sigma, rng.choice(["random", "periodic", "rle"]))
         t = PackedText(syms, max(1, sigma))
-        if rchain.packed_round_count(t.n, t.bits_per_symbol, 2) is None:
+        if rchain.packed_round_count(t.n, t.bits_per_symbol) is None:
             continue
         checked += 1
-        packed = rchain.build_chain_packed(t, 2)
+        packed = rchain.build_chain_packed(t)
         assert packed.levels == rc.RecompressionIndex(t).chain.levels, syms
     assert checked >= 10
 
@@ -513,7 +513,7 @@ def test_context_sets_match_linear_path(rng):
 def test_c0_is_all_length2_contexts(rng):
     syms = make_text(rng, 64, 2, "random")
     t = PackedText(syms, 2)
-    contexts = rchain.build_context_sets(t, threshold=2)
+    contexts = rchain.build_context_sets(t)
     want = {tuple(t.symbols(i - 1, 2)) for i in range(t.n + 1)}
     assert contexts.sets[0] == want
     # position 0's context is always present at every level

@@ -135,7 +135,7 @@ def test_macro_step_progress(rng):
     spec = random_spec(rng, 4, 8)
     accel = td.SingleStreamAccelerator(spec)
     vals = random_input(rng, 600, 8, zero_bias=0.4)
-    accel.run(sc.senc_encode(vals), collect_stats=True)
+    accel.run(sc.senc_encode(vals))
     positions = accel.last_stats.macro_bit_positions
     for a, b in zip(positions, positions[2:]):
         assert b - a > td.LG_M

@@ -54,6 +54,7 @@ RC = "src/tausync/recompress.py"
 CLI = "src/tausync/cli.py"
 RS = "src/tausync/ranksupport.py"
 SS = "src/tausync/syncset.py"
+ST = "src/tausync/reference/sync_transducer.py"
 
 SUPPORT_TESTS = ("tests/test_fastpath.py::"
                  "test_support_answers_as_the_decomposition",
@@ -234,6 +235,18 @@ MUTANTS = [
            "end = len(gaps) - digits.count(b\"1\", n - tau + 1)",
            "end = len(gaps) - digits.count(b\"1\", n - tau)",
            GAP_TESTS),
+    Mutant("gaps-block-skips-one-boundary-fewer", SS,
+           "j += digits.count(b\"1\", f, last + 1)",
+           "j += digits.count(b\"1\", f, last)",
+           GAP_TESTS),
+    Mutant("run-candidates-drop-the-last-window", SS,
+           "if 0 <= i <= hi}",
+           "if 0 <= i < hi}",
+           GAP_TESTS[:2]),
+    Mutant("blocks-skip-runs-of-exactly-2-tau", SS,
+           "if r.end - r.start >= 2 * tau]",
+           "if r.end - r.start > 2 * tau]",
+           GAP_TESTS),
     Mutant("support-rank-bisects-right", RS,
            "        return bisect_left(self.members, j)\n",
            "        return bisect_right(self.members, j)\n",
@@ -248,6 +261,11 @@ MUTANTS = [
            "        if not 1 <= j <= self.size:\n",
            "        if not 0 <= j <= self.size:\n",
            SUPPORT_TESTS),
+    # -- the reference run markers ----------------------------------------------
+    Mutant("markers-drop-runs-of-exactly-ell", ST,
+           "xl >= ell else 0",
+           "xl > ell else 0",
+           ("tests/test_fastpath.py::test_sync_transducer_large_run_tables",)),
     # -- the CLI ----------------------------------------------------------------
     Mutant("recompress-builds-rounds-past-lambda-4n", CLI,
            "    top = 0 if level < 0 or rc.lambda_exceeds_4n(level, t.n) "
