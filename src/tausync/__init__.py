@@ -26,8 +26,7 @@ from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument, InvalidInput
 from .text import PackedText
 from .sparsecodec import (SparseEncoding, senc_decode, senc_encode,
-                          senc_from_list, senc_from_positions, senc_size,
-                          senc_to_list)
+                          senc_from_list, senc_to_list)
 from .recompress import RecompressionIndex, max_dicut
 from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,

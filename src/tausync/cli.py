@@ -16,8 +16,9 @@ import random
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
-from .bitstream import BitStream
+from .bitstream import MAGIC, BitStream
 from .errors import DecodeError, InvalidArgument, InvalidInput
 from . import fastpath as fp
 from . import recompress as rc
@@ -159,10 +160,13 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _container(data: bytes) -> sc.SparseEncoding:
+    """The sparse encoding that a container's bytes hold."""
+    return sc.SparseEncoding(*BitStream.from_bytes(data))
+
+
 def cmd_decode(args) -> int:
-    with open(args.input, "rb") as fh:
-        stream, decoded_len = BitStream.from_bytes(fh.read())
-    values = sc.senc_decode(sc.SparseEncoding(stream, decoded_len))
+    values = sc.senc_decode(_container(Path(args.input).read_bytes()))
     _write_lines(args.out, values)
     return 0
 
@@ -170,9 +174,7 @@ def cmd_decode(args) -> int:
 def cmd_query(args) -> int:
     if args.select is None and args.rank is None:
         raise UsageError("query needs --rank or --select")
-    with open(args.container, "rb") as fh:
-        stream, decoded_len = BitStream.from_bytes(fh.read())
-    decomp = decompose(sc.SparseEncoding(stream, decoded_len))
+    decomp = decompose(_container(Path(args.container).read_bytes()))
     answers = []
     if args.select is not None:
         answers.append(decomp.select(args.select))
@@ -186,11 +188,9 @@ def cmd_verify(args) -> int:
     t = _packed(args)
     _check_tau(t, args.tau)
     try:
-        with open(args.set, "rb") as fh:
-            data = fh.read()
-        if data[:4] == b"SSB1":
-            stream, decoded_len = BitStream.from_bytes(data)
-            _, pairs = sc.senc_to_list(sc.SparseEncoding(stream, decoded_len))
+        data = Path(args.set).read_bytes()
+        if data[:4] == MAGIC:
+            _, pairs = sc.senc_to_list(_container(data))
             members = [i for i, _ in pairs]
         else:
             members = [int(line) for line in data.decode().split()]

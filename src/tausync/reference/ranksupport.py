@@ -90,9 +90,14 @@ class SelectSupport:
         self.enc = enc = decomp.encoding
         self.decomp = decomp
         nbits = max(len(enc.stream), 1)
-        # encoding positions of the literal tokens, from the pieces' parses
-        starts = [e_i + j for e_i, info in zip(decomp.e, decomp.parses)
-                  if info is not None for j in info.literal_starts]
+        # encoding positions of the literal tokens, by one token walk
+        digits = enc.stream.to01()
+        starts = []
+        pos = 0
+        while pos < len(digits):
+            if digits[pos] == "1":
+                starts.append(pos)
+            pos = sc.gamma_at(digits, pos + 1)[1]
         self.boundary = BitVectorRS(BitStream.from_positions(nbits,
                                                              decomp.e[:-1]))
         self.literal = BitVectorRS(BitStream.from_positions(nbits, starts))
@@ -315,21 +320,15 @@ class VebIndex:
 class RankSupport:
     """Rank over a sparse-encoded 0/1 mask via a vEB index on piece starts.
 
-    The space parameter m is at least |senc(A)| / lg N, with lg N the
-    window width of 16 bits.
+    The space parameter m is |senc(A)| / lg N, with lg N the window width
+    of 16 bits.
     """
 
-    def __init__(self, decomp: Decomposition, m: int | None = None):
+    def __init__(self, decomp: Decomposition):
         self.enc = enc = decomp.encoding
         self.decomp = decomp
         h = decomp.h
-        min_m = max(1, len(enc.stream) // sc.WINDOW_BITS)
-        if m is None:
-            m = min_m
-        if m < min_m:
-            raise InvalidArgument(
-                f"space parameter m={m} below |senc(A)|/lg N = {min_m}")
-        self.m = m + h + 1
+        self.m = max(1, len(enc.stream) // sc.WINDOW_BITS) + h + 1
         n = enc.decoded_len
         word_bits = max(8, (n + 1).bit_length())
         starts = self.decomp.p[:-1] if h else [0]

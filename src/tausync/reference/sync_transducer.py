@@ -78,10 +78,10 @@ class RunTables:
     # -- geometric length ranges -----------------------------------------------
 
     def _range_of(self, tau: int) -> int:
+        # ranges starts with (1, 0), so one covers every tau >= 1
         for lo, j in reversed(self.ranges):
             if lo <= tau:
                 return j
-        raise InvalidArgument(f"no run range covers tau={tau}")
 
     def _large_tables(self, j: int) -> tuple:
         entry = self._large.get(j)
@@ -112,7 +112,7 @@ class RunTables:
         if not tau <= ell <= RUNS_LENGTH_FACTOR * tau:
             raise InvalidArgument("ell must lie in [tau..2*tau]")
         if tau < 3:   # no run has period tau // 3 = 0
-            empty = sc.senc_from_positions(n, [])
+            empty = sc.senc_from_list(n, [])
             return empty, empty
         return self._large_query(tau, ell)
 
@@ -124,8 +124,8 @@ class RunTables:
         lg2 = max(1, n.bit_length() - 1)
         if tau * tau * lg2 * lg2 > n:
             keep = [r for r in runs if r.end - r.start >= ell and r.period <= p]
-            s = sc.senc_from_positions(n, [r.start for r in keep])
-            e = sc.senc_from_positions(n, sorted(r.end - 1 for r in keep))
+            s = sc.senc_from_list(n, [(r.start, 1) for r in keep])
+            e = sc.senc_from_list(n, sorted((r.end - 1, 1) for r in keep))
             return s, e
 
         def delta(state, xp, xl, p=p, ell=ell):
@@ -171,8 +171,8 @@ def sync_sparse_transducer(sync_index: SyncIndex, run_tables: RunTables,
     n = sync_index.t.n
     k = k_of_tau(tau)
     # B_k shifted left by tau: the sync transducer only tests > 0
-    b_hat = sc.senc_from_positions(
-        n, [f - tau for f in sync_index.recomp.level_list(k) if f >= tau])
+    b_hat = sc.senc_from_list(
+        n, [(f - tau, 1) for f in sync_index.recomp.level_list(k) if f >= tau])
     s1, e1 = run_tables.markers(tau, tau)
     s2, e2 = run_tables.markers(tau, 2 * tau)
     s1_hat = shift_truncate(s1, 1)

@@ -16,27 +16,30 @@ token's stream-order digit string (indicator bit, ``floor(lg x)`` zeros,
 binary(x)) and converts the joined string to the stream with one
 ``int(..., 2)``; the digit strings of tokens with ``x < 2**12`` are kept
 in a table of at most 2 * 4096 strings, filled on first use.  A 0/1 mask
-is written from its gaps (`senc_from_gaps`, which `senc_from_positions`
-calls): each member is the zero-run token before it and the literal
-token 1, one string per distance from a second table, read by list index
-for the gaps of a byte string.
+is written from its gaps by `senc_from_gaps`: each member is the
+zero-run token before it and the literal token 1, one string per
+distance from a second table, read by list index for the gaps of a byte
+string.
 
 There is one reader, `_walk`: it formats the stream once as a digit
 string and splits it into pieces, each the longest valid prefix of the
 next ``WINDOW_BITS`` = 16-bit window (lg N bits for the paper's tables
 over N = 2**16 windows).  `TABLES`, the one `ParseTables`, owns the memo
 of window parses keyed by the window's digits, which the transducers
-share.  A token wider than the window is read by `gamma_at`, which
-finds a gamma code's terminating 1 with ``str.find``.  `senc_decode`,
-`senc_to_list`, `decode_token_stream` and `ranksupport.decompose` all
-read this way, and so reject a corrupt stream with the same error.
+share.  A parse keeps what its readers use: the bits and symbols it
+covers, its values and the positions of its non-zeros, which answer
+select by index and rank by bisection.  A token wider than the window
+is read by `gamma_at`, which finds a gamma code's terminating 1 with
+``str.find``.  `senc_decode`, `senc_to_list` and
+`ranksupport.decompose` all read this way, and so reject a corrupt
+stream with the same error.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
-from operator import sub
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .bitstream import BitStream
@@ -108,11 +111,6 @@ def tokens_to_stream(tokens: Iterable[tuple[bool, int]]) -> BitStream:
 def senc_encode(values: Sequence[int]) -> SparseEncoding:
     """Sparse-encode a dense sequence; the empty sequence encodes to no bits."""
     return SparseEncoding(tokens_to_stream(_tokens_of(values)), len(values))
-
-
-def senc_size(values: Sequence[int]) -> int:
-    """Exact encoded size in bits, by the per-token formula."""
-    return sum(2 * x.bit_length() for _, x in _tokens_of(values))
 
 
 def gamma_at(digits: str, start: int) -> tuple[int, int]:
@@ -190,26 +188,6 @@ def senc_from_gaps(n: int, pieces) -> SparseEncoding:
     return SparseEncoding(_digits_to_stream(digits), n)
 
 
-def senc_from_positions(n: int, positions: Sequence[int]) -> SparseEncoding:
-    """Encode the n-bit 0/1 mask with ones at `positions`, strictly increasing.
-
-    The same stream as senc_from_list(n, [(i, 1) for i in positions]),
-    written by `senc_from_gaps` from the distances between members.
-    """
-    gaps = list(map(sub, islice(positions, 1, None), positions))
-    if positions and (positions[0] < 0 or positions[-1] >= n
-                      or min(gaps, default=1) < 1):
-        prev = -1
-        for pos in positions:
-            if pos <= prev:
-                raise InvalidArgument("positions must be strictly increasing")
-            if not 0 <= pos < n:
-                raise InvalidArgument("position out of range")
-            prev = pos
-    return senc_from_gaps(n, [(positions[0], gaps, positions[-1])]
-                          if positions else [])
-
-
 @dataclass(frozen=True)
 class ParseInfo:
     """Longest-valid-prefix parse of an encoding window.
@@ -223,18 +201,17 @@ class ParseInfo:
     a: int
     a_plus: int
     values: tuple[int, ...]
-    literal_starts: tuple[int, ...]  # bit offsets of the literal tokens
-    ranks: tuple[int, ...]   # ranks[j] = number of non-zeros before position j
     selects: tuple[int, ...]  # selects[j-1] = position of j-th non-zero
 
     def rank(self, j: int) -> int:
-        return self.ranks[j]
+        """Number of non-zeros before position j."""
+        return bisect_left(self.selects, j)
 
     def select(self, j: int) -> int:
         return self.selects[j - 1]
 
 
-_EMPTY_PARSE = ParseInfo(0, 0, 0, (), (), (), ())
+_EMPTY_PARSE = ParseInfo(0, 0, 0, (), ())
 
 
 #: Width of a parse window in encoding bits: lg N for tables over N = 2**16.
@@ -268,7 +245,6 @@ class ParseTables:
         """Greedy parse of `w`, token by token, up to the first token that
         does not fit in `w` or that follows a zero run with another."""
         values: list[int] = []
-        literal_starts: list[int] = []
         b = 0
         while b < len(w):
             is_literal = w[b] == "1"
@@ -279,23 +255,14 @@ class ParseTables:
             except DecodeError:
                 break
             if is_literal:
-                literal_starts.append(b)
                 values.append(x)
             else:
                 values.extend([0] * x)
             b = stop
         if b == 0:
             return _EMPTY_PARSE
-        ranks = []
-        selects = []
-        count = 0
-        for j, v in enumerate(values):
-            ranks.append(count)
-            if v:
-                selects.append(j)
-                count += 1
-        return ParseInfo(b, len(values), count, tuple(values),
-                         tuple(literal_starts), tuple(ranks), tuple(selects))
+        selects = tuple(compress(count(), values))
+        return ParseInfo(b, len(values), len(selects), tuple(values), selects)
 
 
 #: The one ParseTables: the reader and the transducers parse through it.
@@ -339,7 +306,7 @@ def _walk(stream: BitStream):
             after_zero_run = not is_literal
             sym += 1 if is_literal else x
             ones += is_literal
-            parses.append(ParseInfo(stop - pos, 1, 1, (x,), (0,), (0,), (0,))
+            parses.append(ParseInfo(stop - pos, 1, 1, (x,), (0,))
                           if is_literal else None)
             pos = stop
         p.append(sym)
@@ -366,12 +333,6 @@ def _expand(p: list[int], parses: list[ParseInfo | None]) -> list[int]:
         if info is not None:
             values[start:start + info.a] = info.values
     return values
-
-
-def decode_token_stream(stream: BitStream) -> list[int]:
-    """The dense sequence of a whole token stream, of whatever length."""
-    p, _, _, parses = _walk(stream)
-    return _expand(p, parses)
 
 
 def senc_decode(enc: SparseEncoding) -> list[int]:

@@ -51,26 +51,6 @@ class TransducerSpec:
     key: Optional[str] = None   # stable identity for table caching
 
 
-def run_naive(spec: TransducerSpec, inputs: Sequence[Sequence[int]]) -> list[int]:
-    """Sequential evaluation over dense inputs."""
-    if len(inputs) != spec.arity:
-        raise InvalidArgument(
-            f"expected {spec.arity} input streams, got {len(inputs)}")
-    if not inputs:
-        return []
-    n = len(inputs[0])
-    for s in inputs:
-        if len(s) != n:
-            raise InvalidArgument("input streams must share one length")
-    state = spec.start
-    delta = spec.delta
-    out = []
-    for i in range(n):
-        state, symbol = delta(state, *(s[i] for s in inputs))
-        out.append(symbol)
-    return out
-
-
 # -- pseudoforest jumps --------------------------------------------------------
 
 class JumpStructure:
@@ -325,10 +305,6 @@ def accelerate_single(spec: TransducerSpec) -> SingleStreamAccelerator:
     return accel
 
 
-def run_sparse(spec: TransducerSpec, enc: SparseEncoding) -> SparseEncoding:
-    return accelerate_single(spec).run(enc)
-
-
 # -- zipped symbols ------------------------------------------------------------
 
 def stream_to_msb_int(stream: BitStream) -> int:
@@ -371,12 +347,8 @@ def unzip_symbol(x: int, arity: int) -> tuple[int, ...]:
     key = (x, arity)
     out = _unzip_cache.get(key)
     if out is None:
-        values = sc.decode_token_stream(msb_int_to_stream(x))
-        if len(values) != arity:
-            raise DecodeError(
-                f"zipped symbol decodes to {len(values)} values, "
-                f"expected {arity}")
-        out = tuple(values)
+        out = tuple(sc.senc_decode(SparseEncoding(msb_int_to_stream(x),
+                                                  arity)))
         if len(_unzip_cache) < (1 << 20):
             _unzip_cache[key] = out
     return out
@@ -602,8 +574,6 @@ def zip_multi(encodings: Sequence[SparseEncoding]) -> SparseEncoding:
 
 
 def _reduced_spec(spec: TransducerSpec) -> TransducerSpec:
-    if spec.arity == 1:
-        return spec
     delta = spec.delta
     arity = spec.arity
 

@@ -73,13 +73,13 @@ def test_module_caches_stay_within_their_bounds(tmp_path):
     # zero runs and member distances past the token-digit limit
     wide = sc.senc_encode([1] + [0] * 5000 + [2] + [0] * 4097 + [3])
     assert sc.senc_decode(wide)[5001] == 2
-    far = sc.senc_from_positions(20000, [0, 4500, 9100, 19999])
+    far = sc.senc_from_gaps(20000, [(0, [4500, 4600, 10899], 19999)])
     assert decompose(far).size == 4
     # more keyed accelerators than are kept, and a pair zip
     for k in range(td._ACCEL_CACHE_LIMIT + 6):
         spec = td.TransducerSpec(1, 0, 1, lambda s, x: (0, x),
                                  key=f"caches:{k}")
-        assert td.run_sparse(spec, wide).stream == wide.stream
+        assert td.run_multi(spec, [wide]).stream == wide.stream
     assert td.zip_pair(far, far).decoded_len == 20000
     text = tmp_path / "text.bin"
     text.write_bytes(bytes(rng.randrange(4) for _ in range(256)))

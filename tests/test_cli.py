@@ -65,7 +65,7 @@ def _run_fresh(script):
 
 def test_query_loads_no_reference_module(tmp_path):
     # the package and the query path never import tausync.reference
-    enc = sc.senc_from_positions(40, [1, 5, 17, 30])
+    enc = sc.senc_from_list(40, [(1, 1), (5, 1), (17, 1), (30, 1)])
     cont = tmp_path / "set.bin"
     cont.write_bytes(enc.stream.to_bytes(enc.decoded_len))
     script = ("import sys, tausync, tausync.cli\n"
@@ -210,7 +210,7 @@ def test_query_without_rank_or_select_usage_error(tmp_path, capsys):
 
 def test_query_out_writes_the_answers(tmp_path, capsys):
     cont = tmp_path / "set.ssb"
-    enc = sc.senc_from_positions(40, [1, 5, 17, 30])
+    enc = sc.senc_from_list(40, [(1, 1), (5, 1), (17, 1), (30, 1)])
     cont.write_bytes(enc.stream.to_bytes(enc.decoded_len))
     out = tmp_path / "answers.txt"
     argv = ["query", str(cont), "--select", "3", "--rank", "6"]
@@ -284,7 +284,7 @@ def _tokens(*tokens):
 
 
 @pytest.mark.parametrize("stream, n, message", [
-    (sc.senc_from_positions(40, [1, 5]).stream, 41,
+    (sc.senc_from_list(40, [(1, 1), (5, 1)]).stream, 41,
      "decoded length 40 != declared 41"),
     # a zero run wider than a window, then a zero run in the next piece
     (_tokens((False, 300), (False, 2), (True, 1)), 303,
@@ -440,7 +440,7 @@ def test_cli_sync_matches_the_whole_index(tmp_path, case):
         assert got["list"] == "".join(f"{i}\n" for i in want).encode(), tau
         mask = ss.build_sync_bitmask(index, tau)
         assert got["bitmask"] == mask.to_bytes(n), tau
-        enc = sc.senc_from_positions(n, want)
+        enc = sc.senc_from_list(n, [(i, 1) for i in want])
         assert got["sparse"] == enc.stream.to_bytes(enc.decoded_len), tau
 
 
@@ -503,7 +503,7 @@ def test_recompress_negative_level_on_an_empty_text(tmp_path, capsys):
 def test_successive_calls_share_no_arguments(tmp_path, capsys):
     # one parser serves every call; each call parses its own arguments
     cont = tmp_path / "set.bin"
-    enc = sc.senc_from_positions(40, [1, 5, 17, 30])
+    enc = sc.senc_from_list(40, [(1, 1), (5, 1), (17, 1), (30, 1)])
     cont.write_bytes(enc.stream.to_bytes(enc.decoded_len))
     assert main(["query", str(cont), "--rank", "6"]) == 0
     assert capsys.readouterr() == ("2\n", "")

@@ -143,12 +143,6 @@ def test_rank_handle(rng):
             rk.rank(n + 1)
 
 
-def test_rank_m_floor_enforced():
-    enc = sc.senc_encode([1] * 500)
-    with pytest.raises(InvalidArgument):
-        ref.RankSupport(rs.decompose(enc), m=1)
-
-
 def test_select_after_rank_identity(rng):
     bits = [1 if rng.random() < 0.25 else 0 for _ in range(300)]
     enc = sc.senc_encode(bits)
@@ -182,8 +176,8 @@ def test_stored_piece_parses_match_fresh_parse(rng):
                 continue
             assert stored.b == fresh.b == d.e[i + 1] - d.e[i]
             assert (stored.a, stored.a_plus, stored.values,
-                    stored.literal_starts) == (
-                fresh.a, fresh.a_plus, fresh.values, fresh.literal_starts)
+                    stored.selects) == (
+                fresh.a, fresh.a_plus, fresh.values, fresh.selects)
 
 
 @st.composite
@@ -215,7 +209,7 @@ def member_sets(draw):
 @example((70082, [3, 70050]))
 def test_decomposition_rank_select_match_bisection(members):
     n, positions = members
-    d = rs.decompose(sc.senc_from_positions(n, positions))
+    d = rs.decompose(sc.senc_from_list(n, [(i, 1) for i in positions]))
     if n > 70000:
         assert None in d.parses   # the long zero run has no window parse
     # the reference structures answer over the same decomposition
@@ -301,7 +295,7 @@ def outcome(call, *args):
 @example((70082, [3, 70050]))
 def test_decompose_matches_window_loop(members):
     n, positions = members
-    enc = sc.senc_from_positions(n, positions)
+    enc = sc.senc_from_list(n, [(i, 1) for i in positions])
     d = rs.decompose(enc)
     assert (d.p, d.e, d.r, d.parses) == window_loop_decompose(enc)
 

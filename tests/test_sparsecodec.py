@@ -1,4 +1,5 @@
 import re
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,7 +65,6 @@ def test_worked_example_exact():
     enc = sc.senc_encode(WORKED_EXAMPLE)
     assert enc.stream.to01() == WORKED_BITS
     assert len(enc.stream) == 38
-    assert sc.senc_size(WORKED_EXAMPLE) == 38
     assert sc.senc_decode(enc) == WORKED_EXAMPLE
 
 
@@ -79,10 +79,14 @@ def test_zero_run_size_formula():
 
 
 def test_size_formula_matches_stream(rng):
+    # a token of value or run length x takes 1 + 2 * floor(lg x) + 1 bits
     for _ in range(100):
         vals = [rng.choice([0, 0, 0, rng.randrange(1, 1 << 20)])
                 for _ in range(rng.randrange(60))]
-        assert sc.senc_size(vals) == len(sc.senc_encode(vals).stream)
+        xs = [x for zero, group in groupby(vals, key=lambda v: v == 0)
+              for x in ([len(list(group))] if zero else group)]
+        assert sum(2 * x.bit_length() for x in xs) == len(
+            sc.senc_encode(vals).stream)
 
 
 def test_roundtrip_random(rng):
@@ -130,8 +134,8 @@ def test_prefix_law(rng):
 
 def test_decode_rejects_adjacent_zero_runs():
     bad = sc.tokens_to_stream([(False, 3), (False, 2)])
-    with pytest.raises(DecodeError):
-        sc.decode_token_stream(bad)
+    with pytest.raises(DecodeError, match="adjacent zero-run tokens"):
+        sc.senc_decode(sc.SparseEncoding(bad, 5))
 
 
 def test_decode_fuzz_never_crashes(rng):
@@ -143,7 +147,7 @@ def test_decode_fuzz_never_crashes(rng):
             bits[i] = "1" if bits[i] == "0" else "0"
         mutated = BitStream.from01("".join(bits))
         try:
-            sc.decode_token_stream(mutated)
+            sc.senc_decode(sc.SparseEncoding(mutated, 9))
         except DecodeError:
             pass
 
@@ -172,13 +176,24 @@ def test_list_codec_rejects_bad_input():
         sc.senc_from_list(5, [(2, 1), (2, 3)])
     with pytest.raises(InvalidArgument):
         sc.senc_from_list(5, [(0, 0)])
+    # member lists: a position at or before the one before it (from -1),
+    # or else one outside [0..n)
+    increasing, in_range = "strictly increasing", "position out of range"
+    for n, positions, message in (
+            (5, [2, 2], increasing), (5, [3, 1], increasing),
+            (5, [-1], increasing), (5, [1, -3], increasing),
+            (5, [5], in_range), (5, [7, 3], in_range),
+            (5, [0, 9, 2], in_range), (0, [0], in_range)):
+        with pytest.raises(InvalidArgument, match=message):
+            sc.senc_from_list(n, [(i, 1) for i in positions])
 
 
 def test_prefix_parse_example():
     info = sc.TABLES.parse_digits("10110010")
     assert info.b == 8 and info.a == 3 and info.a_plus == 1
     assert info.values == (3, 0, 0)
-    assert info.literal_starts == (0,)
+    assert info.selects == (0,)
+    assert [info.rank(j) for j in range(3)] == [0, 1, 1]
 
 
 def test_prefix_parse_long_zero_run_gives_zero():
@@ -237,8 +252,8 @@ def test_parse_digits_memo_holds_each_window_once():
 
 def test_parse_is_the_longest_decodable_prefix_exhaustively():
     """Each window of up to 8 digits parses to its longest prefix that
-    decodes whole, with that prefix's values; its literal tokens start at
-    the shorter decodable prefixes followed by a 1."""
+    decodes whole, with that prefix's values, and ranks and selects its
+    non-zeros."""
     tables = sc.ParseTables()
     windows = digit_strings(8)
     assert len(windows) == 511
@@ -247,10 +262,8 @@ def test_parse_is_the_longest_decodable_prefix_exhaustively():
         b, values = prefixes[-1]
         info = tables.parse_digits(w)
         assert (info.b, info.a, info.values) == (b, len(values), values), w
-        assert info.literal_starts == tuple(j for j, _ in prefixes[:-1]
-                                            if w[j] == "1"), w
-        assert info.ranks == tuple(sum(map(bool, values[:j]))
-                                   for j in range(len(values))), w
+        assert [info.rank(j) for j in range(len(values))] == [
+            sum(map(bool, values[:j])) for j in range(len(values))], w
         assert info.selects == tuple(j for j, v in enumerate(values) if v), w
         assert info.a_plus == len(info.selects)
 
@@ -314,7 +327,7 @@ mask_gaps_st = st.one_of(
 @example([], 1).via("n = 1, no member")
 @example([0], 0).via("n = 1, one member")
 @given(st.lists(mask_gaps_st, max_size=12), mask_gaps_st)
-def test_positions_writer_matches_list_writer(gaps, tail):
+def test_gaps_writer_matches_list_writer(gaps, tail):
     # gaps[j] zeros before member j, then `tail` zeros to the end
     positions = []
     pos = -1
@@ -323,20 +336,12 @@ def test_positions_writer_matches_list_writer(gaps, tail):
         positions.append(pos)
     n = pos + 1 + tail
     want = sc.senc_from_list(n, [(i, 1) for i in positions])
-    got = sc.senc_from_positions(n, positions)
+    # one piece with the distances between members, as ints
+    distances = [gap + 1 for gap in gaps[1:]]
+    got = sc.senc_from_gaps(n, [(positions[0], distances, positions[-1])]
+                            if positions else [])
     assert got.decoded_len == want.decoded_len == n
     assert got.stream == want.stream
-
-
-@pytest.mark.parametrize("n, positions", [
-    (5, [2, 2]), (5, [3, 1]), (5, [-1]), (5, [1, -3]), (5, [5]),
-    (5, [7, 3]), (5, [0, 9, 2]), (0, [0])])
-def test_positions_writer_rejects_like_list_writer(n, positions):
-    with pytest.raises(InvalidArgument) as want:
-        sc.senc_from_list(n, [(i, 1) for i in positions])
-    with pytest.raises(InvalidArgument) as got:
-        sc.senc_from_positions(n, positions)
-    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,7 +419,7 @@ def test_reader_matches_reference_on_corruptions(rng):
 def test_parse_tables_cache_is_bounded():
     # the reader keeps the parses of the one memo, keyed by windows of at
     # most WINDOW_BITS digits
-    enc = sc.senc_from_positions(3000, list(range(0, 3000, 7)))
+    enc = sc.senc_from_list(3000, [(i, 1) for i in range(0, 3000, 7)])
     digits = enc.stream.to01()
     _, e, _, parses = sc.read_pieces(enc)
     assert len(parses) > 100

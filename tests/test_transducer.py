@@ -34,16 +34,6 @@ def random_input(rng, n, sigma, zero_bias=0.55):
     return vals[:n]
 
 
-def test_run_naive_examples():
-    dec = td.TransducerSpec(1, 0, 1, lambda s, x: (0, max(0, x - 1)))
-    assert td.run_naive(dec, [[2, 0, 1]]) == [1, 0, 0]
-    ident = td.TransducerSpec(1, 0, 1, lambda s, x: (0, x))
-    assert td.run_naive(ident, [[4, 0, 9]]) == [4, 0, 9]
-    assert td.run_naive(ident, [[]]) == []
-    with pytest.raises(InvalidArgument):
-        td.run_naive(ident, [[1], [2]])
-
-
 def test_jump_path():
     js = td.JumpStructure([1, 2, None])
     assert js.jump(0, 2) == 2
@@ -126,7 +116,7 @@ def test_decrement_over_huge_zero_runs():
                              key="test:decrement")
     big = 10 ** 6
     enc = sc.senc_from_list(2 * big + 1, [(big, 5)])
-    got = td.run_sparse(spec, enc)
+    got = td.run_multi(spec, [enc])
     want = sc.senc_from_list(2 * big + 1, [(big, 4)])
     assert got.stream == want.stream and got.decoded_len == want.decoded_len
 
@@ -187,6 +177,10 @@ def test_zipper_parses_are_the_decodable_prefixes():
 def test_zip_length_mismatch():
     with pytest.raises(InvalidArgument):
         td.zip_pair(sc.senc_encode([1]), sc.senc_encode([1, 2]))
+    # one encoding per input stream of the spec
+    ident = td.TransducerSpec(1, 0, 1, lambda s, x: (0, x))
+    with pytest.raises(InvalidArgument, match="expected 1 encodings, got 2"):
+        td.run_multi(ident, [sc.senc_encode([1]), sc.senc_encode([2])])
 
 
 def test_zip_multi_single_stream_relabels():
@@ -253,5 +247,5 @@ def test_transducer_caches_are_bounded():
     assert td._accel_cache[specs[-1].key] is accels[-1]    # keyed by spec.key
     assert td.accelerate_single(specs[-1]) is accels[-1]   # still shared
     assert td.accelerate_single(specs[0]) is not accels[0]  # dropped, rebuilt
-    assert td.run_sparse(specs[0], enc).stream == enc.stream
+    assert td.run_multi(specs[0], [enc]).stream == enc.stream
     assert len(td._accel_cache) == limit

@@ -55,6 +55,7 @@ CLI = "src/tausync/cli.py"
 RS = "src/tausync/ranksupport.py"
 SS = "src/tausync/syncset.py"
 ST = "src/tausync/reference/sync_transducer.py"
+REF_RS = "src/tausync/reference/ranksupport.py"
 
 SUPPORT_TESTS = ("tests/test_fastpath.py::"
                  "test_support_answers_as_the_decomposition",
@@ -86,6 +87,23 @@ MUTANTS = [
             "test_decompose_rejects_like_window_loop",
             "tests/test_ranksupport.py::"
             "test_decompose_accepts_what_decode_accepts")),
+    Mutant("parse-selects-count-from-one", SC,
+           "compress(count(), values)",
+           "compress(count(1), values)",
+           ("tests/test_sparsecodec.py::"
+            "test_parse_is_the_longest_decodable_prefix_exhaustively",
+            "tests/test_sparsecodec.py::test_prefix_parse_rank_select_fields",
+            "tests/test_ranksupport.py::"
+            "test_decomposition_rank_select_match_bisection")),
+    # bisect_right, for the integer positions that selects holds
+    Mutant("parse-rank-bisects-right", SC,
+           "        return bisect_left(self.selects, j)\n",
+           "        return bisect_left(self.selects, j + 1)\n",
+           ("tests/test_sparsecodec.py::"
+            "test_parse_is_the_longest_decodable_prefix_exhaustively",
+            "tests/test_sparsecodec.py::test_prefix_parse_rank_select_fields",
+            "tests/test_ranksupport.py::"
+            "test_decomposition_rank_select_match_bisection")),
     Mutant("memo-takes-wider-windows", SC,
            "            if len(w) > WINDOW_BITS:",
            "            if len(w) > WINDOW_BITS + 1:",
@@ -118,13 +136,12 @@ MUTANTS = [
             "test_decompose_accepts_what_decode_accepts",
             "tests/test_cli.py::test_query_container_with_wide_literal")),
     Mutant("walk-wide-literal-stores-a-wrong-b", SC,
-           "ParseInfo(stop - pos, 1, 1, (x,), (0,), (0,), (0,))",
-           "ParseInfo(stop - pos - 1, 1, 1, (x,), (0,), (0,), (0,))",
+           "ParseInfo(stop - pos, 1, 1, (x,), (0,))",
+           "ParseInfo(stop - pos - 1, 1, 1, (x,), (0,))",
            ("tests/test_ranksupport.py::"
             "test_decompose_accepts_what_decode_accepts",)),
     Mutant("walk-drops-a-wide-literal", SC,
-           "            parses.append(ParseInfo(stop - pos, 1, 1, (x,), (0,), "
-           "(0,), (0,))\n"
+           "            parses.append(ParseInfo(stop - pos, 1, 1, (x,), (0,))\n"
            "                          if is_literal else None)\n",
            "            parses.append(None)\n",
            ("tests/test_ranksupport.py::"
@@ -261,7 +278,13 @@ MUTANTS = [
            "        if not 1 <= j <= self.size:\n",
            "        if not 0 <= j <= self.size:\n",
            SUPPORT_TESTS),
-    # -- the reference run markers ----------------------------------------------
+    # -- the reference structures ----------------------------------------------
+    Mutant("reference-select-walk-skips-the-first-token", REF_RS,
+           "        starts = []\n        pos = 0\n",
+           "        starts = []\n"
+           "        pos = sc.gamma_at(digits, 1)[1] if digits else 0\n",
+           ("tests/test_ranksupport.py::"
+            "test_decomposition_rank_select_match_bisection",)),
     Mutant("markers-drop-runs-of-exactly-ell", ST,
            "xl >= ell else 0",
            "xl > ell else 0",
