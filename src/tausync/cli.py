@@ -16,7 +16,6 @@ import random
 import sys
 import time
 from functools import lru_cache
-from pathlib import Path
 
 from .bitstream import MAGIC, BitStream
 from .errors import DecodeError, InvalidArgument, InvalidInput
@@ -166,15 +165,18 @@ def _container(data: bytes) -> sc.SparseEncoding:
 
 
 def cmd_decode(args) -> int:
-    values = sc.senc_decode(_container(Path(args.input).read_bytes()))
-    _write_lines(args.out, values)
+    with open(args.input, "rb") as fh:
+        enc = _container(fh.read())
+    _write_lines(args.out, sc.senc_decode(enc))
     return 0
 
 
 def cmd_query(args) -> int:
     if args.select is None and args.rank is None:
         raise UsageError("query needs --rank or --select")
-    decomp = decompose(_container(Path(args.container).read_bytes()))
+    with open(args.container, "rb") as fh:
+        enc = _container(fh.read())
+    decomp = decompose(enc)
     answers = []
     if args.select is not None:
         answers.append(decomp.select(args.select))
@@ -188,7 +190,8 @@ def cmd_verify(args) -> int:
     t = _packed(args)
     _check_tau(t, args.tau)
     try:
-        data = Path(args.set).read_bytes()
+        with open(args.set, "rb") as fh:
+            data = fh.read()
         if data[:4] == MAGIC:
             _, pairs = sc.senc_to_list(_container(data))
             members = [i for i, _ in pairs]
