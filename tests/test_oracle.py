@@ -126,14 +126,6 @@ def test_reference_transducer_matches_plain_loop(rng):
         state, out = delta(state, x, y)
         want.append(out)
     assert got == want
-    # worked examples: a decrement, the identity and an empty input
-    assert orc.run_reference_transducer(
-        lambda s, x: (0, max(0, x - 1)), 0, [[2, 0, 1]]) == [1, 0, 0]
-    assert orc.run_reference_transducer(
-        lambda s, x: (0, x), 0, [[4, 0, 9]]) == [4, 0, 9]
-    assert orc.run_reference_transducer(lambda s, x: (0, x), 0, [[]]) == []
-    with pytest.raises(ValueError):
-        orc.run_reference_transducer(delta, 0, [[1], [2, 3]])
 
 
 def test_reference_by_runs_matches_dense(rng):

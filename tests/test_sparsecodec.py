@@ -176,16 +176,26 @@ def test_list_codec_rejects_bad_input():
         sc.senc_from_list(5, [(2, 1), (2, 3)])
     with pytest.raises(InvalidArgument):
         sc.senc_from_list(5, [(0, 0)])
-    # member lists: a position at or before the one before it (from -1),
-    # or else one outside [0..n)
-    increasing, in_range = "strictly increasing", "position out of range"
-    for n, positions, message in (
-            (5, [2, 2], increasing), (5, [3, 1], increasing),
-            (5, [-1], increasing), (5, [1, -3], increasing),
-            (5, [5], in_range), (5, [7, 3], in_range),
-            (5, [0, 9, 2], in_range), (0, [0], in_range)):
-        with pytest.raises(InvalidArgument, match=message):
-            sc.senc_from_list(n, [(i, 1) for i in positions])
+
+
+@pytest.mark.parametrize("n, positions", [
+    (5, [2, 2]), (5, [3, 1]), (5, [-1]), (5, [1, -3]), (5, [5]),
+    (5, [7, 3]), (5, [0, 9, 2]), (0, [0])])
+def test_positions_writer_rejects_like_list_writer(n, positions):
+    # a member list (each position with value 1) is refused at its first
+    # position that is at or before the one before it (from -1), or else
+    # outside [0..n)
+    prev = -1
+    for pos in positions:
+        if pos <= prev:
+            message = "strictly increasing"
+            break
+        if not 0 <= pos < n:
+            message = "position out of range"
+            break
+        prev = pos
+    with pytest.raises(InvalidArgument, match=message):
+        sc.senc_from_list(n, [(i, 1) for i in positions])
 
 
 def test_prefix_parse_example():

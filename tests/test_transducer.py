@@ -34,6 +34,23 @@ def random_input(rng, n, sigma, zero_bias=0.55):
     return vals[:n]
 
 
+def test_run_naive_examples():
+    # worked examples (a decrement, the identity, an empty input) through
+    # the plain reference loop and the accelerated run
+    dec = td.TransducerSpec(1, 0, 1, lambda s, x: (0, max(0, x - 1)))
+    ident = td.TransducerSpec(1, 0, 1, lambda s, x: (0, x))
+    for spec, xs, want in ((dec, [2, 0, 1], [1, 0, 0]),
+                           (ident, [4, 0, 9], [4, 0, 9]), (ident, [], [])):
+        assert run_reference_transducer(spec.delta, 0, [xs]) == want
+        got = td.run_multi(spec, [sc.senc_encode(xs)])
+        assert sc.senc_decode(got) == want
+    with pytest.raises(ValueError):
+        run_reference_transducer(ident.delta, 0, [[1], [2, 3]])
+    # one encoding per input stream of the spec
+    with pytest.raises(InvalidArgument, match="expected 1 encodings, got 2"):
+        td.run_multi(ident, [sc.senc_encode([1]), sc.senc_encode([2])])
+
+
 def test_jump_path():
     js = td.JumpStructure([1, 2, None])
     assert js.jump(0, 2) == 2
@@ -177,10 +194,6 @@ def test_zipper_parses_are_the_decodable_prefixes():
 def test_zip_length_mismatch():
     with pytest.raises(InvalidArgument):
         td.zip_pair(sc.senc_encode([1]), sc.senc_encode([1, 2]))
-    # one encoding per input stream of the spec
-    ident = td.TransducerSpec(1, 0, 1, lambda s, x: (0, x))
-    with pytest.raises(InvalidArgument, match="expected 1 encodings, got 2"):
-        td.run_multi(ident, [sc.senc_encode([1]), sc.senc_encode([2])])
 
 
 def test_zip_multi_single_stream_relabels():
