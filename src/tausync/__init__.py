@@ -6,7 +6,7 @@ Library layout:
   the container format
 * :mod:`tausync.text` -- the sentinel-padded text
 * :mod:`tausync.recompress` -- restricted recompression boundary chains
-* :mod:`tausync.runs` -- periods, run extensions, filtered run families
+* :mod:`tausync.runs` -- run extensions, filtered run families
 * :mod:`tausync.syncset` -- synchronizing sets, explicit, sparse and bitmask
 * :mod:`tausync.sparsecodec` -- Elias-gamma and sparse sequence encodings,
   each read by one walk over its digit string in window-sized pieces
@@ -28,7 +28,7 @@ from .text import PackedText
 from .sparsecodec import (SparseEncoding, senc_decode, senc_encode,
                           senc_from_list, senc_to_list)
 from .recompress import RecompressionIndex, max_dicut
-from .runs import Run, enumerate_runs, period, run_extend, runs_bitmask
+from .runs import Run, enumerate_runs, run_extend, runs_bitmask
 from .syncset import (SyncIndex, build_sync_bitmask, build_sync_explicit,
                       k_of_tau)
 from .ranksupport import decompose

@@ -10,8 +10,8 @@ level they read; `bench` serves many tau and builds all of it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import random
 import sys
 import time
@@ -19,7 +19,6 @@ from functools import lru_cache
 
 from .bitstream import MAGIC, BitStream
 from .errors import DecodeError, InvalidArgument, InvalidInput
-from . import fastpath as fp
 from . import recompress as rc
 from . import runs as rn
 from . import sparsecodec as sc
@@ -86,22 +85,27 @@ def _check_tau(t: PackedText, tau: int) -> None:
         raise UsageError(f"--tau must lie in [1..{t.n // 2}]")
 
 
-def _write_lines(path, values):
-    text = "".join(f"{v}\n" for v in values)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _lines(values) -> str:
+    return "".join(f"{v}\n" for v in values)
 
 
-def _write_container(path, stream: BitStream, decoded_len: int):
-    data = stream.to_bytes(decoded_len)
+def _write(path, data: str | bytes) -> None:
+    """Write text or bytes to the file at `path`, or to stdout if None."""
+    binary = isinstance(data, bytes)
     if path is None:
-        sys.stdout.buffer.write(data)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
     else:
-        with open(path, "wb") as fh:
+        with open(path, "wb" if binary else "w") as fh:
             fh.write(data)
+
+
+def _verified(t: PackedText, tau: int, members) -> bool:
+    """Whether `members` is a tau-synchronizing set of t; says why not."""
+    report = verify_sync(t.text(), tau, members, TextIndex(t.text()))
+    if not report.ok:
+        print(f"verification failed: {report.condition}: {report.detail}",
+              file=sys.stderr)
+    return report.ok
 
 
 def cmd_sync(args) -> int:
@@ -110,19 +114,15 @@ def cmd_sync(args) -> int:
     index = ss.SyncIndex(t, rc.RecompressionIndex(t, ss.k_of_tau(args.tau)))
     if args.verify or args.format == "list":
         members = ss.build_sync_explicit(index, args.tau)
-    if args.verify:
-        report = verify_sync(t.text(), args.tau, members, TextIndex(t.text()))
-        if not report.ok:
-            print(f"verification failed: {report.condition}: {report.detail}",
-                  file=sys.stderr)
-            return 1
+    if args.verify and not _verified(t, args.tau, members):
+        return 1
     if args.format == "list":
-        _write_lines(args.out, members)
+        _write(args.out, _lines(members))
     elif args.format == "bitmask":
-        _write_container(args.out, ss.build_sync_bitmask(index, args.tau), t.n)
+        _write(args.out, ss.build_sync_bitmask(index, args.tau).to_bytes(t.n))
     else:
         enc = ss.build_sync_sparse(index, args.tau)
-        _write_container(args.out, enc.stream, enc.decoded_len)
+        _write(args.out, enc.stream.to_bytes(enc.decoded_len))
     return 0
 
 
@@ -134,10 +134,9 @@ def cmd_recompress(args) -> int:
     top = 0 if level < 0 or rc.lambda_exceeds_4n(level, t.n) else level
     index = rc.RecompressionIndex(t, top)
     if args.format == "list":
-        _write_lines(args.out, index.level_list(level))
+        _write(args.out, _lines(index.level_list(level)))
     else:
-        mask = index.level_bitmask(level)
-        _write_container(args.out, mask, t.n)
+        _write(args.out, index.level_bitmask(level).to_bytes(t.n))
     return 0
 
 
@@ -145,17 +144,17 @@ def cmd_runs(args) -> int:
     t = _packed(args)
     if args.format == "list":
         found = rn.enumerate_runs(t, args.ell, args.period)
-        _write_lines(args.out, (f"{r.start} {r.end} {r.period}" for r in found))
+        _write(args.out, _lines(f"{r.start} {r.end} {r.period}" for r in found))
     else:
         mask = rn.runs_bitmask(t, args.ell, args.period)
-        _write_container(args.out, mask, len(mask))
+        _write(args.out, mask.to_bytes(len(mask)))
     return 0
 
 
 def cmd_encode(args) -> int:
     values = _read_ints(args.input)
     enc = sc.senc_encode(values)
-    _write_container(args.out, enc.stream, enc.decoded_len)
+    _write(args.out, enc.stream.to_bytes(enc.decoded_len))
     return 0
 
 
@@ -167,7 +166,7 @@ def _container(data: bytes) -> sc.SparseEncoding:
 def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         enc = _container(fh.read())
-    _write_lines(args.out, sc.senc_decode(enc))
+    _write(args.out, _lines(sc.senc_decode(enc)))
     return 0
 
 
@@ -182,7 +181,7 @@ def cmd_query(args) -> int:
         answers.append(decomp.select(args.select))
     if args.rank is not None:
         answers.append(decomp.rank(args.rank))
-    _write_lines(args.out, answers)
+    _write(args.out, _lines(answers))
     return 0
 
 
@@ -200,29 +199,30 @@ def cmd_verify(args) -> int:
     except (DecodeError, UnicodeDecodeError, ValueError) as exc:
         print(f"unreadable set: {exc}", file=sys.stderr)
         return 1
-    report = verify_sync(t.text(), args.tau, members, TextIndex(t.text()))
-    if not report.ok:
-        print(f"verification failed: {report.condition}: {report.detail}",
-              file=sys.stderr)
+    if not _verified(t, args.tau, members):
         return 1
-    _write_lines(args.out, ["ok"])
+    _write(args.out, "ok\n")
     return 0
 
 
 def cmd_bench(args) -> int:
     if args.generate is not None:
+        if args.input is not None or args.decimal:
+            raise UsageError("--generate takes no input file and no --decimal")
         if args.generate < 1:
             raise UsageError(f"--generate must be at least 1, "
                              f"got {args.generate}")
         sigma = 4 if args.sigma is None else args.sigma
         if sigma < 1:
             raise UsageError(f"--sigma must be at least 1, got {sigma}")
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         symbols = [rng.randrange(sigma) for _ in range(args.generate)]
         t = PackedText(symbols, sigma)
     else:
         if args.input is None:
             raise UsageError("bench needs an input file or --generate")
+        if args.seed is not None:
+            raise UsageError("--seed applies only to --generate")
         t = _packed(args)
     try:
         taus = [int(x) for x in args.tau_list.split(",")]
@@ -232,26 +232,25 @@ def cmd_bench(args) -> int:
     for tau in taus:
         if tau < 1 or tau > t.n // 2:
             raise UsageError(f"--tau-list value {tau} outside [1..{t.n // 2}]")
-    out = (contextlib.nullcontext(sys.stdout) if args.out is None
-           else open(args.out, "w"))
-    with out as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "sigma", "tau", "repr", "bits", "build_ns",
-                         "query_ns"])
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["n", "sigma", "tau", "repr", "bits", "build_ns",
+                     "query_ns"])
+    start = time.perf_counter_ns()
+    index = ss.SyncIndex(t)
+    build_ns = time.perf_counter_ns() - start
+    for tau in taus:
         start = time.perf_counter_ns()
-        handle = fp.FastSyncIndex(t)
-        build_ns = time.perf_counter_ns() - start
-        for tau in taus:
-            start = time.perf_counter_ns()
-            enc = handle.sync_sparse(tau)
-            query_ns = time.perf_counter_ns() - start
-            writer.writerow([t.n, t.sigma_in, tau, "sparse", len(enc.stream),
-                             build_ns, query_ns])
-            start = time.perf_counter_ns()
-            members = ss.build_sync_explicit(handle.sync_index, tau)
-            query_ns = time.perf_counter_ns() - start
-            writer.writerow([t.n, t.sigma_in, tau, "list", 64 * len(members),
-                             build_ns, query_ns])
+        enc = ss.build_sync_sparse(index, tau)
+        query_ns = time.perf_counter_ns() - start
+        writer.writerow([t.n, t.sigma_in, tau, "sparse", len(enc.stream),
+                         build_ns, query_ns])
+        start = time.perf_counter_ns()
+        members = ss.build_sync_explicit(index, tau)
+        query_ns = time.perf_counter_ns() - start
+        writer.writerow([t.n, t.sigma_in, tau, "list", 64 * len(members),
+                         build_ns, query_ns])
+    _write(args.out, out.getvalue())
     return 0
 
 
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tau values")
     p.add_argument("--generate", type=int, default=None, metavar="N",
                    help="bench a generated random text of N symbols")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for generated bench texts")
 
     return parser

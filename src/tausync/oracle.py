@@ -36,23 +36,28 @@ def brute_primitive_root(s: Sequence[int]) -> int:
     return p if len(s) % p == 0 else len(s)
 
 
-def brute_all_runs(text: Sequence[int]) -> list[tuple[int, int, int]]:
-    """All maximal repetitions as (start, end, period), sorted."""
+def _runs_of_period(text: Sequence[int], p: int) -> list[tuple[int, int, int]]:
+    """The maximal repetitions of smallest period p, by start."""
     n = len(text)
     found = []
-    for p in range(1, n // 2 + 1):
-        i = 0
-        while i < n - p:
-            if text[i] != text[i + p]:
-                i += 1
-                continue
-            j = i
-            while j < n - p and text[j] == text[j + p]:
-                j += 1
-            if (j + p) - i >= 2 * p and brute_period(text[i:j + p]) == p:
-                found.append((i, j + p, p))
-            i = j + 1
-    return sorted(found)
+    i = 0
+    while i < n - p:
+        if text[i] != text[i + p]:
+            i += 1
+            continue
+        j = i
+        while j < n - p and text[j] == text[j + p]:
+            j += 1
+        if (j + p) - i >= 2 * p and brute_period(text[i:j + p]) == p:
+            found.append((i, j + p, p))
+        i = j + 1
+    return found
+
+
+def brute_all_runs(text: Sequence[int]) -> list[tuple[int, int, int]]:
+    """All maximal repetitions as (start, end, period), sorted."""
+    return sorted(run for p in range(1, len(text) // 2 + 1)
+                  for run in _runs_of_period(text, p))
 
 
 def brute_runs(text: Sequence[int], ell: int, p: int) -> list[tuple[int, int, int]]:
@@ -60,7 +65,8 @@ def brute_runs(text: Sequence[int], ell: int, p: int) -> list[tuple[int, int, in
 
 
 class TextIndex:
-    """Per-text cache: doubling ranks for exact window grouping, all runs.
+    """Per-text cache: doubling ranks for exact window grouping, and the
+    runs of each period, scanned once up to the largest bound asked.
 
     window_id(i, L) is equal for two windows iff the windows match, via
     the classic overlapping power-of-two rank pair; no hashing involved.
@@ -81,7 +87,8 @@ class TextIndex:
             ranks.append(cur)
             width *= 2
         self._ranks = ranks
-        self._runs: list[tuple[int, int, int]] | None = None
+        # _by_period[p]: the runs of smallest period p, for p scanned so far
+        self._by_period: list[list[tuple[int, int, int]]] = [[]]
 
     def window_id(self, i: int, length: int):
         if length == 0:
@@ -91,11 +98,17 @@ class TextIndex:
         row = self._ranks[a]
         return (row[i], row[i + length - half])
 
+    def _runs_upto(self, p: int) -> list[tuple[int, int, int]]:
+        """The runs of smallest period at most p, scanning new periods."""
+        by_period = self._by_period
+        for q in range(len(by_period), min(p, self.n // 2) + 1):
+            by_period.append(_runs_of_period(self.text, q))
+        return [run for runs in by_period[1:p + 1] for run in runs]
+
     @property
     def runs(self) -> list[tuple[int, int, int]]:
-        if self._runs is None:
-            self._runs = brute_all_runs(self.text)
-        return self._runs
+        """Every run, sorted."""
+        return sorted(self._runs_upto(self.n // 2))
 
     def periodic_window_mask(self, length: int, p: int) -> list[bool]:
         """mask[i] = (smallest period of text[i..i+length) <= p)."""
@@ -105,8 +118,8 @@ class TextIndex:
             return mask
         if length >= 2 * p:
             # windows inside a qualifying run are exactly the periodic ones
-            for start, end, per in self.runs:
-                if per <= p and end - start >= length:
+            for start, end, _ in self._runs_upto(p):
+                if end - start >= length:
                     for i in range(start, end - length + 1):
                         mask[i] = True
             return mask

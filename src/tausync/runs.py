@@ -1,5 +1,5 @@
-"""Periodicity machinery: smallest periods, run extensions, and the
-(length, period)-filtered run families used by synchronizing sets.
+"""Periodicity machinery: run extensions, and the (length, period)-filtered
+run families used by synchronizing sets.
 
 A run is a maximal periodic fragment: extending it one symbol in either
 direction would increase its smallest period.  RUNS_{l,p} keeps the runs
@@ -28,24 +28,6 @@ class Run:
 
     def __len__(self) -> int:
         return self.end - self.start
-
-
-def period(t: PackedText, i: int, j: int) -> int:
-    """Smallest period of T[i..j) (failure-function method)."""
-    if not 0 <= i < j <= t.n:
-        raise InvalidArgument("period of an empty or out-of-range fragment")
-    s = t._padded[i + t.n:j + t.n]
-    m = j - i
-    fail = [0] * (m + 1)
-    k = 0
-    for q in range(1, m):
-        c = s[q]
-        while k and s[k] != c:
-            k = fail[k]
-        if s[k] == c:
-            k += 1
-        fail[q + 1] = k
-    return m - fail[m]
 
 
 def run_extend(t: PackedText, i: int, j: int) -> Run | None:
@@ -187,24 +169,35 @@ def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
 
     For ell >= 2p the mask comes from the run enumeration (maximal all-one
     intervals of the mask are exactly the qualifying runs); for ell < 2p
-    each window's period is computed directly.
+    each window is tested for a period <= p directly.
     """
     if ell < 1:
         raise InvalidArgument("window length must be positive")
     n = t.n
     if p >= ell:
         raise InvalidArgument("period bound must be below the window length")
-    width = n - ell + 1
-    if width <= 0:
-        return BitStream()
-    if p <= 0:
-        return BitStream.from_positions(width, [])
+    width = max(0, n - ell + 1)
     if ell >= 2 * p:
         # distinct runs of period <= p overlap by fewer than 2p <= ell
         # symbols, so their window ranges are disjoint and in order
         ones = [i for run in enumerate_runs(t, ell, p)
                 for i in range(run.start, run.end - ell + 1)]
     else:
-        # definitional fill for the remaining (rare) parameter combinations
-        ones = [i for i in range(width) if period(t, i, i + ell) <= p]
+        s = t._padded
+        ones = [i for i in range(width)
+                if _period_at_most(s[i + n:i + n + ell], p)]
     return BitStream.from_positions(width, ones)
+
+
+def _period_at_most(w: str, p: int) -> bool:
+    """Whether w has a period q <= p, for 0 < p < len(w).
+
+    Such a q puts w[:len(w) - p] at offset q, so only the offsets where
+    str.find meets that prefix are compared whole."""
+    head = w[:len(w) - p]
+    q = w.find(head, 1)
+    while q > 0:
+        if w[q:] == w[:len(w) - q]:
+            return True
+        q = w.find(head, q + 1)
+    return False

@@ -57,88 +57,41 @@ class JumpStructure:
     """Jump queries on a functional graph with out-degree at most one.
 
     jump(v, d) follows exactly d edges (or returns None); furthest(v) is
-    the largest feasible d, infinity when v reaches a cycle.
+    the largest feasible d, infinity when v reaches a cycle.  Each state
+    keeps its walk up to the first repeated state or the first without a
+    successor, so a query is one index into that walk: O(q^2) to build
+    for q states, O(1) per query.
     """
 
     INF = float("inf")
 
     def __init__(self, successor: Sequence[Optional[int]]):
-        n = len(successor)
-        self.succ = list(successor)
-        self.depth = [0] * n           # distance to cycle or to a sink
-        self.on_cycle = [False] * n
-        self.cycle_id = [-1] * n
-        self.cycle_pos = [0] * n
-        self.cycles: list[list[int]] = []
-        color = [0] * n                # 0 unvisited, 1 in progress, 2 done
-        for v in range(n):
-            if color[v]:
-                continue
-            path = []
+        # per state: its walk, and where the repeated state first appears
+        # in it (None when the walk ends at a state without successor)
+        self._walks: list[tuple[list[int], Optional[int]]] = []
+        for v in range(len(successor)):
+            walk: list[int] = []
+            seen: dict[int, int] = {}
             u = v
-            while u is not None and color[u] == 0:
-                color[u] = 1
-                path.append(u)
-                u = self.succ[u]
-            if u is not None and color[u] == 1:
-                # found a new cycle along the current path
-                cid = len(self.cycles)
-                idx = path.index(u)
-                cycle = path[idx:]
-                self.cycles.append(cycle)
-                for pos, w in enumerate(cycle):
-                    self.on_cycle[w] = True
-                    self.cycle_id[w] = cid
-                    self.cycle_pos[w] = pos
-                    self.depth[w] = 0
-                    color[w] = 2
-                path = path[:idx]
-            for w in reversed(path):
-                nxt = self.succ[w]
-                if nxt is None:
-                    self.depth[w] = 0
-                else:
-                    self.depth[w] = self.depth[nxt] + 1
-                    if self.cycle_id[nxt] >= 0 and not self.on_cycle[w]:
-                        self.cycle_id[w] = self.cycle_id[nxt]
-                color[w] = 2
-        # binary lifting over the tail edges
-        self._up: list[list[Optional[int]]] = [list(self.succ)]
-        max_depth = max(self.depth, default=0)
-        level = 1
-        while (1 << level) <= max(1, max_depth):
-            prev = self._up[-1]
-            self._up.append([None if prev[v] is None else prev[prev[v]]
-                             for v in range(n)])
-            level += 1
-
-    def reaches_cycle(self, v: int) -> bool:
-        return self.cycle_id[v] >= 0 or self.on_cycle[v]
+            while u is not None and u not in seen:
+                seen[u] = len(walk)
+                walk.append(u)
+                u = successor[u]
+            self._walks.append((walk, None if u is None else seen[u]))
 
     def furthest(self, v: int):
-        return self.INF if self.reaches_cycle(v) else self.depth[v]
-
-    def _lift(self, v: int, steps: int) -> int:
-        level = 0
-        while steps:
-            if steps & 1:
-                v = self._up[level][v]
-            steps >>= 1
-            level += 1
-        return v
+        walk, cycle = self._walks[v]
+        return len(walk) - 1 if cycle is None else self.INF
 
     def jump(self, v: int, d: int) -> Optional[int]:
         if d < 0:
             raise InvalidArgument("jump distance must be non-negative")
-        if not self.reaches_cycle(v):
-            return None if d > self.depth[v] else self._lift(v, d)
-        tail = 0 if self.on_cycle[v] else min(d, self.depth[v])
-        v = self._lift(v, tail)
-        rest = d - tail
-        if rest == 0:
-            return v
-        cycle = self.cycles[self.cycle_id[v]]
-        return cycle[(self.cycle_pos[v] + rest) % len(cycle)]
+        walk, cycle = self._walks[v]
+        if d < len(walk):
+            return walk[d]
+        if cycle is None:
+            return None
+        return walk[cycle + (d - cycle) % (len(walk) - cycle)]
 
 
 # -- single-stream acceleration ------------------------------------------------
@@ -202,12 +155,8 @@ class SingleStreamAccelerator:
             state, y = delta(state, x)
             out.append(y)
         a = len(out)
-        z1 = 0
-        while z1 < a and out[z1] == 0:
-            z1 += 1
-        z2 = 0
-        while z2 < a - z1 and out[a - 1 - z2] == 0:
-            z2 += 1
+        nonzero = [i for i, y in enumerate(out) if y]
+        z1, z2 = (nonzero[0], a - 1 - nonzero[-1]) if nonzero else (a, 0)
         mid = tuple(sc._tokens_of(out[z1:a - z2]))
         return _WindowEntry(b, a, state, z1, z2, mid)
 
@@ -392,15 +341,6 @@ class PairZipper:
         return [(j, info.values) for j in range(len(w) + 1)
                 if (info := parse(w[:j])).b == j]
 
-    @staticmethod
-    def _trailing_zeros(seq: tuple) -> int:
-        z = 0
-        for v in reversed(seq):
-            if v:
-                break
-            z += 1
-        return z
-
     def _entry(self, w1: str, w2: str, z1: int, z2: int) -> _ZipEntry:
         z1c = min(z1, Z_CAP)
         z2c = min(z2, Z_CAP)
@@ -416,45 +356,21 @@ class PairZipper:
         return entry
 
     def _build_entry(self, w1: str, w2: str, z1: int, z2: int) -> _ZipEntry:
-        best = None
-        parses1 = self._parses(w1)
-        parses2 = self._parses(w2)
-        for b1, vals1 in parses1:
-            lx = z1 + len(vals1)
-            tz1 = len(vals1) if not vals1 else self._trailing_zeros(vals1)
-            for b2, vals2 in parses2:
-                ly = z2 + len(vals2)
-                # dangling symbols of the longer side must be zeros
-                if lx < ly:
-                    tz = (z2 + self._trailing_zeros(vals2)
-                          if self._trailing_zeros(vals2) == len(vals2)
-                          else self._trailing_zeros(vals2))
-                    if ly - lx > tz:
-                        continue
-                elif ly < lx:
-                    tz = (z1 + tz1 if tz1 == len(vals1) else tz1)
-                    if lx - ly > tz:
-                        continue
-                score = (b1 + b2, b1)
-                if best is None or score > best[0]:
-                    best = (score, b1, vals1, b2, vals2)
-        _, b1, vals1, b2, vals2 = best
-        xs = (0,) * z1 + vals1
-        ys = (0,) * z2 + vals2
-        lx, ly = len(xs), len(ys)
-        common = min(lx, ly)
-        lead = 0
-        while lead < common and xs[lead] == 0 and ys[lead] == 0:
-            lead += 1
-        r = common
-        while r > 0 and all(v == 0 for v in xs[r - 1:]) \
-                and all(v == 0 for v in ys[r - 1:]):
-            r -= 1
-        if r == 0:
-            return _ZipEntry(b1, b2, lx, ly, lead, 0, ())
-        zipped = [zip_symbol((xs[i], ys[i])) for i in range(lead, r)]
-        tokens = tuple(sc._tokens_of(zipped))
-        return _ZipEntry(b1, b2, lx - r, ly - r, lead, r, tokens)
+        # each side's decodable prefixes, after its pending zeros
+        xss = [(b, (0,) * z1 + vals) for b, vals in self._parses(w1)]
+        yss = [(b, (0,) * z2 + vals) for b, vals in self._parses(w2)]
+        # the most bits over the pairs whose longer side dangles only zeros;
+        # that pair is unique, as the longer first side of one such pair
+        # and the longer second side of another make one with more bits
+        b1, xs, b2, ys = max(
+            ((b1, xs, b2, ys) for b1, xs in xss for b2, ys in yss
+             if not any(xs[len(ys):]) and not any(ys[len(xs):])),
+            key=lambda c: c[0] + c[2])
+        pairs = list(zip(xs, ys))
+        nonzero = [i for i, pair in enumerate(pairs) if any(pair)]
+        lead, r = (nonzero[0], nonzero[-1] + 1) if nonzero else (len(pairs), 0)
+        tokens = tuple(sc._tokens_of(map(zip_symbol, pairs[lead:r])))
+        return _ZipEntry(b1, b2, len(xs) - r, len(ys) - r, lead, r, tokens)
 
     # -- merge loop --------------------------------------------------------------
 
@@ -467,13 +383,14 @@ class PairZipper:
         a = z1 = z2 = z3 = 0
         out: list[tuple[bool, int]] = []   # tokens of the zipped encoding
 
-        while b1 < len1 or b2 < len2:
+        while True:
             shared = min(z1, z2)
-            if shared:
-                z1 -= shared
-                z2 -= shared
-                a += shared
-                z3 += shared
+            z1 -= shared
+            z2 -= shared
+            a += shared
+            z3 += shared
+            if b1 >= len1 and b2 >= len2:
+                break
             entry = self._entry(d1[b1:b1 + LG_M], d2[b2:b2 + LG_M], z1, z2)
             if entry.b1 or entry.b2:
                 b1 += entry.b1
@@ -515,11 +432,6 @@ class PairZipper:
                 z2 -= 1
             out.append((True, zip_symbol((v1, v2))))
             a += 1
-        shared = min(z1, z2)
-        z1 -= shared
-        z2 -= shared
-        a += shared
-        z3 += shared
         if z1 or z2:
             raise DecodeError("zip inputs decode to different lengths")
         if z3:

@@ -170,6 +170,34 @@ def test_bench_generate_sigma_below_one_usage_error(capsys):
                              "--tau-list", "4"], capsys)
 
 
+def test_bench_generate_refuses_an_input_file(text_file, capsys):
+    path, _ = text_file
+    _assert_usage_error(["bench", path, "--generate", "64", "--tau-list", "4"],
+                        capsys)
+
+
+def test_bench_generate_refuses_decimal(capsys):
+    _assert_usage_error(["bench", "--generate", "64", "--decimal",
+                         "--tau-list", "4"], capsys)
+
+
+def test_bench_file_refuses_a_seed(text_file, capsys):
+    path, _ = text_file
+    _assert_usage_error(["bench", path, "--sigma", "4", "--seed", "3",
+                         "--tau-list", "4"], capsys)
+
+
+def test_bench_generate_seed_defaults_to_zero(monkeypatch, capsys):
+    texts = []
+    real = cli.PackedText
+    monkeypatch.setattr(cli, "PackedText", lambda symbols, sigma:
+                        texts.append(symbols) or real(symbols, sigma))
+    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+        assert main(["bench", "--generate", "64", "--tau-list", "4"]
+                    + seed) == 0
+    assert texts[0] == texts[1] != texts[2]
+
+
 def test_verify_bad_tau_usage_error(tmp_path, text_file, capsys):
     path, symbols = text_file
     listed = tmp_path / "sync.txt"

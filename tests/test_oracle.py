@@ -53,6 +53,24 @@ def test_verify_sync_flags_added_members(rng):
     assert "occupied" in report.detail
 
 
+def test_verify_sync_scans_only_the_periods_it_needs(rng, monkeypatch):
+    # the density check reads the runs of period at most tau // 3: each
+    # period is scanned once, up to the largest bound asked so far
+    scanned = []
+    real = orc._runs_of_period
+    monkeypatch.setattr(orc, "_runs_of_period",
+                        lambda text, p: scanned.append(p) or real(text, p))
+    syms = make_text(rng, 300, 4, "random")
+    index = ss.SyncIndex(PackedText(syms, 4))
+    tidx = orc.TextIndex(syms)
+    for tau, periods in ((16, [1, 2, 3, 4, 5]), (12, []), (19, [6])):
+        members = ss.build_sync_explicit(index, tau)
+        assert orc.verify_sync(syms, tau, members, tidx).ok
+        assert scanned == periods
+        scanned.clear()
+    assert tidx.runs == orc.brute_all_runs(syms)
+
+
 def test_verify_sync_range_check():
     report = orc.verify_sync([0, 1] * 10, 4, [13])
     assert not report.ok and report.condition == "range"

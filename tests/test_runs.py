@@ -11,26 +11,6 @@ from tausync import runs as rn
 from tausync.text import PackedText
 
 
-def test_period_examples():
-    t = PackedText([0, 1, 0, 1, 0, 1], 2)
-    assert rn.period(t, 0, 6) == 2
-    t2 = PackedText([0, 1, 2], 3)
-    assert rn.period(t2, 0, 3) == 3
-    with pytest.raises(InvalidArgument):
-        rn.period(t, 3, 3)
-
-
-def test_period_matches_brute(rng):
-    for _ in range(40):
-        n = rng.randint(1, 60)
-        syms = make_text(rng, n, rng.choice([1, 2, 3]), "random")
-        t = PackedText(syms, 3)
-        for _ in range(10):
-            i = rng.randrange(n)
-            j = rng.randint(i + 1, n)
-            assert rn.period(t, i, j) == brute_period(syms[i:j])
-
-
 def test_run_extend_examples():
     t = PackedText([0, 0, 1, 0, 0], 2)
     assert rn.run_extend(t, 0, 2) == rn.Run(0, 2, 1)
@@ -319,6 +299,34 @@ def test_runs_bitmask_matches_periods(rng):
         value = rn.runs_bitmask(t, ell, p).to_int()
         for i in range(n - ell + 1):
             assert value >> i & 1 == (brute_period(syms[i:i + ell]) <= p)
+    # 0^k 1 and near-periodic texts, where a window's prefix recurs at
+    # several offsets and the period test compares more than one of them
+    texts = [([0] * k + [1]) * (60 // (k + 1) + 1) for k in (1, 3, 7, 12)]
+    for base in ([0, 1, 1], [0, 0, 1, 0, 1], [1, 0, 0, 1, 0, 0, 0]):
+        syms = (base * 20)[:60]
+        for at in rng.sample(range(60), 2):
+            syms[at] = 1 - syms[at]
+        texts.append(syms)
+    for syms in texts:
+        t = PackedText(syms, 2)
+        for ell in range(3, 41):
+            periods = [brute_period(syms[i:i + ell])
+                       for i in range(t.n - ell + 1)]
+            for p in range(ell // 2 + 1, ell):
+                value = rn.runs_bitmask(t, ell, p).to_int()
+                assert [value >> i & 1 for i in range(len(periods))] == \
+                    [per <= p for per in periods]
+
+
+def test_period_at_most_exhaustive_small():
+    # every word over {0, 1, 2} of length up to 7, at every bound 0 < p < len
+    words = [()]
+    for _ in range(7):
+        words = [w + (c,) for w in words for c in range(3)]
+        for w in words:
+            text = "".join(map(chr, w))
+            for p in range(1, len(w)):
+                assert rn._period_at_most(text, p) == (brute_period(w) <= p)
 
 
 def test_runs_bitmask_packed_table_path():

@@ -9,7 +9,7 @@ from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
 from tausync.recompress import RecompressionIndex
-from tausync.runs import enumerate_runs, period
+from tausync.runs import enumerate_runs
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.text import PackedText
@@ -90,7 +90,7 @@ def test_oracle_and_size_and_filter(rng):
             assert verify_sync(syms, tau, members, tidx).ok
             assert len(members) * tau < 70 * n
             for i in members:
-                assert 3 * period(t, i, i + 2 * tau) > tau
+                assert 3 * brute_period(syms[i:i + 2 * tau]) > tau
 
 
 def _definition(syms, recomp, tau):

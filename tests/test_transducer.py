@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -189,6 +190,52 @@ def test_zipper_parses_are_the_decodable_prefixes():
     zipper = td.PairZipper()
     for w in digit_strings(8):
         assert zipper._parses(w) == decodable_prefixes(w), w
+
+
+def rule_zip_entry(prefixes1, prefixes2, z1, z2):
+    """A zipper entry by its rule as stated.  Over the (bits, values)
+    prefixes of both windows, each side's pending zeros in front, keep the
+    pair that is strictly best by (bits in all, bits of the first side)
+    among those where the longer side runs past the shorter only on
+    zeros.  The shared leading zeros join the pending output run, the
+    symbols up to the last nonzero one are zipped, and the rest stays
+    pending on each side."""
+    best = None
+    for b1, vals1 in prefixes1:
+        xs = (0,) * z1 + vals1
+        for b2, vals2 in prefixes2:
+            ys = (0,) * z2 + vals2
+            longer = xs if len(xs) > len(ys) else ys
+            trailing = next((k for k, v in enumerate(reversed(longer)) if v),
+                            len(longer))
+            if abs(len(xs) - len(ys)) > trailing:
+                continue
+            if best is None or (b1 + b2, b1) > (best[0] + best[2], best[0]):
+                best = (b1, xs, b2, ys)
+    b1, xs, b2, ys = best
+    common = min(len(xs), len(ys))
+    lead = 0
+    while lead < common and xs[lead] == 0 and ys[lead] == 0:
+        lead += 1
+    r = common
+    while r > 0 and xs[r - 1] == 0 and ys[r - 1] == 0:
+        r -= 1
+    tokens = tuple(sc._tokens_of(td.zip_symbol((xs[i], ys[i]))
+                                 for i in range(lead, r)))
+    return b1, b2, len(xs) - r, len(ys) - r, lead, r, tokens
+
+
+def test_zip_entry_matches_the_rule():
+    # every pair of windows of at most lg M digits, at a few pending zeros
+    zipper = td.PairZipper()
+    windows = {w: decodable_prefixes(w) for w in digit_strings(td.LG_M)}
+    for w1, prefixes1 in windows.items():
+        for w2, prefixes2 in windows.items():
+            for z1 in (0, 1, 2, 16):
+                for z2 in (0, 1, 2, 16):
+                    got = astuple(zipper._build_entry(w1, w2, z1, z2))
+                    want = rule_zip_entry(prefixes1, prefixes2, z1, z2)
+                    assert got == want, (w1, w2, z1, z2)
 
 
 def test_zip_length_mismatch():

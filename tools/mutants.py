@@ -56,6 +56,8 @@ RS = "src/tausync/ranksupport.py"
 SS = "src/tausync/syncset.py"
 ST = "src/tausync/reference/sync_transducer.py"
 REF_RS = "src/tausync/reference/ranksupport.py"
+RN = "src/tausync/runs.py"
+OR = "src/tausync/oracle.py"
 
 SUPPORT_TESTS = ("tests/test_fastpath.py::"
                  "test_support_answers_as_the_decomposition",
@@ -149,6 +151,19 @@ MUTANTS = [
             "tests/test_sparsecodec.py::"
             "test_reader_matches_reference_on_corruptions")),
     # -- the transducers --------------------------------------------------------
+    Mutant("jump-cycle-index-off-by-one", TD,
+           "walk[cycle + (d - cycle) % (len(walk) - cycle)]",
+           "walk[cycle + (d - cycle + 1) % (len(walk) - cycle)]",
+           ("tests/test_transducer.py::test_jump_cycle",
+            "tests/test_transducer.py::test_jump_random_vs_walk")),
+    Mutant("zipper-dangling-zeros-checked-on-one-side", TD,
+           "if not any(xs[len(ys):]) and not any(ys[len(xs):]))",
+           "if not any(ys[len(xs):]))",
+           ("tests/test_transducer.py::test_zip_entry_matches_the_rule",)),
+    Mutant("zipper-best-pair-by-the-first-side-alone", TD,
+           "key=lambda c: c[0] + c[2])",
+           "key=lambda c: c[0])",
+           ("tests/test_transducer.py::test_zip_entry_matches_the_rule",)),
     Mutant("zipper-parses-drop-the-empty-prefix", TD,
            "[(j, info.values) for j in range(len(w) + 1)",
            "[(j, info.values) for j in range(1, len(w) + 1)",
@@ -179,6 +194,17 @@ MUTANTS = [
            ("tests/test_transducer.py::test_accelerated_equals_naive",
             "tests/test_acceptance.py::"
             "test_criterion_5_transducer_master_property")),
+    # -- periods --------------------------------------------------------------
+    Mutant("period-test-searches-from-offset-2", RN,
+           "    q = w.find(head, 1)\n",
+           "    q = w.find(head, 2)\n",
+           ("tests/test_runs.py::test_period_at_most_exhaustive_small",)),
+    Mutant("oracle-period-scan-stops-one-short", OR,
+           "min(p, self.n // 2) + 1)",
+           "min(p, self.n // 2))",
+           ("tests/test_oracle.py::"
+            "test_verify_sync_scans_only_the_periods_it_needs",
+            "tests/test_oracle.py::test_verify_sync_accepts_construction")),
     # -- the recompression chain ------------------------------------------------
     Mutant("chain-fresh-gap-string-per-level", RC,
            "gaps = self.gaps[k] = gaps or _gaps(bounds)",
@@ -284,7 +310,8 @@ MUTANTS = [
            "        starts = []\n"
            "        pos = sc.gamma_at(digits, 1)[1] if digits else 0\n",
            ("tests/test_ranksupport.py::"
-            "test_decomposition_rank_select_match_bisection",)),
+            "test_decomposition_rank_select_match_bisection",
+            "tests/test_ranksupport.py::test_select_after_rank_identity")),
     Mutant("markers-drop-runs-of-exactly-ell", ST,
            "xl >= ell else 0",
            "xl > ell else 0",
