@@ -65,8 +65,9 @@ def brute_runs(text: Sequence[int], ell: int, p: int) -> list[tuple[int, int, in
 
 
 class TextIndex:
-    """Per-text cache: doubling ranks for exact window grouping, and the
-    runs of each period, scanned once up to the largest bound asked.
+    """Per-text cache: doubling ranks for exact window grouping, built up
+    to the longest window asked, and the runs of each period, scanned once
+    up to the largest bound asked.
 
     window_id(i, L) is equal for two windows iff the windows match, via
     the classic overlapping power-of-two rank pair; no hashing involved.
@@ -74,19 +75,11 @@ class TextIndex:
 
     def __init__(self, text: Sequence[int]):
         self.text = list(text)
-        self.n = n = len(self.text)
-        ranks = []
+        self.n = len(self.text)
         order = {v: r for r, v in enumerate(sorted(set(self.text)))}
-        cur = [order[v] for v in self.text]
-        ranks.append(cur)
-        width = 1
-        while width < n:
-            pairs = [(cur[i], cur[i + width]) for i in range(n - 2 * width + 1)]
-            remap = {p: r for r, p in enumerate(sorted(set(pairs)))}
-            cur = [remap[p] for p in pairs]
-            ranks.append(cur)
-            width *= 2
-        self._ranks = ranks
+        # _ranks[a]: the ranks of the windows of length 2^a, built up to
+        # the longest asked
+        self._ranks = [[order[v] for v in self.text]]
         # _by_period[p]: the runs of smallest period p, for p scanned so far
         self._by_period: list[list[tuple[int, int, int]]] = [[]]
 
@@ -95,7 +88,14 @@ class TextIndex:
             return ()
         a = length.bit_length() - 1
         half = 1 << a
-        row = self._ranks[a]
+        ranks = self._ranks
+        while len(ranks) <= a:   # double the longest row built so far
+            cur, width = ranks[-1], 1 << (len(ranks) - 1)
+            pairs = [(cur[j], cur[j + width])
+                     for j in range(self.n - 2 * width + 1)]
+            remap = {p: r for r, p in enumerate(sorted(set(pairs)))}
+            ranks.append([remap[p] for p in pairs])
+        row = ranks[a]
         return (row[i], row[i + length - half])
 
     def _runs_upto(self, p: int) -> list[tuple[int, int, int]]:

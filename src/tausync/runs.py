@@ -5,7 +5,8 @@ A run is a maximal periodic fragment: extending it one symbol in either
 direction would increase its smallest period.  RUNS_{l,p} keeps the runs
 of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.  Short
 period bounds find them by XOR-ing the text, read as one int, with its
-own shifts; longer ones extend periodic probes with `run_extend`.
+own shifts (up to 16 symbols, in packed sub-byte lanes); longer ones
+extend periodic probes with `run_extend`.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ def _extend_left(s: str, b: int, p: int) -> int:
 def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     """RUNS_{ell,p}(T): each qualifying run once, sorted by start and end.
 
-    Up to p = SHORT_PERIOD_MAX[lane], a lane being one byte per symbol
-    up to 256 distinct symbols and four bytes past, the text is compared
-    with its shifts by 1..p in int arithmetic (_short_period_runs).
-    Larger p probe fragments of length 2p spaced ell + 1 - 2p apart;
-    every qualifying run contains at least one probe.
+    The text is compared with its shifts by 1..p in int arithmetic, in
+    lanes of 8/m bits (_packed_short_period_runs) where m > 1 fits, if p
+    passes over n/m bytes cost less than the probes; else in lanes of one
+    byte, four past 256 symbols (_short_period_runs), up to p =
+    SHORT_PERIOD_MAX[lane bits].  Otherwise it probes fragments of length
+    2p spaced ell + 1 - 2p apart; every qualifying run contains one.
     """
     if ell < 2 * p:
         raise InvalidArgument("enumerate_runs requires ell >= 2p")
@@ -101,12 +103,18 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     if n < 2 * p:
         return []
     s = t._padded
-    # the sentinel's code point is the alphabet size: past 256, some rank
-    # needs more than one byte
-    lane = 4 if s[0] > "\u0100" else 1
-    if p <= SHORT_PERIOD_MAX[lane]:
+    sigma, d, delta = ord(s[0]), ell - p, ell + 1 - 2 * p
+    # m lanes a byte for at most 2^(8/m) symbols (sigma is the sentinel's
+    # code point): the most such that a zero stretch of length d holds two
+    # whole zero bytes (3m - 1 <= d) of 8 bits of ranks (sigma^2m >= 256)
+    m = (8 if sigma == 2 and d >= 23 else 4 if 2 <= sigma <= 4 and d >= 11
+         else 2 if 4 <= sigma <= 16 and d >= 5 else 1)
+    if m > 1 and (p * (n // m + PASS_BYTES)
+                  <= PROBE_BYTES * ((n - 2 * p) // delta + 1)):
+        return _packed_short_period_runs(t.lanes(8 // m), n, m, ell, p)
+    lane = 4 if sigma > 256 else 1   # past 256 symbols, in bytes
+    if m == 1 and p <= SHORT_PERIOD_MAX[8 * lane]:
         return _short_period_runs(s[n:2 * n], lane, ell, p)
-    delta = ell + 1 - 2 * p
     # a probe whose first half does not recur in it is aperiodic, and
     # run_extend would return None: only periodic probes are extended
     probes = (start for start in range(0, n - 2 * p + 1, delta)
@@ -127,10 +135,49 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
 
 
 #: Largest p that enumerate_runs hands to _short_period_runs, by lane
-#: width in bytes: about where the two paths cross at n = 2^16.
-SHORT_PERIOD_MAX = {1: 12, 4: 5}
+#: width in bits: about where the two paths cross at n = 2^16.
+SHORT_PERIOD_MAX = {8: 12, 32: 5}
+#: A packed shift pass costs about its n/m bytes plus PASS_BYTES, and a
+#: probe PROBE_BYTES, in units of about 1.6 ns (fitted at n = 2^9..2^16)
+PASS_BYTES, PROBE_BYTES = 470, 280
 
 _NONZERO = re.compile(rb"[^\x00]")
+
+
+#: m -> zero lanes of each byte below its lowest and above its top set lane
+_ZERO_LANES = {m: (bytes([m] + [((v & -v).bit_length() - 1) * m // 8
+                                for v in range(1, 256)]),
+                   bytes([m] + [m - 1 - (v.bit_length() - 1) * m // 8
+                                for v in range(1, 256)]))
+               for m in (2, 4, 8)}
+
+
+def _packed_short_period_runs(x: int, n: int, m: int, ell: int,
+                              p: int) -> list[Run]:
+    """RUNS_{ell,p} as `_short_period_runs` finds them, with x the text in
+    m lanes a byte (3m - 1 <= ell - p).  A zero stretch of length >= ell - q
+    holds (ell - q + 1) // m - 1 >= 2 whole zero bytes; `find` meets them,
+    and the zero lanes of the nonzero bytes beside them fix its ends.  The
+    lanes from n - q on are marked nonzero: `find` stops at the byte that
+    holds lane n - q, and every stretch ends there at the latest."""
+    w, nb = 8 // m, -(-n // m)
+    low, high = _ZERO_LANES[m]
+    found: dict[tuple[int, int], int] = {}
+    for q in range(1, p + 1):
+        diff = (x ^ (x >> w * q)).to_bytes(nb, "little")
+        stop = n - q
+        end = stop // m   # the bytes below hold only lanes below stop
+        zeros = bytes((ell - q + 1) // m - 1)
+        at = diff.find(zeros, 0, end)
+        while at >= 0:
+            nz = _NONZERO.search(diff, at + len(zeros), end)
+            to = nz.start() if nz else end
+            e = min(to * m + low[diff[to]], stop)
+            b = at * m - high[diff[at - 1]] if at else 0
+            if e - b >= ell - q:
+                found.setdefault((b, e + q), q)
+            at = diff.find(zeros, to + 1, end)
+    return [Run(b, e, q) for (b, e), q in sorted(found.items())]
 
 
 def _short_period_runs(text: str, lane: int, ell: int, p: int) -> list[Run]:

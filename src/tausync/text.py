@@ -1,11 +1,13 @@
-"""The text as one sentinel-padded code-point string.
+"""The text as one sentinel-padded code-point string, and packed.
 
 One ``str`` holds ``$^n . T . $^n``, so every logical index in
 ``[-n..2n)`` has a symbol and fragments are sliced, compared, hashed and
 searched in C.  A symbol's code point is its rank in the text's alphabet
 and the sentinel's is one past the largest: an order-preserving map for
 any alphabet.  The reported `sigma` is the input size rounded up to a
-power of two, whose top symbol is the reported sentinel.
+power of two, whose top symbol is the reported sentinel.  Up to 16
+symbols, `lanes` packs T into one int of 1-, 2- or 4-bit ranks, the
+paper's packed text of n lg sigma bits.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ class PackedText:
         pad = chr(len(alphabet)) * self.n
         self._padded = pad + "".join(map(code.__getitem__, symbols)) + pad
         self._decode = alphabet + [self.sentinel]   # code point -> symbol
+        self._lanes: dict[int, int] = {}   # lane bits -> T as one int
+
+    def lanes(self, bits: int) -> int:
+        """T[0..n) as one int with T[i] in lane i of `bits` bits, for bits in
+        {1, 2, 4} and at most 2^bits distinct symbols: the ranks read
+        backwards as base-2^bits digits, parsed on first use."""
+        if bits not in self._lanes:
+            hexits = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+            digits = self._padded[self.n:2 * self.n].encode("latin-1")
+            self._lanes[bits] = int(digits.translate(hexits)[::-1], 1 << bits)
+        return self._lanes[bits]
 
     def symbol(self, i: int) -> int:
         """Symbol at logical index i in [-n..2n)."""

@@ -31,12 +31,21 @@ def _answers(handle):
 
 
 def _tables(handle):
-    """The mutable per-text tables of an index, and its gap strings (a
-    one-byte bytes object is a shared constant, so those are left out)."""
+    """The mutable per-text tables of an index, its gap strings (a
+    one-byte bytes object is a shared constant, so those are left out),
+    and the text's packing store and its packed ints."""
     recomp = handle.sync_index.recomp
     return [handle.t, handle.sync_index, recomp, recomp.depth, recomp.deep,
-            recomp.gaps] + [g for g in recomp.gaps.values()
-                            if type(g) is array or len(g) > 1]
+            recomp.gaps, handle.t._lanes] + [
+        g for g in recomp.gaps.values()
+        if type(g) is array or len(g) > 1] + list(handle.t._lanes.values())
+
+
+def _check_lanes_bound(t):
+    """At most 3 widths, of at most ceil(n / m) bytes at m lanes a byte."""
+    assert len(t._lanes) <= 3 and set(t._lanes) <= {1, 2, 4}
+    for bits, x in t._lanes.items():
+        assert (x.bit_length() + 7) // 8 <= -(-t.n * bits // 8)
 
 
 def test_two_indices_share_no_per_text_tables():
@@ -52,6 +61,11 @@ def test_two_indices_share_no_per_text_tables():
     _answers(b)
     fresh = FastSyncIndex(PackedText(*texts[0]))
     assert _answers(a) == before == _answers(fresh)
+    # the queries packed both texts, each into lanes of its own
+    assert sorted(a.t._lanes) == [2, 4] and sorted(b.t._lanes) == [1, 2]
+    assert not {id(x) for x in _tables(a)} & {id(x) for x in _tables(b)}
+    for handle in (a, b, fresh):
+        _check_lanes_bound(handle.t)
 
 
 def _cli(argv):
@@ -69,6 +83,7 @@ def test_module_caches_stay_within_their_bounds(tmp_path):
                                            for _ in range(n)], 3))
         assert handle.sync_sparse(n // 2).decoded_len == n
         assert len(handle.sync_index.recomp.level_bitmask(0)) == n
+        _check_lanes_bound(handle.t)
     rc.alpha(600)   # lambda_frac at every k below 600
     # zero runs and member distances past the token-digit limit
     wide = sc.senc_encode([1] + [0] * 5000 + [2] + [0] * 4097 + [3])

@@ -53,6 +53,50 @@ def test_verify_sync_flags_added_members(rng):
     assert "occupied" in report.detail
 
 
+def _eager_ranks(syms):
+    """Every doubling rank row, built up front as TextIndex once did."""
+    order = {v: r for r, v in enumerate(sorted(set(syms)))}
+    cur = [order[v] for v in syms]
+    ranks, width = [cur], 1
+    while width < len(syms):
+        pairs = [(cur[i], cur[i + width])
+                 for i in range(len(syms) - 2 * width + 1)]
+        remap = {p: r for r, p in enumerate(sorted(set(pairs)))}
+        cur = [remap[p] for p in pairs]
+        ranks.append(cur)
+        width *= 2
+    return ranks
+
+
+def test_rank_rows_built_on_first_use_match_an_eager_build(rng):
+    for n, sigma, kind in ((1, 1, "random"), (2, 2, "random"),
+                           (64, 2, "periodic"), (65, 3, "rle"),
+                           (97, 4, "random")):
+        syms = make_text(rng, n, sigma, kind)
+        eager = _eager_ranks(syms)
+        lengths = list(range(n + 1))
+        rng.shuffle(lengths)
+        tidx = orc.TextIndex(syms)
+        for length in lengths:
+            a = length.bit_length() - 1
+            built = len(tidx._ranks)
+            for i in range(n - length + 1):
+                want = () if not length else (
+                    eager[a][i], eager[a][i + length - (1 << a)])
+                assert tidx.window_id(i, length) == want
+            # a row is built only when a window of its length is asked
+            assert len(tidx._ranks) == max(built, a + 1)
+        # every length up to n asked: the rows of the windows that fit
+        assert tidx._ranks == eager[:n.bit_length()]
+    # verify_sync at tau reads the rows up to lg(2 tau)
+    syms = make_text(rng, 300, 4, "random")
+    tidx = orc.TextIndex(syms)
+    index = ss.SyncIndex(PackedText(syms, 4))
+    assert orc.verify_sync(syms, 16, ss.build_sync_explicit(index, 16),
+                           tidx).ok
+    assert len(tidx._ranks) == 6
+
+
 def test_verify_sync_scans_only_the_periods_it_needs(rng, monkeypatch):
     # the density check reads the runs of period at most tau // 3: each
     # period is scanned once, up to the largest bound asked so far

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from math import gcd
 
@@ -138,9 +139,11 @@ def test_enumerate_runs_uniform_text():
 
 
 def test_enumerate_runs_extends_each_run_once(monkeypatch):
-    # a period bound above the shift path's reaches the probes, spaced
-    # one symbol apart at ell = 2p: all but the first fall inside its run
-    p = rn.SHORT_PERIOD_MAX[1] + 1
+    # a period bound above the byte shift path's, with the packed shifts
+    # priced out, reaches the probes, spaced one symbol apart at ell = 2p:
+    # all but the first fall inside its run
+    monkeypatch.setattr(rn, "PROBE_BYTES", 0)
+    p = rn.SHORT_PERIOD_MAX[8] + 1
     t = PackedText([0, 1] * 4096, 2)
     calls = []
     real = rn.run_extend
@@ -151,7 +154,7 @@ def test_enumerate_runs_extends_each_run_once(monkeypatch):
 
     monkeypatch.setattr(rn, "run_extend", counting)
     assert rn.enumerate_runs(t, 2 * p, p) == [rn.Run(0, 8192, 2)]
-    assert len(calls) <= 2
+    assert 1 <= len(calls) <= 2
 
 
 def test_enumerate_requires_ell_ge_2p():
@@ -209,7 +212,7 @@ def short_period_texts(draw):
 
 # p runs past the shift path's limit for either lane width
 @settings(max_examples=400, deadline=None)
-@given(short_period_texts(), st.integers(1, rn.SHORT_PERIOD_MAX[1] + 2),
+@given(short_period_texts(), st.integers(1, rn.SHORT_PERIOD_MAX[8] + 2),
        st.integers(0, 20))
 @example((list(range(10)) + [10] * 5 + [11], 12), 1, 1)   # a run of code point 10
 @example((list(range(257)) + [256, 255] * 4, 257), 2, 0)  # the first wide text
@@ -219,6 +222,71 @@ def test_enumerate_short_periods_match_brute(text, p, extra):
     t = PackedText(syms, sigma)
     got = [(r.start, r.end, r.period) for r in rn.enumerate_runs(t, ell, p)]
     assert got == brute_runs(syms, ell, p)
+
+
+def _packed_bits(distinct, d):
+    """The lane width, in bits, of the shift path over packed lanes for a
+    text of `distinct` symbols at ell - p = d, or None if it takes none:
+    m lanes a byte for the largest m in 8, 4, 2 with 2^(8/m) >= distinct,
+    3m - 1 <= d (two whole zero bytes in every stretch) and
+    distinct^(2m) >= 256 (those bytes hold 8 bits of ranks)."""
+    return next((8 // m for m in (8, 4, 2) if distinct <= 1 << 8 // m
+                 and 3 * m - 1 <= d and distinct ** (2 * m) >= 256), None)
+
+
+def _check_packed(monkeypatch, syms, sigma, ell, p):
+    """enumerate_runs against the oracle, with the shifts priced below the
+    probes, and the lane width it packed against _packed_bits."""
+    t = PackedText(syms, sigma)
+    with monkeypatch.context() as m:
+        m.setattr(rn, "PROBE_BYTES", 10 ** 9)
+        got = [(r.start, r.end, r.period) for r in rn.enumerate_runs(t, ell, p)]
+    assert got == brute_runs(syms, ell, p)
+    bits = _packed_bits(len(set(syms)), ell - p) if len(syms) >= 2 * p else None
+    assert list(t._lanes) == ([bits] if bits else [])
+
+
+def _planted_text(rng, n, distinct):
+    """n symbols over `distinct`: a periodic head (a run from 0), every
+    symbol once, random symbols around a planted periodic stretch, and a
+    periodic tail (a run to n) whose word starts with the smallest symbol,
+    so that the lanes past n - q of its shifts read zero."""
+    word = lambda: [rng.randrange(distinct) for _ in range(rng.randint(1, 3))]
+    head = (word() * 20)[:rng.randint(0, 14)]
+    tail = ([0] + word() * 20)[:rng.randint(0, 14)]
+    middle = rng.sample(range(distinct), distinct)
+    stretch = (word() * 20)[:rng.randint(6, 20)]
+    filler = [rng.randrange(distinct) for _ in range(
+        max(0, n - len(head) - len(tail) - len(middle) - len(stretch)))]
+    at = rng.randint(0, len(filler))
+    syms = head + middle + filler[:at] + stretch + filler[at:] + tail
+    return syms[:n - len(tail)] + tail if len(syms) > n else syms
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 3, 4, 5, 16, 17, 256])
+def test_packed_runs_match_brute_at_every_boundary(distinct, monkeypatch):
+    # n at every residue mod 8, and ell - p on each side of 3m - 1 for
+    # m = 2, 4, 8, so each lane width and its fallback are taken
+    rng = random.Random(2990 + distinct)
+    for n in range(max(40, distinct + 30), max(40, distinct + 30) + 8):
+        for _ in range(3):
+            syms = _planted_text(rng, n, distinct)
+            for d in (4, 5, 10, 11, 22, 23, 31):
+                for p in (1, 2, 3, 4, 7):
+                    if d >= p:
+                        _check_packed(monkeypatch, syms, distinct, p + d, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 16, 17, 256]), st.integers(0, 140),
+       st.integers(1, 9), st.sampled_from([4, 5, 10, 11, 22, 23, None]),
+       st.integers(0, 40), st.randoms(use_true_random=False))
+def test_packed_runs_match_brute(distinct, n, p, d, extra, rng):
+    d = max(p, d if d is not None else p + extra)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        syms = (_planted_text(rng, n, distinct) if rng.random() < 0.5
+                else [rng.randrange(distinct) for _ in range(n)])
+        _check_packed(monkeypatch, syms, distinct, p + d, p)
 
 
 def test_enumerate_runs_paths_agree_on_surrogate_ranks(monkeypatch):
@@ -236,11 +304,11 @@ def test_enumerate_runs_paths_agree_on_surrogate_ranks(monkeypatch):
     t = PackedText(syms, len(syms))
     for p, expect in runs.items():
         with monkeypatch.context() as m:
-            m.setattr(rn, "SHORT_PERIOD_MAX", {1: p, 4: p})
+            m.setattr(rn, "SHORT_PERIOD_MAX", {8: p, 32: p})
             m.setattr(rn, "run_extend", None)   # the shift path extends nothing
             shifts = rn.enumerate_runs(t, 2 * p, p)
         with monkeypatch.context() as m:
-            m.setattr(rn, "SHORT_PERIOD_MAX", {1: 0, 4: 0})
+            m.setattr(rn, "SHORT_PERIOD_MAX", {8: 0, 32: 0})
             probes = rn.enumerate_runs(t, 2 * p, p)
         assert shifts == probes
         assert [(r.start, r.end, r.period) for r in shifts] == expect

@@ -24,6 +24,21 @@ def test_remap_power_of_two_grows():
     assert len(t._padded) == 12
 
 
+def test_lanes_hold_each_rank_in_its_lane():
+    rng = random.Random(29)
+    for n in range(1, 20):
+        for distinct, bits in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 4),
+                               (16, 4)):
+            syms = [rng.randrange(distinct) * 7 for _ in range(n)]
+            t = PackedText(syms, 7 * distinct)
+            rank = {v: r for r, v in enumerate(sorted(set(syms)))}
+            x = t.lanes(bits)
+            assert [x >> bits * i & (1 << bits) - 1 for i in range(n)] == \
+                [rank[v] for v in syms]
+            assert x.bit_length() <= bits * n
+            assert t.lanes(bits) is x and list(t._lanes) == [bits]
+
+
 def test_remap_rejects_out_of_range():
     with pytest.raises(InvalidInput):
         PackedText([0, 5], 4)

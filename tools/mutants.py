@@ -74,6 +74,9 @@ ROUND_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
                              "test_rounds_match_the_rules",)
 CUT_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
                            "test_max_dicut_matches_the_rule",)
+PACKED_TESTS = ("tests/test_runs.py::"
+                "test_packed_runs_match_brute_at_every_boundary",
+                "tests/test_runs.py::test_packed_runs_match_brute")
 
 MUTANTS = [
     # -- the window parse and the piece walk ------------------------------------
@@ -199,6 +202,19 @@ MUTANTS = [
            "    q = w.find(head, 1)\n",
            "    q = w.find(head, 2)\n",
            ("tests/test_runs.py::test_period_at_most_exhaustive_small",)),
+    # -- shifts over packed lanes ---------------------------------------------
+    Mutant("lanes-left-end-off-by-one", RN,
+           "b = at * m - high[diff[at - 1]] if at else 0",
+           "b = at * m - high[diff[at - 1]] + 1 if at else 0",
+           PACKED_TESTS),
+    Mutant("lanes-tail-not-marked", RN,
+           "e = min(to * m + low[diff[to]], stop)",
+           "e = to * m + low[diff[to]]",
+           PACKED_TESTS),
+    Mutant("lanes-low-table-read-from-the-high-end", RN,
+           "low[diff[to]]",
+           "high[diff[to]]",
+           PACKED_TESTS),
     Mutant("oracle-period-scan-stops-one-short", OR,
            "min(p, self.n // 2) + 1)",
            "min(p, self.n // 2))",
