@@ -103,16 +103,16 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     if n < 2 * p:
         return []
     s = t._padded
-    sigma, d, delta = ord(s[0]), ell - p, ell + 1 - 2 * p
-    # m lanes a byte for at most 2^(8/m) symbols (sigma is the sentinel's
-    # code point): the most such that a zero stretch of length d holds two
-    # whole zero bytes (3m - 1 <= d) of 8 bits of ranks (sigma^2m >= 256)
-    m = (8 if sigma == 2 and d >= 23 else 4 if 2 <= sigma <= 4 and d >= 11
-         else 2 if 4 <= sigma <= 16 and d >= 5 else 1)
+    k, d, delta = ord(s[0]), ell - p, ell + 1 - 2 * p
+    # m lanes a byte for at most 2^(8/m) of the k distinct symbols (the
+    # sentinel's code point): the most such that a zero stretch of length d
+    # holds two whole zero bytes (3m - 1 <= d) of 8 bits of ranks (k^2m >= 256)
+    m = (8 if k == 2 and d >= 23 else 4 if 2 <= k <= 4 and d >= 11
+         else 2 if 4 <= k <= 16 and d >= 5 else 1)
     if m > 1 and (p * (n // m + PASS_BYTES)
                   <= PROBE_BYTES * ((n - 2 * p) // delta + 1)):
         return _packed_short_period_runs(t.lanes(8 // m), n, m, ell, p)
-    lane = 4 if sigma > 256 else 1   # past 256 symbols, in bytes
+    lane = 4 if k > 256 else 1   # past 256 symbols, in bytes
     if m == 1 and p <= SHORT_PERIOD_MAX[8 * lane]:
         return _short_period_runs(s[n:2 * n], lane, ell, p)
     # a probe whose first half does not recur in it is aperiodic, and

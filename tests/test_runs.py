@@ -250,10 +250,10 @@ def _planted_text(rng, n, distinct):
     """n symbols over `distinct`: a periodic head (a run from 0), every
     symbol once, random symbols around a planted periodic stretch, and a
     periodic tail (a run to n) whose word starts with the smallest symbol,
-    so that the lanes past n - q of its shifts read zero."""
+    so that the lanes past n - q of its shifts often read zero."""
     word = lambda: [rng.randrange(distinct) for _ in range(rng.randint(1, 3))]
     head = (word() * 20)[:rng.randint(0, 14)]
-    tail = ([0] + word() * 20)[:rng.randint(0, 14)]
+    tail = (([0] + word()) * 20)[:min(n, rng.randint(0, 14))]
     middle = rng.sample(range(distinct), distinct)
     stretch = (word() * 20)[:rng.randint(6, 20)]
     filler = [rng.randrange(distinct) for _ in range(
