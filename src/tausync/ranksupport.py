@@ -1,7 +1,8 @@
 """Rank and select over the synchronizing set and over sparse encodings.
 
 `SyncSupport` answers from a tau query's sorted member list, kept
-beside its encoding.  `Decomposition` answers from an encoding alone,
+beside its encoding; rank bisects only the bucket of positions that
+holds j.  `Decomposition` answers from an encoding alone,
 as CLI `query` must: it is the split that the package's one token
 reader, `sparsecodec.read_pieces`, walks it in: pieces of at most
 ``sparsecodec.WINDOW_BITS`` = 16 bits (lg N for N = 2**16), each with
@@ -27,21 +28,45 @@ from .sparsecodec import SparseEncoding
 
 class SyncSupport:
     """Rank and select over the sorted `members` of `encoding`'s mask,
-    with `Decomposition`'s range checks and error texts."""
+    with `Decomposition`'s range checks and error texts.
 
-    __slots__ = ("encoding", "members", "size")
+    ``directory[b]`` counts the members before position ``b << shift``,
+    so rank searches only j's bucket.  It is a per-support cache of at
+    most ceil(n / 2**shift) + 2 entries, built by the first rank, never by
+    select; two concurrent first ranks build the same list.
+    """
+
+    __slots__ = ("encoding", "members", "size", "shift", "directory")
 
     def __init__(self, encoding: SparseEncoding, members: list[int]):
         self.encoding = encoding
         self.members = members
         self.size = len(members)
+        self.directory: list[int] | None = None
 
     def rank(self, j: int) -> int:
         """Number of ones at positions < j, for j in [0..n]."""
         n = self.encoding.decoded_len
         if j < 0 or j > n:
             raise InvalidArgument(f"rank argument {j} outside [0..{n}]")
-        return bisect_left(self.members, j)
+        d = self.directory or self._build_directory(n)
+        b = j >> self.shift
+        return bisect_left(self.members, j, d[b], d[b + 1])
+
+    def _build_directory(self, n: int) -> list[int]:
+        """The members before each bucket edge up to the first past n, by
+        one bisection of at most 2**shift slots a bucket.  8 to 16 members
+        a bucket of a uniform set weigh that build, one bisection a
+        bucket, against the length of each rank's search."""
+        members, size = self.members, self.size
+        self.shift = (8 * n // (size + 1)).bit_length()
+        step = 1 << self.shift
+        d, i, top = [0], 0, size - step
+        for edge in range(step, n + step + 1, step):
+            i = bisect_left(members, edge, i, i + step if i <= top else size)
+            d.append(i)
+        self.directory = d
+        return d
 
     def select(self, j: int) -> int:
         """Position of the j-th one (1-indexed)."""

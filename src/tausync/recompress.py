@@ -13,7 +13,8 @@ the number of levels that contain f, so B_k = {f : depth[f] > k}, and
 alike, as one `bytes.translate` of the depths.  The even levels are also
 kept as gap strings, written at one place in the round loop, for the
 tau queries.  Given a top level, the index runs only the rounds that
-level needs.
+level needs; even rounds at floor(lambda) = 1 after round 0 drop
+nothing (B_k lies in B_1) and are not run.
 
 The cut approximation orders its nodes by the canonical (length,
 content) key, which pins down the whole chain.  The paper's packed
@@ -208,7 +209,10 @@ class RecompressionIndex:
                 # on (boundaries, floor(lambda), parity): so would k and k+1
                 k += 2
                 continue
-            dropped = (round_odd if k % 2 else round_even)(t, bounds, k)
+            if k % 2 == 0 and lambda_floor(k) < 2:
+                dropped = []   # B_k lies in B_1: T[f - 1] != T[f] at every f
+            else:
+                dropped = (round_odd if k % 2 else round_even)(t, bounds, k)
             k += 1
             if dropped:   # each boundary is recorded once, when it drops
                 self._record(dropped, k)

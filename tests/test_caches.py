@@ -1,9 +1,11 @@
-"""Cache ownership: per-text tables belong to one index, and every
-module-level cache stays within its stated bound after a mixed run."""
+"""Cache ownership: per-text tables belong to one index, a rank directory
+to one support, and every module-level cache stays within its stated
+bound after a mixed run."""
 
 import contextlib
 import io
 import random
+import threading
 from array import array
 
 from tausync import cli
@@ -122,3 +124,36 @@ def test_module_caches_stay_within_their_bounds(tmp_path):
     # the run filled these two to their bounds
     assert rc._first_h_past_4n.cache_info().currsize == 64
     assert rc.lambda_frac.cache_info().currsize == 512
+
+
+def test_rank_directory_belongs_to_its_support():
+    """The rank directory is a cache of its `SyncSupport` alone: at most
+    ceil(n / 2**shift) + 2 entries, built by the support's first rank.
+    Two concurrent first ranks build the same list, so either may be kept.
+    """
+    rng = random.Random(25)
+    syms = [rng.randrange(4) for _ in range(3000)]
+    n = len(syms)
+    handle = FastSyncIndex(PackedText(syms, 4))
+    a, b = handle.sync_with_support(8), handle.sync_with_support(8)
+    assert a.directory is None and b.directory is None
+    assert a.rank(n) == a.size
+    assert b.directory is None   # another support of the same query
+    # threads give a fresh support its first ranks at once
+    answers = {}
+    threads = [threading.Thread(target=lambda j=j: answers.update(
+        {j: b.rank(j)})) for j in range(0, n + 1, 250)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert answers == {j: a.rank(j) for j in answers}
+    assert a.directory == b.directory and a.directory is not b.directory
+    for support in (a, b):
+        bound = -(-n // (1 << support.shift)) + 2
+        assert len(support.directory) <= bound
+        assert id(support.directory) not in map(id, _tables(handle))
+    # a new index's support of the same text builds one of its own
+    c = FastSyncIndex(PackedText(syms, 4)).sync_with_support(8)
+    assert c.rank(n // 2) == a.rank(n // 2)
+    assert c.directory == a.directory and c.directory is not a.directory

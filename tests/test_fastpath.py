@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 
 from conftest import adversarial_text, make_text
@@ -282,8 +284,12 @@ def test_support_never_reads_its_stream(monkeypatch):
             decompose(enc)
         sup = handle.sync_with_support(tau)
         assert sup.encoding.stream == enc.stream
-        assert [sup.select(j) for j in range(1, sup.size + 1)] == \
-            ss.build_sync_explicit(handle.sync_index, tau)
+        members = ss.build_sync_explicit(handle.sync_index, tau)
+        assert [sup.select(j) for j in range(1, sup.size + 1)] == members
+        assert sup.directory is None   # select builds no rank directory
+        # nor does the first rank read the stream to build it
+        assert [sup.rank(j) for j in range(len(syms) + 1)] == \
+            [bisect_left(members, j) for j in range(len(syms) + 1)]
 
 
 def test_sync_sparse_size_reported(rng, capsys):

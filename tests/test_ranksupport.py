@@ -9,6 +9,8 @@ from tausync.errors import DecodeError, InvalidArgument
 from tausync import ranksupport as rs
 from tausync.reference import ranksupport as ref
 from tausync import sparsecodec as sc
+from tausync.fastpath import FastSyncIndex
+from tausync.text import PackedText
 
 
 def prefix_sums(bits):
@@ -407,3 +409,86 @@ def test_decompose_accepts_what_decode_accepts(enc):
         assert d.rank(j) == bisect_left(nonzero, j)
     for j, pos in enumerate(nonzero, start=1):
         assert d.select(j) == pos
+
+
+# -- the member-list support's rank directory ----------------------------------
+
+def _support(n, positions):
+    enc = sc.senc_from_list(n, [(i, 1) for i in positions])
+    return rs.SyncSupport(enc, list(positions))
+
+
+def _check_directory(n, positions, queries=None):
+    """rank(j) == bisect_left at every j of `queries` (every j in [0..n]
+    by default) and at every bucket edge and its neighbours; the
+    directory counts the members before each edge, within its bound, and
+    select neither builds nor reads it."""
+    sup = _support(n, positions)
+    for j in range(1, len(positions) + 1):
+        assert sup.select(j) == positions[j - 1]
+    assert sup.directory is None
+    for j, message in ((-1, f"rank argument -1 outside [0..{n}]"),
+                       (n + 1, f"rank argument {n + 1} outside [0..{n}]")):
+        with pytest.raises(InvalidArgument) as info:
+            sup.rank(j)
+        assert str(info.value) == message
+    assert sup.directory is None   # a refused rank builds nothing
+    assert sup.rank(n) == len(positions)
+    step = 1 << sup.shift
+    directory = sup.directory
+    assert len(directory) <= -(-n // step) + 2
+    assert directory == [bisect_left(positions, b * step)
+                         for b in range(len(directory))]
+    # the edges run up to the first past n
+    assert (len(directory) - 2) * step <= n < (len(directory) - 1) * step
+    edges = {e + de for e in range(0, n + 1, step) for de in (-1, 0, 1)}
+    queries = range(n + 1) if queries is None else queries
+    for j in sorted(set(queries) | {e for e in edges if 0 <= e <= n}):
+        assert sup.rank(j) == bisect_left(positions, j), j
+    assert sup.directory is directory   # built once
+    return sup
+
+
+def test_support_rank_directory_edge_cases():
+    cases = [(0, []), (1, []), (1, [0]), (2, [1]), (700, []), (700, [0]),
+             (700, [699]), (700, [350])]
+    # dense sets: every bucket full, and n not a multiple of the width
+    cases += [(n, list(range(n))) for n in (8, 9, 1000, 1001, 4099)]
+    cases.append((4099, list(range(1, 4099, 2))))
+    # clusters at both ends of a long, otherwise empty, text
+    cases.append((5000, list(range(40)) + list(range(4960, 5000))))
+    cases.append((70082, [0, 1, 2, 70079, 70080, 70081]))
+    widths = set()
+    for n, positions in cases:
+        sup = _check_directory(n, positions)
+        widths.add(n % (1 << sup.shift) != 0)
+    assert widths == {False, True}
+
+
+def test_support_rank_directory_on_a_dense_k0_set(rng):
+    # tau < 16 reads B_0: on random text almost every position is a
+    # member, so most buckets are full
+    syms = [rng.randrange(4) for _ in range(4099)]
+    handle = FastSyncIndex(PackedText(syms, 4))
+    for tau in (4, 8, 40):
+        positions = handle.sync_with_support(tau).members
+        sup = _check_directory(len(syms), positions)
+        step = 1 << sup.shift
+        full = sum(b - a == step for a, b in zip(sup.directory,
+                                                  sup.directory[1:]))
+        assert full > 0 or tau == 40, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_sets())
+@example((0, []))
+@example((1, [0]))
+@example((70082, [3, 70050]))
+def test_support_rank_directory_matches_bisection(members):
+    n, positions = members
+    queries = None
+    if n > 5000:   # the long zero runs: ranks near the members and the ends
+        queries = set(range(400)) | {n - x for x in range(400)}
+        queries |= {x + dx for x in positions for dx in (-1, 0, 1)}
+        queries = {j for j in queries if 0 <= j <= n}
+    _check_directory(n, positions, queries)

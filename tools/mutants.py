@@ -74,6 +74,10 @@ ROUND_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
                              "test_rounds_match_the_rules",)
 CUT_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
                            "test_max_dicut_matches_the_rule",)
+DIRECTORY_TESTS = ("tests/test_ranksupport.py::"
+                   "test_support_rank_directory_edge_cases",
+                   "tests/test_ranksupport.py::"
+                   "test_support_rank_directory_on_a_dense_k0_set")
 PACKED_TESTS = ("tests/test_runs.py::"
                 "test_packed_runs_match_brute_at_every_boundary",
                 "tests/test_runs.py::test_packed_runs_match_brute")
@@ -261,6 +265,11 @@ MUTANTS = [
            "        while bounds and k < self.top:\n",
            ("tests/test_syncset.py::"
             "test_truncated_index_keeps_the_gaps_of_its_top",)),
+    Mutant("skip-even-rounds-through-lambda-2", RC,
+           "if k % 2 == 0 and lambda_floor(k) < 2:",
+           "if k % 2 == 0 and lambda_floor(k) <= 2:",
+           CHAIN_TESTS + ("tests/test_recompress.py::"
+                          "test_skipped_rounds_are_pinned",)),
     Mutant("odd-round-keys-only-shorter-right-phrases", RC,
            "if f - a <= lim and b - f <= lim:",
            "if f - a <= lim and b - f < lim:",
@@ -307,9 +316,17 @@ MUTANTS = [
            "if r.end - r.start > 2 * tau]",
            GAP_TESTS),
     Mutant("support-rank-bisects-right", RS,
-           "        return bisect_left(self.members, j)\n",
-           "        return bisect_right(self.members, j)\n",
+           "return bisect_left(self.members, j, d[b], d[b + 1])",
+           "return bisect_right(self.members, j, d[b], d[b + 1])",
            SUPPORT_TESTS + ("tests/test_fastpath.py::test_sync_with_support",)),
+    Mutant("rank-directory-bucket-one-short", RS,
+           "i + step if i <= top else size",
+           "i + step - 1 if i <= top else size",
+           DIRECTORY_TESTS),
+    Mutant("rank-directory-next-bucket", RS,
+           "d[b], d[b + 1])",
+           "d[b + 1], d[b + 2])",
+           DIRECTORY_TESTS + SUPPORT_TESTS[:1]),
     Mutant("support-select-reads-the-next-member", RS,
            "        return self.members[j - 1]\n",
            "        return self.members[j]\n",
