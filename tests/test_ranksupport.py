@@ -211,6 +211,7 @@ def member_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(member_sets())
 @example((0, []))
+@example((1, [0]))
 @example((70082, [3, 70050]))
 def test_decomposition_rank_select_match_bisection(members):
     n, positions = members
@@ -221,6 +222,8 @@ def test_decomposition_rank_select_match_bisection(members):
     ref_rank, ref_select = ref.RankSupport(d), ref.SelectSupport(d)
     queries = set(range(min(n, 400) + 1)) | {n // 3, n // 2, n}
     queries |= {x + dx for x in positions for dx in (0, 1)}
+    # the member-list support at the same j and at every bucket edge
+    _check_directory(n, positions, queries)
     for j in sorted(queries):
         assert d.rank(j) == ref_rank.rank(j) == bisect_left(positions, j)
     for j in range(1, len(positions) + 1):
@@ -477,18 +480,3 @@ def test_support_rank_directory_on_a_dense_k0_set(rng):
         full = sum(b - a == step for a, b in zip(sup.directory,
                                                   sup.directory[1:]))
         assert full > 0 or tau == 40, tau
-
-
-@settings(max_examples=200, deadline=None)
-@given(member_sets())
-@example((0, []))
-@example((1, [0]))
-@example((70082, [3, 70050]))
-def test_support_rank_directory_matches_bisection(members):
-    n, positions = members
-    queries = None
-    if n > 5000:   # the long zero runs: ranks near the members and the ends
-        queries = set(range(400)) | {n - x for x in range(400)}
-        queries |= {x + dx for x in positions for dx in (-1, 0, 1)}
-        queries = {j for j in queries if 0 <= j <= n}
-    _check_directory(n, positions, queries)
