@@ -2,29 +2,30 @@
 
 Even rounds merge runs of identical short phrases; odd rounds merge
 adjacent short-phrase pairs across an approximate maximum directed cut.
-Each round takes a sorted boundary list, compares phrases by content, as
-slices of the text's code-point string, and names the boundaries it drops.
-Only a boundary between two short phrases can drop: a round tests both
-lengths before it slices, an odd round keys only those boundaries, by
-their (left, right) phrase pair, and the cut is one sweep over the nodes.
+Rounds compare phrases by content, as slices of the text's code-point
+string, and name the boundaries they drop.  Even round k and odd round
+k + 1 share floor(lambda_k), and only a boundary between two short
+phrases can drop, so `round_pair` runs both from one pass that keys those
+boundaries by their (left, right) phrase pair; the cut is one sweep over
+the nodes.  Round 0 is read off the symbols.
 `RecompressionIndex` stores the chain as one depth byte per boundary f,
 the number of levels that contain f, so B_k = {f : depth[f] > k}, and
 `level_digits` reads every level, the list, the mask and the whole chain
 alike, as one `bytes.translate` of the depths.  The even levels are also
 kept as gap strings, written at one place in the round loop, for the
 tau queries.  Given a top level, the index runs only the rounds that
-level needs; even rounds at floor(lambda) = 1 after round 0 drop
-nothing (B_k lies in B_1) and are not run.
+level needs; a top between the two rounds of a step runs the even one.
 
 The cut approximation orders its nodes by the canonical (length,
 content) key, which pins down the whole chain.  The paper's packed
-construction of the same chain, and the unskipped round driver, are kept
-in :mod:`tausync.reference.chain`.
+construction of the same chain, and the rounds one at a time with the
+unskipped driver, are kept in :mod:`tausync.reference.chain`.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import defaultdict, deque
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, islice, repeat
@@ -77,77 +78,91 @@ def max_dicut(nodes: list, edges: dict) -> tuple[set, set]:
 
     Derandomized conditional expectations: nodes are placed in the given
     order on the side maximizing the expected cut, undecided endpoints
-    counting as fair coins; ties go to L.  `lean` is a node's doubled
-    score difference, L minus R: its out-weight minus its in-weight, less
-    (plus) w per neighbour placed in L (R).  Deterministic for a fixed
-    node order and weight map.
+    counting as fair coins; ties go to L.  A node's doubled score
+    difference, L minus R, is its out-weight minus its in-weight, less
+    (plus) w per earlier neighbour in L (R), which the node reads when it
+    is placed.  Deterministic for a fixed node order and weight map.
     """
     at = {u: i for i, u in enumerate(nodes)}
     lean = [0] * len(nodes)
-    near: list[list] = [[] for _ in nodes]   # neighbour, weight, ...
+    near: list[list] = [[] for _ in nodes]   # earlier neighbour, weight, ...
     for (u, v), w in edges.items():
         if u == v:
             raise InvalidArgument("self-loop in cut instance")
         i, j = at[u], at[v]
         lean[i] += w
         lean[j] -= w
+        if i < j:
+            i, j = j, i
         near[i] += j, w
-        near[j] += i, w
-    L, R = set(), set()
-    for i, u in enumerate(nodes):
-        step = iter(near[i])
-        if lean[i] >= 0:
-            L.add(u)
-            for j, w in zip(step, step):
-                lean[j] -= w
-        else:
-            R.add(u)
-            for j, w in zip(step, step):
-                lean[j] += w
-    return L, R
+    left = bytearray(len(nodes))
+    for i, ws in enumerate(near):
+        x = lean[i]
+        step = iter(ws)
+        for j, w in zip(step, step):
+            if left[j]:
+                x -= w
+            else:
+                x += w
+        left[i] = x >= 0
+    L = set(compress(nodes, left))
+    return L, set(nodes).difference(L)
 
 
-# -- explicit rounds ----------------------------------------------------------
+# -- the rounds of one lambda step ---------------------------------------------
 #
-# A round maps the sorted interior boundaries f_1 < ... < f_m of B_k to
-# those of B_{k+1} by naming the ones it drops; phrase i spans
+# Rounds map the sorted interior boundaries f_1 < ... < f_m of B_k to
+# those of the next level by naming the ones they drop; phrase i spans
 # [f_i..f_{i+1}) with f_0 = 0 and f_{m+1} = n.  Phrases are compared by
 # content, as slices of the text.
 
-def round_even(t: PackedText, bounds: list[int], k: int) -> list[int]:
-    """Even round: the dropped f_i, those between two equal short phrases."""
-    if k % 2:
-        raise InvalidArgument("round_even requires even k")
-    lim, n = lambda_floor(k), t.n
-    s = t._padded[n:2 * n]
-    return [f for a, f, b in zip(chain((0,), bounds), bounds,
-                                 chain(islice(bounds, 1, None), (n,)))
-            if f - a <= lim and b - f == f - a and s[a:f] == s[f:b]]
+def round_pair(t: PackedText, bounds: list[int], k: int,
+               cut: bool = True) -> tuple[list[int], list[int]]:
+    """Even round k and odd round k + 1 on B_k: the boundaries each drops.
 
-
-def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
-    """Odd round: the dropped f_i, left phrase in L and right phrase in R.
-
-    `pairs` maps each (left, right) pair of short phrases to its
-    boundaries, whose number is the edge's weight; cut nodes are the
-    distinct phrases, ordered by (length, content).
+    The self-loop pairs (left = right) are the even round's drops.  A
+    survivor next to a merged run leaves its pair and is keyed again if
+    its phrases are still short and differ (a self-loop is never cut).
+    Without `cut` only the even round runs.
     """
-    if k % 2 == 0:
-        raise InvalidArgument("round_odd requires odd k")
     lim, n = lambda_floor(k), t.n
     s = t._padded[n:2 * n]
-    pairs: defaultdict = defaultdict(list)
+    pairs: defaultdict = defaultdict(list)   # (left, right) -> its fs
+    even, near = [], []   # the self-loop fs, and the boundaries around them
     keyed, right = -1, None   # the last keyed f: its right is the next left
     for a, f, b in zip(chain((0,), bounds), bounds,
                        chain(islice(bounds, 1, None), (n,))):
         if f - a <= lim and b - f <= lim:
             left = right if keyed == a else s[a:f]
             right = s[f:b]
-            pairs[left, right].append(f)
+            if left != right:
+                pairs[left, right].append(f)
+            else:
+                even.append(f)
+                near += a, b
             keyed = f
+    if not cut:
+        return even, []
+    if even:
+        gone, ext = set(even), [0, *bounds, n]
+        moved = defaultdict(set)   # pair -> the survivors that leave it
+        for f in set(near).difference(gone, (0, n)):
+            a = b = bisect_left(ext, f)
+            fa, fb = ext[a - 1], ext[b + 1]
+            if f - fa <= lim and fb - f <= lim:   # its pair in B_k
+                moved[s[fa:f], s[f:fb]].add(f)
+            while ext[a - 1] in gone:   # its pair in B_{k+1}
+                a -= 1
+            while ext[b + 1] in gone:
+                b += 1
+            fa, fb = ext[a - 1], ext[b + 1]
+            if f - fa <= lim and fb - f <= lim and s[fa:f] != s[f:fb]:
+                pairs[s[fa:f], s[f:fb]].append(f)
+        for e, fs in moved.items():
+            pairs[e] = list(filterfalse(fs.__contains__, pairs[e]))
     L, R = max_dicut(sorted(sorted({u for e in pairs for u in e}), key=len),
                      {e: len(fs) for e, fs in pairs.items()})
-    return sorted(chain.from_iterable(
+    return even, sorted(chain.from_iterable(
         fs for (u, v), fs in pairs.items() if u in L and v in R))
 
 
@@ -196,29 +211,29 @@ class RecompressionIndex:
         text = t._padded[n:2 * n]
         bounds = [] if top == 0 else list(
             compress(range(1, n), map(ne, text, text[1:])))
-        # bounds is B_k; at an even k, quiet says that rounds k-2 and k-1
-        # dropped nothing; gaps is the gap string of bounds, once made
-        k, quiet, gaps = 1, len(bounds) == n - 1, None
+        # bounds is B_k at an even k (B_1 at k = 0: round 0 has run);
+        # quiet says that rounds k-2 and k-1 dropped nothing; gaps is the
+        # gap string of bounds, once made
+        k, quiet, gaps = 0, False, None
         while bounds and k <= self.top:
-            if k % 2 == 0:   # one string per stretch that no round changes
+            if k:   # one string per stretch that no round changes
                 gaps = self.gaps[k] = gaps or _gaps(bounds)
             if k == self.top:
                 break
-            if k % 2 == 0 and quiet and lambda_floor(k) == lambda_floor(k - 2):
-                # rounds k-2 and k-1 dropped nothing, and a round depends only
-                # on (boundaries, floor(lambda), parity): so would k and k+1
+            if quiet and lambda_floor(k) == lambda_floor(k - 2):
+                # rounds k-2 and k-1 dropped nothing, and a step depends
+                # only on (boundaries, floor(lambda)): so would k and k+1
                 k += 2
                 continue
-            if k % 2 == 0 and lambda_floor(k) < 2:
-                dropped = []   # B_k lies in B_1: T[f - 1] != T[f] at every f
-            else:
-                dropped = (round_odd if k % 2 else round_even)(t, bounds, k)
-            k += 1
-            if dropped:   # each boundary is recorded once, when it drops
-                self._record(dropped, k)
-                bounds = list(filterfalse(set(dropped).__contains__, bounds))
+            even, odd = round_pair(t, bounds, k, k + 1 < self.top)
+            self._record(even, k + 1)   # each boundary is recorded once,
+            self._record(odd, k + 2)    # when it drops
+            quiet = not (even or odd) and (k > 0 or len(bounds) == n - 1)
+            k += 2
+            if not quiet:
+                bounds = list(filterfalse(set(even + odd).__contains__,
+                                          bounds))
                 gaps = None
-            quiet = not dropped and (quiet or k % 2 == 1)
         if bounds:   # the loop stopped at top: these lie in B_0..B_top
             self._record(bounds, top + 1)
         self.q = min(self.top, max(self.deep.values(),

@@ -10,12 +10,14 @@ canonical (length, content) node order.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain, islice
 from typing import Sequence
 
 from ..bitstream import BitStream
 from ..errors import InvalidArgument
 from ..recompress import (ChainHandle, RecompressionIndex, alpha,
-                          lambda_floor, max_dicut, round_even, round_odd)
+                          lambda_floor, max_dicut)
 from ..text import PackedText
 
 # log_sigma(n) must reach this for a packed round; 2, so that test-sized
@@ -183,6 +185,50 @@ def build_context_sets(t: PackedText) -> ContextSets | None:
     if K is None:
         return None
     return ContextSets(t, K)
+
+
+# -- the rounds one at a time --------------------------------------------------
+#
+# A round maps the sorted interior boundaries f_1 < ... < f_m of B_k to
+# those of B_{k+1} by naming the ones it drops; phrase i spans
+# [f_i..f_{i+1}) with f_0 = 0 and f_{m+1} = n.  Phrases are compared by
+# content, as slices of the text.
+
+def round_even(t: PackedText, bounds: list[int], k: int) -> list[int]:
+    """Even round: the dropped f_i, those between two equal short phrases."""
+    if k % 2:
+        raise InvalidArgument("round_even requires even k")
+    lim, n = lambda_floor(k), t.n
+    s = t._padded[n:2 * n]
+    return [f for a, f, b in zip(chain((0,), bounds), bounds,
+                                 chain(islice(bounds, 1, None), (n,)))
+            if f - a <= lim and b - f == f - a and s[a:f] == s[f:b]]
+
+
+def round_odd(t: PackedText, bounds: list[int], k: int) -> list[int]:
+    """Odd round: the dropped f_i, left phrase in L and right phrase in R.
+
+    `pairs` maps each (left, right) pair of short phrases to its
+    boundaries, whose number is the edge's weight; cut nodes are the
+    distinct phrases, ordered by (length, content).
+    """
+    if k % 2 == 0:
+        raise InvalidArgument("round_odd requires odd k")
+    lim, n = lambda_floor(k), t.n
+    s = t._padded[n:2 * n]
+    pairs: defaultdict = defaultdict(list)
+    keyed, right = -1, None   # the last keyed f: its right is the next left
+    for a, f, b in zip(chain((0,), bounds), bounds,
+                       chain(islice(bounds, 1, None), (n,))):
+        if f - a <= lim and b - f <= lim:
+            left = right if keyed == a else s[a:f]
+            right = s[f:b]
+            pairs[left, right].append(f)
+            keyed = f
+    L, R = max_dicut(sorted(sorted({u for e in pairs for u in e}), key=len),
+                     {e: len(fs) for e, fs in pairs.items()})
+    return sorted(chain.from_iterable(
+        fs for (u, v), fs in pairs.items() if u in L and v in R))
 
 
 def _rounds_from(t: PackedText, bounds: list[int], k: int) -> list[list[int]]:

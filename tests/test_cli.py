@@ -63,6 +63,26 @@ def _run_fresh(script):
     return result.stdout.splitlines()
 
 
+@pytest.mark.parametrize("fmt", ["list", "sparse", "bitmask"])
+def test_python_m_tausync_runs_the_cli(tmp_path, text_file, capsys, fmt):
+    # `python -m tausync sync` exits, writes and reports as the in-process
+    # main does; tau 200 is past n / 2, a usage error that writes nothing
+    path, _ = text_file
+    src = os.path.dirname(os.path.dirname(tausync.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for tau, want in (("8", 0), ("200", 2)):
+        argv = ["sync", path, "--sigma", "4", "--tau", tau, "--format", fmt]
+        outs = tmp_path / f"module-{tau}", tmp_path / f"main-{tau}"
+        result = subprocess.run(
+            [sys.executable, "-m", "tausync", *argv, "--out", str(outs[0])],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert main([*argv, "--out", str(outs[1])]) == result.returncode == want
+        assert result.stderr == capsys.readouterr().err
+        written = [out.read_bytes() if out.exists() else None for out in outs]
+        assert written[0] == written[1] and (written[0] is None) == bool(want)
+
+
 def test_query_loads_no_reference_module(tmp_path):
     # the package and the query path never import tausync.reference
     enc = sc.senc_from_list(40, [(1, 1), (5, 1), (17, 1), (30, 1)])

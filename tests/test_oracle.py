@@ -131,6 +131,39 @@ def test_verify_chain_accepts_and_rejects(rng):
     assert not orc.verify_chain(syms, levels, rc.lambda_frac, rc.alpha).ok
 
 
+def _chain_report(syms, levels):
+    return orc.verify_chain(syms, levels, rc.lambda_frac, rc.alpha)
+
+
+def test_verify_chain_rejects_each_broken_condition(rng):
+    # each chain breaks one condition; on a text of distinct symbols every
+    # context is unique, so no level can break context consistency
+    distinct = list(range(40))
+    real = rc.RecompressionIndex(PackedText(distinct, 40)).chain.levels
+    assert _chain_report(distinct, real).ok
+    every = list(range(1, 40))
+    # size: B_0..B_k hold all 39 boundaries, and 39 > 4n / lambda_k
+    k = next(k for k in range(100) if 39 * rc.lambda_frac(k)[0]
+             > 160 * rc.lambda_frac(k)[1])
+    assert k + 1 < len(real)
+    assert _chain_report(distinct, [every] * k + real[k:]).ok
+    report = _chain_report(distinct, [every] * (k + 1) + real[k + 1:])
+    assert (report.condition, report.detail) == (
+        "size", f"|B_{k}| = 39 > 4n/lambda_{k}")
+    # phrase: B_1 empty leaves one phrase of 40 distinct symbols
+    report = _chain_report(distinct, [every, []])
+    assert (report.condition, report.position) == ("phrase", 0)
+    assert report.detail == "level 1: phrase [0..40) has root 40 > lambda"
+    # termination: a whole chain without its last, empty, level
+    syms = make_text(rng, 90, 2, "random")
+    levels = rc.RecompressionIndex(PackedText(syms, 2)).chain.levels
+    assert len(levels) > 2 and not levels[-1] and levels[-2]
+    assert _chain_report(syms, levels).ok
+    report = _chain_report(syms, levels[:-1])
+    assert (report.condition, report.detail) == (
+        "termination", "last level not empty")
+
+
 def test_verify_chain_trivial_small():
     for syms in ([], [0], [0, 1]):
         t = PackedText(syms, 2)

@@ -67,20 +67,20 @@ def test_round_even_merges_identical_run():
     t = PackedText(syms, 6)
     k = 18  # lambda_18 = (8/7)^9 ~ 3.33
     # the three abc phrases merge: B_{k+1} = [1, 10]
-    assert rc.round_even(t, [1, 4, 7, 10], k) == [4, 7]
+    assert rchain.round_even(t, [1, 4, 7, 10], k) == [4, 7]
 
 
 def test_round_even_no_merge_when_distinct():
     syms = [0, 1, 2, 3, 4, 5]
     t = PackedText(syms, 6)
-    assert rc.round_even(t, [1, 2, 3, 4, 5], 0) == []
+    assert rchain.round_even(t, [1, 2, 3, 4, 5], 0) == []
 
 
 def test_round_odd_no_short_pairs_is_identity():
     # all phrases longer than lambda_1 = 1: no edges, nothing dropped
     syms = [0, 1, 2, 0, 1, 2]
     t = PackedText(syms, 3)
-    assert rc.round_odd(t, [2, 4], 1) == []
+    assert rchain.round_odd(t, [2, 4], 1) == []
 
 
 # -- the cut and the rounds against the plain statement of their rules --------
@@ -165,23 +165,67 @@ def test_max_dicut_refuses_a_self_loop():
         rc.max_dicut(["u", "v"], {("u", "v"): 1, ("v", "v"): 2})
 
 
+def _assert_pair_matches_the_rules(t, bounds, k):
+    """round_pair on `bounds` at k against rule_round_even and then
+    rule_round_odd, with the cut and without it (a top at k + 1)."""
+    even = rule_round_even(t, bounds, k)
+    odd = rule_round_odd(t, sorted(set(bounds).difference(even)), k + 1)
+    assert rc.round_pair(t, bounds, k) == (even, odd), k
+    assert rc.round_pair(t, bounds, k, False) == (even, []), k
+
+
 def test_rounds_match_the_rules(rng):
-    for kind in ("random", "rle", "periodic"):
-        for sigma in (1, 2, 4, 256):
-            for _ in range(3):
-                syms = make_text(rng, rng.randint(0, 600), sigma, kind)
-                t = PackedText(syms, sigma)
-                bounds, k = list(range(1, t.n)), 0
-                while bounds:   # every k the chain reaches
-                    rule, kernel = ((rule_round_odd, rc.round_odd) if k % 2
-                                    else (rule_round_even, rc.round_even))
-                    got = kernel(t, bounds, k)
-                    assert got == sorted(got) == rule(t, bounds, k), (kind, k)
-                    # the index runs no even round at floor(lambda) = 1
-                    # past round 0: B_k lies in B_1, so none drops anything
-                    assert not got or k < 2 or k % 2 or rc.lambda_floor(k) > 1
-                    bounds = sorted(set(bounds).difference(got))
-                    k += 1
+    texts = [(make_text(rng, rng.randint(0, 600), sigma, kind), sigma)
+             for kind in ("random", "rle", "periodic") for sigma in (1, 2, 4, 256)
+             for _ in range(3)]
+    texts += [(_wide_text(rng), 300) for _ in range(3)]
+    for syms, sigma in texts:
+        t = PackedText(syms, sigma)
+        bounds, k = list(range(1, t.n)), 0
+        while bounds:   # every k the chain reaches, one round at a time
+            rule, kernel = ((rule_round_odd, rchain.round_odd) if k % 2
+                            else (rule_round_even, rchain.round_even))
+            got = kernel(t, bounds, k)
+            assert got == sorted(got) == rule(t, bounds, k), k
+            # at floor(lambda) = 1 an even round past round 0 drops nothing:
+            # B_k lies in B_1, so no two adjacent short phrases are equal
+            assert not got or k < 2 or k % 2 or rc.lambda_floor(k) > 1
+            if k % 2 == 0 and k:   # every step the index can take, on B_k
+                _assert_pair_matches_the_rules(t, bounds, k)
+            elif k == 1:   # its first step is on B_1: round 0 has run
+                _assert_pair_matches_the_rules(t, bounds, 0)
+            bounds = sorted(set(bounds).difference(got))
+            k += 1
+
+
+def test_round_pair_rekeys_the_neighbours_of_a_merged_run(rng):
+    # planted phrases on any boundary list, not only the chain's levels: a
+    # merged run changes the pairs of the survivors on both of its sides
+    x, y, z = [0, 1], [0, 1, 0, 1, 0, 1], [2]
+    plants = [
+        [y, x, x, x],            # Y X X X with Y = XXX: a self-loop after
+        [x, x, x, y],            # the merge, which the cut never takes
+        [z, x, x, z, x, x, z],   # survivors keyed again on both sides
+        [x, x, [3], [3], [3]],   # two runs around one survivor
+        [z, x, x, x, x, z],
+        [[2, 3], x, x, [2, 3], [3]],
+    ]
+    for phrases in plants:
+        syms = [c for p in phrases for c in p]
+        t = PackedText(syms, 4)
+        bounds = list(accumulate(map(len, phrases[:-1])))
+        for k in range(0, 40, 2):
+            _assert_pair_matches_the_rules(t, bounds, k)
+    for trial in range(300):   # random boundaries of run-heavy texts
+        sigma = rng.choice([2, 3])
+        syms = []
+        while len(syms) < 120:
+            word = [rng.randrange(sigma) for _ in range(rng.randint(1, 4))]
+            syms += word * rng.randint(1, 6)
+        t = PackedText(syms, sigma)
+        bounds = sorted(rng.sample(range(1, t.n), rng.randint(0, t.n // 2)))
+        for k in (0, 2, 6, 12, 16, 20):
+            _assert_pair_matches_the_rules(t, bounds, k)
 
 
 def test_chain_n1_and_n0():
@@ -333,16 +377,19 @@ def test_depth_overflow_past_a_small_cap(monkeypatch, rng):
 
 
 def _count_rounds(monkeypatch) -> list[int]:
-    """The k of every round the chain builds run from now on."""
+    """The k of every round the chain builds run from now on: each
+    round_pair call runs its odd round when it cuts, and its even round
+    when floor(lambda) > 1; below, no pair is a self-loop (B_k lies in
+    B_1), so the even round drops nothing."""
     calls = []
-    for name in ("round_even", "round_odd"):
-        real = getattr(rc, name)
+    real = rc.round_pair
 
-        def counting(t, bounds, k, real=real):
-            calls.append(k)
-            return real(t, bounds, k)
+    def counting(t, bounds, k, cut=True):
+        calls.extend(k + i for i, ran in enumerate(
+            (rc.lambda_floor(k) > 1, cut)) if ran)
+        return real(t, bounds, k, cut)
 
-        monkeypatch.setattr(rc, name, counting)
+    monkeypatch.setattr(rc, "round_pair", counting)
     return calls
 
 
@@ -478,6 +525,33 @@ def test_truncation_inside_a_skipped_stretch(monkeypatch):
         assert max(calls) < top
         assert index.chain.levels == full.chain.levels[:top + 1]
         _assert_refused(index, top + 1)
+
+
+def test_a_top_between_two_rounds_runs_only_the_even_one(monkeypatch, rng):
+    # an odd top needs the even round of its step, which can drop
+    # boundaries, but not the cut after it
+    steps = []
+    real = rc.round_pair
+
+    def spying(t, bounds, k, cut=True):
+        steps.append((k, cut))
+        return real(t, bounds, k, cut)
+
+    monkeypatch.setattr(rc, "round_pair", spying)
+    texts = [pinned_texts()["runs"], (make_text(rng, 300, 4, "random"), 4),
+             (_wide_text(rng), 300)]
+    merged = 0
+    for syms, sigma in texts:
+        t = PackedText(syms, sigma)
+        full = rc.RecompressionIndex(t)
+        for top in range(1, full.q + 2, 2):
+            del steps[:]
+            index = rc.RecompressionIndex(t, top)
+            assert index.chain.levels == full.chain.levels[:top + 1]
+            assert steps and all(cut == (k + 1 < top) for k, cut in steps)
+            merged += (steps[-1] == (top - 1, False)
+                       and full.level_list(top) != full.level_list(top - 1))
+    assert merged
 
 
 def test_truncated_index_rejects_a_negative_top():

@@ -74,6 +74,9 @@ ROUND_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
                              "test_rounds_match_the_rules",)
 CUT_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
                            "test_max_dicut_matches_the_rule",)
+PAIR_TESTS = ROUND_TESTS + ("tests/test_recompress.py::"
+                            "test_round_pair_rekeys_the_neighbours_of_a_"
+                            "merged_run",)
 DIRECTORY_TESTS = ("tests/test_ranksupport.py::"
                    "test_support_rank_directory_edge_cases",
                    "tests/test_ranksupport.py::"
@@ -235,9 +238,9 @@ MUTANTS = [
            "                gaps = None\n",
            "",
            ("tests/test_recompress.py::test_depths_reproduce_every_level",)),
-    Mutant("chain-quiet-forgets-the-even-round", RC,
-           "quiet = not dropped and (quiet or k % 2 == 1)",
-           "quiet = not dropped",
+    Mutant("chain-quiet-forgets-round-0", RC,
+           "quiet = not (even or odd) and (k > 0 or len(bounds) == n - 1)",
+           "quiet = not (even or odd)",
            ("tests/test_recompress.py::test_skipped_rounds_are_pinned",)),
     Mutant("chain-exact-depths-ignored", RC,
            "            if d > k:\n                out[f] = ord(\"1\")\n",
@@ -259,33 +262,56 @@ MUTANTS = [
     Mutant("chain-stops-a-level-before-top", RC,
            "            if k == self.top:\n",
            "            if k == self.top - 1:\n",
-           ("tests/test_recompress.py::test_depth_overflow_past_a_small_cap",)),
+           ("tests/test_recompress.py::"
+            "test_truncated_index_reads_like_the_whole_chain",)),
     Mutant("chain-top-gap-string-not-kept", RC,
            "        while bounds and k <= self.top:\n",
            "        while bounds and k < self.top:\n",
            ("tests/test_syncset.py::"
             "test_truncated_index_keeps_the_gaps_of_its_top",)),
-    Mutant("skip-even-rounds-through-lambda-2", RC,
-           "if k % 2 == 0 and lambda_floor(k) < 2:",
-           "if k % 2 == 0 and lambda_floor(k) <= 2:",
-           CHAIN_TESTS + ("tests/test_recompress.py::"
-                          "test_skipped_rounds_are_pinned",)),
     Mutant("odd-round-keys-only-shorter-right-phrases", RC,
            "if f - a <= lim and b - f <= lim:",
            "if f - a <= lim and b - f < lim:",
            ROUND_TESTS),
     Mutant("cut-ties-go-to-r", RC,
-           "        if lean[i] >= 0:\n",
-           "        if lean[i] > 0:\n",
+           "        left[i] = x >= 0\n",
+           "        left[i] = x > 0\n",
            CUT_TESTS),
-    Mutant("cut-l-placement-adds-to-its-neighbours", RC,
-           "            L.add(u)\n"
-           "            for j, w in zip(step, step):\n"
-           "                lean[j] -= w\n",
-           "            L.add(u)\n"
-           "            for j, w in zip(step, step):\n"
-           "                lean[j] += w\n",
+    Mutant("cut-reads-earlier-sides-swapped", RC,
+           "            if left[j]:\n",
+           "            if not left[j]:\n",
            CUT_TESTS),
+    # -- one lambda step: the even round's drops are the self-loop pairs ------
+    Mutant("pair-rekey-skips-the-right-neighbour", RC,
+           "                near += a, b\n",
+           "                near.append(a)\n",
+           PAIR_TESTS),
+    Mutant("pair-self-loops-left-in-the-cut", RC,
+           "            if left != right:\n"
+           "                pairs[left, right].append(f)\n"
+           "            else:\n",
+           "            pairs[left, right].append(f)\n"
+           "            if left == right:\n",
+           PAIR_TESTS),
+    Mutant("pair-survivor-stays-in-its-old-pair", RC,
+           "            pairs[e] = list(filterfalse(fs.__contains__, pairs[e]))\n",
+           "            pass\n",
+           PAIR_TESTS),
+    Mutant("pair-rekeys-a-self-loop", RC,
+           "and s[fa:f] != s[f:fb]:",
+           ":",
+           PAIR_TESTS[-1:]),
+    Mutant("pair-cuts-without-cut", RC,
+           "    if not cut:\n        return even, []\n",
+           "",
+           ("tests/test_recompress.py::test_rounds_match_the_rules",)),
+    Mutant("top-between-the-rounds-records-the-odd-drops", RC,
+           "round_pair(t, bounds, k, k + 1 < self.top)",
+           "round_pair(t, bounds, k)",
+           ("tests/test_recompress.py::"
+            "test_a_top_between_two_rounds_runs_only_the_even_one",
+            "tests/test_recompress.py::"
+            "test_truncation_inside_a_skipped_stretch")),
     Mutant("odd-round-orders-nodes-by-length-alone", RC,
            "sorted(sorted({u for e in pairs for u in e}), key=len)",
            "sorted({u for e in pairs for u in e}, key=len)",
