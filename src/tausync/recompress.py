@@ -230,7 +230,7 @@ class RecompressionIndex:
             self._record(odd, k + 2)    # when it drops
             quiet = not (even or odd) and (k > 0 or len(bounds) == n - 1)
             k += 2
-            if not quiet:
+            if even or odd:
                 bounds = list(filterfalse(set(even + odd).__contains__,
                                           bounds))
                 gaps = None

@@ -2,10 +2,12 @@
 tested reproduction.  No production module imports this one.
 
 `build_chain_packed` simulates the initial rounds on boundary-context sets
-(one entry per distinct context), then switches to the linear rounds of
-`tausync.recompress`.  It yields the same chain as
-`RecompressionIndex(t).chain`, and shares its cut approximation and its
-canonical (length, content) node order.
+(one entry per distinct context), then switches to the linear rounds,
+run one at a time by `round_even` and `round_odd` with no round skipped.
+It yields the same chain as `RecompressionIndex(t).chain`, whose
+`round_pair` runs each lambda step's two rounds from one key pass, and
+shares its cut approximation and its canonical (length, content) node
+order.
 """
 
 from __future__ import annotations

@@ -385,8 +385,10 @@ def _count_rounds(monkeypatch) -> list[int]:
     real = rc.round_pair
 
     def counting(t, bounds, k, cut=True):
-        calls.extend(k + i for i, ran in enumerate(
-            (rc.lambda_floor(k) > 1, cut)) if ran)
+        if rc.lambda_floor(k) > 1:
+            calls.append(k)
+        if cut:
+            calls.append(k + 1)
         return real(t, bounds, k, cut)
 
     monkeypatch.setattr(rc, "round_pair", counting)
