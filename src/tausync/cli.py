@@ -49,23 +49,34 @@ def _read_ints(path) -> list[int]:
         raise InvalidInput(f"{path}: {exc}") from None
 
 
+def _decimal_values(text: str) -> list[int]:
+    """Index, symbol, index, symbol, ... of a decimal input: every "\\n"
+    line holds zero or two integers.  Whole-text passes read a good text;
+    a bad one is read again line by line to name its first bad line."""
+    if set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+        try:
+            return list(map(int, text.split()))
+        except ValueError:
+            pass
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            if line.strip():
+                _, _ = map(int, line.split())
+        except ValueError:
+            break
+    raise InvalidInput(f"line {lineno}: expected 'index symbol', "
+                       f"got {line.strip()!r}")
+
+
 def _read_symbols(args) -> tuple[list[int], int]:
     if args.decimal:
-        pairs = []
-        for lineno, line in enumerate(_read_text(args.input).split("\n"),
-                                      start=1):
-            if not line.strip():
-                continue
-            try:
-                idx, sym = map(int, line.split())
-            except ValueError:
-                raise InvalidInput(f"line {lineno}: expected 'index symbol', "
-                                   f"got {line.strip()!r}") from None
-            pairs.append((idx, sym))
-        pairs.sort()
-        if [i for i, _ in pairs] != list(range(len(pairs))):
-            raise UsageError("decimal input must list indices 0..n-1")
-        symbols = [s for _, s in pairs]
+        values = _decimal_values(_read_text(args.input))
+        symbols = values[1::2]
+        if values[::2] != list(range(len(symbols))):   # not in index order
+            pairs = sorted(zip(values[::2], symbols))
+            if [i for i, _ in pairs] != list(range(len(pairs))):
+                raise UsageError("decimal input must list indices 0..n-1")
+            symbols = [s for _, s in pairs]
     else:
         with open(args.input, "rb") as fh:
             symbols = list(fh.read())
@@ -101,7 +112,8 @@ def _write(path, data: str | bytes) -> None:
 
 def _verified(t: PackedText, tau: int, members) -> bool:
     """Whether `members` is a tau-synchronizing set of t; says why not."""
-    report = verify_sync(t.text(), tau, members, TextIndex(t.text()))
+    text = t.text()
+    report = verify_sync(text, tau, members, TextIndex(text))
     if not report.ok:
         print(f"verification failed: {report.condition}: {report.detail}",
               file=sys.stderr)

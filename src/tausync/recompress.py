@@ -212,8 +212,9 @@ class RecompressionIndex:
         bounds = [] if top == 0 else list(
             compress(range(1, n), map(ne, text, text[1:])))
         # bounds is B_k at an even k (B_1 at k = 0: round 0 has run);
-        # quiet says that rounds k-2 and k-1 dropped nothing; gaps is the
-        # gap string of bounds, once made
+        # quiet says that the step at k-2 dropped nothing (at k = 2 it ran
+        # on B_1, so round 0's drops do not count); gaps is the gap string
+        # of bounds, once made
         k, quiet, gaps = 0, False, None
         while bounds and k <= self.top:
             if k:   # one string per stretch that no round changes
@@ -228,7 +229,7 @@ class RecompressionIndex:
             even, odd = round_pair(t, bounds, k, k + 1 < self.top)
             self._record(even, k + 1)   # each boundary is recorded once,
             self._record(odd, k + 2)    # when it drops
-            quiet = not (even or odd) and (k > 0 or len(bounds) == n - 1)
+            quiet = not (even or odd)
             k += 2
             if even or odd:
                 bounds = list(filterfalse(set(even + odd).__contains__,

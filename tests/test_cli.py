@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -5,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tausync
 from tausync import sparsecodec as sc
@@ -12,6 +16,7 @@ from tausync import syncset as ss
 from tausync.bitstream import BitStream
 from tausync import cli
 from tausync.cli import build_parser, main
+from tausync.errors import InvalidInput
 from tausync.oracle import TextIndex, verify_sync
 from tausync.recompress import RecompressionIndex
 from tausync.text import PackedText
@@ -456,6 +461,154 @@ def test_decimal_wide_symbols_match_renamed_text(tmp_path, capsys):
                      "--format", "list", "--verify"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and outputs[0].split()
+
+
+def test_decimal_input_that_is_not_text_usage_error(tmp_path, capsys):
+    dec = tmp_path / "text.txt"
+    dec.write_bytes(b"0 1\n1 \xff\n")
+    assert main(["sync", str(dec), "--decimal", "--tau", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: {dec}: not a text file: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lines", [
+    ["0 1", "2 0"], ["1 0", "2 1"], ["0 1", "0 1"], ["0 1", "1 0", "-1 1"]],
+    ids=["gap", "from-1", "repeated", "negative"])
+def test_decimal_indices_not_0_to_n_usage_error(tmp_path, capsys, lines):
+    dec = tmp_path / "text.txt"
+    dec.write_text("\n".join(lines))
+    assert main(["sync", str(dec), "--decimal", "--tau", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: decimal input must list indices 0..n-1\n")
+
+
+def test_bench_without_input_or_generate_usage_error(capsys):
+    assert main(["bench", "--tau-list", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bench needs an input file or --generate\n")
+
+
+def rule_read_decimal(text: str) -> list[int]:
+    """The symbols of a decimal input, read one line at a time."""
+    pairs = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            idx, sym = map(int, line.split())
+        except ValueError:
+            raise InvalidInput(f"line {lineno}: expected 'index symbol', "
+                               f"got {line.strip()!r}") from None
+        pairs.append((idx, sym))
+    pairs.sort()
+    if [i for i, _ in pairs] != list(range(len(pairs))):
+        raise cli.UsageError("decimal input must list indices 0..n-1")
+    return [s for _, s in pairs]
+
+
+# every str.isspace character: each splits fields, and none but "\n"
+# (and "\r", which the text-mode read turns into "\n") ends a line
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+ODD_TOKENS = ["x", "1.0", "", "-1", "+", "_1", "1__0", "0x1", "1e3", "²"]
+
+
+@st.composite
+def decimal_spellings(draw, value: int) -> str:
+    """`value` as int() reads it: signed, zero-padded, with underscores
+    or in Arabic-Indic digits."""
+    digits = str(value)
+    if draw(st.booleans()):
+        return digits
+    kind = draw(st.sampled_from(["sign", "pad", "underscore", "arabic"]))
+    if kind == "sign":
+        return "+" + digits
+    if kind == "pad":
+        return "0" * draw(st.integers(1, 3)) + digits
+    if kind == "underscore":
+        return "_".join(digits) if len(digits) > 1 else digits
+    return digits.translate({ord("0") + d: 0x660 + d for d in range(10)})
+
+
+@st.composite
+def decimal_files(draw) -> str:
+    """Decimal inputs: mostly good, with shuffled, repeated or missing
+    indices, blank and CRLF lines, any whitespace, and bad lines of 1 or 3
+    fields or tokens that int() refuses."""
+    n = draw(st.integers(0, 24))
+    order = list(range(n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    edit = draw(st.sampled_from(["none"] * 6 + ["repeat", "drop", "shift"]))
+    if edit == "repeat" and order:
+        order.append(draw(st.sampled_from(order)))
+    elif edit == "drop" and order:
+        order.pop(draw(st.integers(0, len(order) - 1)))
+    elif edit == "shift" and order:
+        order[draw(st.integers(0, len(order) - 1))] += n
+    space = st.sampled_from([" "] * 8 + SPACES)
+    spaces = st.lists(space, max_size=2).map("".join)
+    between = st.sampled_from([" "] * 8 + [c for c in SPACES if c not in "\r\n"])
+    lines = []
+    for idx in order:
+        fields = [draw(decimal_spellings(idx)),
+                  draw(decimal_spellings(draw(st.integers(0, 300))))]
+        lines.append(draw(spaces) + draw(between).join(fields) + draw(spaces))
+    for _ in range(draw(st.integers(0, 3))):   # blank lines
+        lines.insert(draw(st.integers(0, len(lines))), draw(spaces))
+    if lines and draw(st.integers(0, 3)) == 0:   # one bad line
+        bad = st.lists(st.one_of(st.sampled_from(ODD_TOKENS),
+                                 st.integers(0, 30).map(str)),
+                       min_size=1, max_size=3)
+        lines[draw(st.integers(0, len(lines) - 1))] = " ".join(draw(bad))
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines[:-1]) + (
+        lines[-1] + draw(st.sampled_from(["", "\n", "\r\n"])) if lines else "")
+
+
+def _outcome(read, *args):
+    """What `read(*args)` returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except (InvalidInput, cli.UsageError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@example("0 1\n1 0 7\n", "list", 1).via("three fields")
+@example("0\n1 0\n", "list", 1).via("one field")
+@example("1 5\n0 6\n", "list", 1).via("shuffled")
+@example("0 1\n\n1 x\n", "list", 1).via("a bad token past a blank line")
+@example("0 1\r\n 1\t2 \r\n\r\n", "list", 1).via("CRLF, tabs and a blank line")
+@example("+0 007\n1_0 ٣\n", "list", 1).via("signed, padded, underscored, Arabic")
+@given(decimal_files(), st.sampled_from(["list", "sparse"]), st.integers(1, 3))
+def test_decimal_read_matches_the_line_rule(tmp_path_factory, text, fmt, tau):
+    # the whole-text read gives the rule's symbols or its error, and `sync`
+    # on the file gives the rule's exit code, stderr and output bytes
+    dec = tmp_path_factory.mktemp("decimal") / "text.txt"
+    with open(dec, "w", newline="") as fh:
+        fh.write(text)
+    args = argparse.Namespace(decimal=True, input=str(dec), sigma=None)
+    want = _outcome(rule_read_decimal, cli._read_text(dec))
+    assert _outcome(cli._read_symbols, args) == (
+        want if isinstance(want, tuple) else (want, max(want, default=255) + 1))
+
+    def rule_read_symbols(args):
+        symbols = rule_read_decimal(cli._read_text(args.input))
+        return symbols, (max(symbols) + 1) if symbols else 256
+
+    runs = []
+    for read in (rule_read_symbols, cli._read_symbols):
+        out = dec.parent / f"{read.__name__}.out"
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stderr(err):
+            mp.setattr(cli, "_read_symbols", read)
+            code = main(["sync", str(dec), "--decimal", "--tau", str(tau),
+                         "--format", fmt, "--out", str(out)])
+        runs.append((code, err.getvalue(),
+                     out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
 
 
 def _seeded_texts():

@@ -435,7 +435,7 @@ def test_fixed_point_skip_skips_rounds(monkeypatch):
 PINNED_SKIPS = {
     "random-s4-4096": [2, 4, 6, 8, 10, 11],
     "period7": [2, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 20, 21],
-    "runs": [2, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 20, 21, 24, 25],
+    "runs": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 20, 21, 24, 25],
     "random-s256-2048": [2, 4, 6, 8, 10, 11],
     "n0": [],
     "n1": [],

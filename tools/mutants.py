@@ -77,6 +77,7 @@ CUT_TESTS = CHAIN_TESTS + ("tests/test_recompress.py::"
 PAIR_TESTS = ROUND_TESTS + ("tests/test_recompress.py::"
                             "test_round_pair_rekeys_the_neighbours_of_a_"
                             "merged_run",)
+DECIMAL_RULE = "tests/test_cli.py::test_decimal_read_matches_the_line_rule"
 DIRECTORY_TESTS = ("tests/test_ranksupport.py::"
                    "test_support_rank_directory_edge_cases",
                    "tests/test_ranksupport.py::"
@@ -238,10 +239,6 @@ MUTANTS = [
            "                gaps = None\n",
            "",
            ("tests/test_recompress.py::test_depths_reproduce_every_level",)),
-    Mutant("chain-quiet-forgets-round-0", RC,
-           "quiet = not (even or odd) and (k > 0 or len(bounds) == n - 1)",
-           "quiet = not (even or odd)",
-           ("tests/test_recompress.py::test_skipped_rounds_are_pinned",)),
     Mutant("chain-exact-depths-ignored", RC,
            "            if d > k:\n                out[f] = ord(\"1\")\n",
            "            pass\n",
@@ -382,6 +379,23 @@ MUTANTS = [
            "    top = max(level, 0)\n",
            ("tests/test_recompress.py::"
             "test_cli_recompress_past_lambda_4n_runs_no_round",)),
+    Mutant("decimal-field-check-takes-one-field", CLI,
+           "<= {0, 2}:",
+           "<= {0, 1, 2}:",
+           (DECIMAL_RULE,)),
+    Mutant("decimal-bad-line-numbered-from-2", CLI,
+           'enumerate(text.split("\\n"), start=1)',
+           'enumerate(text.split("\\n"), start=2)',
+           (DECIMAL_RULE,)),
+    Mutant("decimal-unsorted-indices-used-as-read", CLI,
+           "            symbols = [s for _, s in pairs]\n",
+           "",
+           (DECIMAL_RULE,)),
+    Mutant("decimal-index-check-skipped", CLI,
+           "            if [i for i, _ in pairs] != list(range(len(pairs))):\n",
+           "            if False:\n",
+           (DECIMAL_RULE, "tests/test_cli.py::"
+            "test_decimal_indices_not_0_to_n_usage_error")),
 ]
 
 
