@@ -306,9 +306,7 @@ MUTANTS = [
            "round_pair(t, bounds, k, k + 1 < self.top)",
            "round_pair(t, bounds, k)",
            ("tests/test_recompress.py::"
-            "test_a_top_between_two_rounds_runs_only_the_even_one",
-            "tests/test_recompress.py::"
-            "test_truncation_inside_a_skipped_stretch")),
+            "test_a_top_between_two_rounds_runs_only_the_even_one",)),
     Mutant("odd-round-orders-nodes-by-length-alone", RC,
            "sorted(sorted({u for e in pairs for u in e}), key=len)",
            "sorted({u for e in pairs for u in e}, key=len)",
