@@ -111,20 +111,16 @@ class TextIndex:
         return sorted(self._runs_upto(self.n // 2))
 
     def periodic_window_mask(self, length: int, p: int) -> list[bool]:
-        """mask[i] = (smallest period of text[i..i+length) <= p)."""
+        """mask[i] = (smallest period of text[i..i+length) <= p), for
+        length >= 2p: the windows inside a qualifying run, exactly."""
         width = self.n - length + 1
         mask = [False] * max(0, width)
         if p < 1 or width <= 0:
             return mask
-        if length >= 2 * p:
-            # windows inside a qualifying run are exactly the periodic ones
-            for start, end, _ in self._runs_upto(p):
-                if end - start >= length:
-                    for i in range(start, end - length + 1):
-                        mask[i] = True
-            return mask
-        for i in range(width):
-            mask[i] = brute_period(self.text[i:i + length]) <= p
+        for start, end, _ in self._runs_upto(p):
+            if end - start >= length:
+                for i in range(start, end - length + 1):
+                    mask[i] = True
         return mask
 
 

@@ -3,10 +3,11 @@ run families used by synchronizing sets.
 
 A run is a maximal periodic fragment: extending it one symbol in either
 direction would increase its smallest period.  RUNS_{l,p} keeps the runs
-of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.  Short
-period bounds find them by XOR-ing the text, read as one int, with its
-own shifts (up to 16 symbols, in packed sub-byte lanes); longer ones
-extend periodic probes with `run_extend`.
+of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.  One
+scanner, `_shift_runs`, finds them by XOR-ing the text, read as one int
+of packed, byte or four-byte lanes, with its shifts by 1..p; where those
+p passes cost more than probing, periodic probes are extended with
+`run_extend`.  The same scanner answers `runs_bitmask` for ell < 2p.
 """
 
 from __future__ import annotations
@@ -88,19 +89,18 @@ def _extend_left(s: str, b: int, p: int) -> int:
 def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     """RUNS_{ell,p}(T): each qualifying run once, sorted by start and end.
 
-    The text is compared with its shifts by 1..p in int arithmetic, in
-    lanes of 8/m bits (_packed_short_period_runs) where m > 1 fits, if p
-    passes over n/m bytes cost less than the probes; else in lanes of one
-    byte, four past 256 symbols (_short_period_runs), up to p =
-    SHORT_PERIOD_MAX[lane bits].  Otherwise it probes fragments of length
-    2p spaced ell + 1 - 2p apart; every qualifying run contains one.
+    One rule picks the path: the shifts by 1..p (`_shift_runs`) if those p
+    passes cost less than the probes, a pass about its bytes plus
+    PASS_BYTES and a probe PROBE_BYTES.  A pass reads n/m bytes in lanes
+    of 8/m bits (m > 1 where at most 16 symbols fit, `PackedText.lanes`,
+    else 1), or 8n past 256 symbols, where folding four-byte lanes into
+    one costs about twice their 4n bytes.  Otherwise fragments of length
+    2p spaced ell + 1 - 2p apart are probed: every qualifying run has one.
     """
     if ell < 2 * p:
         raise InvalidArgument("enumerate_runs requires ell >= 2p")
-    if p <= 0:
-        return []
     n = t.n
-    if n < 2 * p:
+    if p <= 0 or n < 2 * p:
         return []
     s = t._padded
     k, d, delta = ord(s[0]), ell - p, ell + 1 - 2 * p
@@ -109,12 +109,10 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     # holds two whole zero bytes (3m - 1 <= d) of 8 bits of ranks (k^2m >= 256)
     m = (8 if k == 2 and d >= 23 else 4 if 2 <= k <= 4 and d >= 11
          else 2 if 4 <= k <= 16 and d >= 5 else 1)
-    if m > 1 and (p * (n // m + PASS_BYTES)
-                  <= PROBE_BYTES * ((n - 2 * p) // delta + 1)):
-        return _packed_short_period_runs(t.lanes(8 // m), n, m, ell, p)
-    lane = 4 if k > 256 else 1   # past 256 symbols, in bytes
-    if m == 1 and p <= SHORT_PERIOD_MAX[8 * lane]:
-        return _short_period_runs(s[n:2 * n], lane, ell, p)
+    cost = p * ((n // m if k <= 256 else 8 * n) + PASS_BYTES)
+    if cost <= PROBE_BYTES * ((n - 2 * p) // delta + 1):
+        x, w = (t.lanes(8 // m), 8 // m) if m > 1 else _byte_lanes(t)
+        return _shift_runs(x, w, n, m, ell, p)
     # a probe whose first half does not recur in it is aperiodic, and
     # run_extend would return None: only periodic probes are extended
     probes = (start for start in range(0, n - 2 * p + 1, delta)
@@ -134,11 +132,8 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     return out
 
 
-#: Largest p that enumerate_runs hands to _short_period_runs, by lane
-#: width in bits: about where the two paths cross at n = 2^16.
-SHORT_PERIOD_MAX = {8: 12, 32: 5}
-#: A packed shift pass costs about its n/m bytes plus PASS_BYTES, and a
-#: probe PROBE_BYTES, in units of about 1.6 ns (fitted at n = 2^9..2^16)
+#: A shift pass costs about its bytes plus PASS_BYTES, and a probe
+#: PROBE_BYTES, in units of about 1.6 ns (fitted at n = 2^9..2^16)
 PASS_BYTES, PROBE_BYTES = 470, 280
 
 _NONZERO = re.compile(rb"[^\x00]")
@@ -149,22 +144,47 @@ _ZERO_LANES = {m: (bytes([m] + [((v & -v).bit_length() - 1) * m // 8
                                 for v in range(1, 256)]),
                    bytes([m] + [m - 1 - (v.bit_length() - 1) * m // 8
                                 for v in range(1, 256)]))
-               for m in (2, 4, 8)}
+               for m in (1, 2, 4, 8)}
 
 
-def _packed_short_period_runs(x: int, n: int, m: int, ell: int,
-                              p: int) -> list[Run]:
-    """RUNS_{ell,p} as `_short_period_runs` finds them, with x the text in
-    m lanes a byte (3m - 1 <= ell - p).  A zero stretch of length >= ell - q
-    holds (ell - q + 1) // m - 1 >= 2 whole zero bytes; `find` meets them,
-    and the zero lanes of the nonzero bytes beside them fix its ends.  The
-    lanes from n - q on are marked nonzero: `find` stops at the byte that
-    holds lane n - q, and every stretch ends there at the latest."""
-    w, nb = 8 // m, -(-n // m)
+def _byte_lanes(t: PackedText) -> tuple[int, int]:
+    """T[0..n) as one int of byte lanes, or of four-byte lanes past 256
+    symbols, and the lane width in bits; built per call, not kept."""
+    wide = ord(t._padded[0]) > 256
+    text = t._padded[t.n:2 * t.n].encode("utf-32-le" if wide else "latin-1",
+                                         "surrogatepass")
+    return int.from_bytes(text, "little"), 32 if wide else 8
+
+
+def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
+                p: int) -> list[Run]:
+    """The maximal stretches [b, e) of a period q <= p and length >= ell
+    that the shifts show, each once with its smallest such q, for x the
+    text in lanes of w bits, m a byte (m = 1 for w = 8 and w = 32).
+
+    Lane i of x ^ (x >> q lanes) is 0 iff T[i] = T[i + q], for i < n - q
+    (above, the shift fills with zeros, which rank 0 matches, so the scan
+    stops at lane n - q).  A maximal zero stretch [b, e) of length >=
+    ell - q gives [b, e + q), and holds (ell - q + 1) // m - 1 whole zero
+    bytes; `find` meets them.  At m = 1 they are the stretch; four-byte
+    lanes are first folded into their low byte.  At m > 1 (3m - 1 <=
+    ell - p) there are at least two, and the zero lanes of the nonzero
+    bytes beside them fix the stretch's ends.  With ell >= 2p >= q + q'
+    the stretches are the runs of RUNS_{ell,p}: Fine and Wilf put a run of
+    smallest period q' first at q = q', then, with the same bounds, only
+    at multiples of q'.
+    """
+    nb = -(-n * w // 8)
     low, high = _ZERO_LANES[m]
     found: dict[tuple[int, int], int] = {}
     for q in range(1, p + 1):
-        diff = (x ^ (x >> w * q)).to_bytes(nb, "little")
+        z = x ^ (x >> w * q)
+        if w == 32:   # fold each lane into its low byte
+            z |= z >> 16
+            z |= z >> 8
+            diff = z.to_bytes(nb, "little")[::4]
+        else:
+            diff = z.to_bytes(nb, "little")
         stop = n - q
         end = stop // m   # the bytes below hold only lanes below stop
         zeros = bytes((ell - q + 1) // m - 1)
@@ -172,51 +192,25 @@ def _packed_short_period_runs(x: int, n: int, m: int, ell: int,
         while at >= 0:
             nz = _NONZERO.search(diff, at + len(zeros), end)
             to = nz.start() if nz else end
-            e = min(to * m + low[diff[to]], stop)
-            b = at * m - high[diff[at - 1]] if at else 0
-            if e - b >= ell - q:
-                found.setdefault((b, e + q), q)
+            if m == 1:
+                found.setdefault((at, to + q), q)
+            else:
+                e = min(to * m + low[diff[to]], stop)
+                b = at * m - high[diff[at - 1]] if at else 0
+                if e - b >= ell - q:
+                    found.setdefault((b, e + q), q)
             at = diff.find(zeros, to + 1, end)
-    return [Run(b, e, q) for (b, e), q in sorted(found.items())]
-
-
-def _short_period_runs(text: str, lane: int, ell: int, p: int) -> list[Run]:
-    """RUNS_{ell,p} of `text` (ell >= 2p, len(text) >= 2p) by shifts.
-
-    With the text read as one int X of `lane` bytes per symbol, lane i of
-    X ^ (X >> q lanes) is 0 iff T[i] = T[i + q], for i < n - q (above, the
-    shift fills with zeros, which rank 0 matches).  A maximal zero
-    stretch [b, e) of length >= ell - q is the run [b, e + q) of period q.
-    As ell >= 2p >= q + q', Fine and Wilf put a run of smallest period q'
-    first at q = q', then, with the same bounds, only at multiples of q'.
-    """
-    n = len(text)
-    codec = "latin-1" if lane == 1 else "utf-32-le"
-    x = int.from_bytes(text.encode(codec, "surrogatepass"), "little")
-    found: dict[tuple[int, int], int] = {}
-    for q in range(1, p + 1):
-        z = x ^ (x >> 8 * lane * q)
-        if lane == 4:   # fold each lane into its low byte
-            z |= z >> 16
-            z |= z >> 8
-        diff = z.to_bytes(lane * n, "little")[::lane]
-        stop = n - q
-        zeros = bytes(ell - q)
-        b = diff.find(zeros, 0, stop)
-        while b >= 0:
-            m = _NONZERO.search(diff, b + ell - q, stop)
-            e = m.start() if m else stop
-            found.setdefault((b, e + q), q)
-            b = diff.find(zeros, e, stop)
     return [Run(b, e, q) for (b, e), q in sorted(found.items())]
 
 
 def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
     """R_{ell,p}: bit i set iff per(T[i..i+ell)) <= p, i in [0..n-ell].
 
-    For ell >= 2p the mask comes from the run enumeration (maximal all-one
-    intervals of the mask are exactly the qualifying runs); for ell < 2p
-    each window is tested for a period <= p directly.
+    T[i..i+ell) has a period q exactly when it lies in [b, e + q) for a
+    maximal zero stretch [b, e) of the q-shift, so the mask sets the
+    windows [b..e + q - ell] of every stretch with q <= p: the runs of
+    `enumerate_runs` for ell >= 2p, else every stretch `_shift_runs`
+    finds over byte lanes.
     """
     if ell < 1:
         raise InvalidArgument("window length must be positive")
@@ -225,26 +219,10 @@ def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
         raise InvalidArgument("period bound must be below the window length")
     width = max(0, n - ell + 1)
     if ell >= 2 * p:
-        # distinct runs of period <= p overlap by fewer than 2p <= ell
-        # symbols, so their window ranges are disjoint and in order
-        ones = [i for run in enumerate_runs(t, ell, p)
-                for i in range(run.start, run.end - ell + 1)]
+        runs = enumerate_runs(t, ell, p)
     else:
-        s = t._padded
-        ones = [i for i in range(width)
-                if _period_at_most(s[i + n:i + n + ell], p)]
-    return BitStream.from_positions(width, ones)
-
-
-def _period_at_most(w: str, p: int) -> bool:
-    """Whether w has a period q <= p, for 0 < p < len(w).
-
-    Such a q puts w[:len(w) - p] at offset q, so only the offsets where
-    str.find meets that prefix are compared whole."""
-    head = w[:len(w) - p]
-    q = w.find(head, 1)
-    while q > 0:
-        if w[q:] == w[:len(w) - q]:
-            return True
-        q = w.find(head, q + 1)
-    return False
+        runs = _shift_runs(*_byte_lanes(t), n, 1, ell, p) if width else []
+    digits = bytearray(b"0") * width
+    for r in runs:
+        digits[r.start:r.end - ell + 1] = b"1" * (r.end - ell + 1 - r.start)
+    return BitStream.from_digits(digits, width)

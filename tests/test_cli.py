@@ -42,6 +42,27 @@ def test_sync_list_verified(tmp_path, text_file, capsys):
     assert verify_sync(symbols, 8, members, TextIndex(symbols)).ok
 
 
+@pytest.mark.parametrize("fmt", ["list", "bitmask", "sparse"])
+def test_sync_verify_failure_writes_nothing(tmp_path, monkeypatch, capsys,
+                                            fmt):
+    # a block written twice: positions 0 and 60 start the same 2tau window,
+    # so a set without its first member is inconsistent
+    rng = random.Random(9)
+    block = bytes(rng.randrange(4) for _ in range(60))
+    path = tmp_path / "text.bin"
+    path.write_bytes(block * 2)
+    real = ss.build_sync_explicit
+    monkeypatch.setattr(ss, "build_sync_explicit",
+                        lambda index, tau: real(index, tau)[1:])
+    out = tmp_path / "sync.out"
+    assert main(["sync", str(path), "--sigma", "4", "--tau", "8",
+                 "--format", fmt, "--verify", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "verification failed: consistency: positions 0 and 60 share a "
+        "window but disagree\n")
+    assert not out.exists()
+
+
 def test_sync_sparse_support_roundtrip(tmp_path, text_file, capsys):
     path, symbols = text_file
     cont = tmp_path / "sync.bin"

@@ -139,11 +139,10 @@ def test_enumerate_runs_uniform_text():
 
 
 def test_enumerate_runs_extends_each_run_once(monkeypatch):
-    # a period bound above the byte shift path's, with the packed shifts
-    # priced out, reaches the probes, spaced one symbol apart at ell = 2p:
-    # all but the first fall inside its run
+    # with the shifts priced out, the probes are spaced one symbol apart
+    # at ell = 2p: all but the first fall inside its run
     monkeypatch.setattr(rn, "PROBE_BYTES", 0)
-    p = rn.SHORT_PERIOD_MAX[8] + 1
+    p = 13
     t = PackedText([0, 1] * 4096, 2)
     calls = []
     real = rn.run_extend
@@ -210,18 +209,22 @@ def short_period_texts(draw):
     return [c for c, length in pieces for _ in range(length)], sigma
 
 
-# p runs past the shift path's limit for either lane width
+# each text on the path the costs pick, then on the shifts and the probes
 @settings(max_examples=400, deadline=None)
-@given(short_period_texts(), st.integers(1, rn.SHORT_PERIOD_MAX[8] + 2),
-       st.integers(0, 20))
+@given(short_period_texts(), st.integers(1, 14), st.integers(0, 20))
 @example((list(range(10)) + [10] * 5 + [11], 12), 1, 1)   # a run of code point 10
 @example((list(range(257)) + [256, 255] * 4, 257), 2, 0)  # the first wide text
 def test_enumerate_short_periods_match_brute(text, p, extra):
     syms, sigma = text
     ell = 2 * p + extra
     t = PackedText(syms, sigma)
-    got = [(r.start, r.end, r.period) for r in rn.enumerate_runs(t, ell, p)]
-    assert got == brute_runs(syms, ell, p)
+    want = brute_runs(syms, ell, p)
+    for probe_bytes in (rn.PROBE_BYTES, 10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rn, "PROBE_BYTES", probe_bytes)
+            got = [(r.start, r.end, r.period)
+                   for r in rn.enumerate_runs(t, ell, p)]
+        assert got == want
 
 
 def _packed_bits(distinct, d):
@@ -304,11 +307,11 @@ def test_enumerate_runs_paths_agree_on_surrogate_ranks(monkeypatch):
     t = PackedText(syms, len(syms))
     for p, expect in runs.items():
         with monkeypatch.context() as m:
-            m.setattr(rn, "SHORT_PERIOD_MAX", {8: p, 32: p})
+            m.setattr(rn, "PROBE_BYTES", 10 ** 9)
             m.setattr(rn, "run_extend", None)   # the shift path extends nothing
             shifts = rn.enumerate_runs(t, 2 * p, p)
         with monkeypatch.context() as m:
-            m.setattr(rn, "SHORT_PERIOD_MAX", {8: 0, 32: 0})
+            m.setattr(rn, "PROBE_BYTES", 0)
             probes = rn.enumerate_runs(t, 2 * p, p)
         assert shifts == probes
         assert [(r.start, r.end, r.period) for r in shifts] == expect
@@ -387,14 +390,36 @@ def test_runs_bitmask_matches_periods(rng):
 
 
 def test_period_at_most_exhaustive_small():
-    # every word over {0, 1, 2} of length up to 7, at every bound 0 < p < len
+    # every word over {0, 1, 2} of length up to 7, as a text and as each of
+    # its windows, at every bound 0 < p < len: both of runs_bitmask's paths
+    period_of = lru_cache(maxsize=None)(brute_period)
     words = [()]
     for _ in range(7):
         words = [w + (c,) for w in words for c in range(3)]
         for w in words:
-            text = "".join(map(chr, w))
-            for p in range(1, len(w)):
-                assert rn._period_at_most(text, p) == (brute_period(w) <= p)
+            t = PackedText(w, 3)
+            for ell in range(2, len(w) + 1):
+                want = [period_of(w[i:i + ell])
+                        for i in range(len(w) - ell + 1)]
+                for p in range(1, ell):
+                    value = rn.runs_bitmask(t, ell, p).to_int()
+                    assert [value >> i & 1 for i in range(len(want))] == \
+                        [per <= p for per in want], (w, ell, p)
+    # four-byte lanes: 300 symbols with periodic stretches planted, among
+    # them words that differ only above their low byte
+    rng = random.Random(300)
+    syms = rng.sample(range(300), 300)
+    for word, length in (([7], 9), ([3, 259], 14), ([1, 257, 45], 20),
+                         ([5, 9, 261, 9], 17), ([0, 256, 0, 256, 0], 23)):
+        at = rng.randrange(len(syms))
+        syms[at:at] = (word * length)[:length]
+    t = PackedText(syms, 300)
+    for ell in range(2, 13):
+        want = [brute_period(syms[i:i + ell]) for i in range(t.n - ell + 1)]
+        for p in range(1, ell):
+            value = rn.runs_bitmask(t, ell, p).to_int()
+            assert [value >> i & 1 for i in range(len(want))] == \
+                [per <= p for per in want], (ell, p)
 
 
 def test_runs_bitmask_packed_table_path():

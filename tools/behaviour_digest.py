@@ -14,9 +14,9 @@ Prints one JSON object mapping item names to SHA-256 digests of:
 * every recompression chain (`sync_index.recomp.chain.levels`) and the
   `level_bitmask` of every level;
 * `runs_bitmask` of every corpus text at (ell, p) pairs that reach each
-  of its branches: the run enumeration (narrow and wide windows, short
-  period bounds by shifts and longer ones by probes) and the
-  window-by-window period test for ell < 2p;
+  of its branches: the run enumeration (narrow and wide windows, by
+  shifts or by probes as their costs pick) and, for ell < 2p, the shift
+  scan over byte lanes;
 * the output bytes and exit codes of the CLI `sync` (list, bitmask,
   sparse), `recompress` (list, bitmask) and `runs` (list, bitmask)
   commands, and of `encode` followed by `decode` of the container it
@@ -139,9 +139,8 @@ LONG_RUNS_TAUS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 32, 64, 256, 1024, 2048,
                   4096)
 
 
-# (ell, p): the run enumeration at narrow and wide windows, by shifts and
-# (p = 6 over more than 256 symbols, p = 13 over any) by probes, and
-# ell < 2p (the window-by-window period test)
+# (ell, p): the run enumeration at narrow and wide windows, by shifts or
+# by probes as their costs pick, and ell < 2p (the shift scan alone)
 RUNS_PARAMS = ((2, 1), (3, 1), (8, 2), (16, 5), (12, 6), (30, 13), (5, 3),
                (7, 4))
 

@@ -85,6 +85,8 @@ DIRECTORY_TESTS = ("tests/test_ranksupport.py::"
 PACKED_TESTS = ("tests/test_runs.py::"
                 "test_packed_runs_match_brute_at_every_boundary",
                 "tests/test_runs.py::test_packed_runs_match_brute")
+BITMASK_TESTS = ("tests/test_runs.py::test_runs_bitmask_matches_periods",
+                 "tests/test_runs.py::test_period_at_most_exhaustive_small")
 
 MUTANTS = [
     # -- the window parse and the piece walk ------------------------------------
@@ -205,12 +207,22 @@ MUTANTS = [
            ("tests/test_transducer.py::test_accelerated_equals_naive",
             "tests/test_acceptance.py::"
             "test_criterion_5_transducer_master_property")),
-    # -- periods --------------------------------------------------------------
-    Mutant("period-test-searches-from-offset-2", RN,
-           "    q = w.find(head, 1)\n",
-           "    q = w.find(head, 2)\n",
-           ("tests/test_runs.py::test_period_at_most_exhaustive_small",)),
-    # -- shifts over packed lanes ---------------------------------------------
+    # -- shifts over packed, byte and four-byte lanes --------------------------
+    Mutant("bitmask-union-ends-a-window-short", RN,
+           "digits[r.start:r.end - ell + 1]",
+           "digits[r.start:r.end - ell]",
+           BITMASK_TESTS),
+    Mutant("wide-lane-fold-skips-the-second-byte", RN,
+           "            z |= z >> 8\n",
+           "",
+           ("tests/test_runs.py::"
+            "test_enumerate_runs_paths_agree_on_surrogate_ranks",
+            "tests/test_runs.py::test_period_at_most_exhaustive_small")),
+    Mutant("byte-lane-stretch-recorded-without-q", RN,
+           "found.setdefault((at, to + q), q)",
+           "found.setdefault((at, to), q)",
+           BITMASK_TESTS + ("tests/test_runs.py::"
+                            "test_enumerate_short_periods_match_brute",)),
     Mutant("lanes-left-end-off-by-one", RN,
            "b = at * m - high[diff[at - 1]] if at else 0",
            "b = at * m - high[diff[at - 1]] + 1 if at else 0",
