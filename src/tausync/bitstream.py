@@ -6,9 +6,9 @@ the package (boundary masks, run masks, sparse encodings) uses this
 order, as does the serialized container format.
 
 A stream is built once, in bulk -- empty by ``BitStream()``, or by
-``from01``, ``from_digits``, ``from_int``, ``from_positions`` or
-``from_bytes`` -- and never changes after that, so it hashes by value
-and can be shared across threads.  ``from_digits`` is the one place that
+``from01``, ``from_digits``, ``from_int`` or ``from_bytes`` -- and never
+changes after that, so it hashes by value and can be shared across
+threads.  ``from_digits`` is the one place that
 turns a stream-order digit string into a stream.  A stream is read whole,
 by ``to01``, ``to_int``, ``to_positions`` or ``to_bytes``; it has no
 reader of single bits or words.
@@ -17,9 +17,8 @@ reader of single bits or words.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate, chain, count, pairwise
-from operator import add, sub
-from typing import Sequence
+from itertools import accumulate, count
+from operator import add
 
 from .errors import DecodeError, InvalidArgument
 
@@ -76,26 +75,6 @@ class BitStream:
         s._value = value
         s._len = length
         return s
-
-    @classmethod
-    def from_positions(cls, n: int, positions: Sequence[int]) -> "BitStream":
-        """The n-bit mask whose set bits are `positions`.
-
-        Positions must be strictly increasing and lie in [0..n).  Linear in
-        n: the mask is spelled as a digit string and converted once.
-        """
-        # valid iff every distance, from -1 to the first position, between
-        # neighbours and from the last to n, is positive
-        if positions and min(map(sub, chain(positions, (n,)),
-                                 chain((-1,), positions))) < 1:
-            if not (positions[0] >= 0 and positions[-1] < n):
-                raise InvalidArgument(f"positions outside [0..{n})")
-            if any(a >= b for a, b in pairwise(positions)):
-                raise InvalidArgument("positions must be strictly increasing")
-        digits = bytearray(b"0") * n
-        for i in positions:
-            digits[i] = ord("1")
-        return cls.from_digits(digits, n)
 
     def to01(self) -> str:
         if not self._len:

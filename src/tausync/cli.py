@@ -97,7 +97,9 @@ def _check_tau(t: PackedText, tau: int) -> None:
 
 
 def _lines(values) -> str:
-    return "".join(f"{v}\n" for v in values)
+    """One line per value, written by one format call."""
+    values = tuple(values)
+    return "%s\n" * len(values) % values
 
 
 def _write(path, data: str | bytes) -> None:

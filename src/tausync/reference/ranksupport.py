@@ -6,8 +6,8 @@ the bounds the paper states, and the tests pin them to the same answers.
 No production module imports this one.
 
 Select locates its piece through two auxiliary bitmasks over the
-encoding; rank locates its piece with a deterministic van Emde Boas
-structure over the piece start positions.
+encoding, each built by `from_positions`; rank locates its piece with a
+deterministic van Emde Boas structure over the piece start positions.
 
 Desk-scale substitutes, answers unchanged: the fusion-node base case is a
 sorted block with binary search, dictionaries are direct-address tables
@@ -19,6 +19,9 @@ binary-search select.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, pairwise
+from operator import sub
+from typing import Sequence
 
 from ..bitstream import BitStream
 from ..errors import InvalidArgument
@@ -30,6 +33,26 @@ from .. import sparsecodec as sc
 
 #: Bits per word of `BitVectorRS`.
 W = 64
+
+
+def from_positions(n: int, positions: Sequence[int]) -> BitStream:
+    """The n-bit mask whose set bits are `positions`.
+
+    Positions must be strictly increasing and lie in [0..n).  Linear in
+    n: the mask is spelled as a digit string and converted once.
+    """
+    # valid iff every distance, from -1 to the first position, between
+    # neighbours and from the last to n, is positive
+    if positions and min(map(sub, chain(positions, (n,)),
+                             chain((-1,), positions))) < 1:
+        if not (positions[0] >= 0 and positions[-1] < n):
+            raise InvalidArgument(f"positions outside [0..{n})")
+        if any(a >= b for a, b in pairwise(positions)):
+            raise InvalidArgument("positions must be strictly increasing")
+    digits = bytearray(b"0") * n
+    for i in positions:
+        digits[i] = ord("1")
+    return BitStream.from_digits(digits, n)
 
 
 def _words(bits: BitStream) -> list[int]:
@@ -98,9 +121,8 @@ class SelectSupport:
             if digits[pos] == "1":
                 starts.append(pos)
             pos = sc.gamma_at(digits, pos + 1)[1]
-        self.boundary = BitVectorRS(BitStream.from_positions(nbits,
-                                                             decomp.e[:-1]))
-        self.literal = BitVectorRS(BitStream.from_positions(nbits, starts))
+        self.boundary = BitVectorRS(from_positions(nbits, decomp.e[:-1]))
+        self.literal = BitVectorRS(from_positions(nbits, starts))
         self.count = decomp.r[-1]
 
     def select(self, j: int) -> int:

@@ -111,7 +111,7 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
          else 2 if 4 <= k <= 16 and d >= 5 else 1)
     cost = p * ((n // m if k <= 256 else 8 * n) + PASS_BYTES)
     if cost <= PROBE_BYTES * ((n - 2 * p) // delta + 1):
-        x, w = (t.lanes(8 // m), 8 // m) if m > 1 else _byte_lanes(t)
+        x, w = (t.lanes(8 // m), 8 // m) if m > 1 else t.byte_lanes()
         return _shift_runs(x, w, n, m, ell, p)
     # a probe whose first half does not recur in it is aperiodic, and
     # run_extend would return None: only periodic probes are extended
@@ -145,15 +145,6 @@ _ZERO_LANES = {m: (bytes([m] + [((v & -v).bit_length() - 1) * m // 8
                    bytes([m] + [m - 1 - (v.bit_length() - 1) * m // 8
                                 for v in range(1, 256)]))
                for m in (1, 2, 4, 8)}
-
-
-def _byte_lanes(t: PackedText) -> tuple[int, int]:
-    """T[0..n) as one int of byte lanes, or of four-byte lanes past 256
-    symbols, and the lane width in bits; built per call, not kept."""
-    wide = ord(t._padded[0]) > 256
-    text = t._padded[t.n:2 * t.n].encode("utf-32-le" if wide else "latin-1",
-                                         "surrogatepass")
-    return int.from_bytes(text, "little"), 32 if wide else 8
 
 
 def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
@@ -221,7 +212,7 @@ def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
     if ell >= 2 * p:
         runs = enumerate_runs(t, ell, p)
     else:
-        runs = _shift_runs(*_byte_lanes(t), n, 1, ell, p) if width else []
+        runs = _shift_runs(*t.byte_lanes(), n, 1, ell, p) if width else []
     digits = bytearray(b"0") * width
     for r in runs:
         digits[r.start:r.end - ell + 1] = b"1" * (r.end - ell + 1 - r.start)

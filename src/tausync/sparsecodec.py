@@ -7,8 +7,8 @@ and each maximal run ``0^x`` becomes a zero-run token ``0 . gamma(x)``.
 ``x``, most significant first.  Two zero-run tokens can never be adjacent
 in a valid encoding.
 
-Whole token streams are written and read in one bulk conversion each way,
-as ``BitStream.from_positions`` does for masks.  There is one writer:
+Whole token streams are written and read in one bulk conversion each way:
+``BitStream.from_digits`` and ``BitStream.to01``.  There is one writer:
 every token stream in the package, the transducers' outputs included, is
 built by `tokens_to_stream`, `senc_encode`, `senc_from_list` or
 `senc_from_gaps`, and is never appended to.  The writer joins each
@@ -25,12 +25,15 @@ There is one reader, `_walk`: it formats the stream once as a digit
 string and splits it into pieces, each the longest valid prefix of the
 next ``WINDOW_BITS`` = 16-bit window (lg N bits for the paper's tables
 over N = 2**16 windows).  `TABLES`, the one `ParseTables`, owns the memo
-of window parses keyed by the window's digits, which the transducers
-share.  A parse keeps what its readers use: the bits and symbols it
-covers, its values and the positions of its non-zeros, which answer
-select by index and rank by bisection.  A token wider than the window
-is read by `gamma_at`, which finds a gamma code's terminating 1 with
-``str.find``.  `senc_decode`, `senc_to_list` and
+keyed by the window's digits, which the transducers share.  Each entry
+is the walk's step for its window, one plain tuple built on a miss: the
+parse's bit, symbol and non-zero counts, whether its first and last
+tokens are zero runs, and the parse.  So a piece costs one memo lookup
+and one unpacking.  A parse keeps what its readers use: the bits and
+symbols it covers, its values and the positions of its non-zeros, which
+answer select by index and rank by bisection.  A token wider than the
+window is read by `gamma_at`, which finds a gamma code's terminating 1
+with ``str.find``.  `senc_decode`, `senc_to_list` and
 `ranksupport.decompose` all read this way, and so reject a corrupt
 stream with the same error.
 """
@@ -224,21 +227,31 @@ class ParseTables:
     A window is named by its digit string in stream order, whose length
     is the parse limit: a parse reads no bit past it.  The tables own one
     memo from these strings of at most ``WINDOW_BITS`` digits to their
-    parses, so it holds fewer than 2**(WINDOW_BITS + 1) entries.
+    steps, so it holds fewer than 2**(WINDOW_BITS + 1) entries.  A step
+    is the plain tuple that `_walk` unpacks per piece, ``(b, a, a_plus,
+    opens_with_zero_run, ends_with_zero_run, parse)``: the parse's counts,
+    whether its first and last tokens are zero runs (never, for b = 0),
+    and the parse itself.
     """
 
     def __init__(self):
-        self._memo: dict[str, ParseInfo] = {}
+        self._memo: dict[str, tuple] = {}
 
     def parse_digits(self, w: str) -> ParseInfo:
         """Parse of the window whose stream-order digits are `w`."""
-        info = self._memo.get(w)
-        if info is None:
-            if len(w) > WINDOW_BITS:
-                raise InvalidArgument(f"window of {len(w)} bits is wider "
-                                      f"than {WINDOW_BITS}")
-            info = self._memo[w] = self._parse(w)
-        return info
+        return (self._memo.get(w) or self.step(w))[5]
+
+    def step(self, w: str) -> tuple:
+        """Build and keep the step of a window that the memo lacks."""
+        if len(w) > WINDOW_BITS:
+            raise InvalidArgument(f"window of {len(w)} bits is wider "
+                                  f"than {WINDOW_BITS}")
+        info = self._parse(w)
+        values = info.values
+        step = self._memo[w] = (info.b, info.a, info.a_plus,
+                                info.b > 0 and not values[0],
+                                info.b > 0 and not values[-1], info)
+        return step
 
     @staticmethod
     def _parse(w: str) -> ParseInfo:
@@ -275,12 +288,13 @@ def _walk(stream: BitStream):
     """(p, e, r, parses) of the greedy split of a token stream into
     pieces, as `ranksupport.Decomposition` holds them.
 
-    A token wider than the window is a piece of its own: a wide literal
-    gets a one-symbol parse, a long zero run None.  A window parse never
-    holds two adjacent zero-run tokens, so a piece that starts with a
-    zero run after one that ends with a zero run is rejected here.
+    Each window piece is one memo step (see `ParseTables`).  A token
+    wider than the window is a piece of its own: a wide literal gets a
+    one-symbol parse, a long zero run None.  A window parse never holds
+    two adjacent zero-run tokens, so a piece that starts with a zero run
+    after one that ends with a zero run is rejected here.
     """
-    parse = TABLES.parse_digits
+    memo, step = TABLES._memo, TABLES.step
     digits = stream.to01()
     total = len(digits)
     k = WINDOW_BITS
@@ -289,14 +303,16 @@ def _walk(stream: BitStream):
     pos = sym = ones = 0
     after_zero_run = False   # the previous piece ends with a zero-run token
     while pos < total:
-        info = parse(digits[pos:pos + k])
-        if info.b > 0:
-            if after_zero_run and not info.values[0]:
+        w = digits[pos:pos + k]
+        b, a, a_plus, opens_with_zero_run, ends_with_zero_run, info = (
+            memo.get(w) or step(w))
+        if b:
+            if after_zero_run and opens_with_zero_run:
                 raise DecodeError("adjacent zero-run tokens", pos)
-            after_zero_run = not info.values[-1]
-            pos += info.b
-            sym += info.a
-            ones += info.a_plus
+            after_zero_run = ends_with_zero_run
+            pos += b
+            sym += a
+            ones += a_plus
             parses.append(info)
         else:
             x, stop = gamma_at(digits, pos + 1)

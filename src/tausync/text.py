@@ -7,7 +7,9 @@ and the sentinel's is one past the largest: an order-preserving map for
 any alphabet.  The reported `sigma` is the input size rounded up to a
 power of two, whose top symbol is the reported sentinel.  Up to 16
 symbols, `lanes` packs T into one int of 1-, 2- or 4-bit ranks, the
-paper's packed text of n lg sigma bits.
+paper's packed text of n lg sigma bits; `byte_lanes` holds T as one int
+of byte or four-byte ranks for any alphabet.  Each is built on first use
+and kept.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ class PackedText:
         self._padded = pad + "".join(map(code.__getitem__, symbols)) + pad
         self._decode = alphabet + [self.sentinel]   # code point -> symbol
         self._lanes: dict[int, int] = {}   # lane bits -> T as one int
+        self._byte_lanes: tuple[int, int] | None = None
 
     def lanes(self, bits: int) -> int:
         """T[0..n) as one int with T[i] in lane i of `bits` bits, for bits in
@@ -50,6 +53,17 @@ class PackedText:
             digits = self._padded[self.n:2 * self.n].encode("latin-1")
             self._lanes[bits] = int(digits.translate(hexits)[::-1], 1 << bits)
         return self._lanes[bits]
+
+    def byte_lanes(self) -> tuple[int, int]:
+        """T[0..n) as one int of byte lanes, or of four-byte lanes past 256
+        symbols, and the lane width in bits, built on first use."""
+        if self._byte_lanes is None:
+            wide = ord(self._padded[0]) > 256
+            text = self._padded[self.n:2 * self.n].encode(
+                "utf-32-le" if wide else "latin-1", "surrogatepass")
+            self._byte_lanes = (int.from_bytes(text, "little"),
+                                32 if wide else 8)
+        return self._byte_lanes
 
     def symbol(self, i: int) -> int:
         """Symbol at logical index i in [-n..2n)."""

@@ -1,0 +1,69 @@
+"""`tools/bench_pairs.py`: the raw medians it reads from a benchmark run's
+stderr, and the raw ratios it summarizes from them."""
+
+import importlib.util
+import os
+
+TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools",
+                    "bench_pairs.py")
+
+# the stderr of `perfbench/run.py --workload cli-small --seed 1 --seconds 1`
+# (one failed line of eight kept, and the temporary paths shortened)
+STDERR = """\
+failed: tausync decode out/fixed-1024-s256.bitmask --out out/fixed-1024-s256.bitmask.decoded: exit 1: error: adjacent zero-run tokens (bit offset 4)
+cli-small seed=1 rounds=4 wall=1.184s attempted=1345212 failed=8 speed factor 2.3421 (4 samples)
+  metric                                         reported            raw unit     raw per round
+  setup_s                                       0.0987892      0.0420379 s        0.0419 0.04254 0.04217 0.04066
+  query_explicit_s                             0.00419671     0.00179318 s        0.001832 0.001754 0.001583 0.001836
+  query_bitmask_s                              0.00221487    0.000947371 s        0.001003 0.0009267 0.0009021 0.000968
+  query_sparse_s                               0.00324201       0.001379 s        0.001389 0.001369 0.001343 0.001437
+  query_support_s                              0.00426866     0.00182587 s        0.002155 0.001754 0.001783 0.001868
+  select_ns                                       170.664        72.6316 ns/query 74.51 70.76 70.59 75.32
+  rank_ns                                         510.973        217.422 ns/query 220.8 212.6 214 231.7
+  sparse_bits                                       87018          87018 bits     8.702e+04 8.702e+04 8.702e+04 8.702e+04
+  cli_sync_s                                    0.0982546      0.0420215 s        0.04414 0.0341 0.04447 0.0399
+  cli_read_s                                    0.0462827      0.0196973 s        0.02019 0.01867 0.01921 0.02078
+  peak_rss_mib                                    41.3047        41.3047 MiB      \n"""
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_raw_medians_parse_a_captured_table():
+    tool = _tool()
+    raw = tool.raw_medians(STDERR)
+    assert list(raw) == ["setup_s", "query_explicit_s", "query_bitmask_s",
+                         "query_sparse_s", "query_support_s", "select_ns",
+                         "rank_ns", "sparse_bits", "cli_sync_s", "cli_read_s",
+                         "peak_rss_mib"]
+    assert raw["setup_s"] == 0.0420379 and raw["select_ns"] == 72.6316
+    assert raw["sparse_bits"] == 87018 and raw["peak_rss_mib"] == 41.3047
+    assert tool.raw_medians(STDERR.split("  metric")[0]) is None
+
+
+def test_summary_keeps_raw_ratios_and_reads_old_logs_as_null():
+    tool = _tool()
+    raw = tool.raw_medians(STDERR)
+
+    def record(seed, side, scale, keep_raw):
+        metrics = {k: {"value": v * scale, "unit": "s"} for k, v in raw.items()}
+        out = {"workload": "cli-small", "seed": seed, "side": side,
+               "seconds": 12, "speed_factor": 2.0,
+               "result": {"correct": True, "failed": 0, "attempted": 1,
+                          "metrics": metrics}}
+        if keep_raw:
+            out["raw"] = {k: v * scale for k, v in raw.items()}
+        return out
+
+    sides = (("parent", 1.0), ("change", 0.5))
+    new = [record(s, side, scale, True) for s in (1, 2) for side, scale in sides]
+    old = [record(s, side, scale, False) for s in (1, 2) for side, scale in sides]
+    got = tool.summarize(new, {})["cli-small"]["metrics"]["cli_read_s"]
+    assert got["ratio"] == got["raw_ratio"] == 0.5
+    assert got["change_wins"] == "2/2"
+    got = tool.summarize(old, {})["cli-small"]["metrics"]["cli_read_s"]
+    assert got["ratio"] == 0.5 and got["raw_ratio"] is None

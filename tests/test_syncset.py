@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import adversarial_text, make_text
-from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
 from tausync.recompress import RecompressionIndex
+from tausync.reference.ranksupport import from_positions
 from tausync.runs import enumerate_runs
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
@@ -200,7 +200,7 @@ def test_bitmask_is_the_mask_of_the_explicit_set(text):
     for tau in taus:
         members = ss.build_sync_explicit(index, tau)
         assert (ss.build_sync_bitmask(index, tau)
-                == BitStream.from_positions(t.n, members)), tau
+                == from_positions(t.n, members)), tau
         assert verify_sync(syms, tau, members, tidx).ok, tau
 
 
@@ -322,7 +322,7 @@ def test_gap_path_matches_the_oracle():
                                tau, tidx)
             assert ss.build_sync_explicit(index, tau) == want, (syms, tau)
             assert (ss.build_sync_bitmask(index, tau)
-                    == BitStream.from_positions(n, want)), (syms, tau)
+                    == from_positions(n, want)), (syms, tau)
             assert (ss.build_sync_sparse(index, tau)
                     == sc.senc_from_list(n, [(i, 1) for i in want])), (syms, tau)
             reached |= _gap_cases(index, tau, want)

@@ -7,7 +7,9 @@ checkout, one pair per seed, at the run length `BENCHMARK.json` sets
 the side that runs first alternates from pair to pair.  Each record also
 keeps the run's machine-speed factor, which `perfbench/run.py` prints on
 stderr (`speed factor X`: NOMINAL_S over the median probe sample, so a
-slower machine reads lower), or null if the run printed none:
+slower machine reads lower), or null if the run printed none, and the
+raw (unscaled) median of each metric, from the `raw` column of the
+metric table it prints there:
 
     python3 tools/bench_pairs.py run PARENT CHANGE --workload random-large \\
         --seeds 601-610 --log pairs.jsonl
@@ -16,7 +18,8 @@ slower machine reads lower), or null if the run printed none:
 trend file: the Python version, CPU count and git revisions, per
 workload each side's median speed factor, and per workload and
 end-to-end metric each side's median and quartiles, the ratio of the
-medians and the number of pairs the change won:
+medians, the same ratio of the raw medians (null for logs that kept
+none) and the number of pairs the change won:
 
     python3 tools/bench_pairs.py summarize pairs.jsonl --parent-rev REV \\
         --change-rev REV --out BENCH_N.json
@@ -46,17 +49,29 @@ def seed_list(spec: str) -> list[int]:
     return out
 
 
+def raw_medians(stderr: str) -> dict[str, float] | None:
+    """Each metric's raw median, the third column of the lines below the
+    `metric reported raw` header on a run's stderr (None without one)."""
+    header = re.search(r"^ +metric +reported +raw .*$", stderr, re.M)
+    if header is None:
+        return None
+    return {name: float(raw) for name, raw in re.findall(
+        r"^  (\S+) +\S+ +(\S+) ", stderr[header.end():], re.M)}
+
+
 def run_one(root: str, workload: str, seed: int,
-            seconds: float) -> tuple[dict, float | None]:
-    """The last stdout line of one benchmark run, as a dict, and the speed
-    factor it printed on stderr (None if it printed none)."""
+            seconds: float) -> tuple[dict, float | None, dict | None]:
+    """The last stdout line of one benchmark run, as a dict, the speed
+    factor it printed on stderr (None if it printed none) and its raw
+    medians."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True)
     factor = re.search(r"speed factor ([0-9.]+)", proc.stderr)
     return (json.loads(proc.stdout.strip().splitlines()[-1]),
-            float(factor.group(1)) if factor else None)
+            float(factor.group(1)) if factor else None,
+            raw_medians(proc.stderr))
 
 
 def load_benchmark(path: str) -> dict:
@@ -72,12 +87,12 @@ def cmd_run(args) -> int:
         for i, seed in enumerate(seed_list(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result, factor = run_one(sides[side], args.workload, seed,
-                                         seconds)
+                result, factor, raw = run_one(sides[side], args.workload,
+                                              seed, seconds)
                 log.write(json.dumps({"workload": args.workload, "seed": seed,
                                       "side": side, "first": side == order[0],
                                       "seconds": seconds,
-                                      "speed_factor": factor,
+                                      "speed_factor": factor, "raw": raw,
                                       "result": result}) + "\n")
                 log.flush()
                 print(f"{args.workload} seed={seed} {side}: "
@@ -105,6 +120,7 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict:
         mine = [r for r in records if r["workload"] == workload]
         runs = {(r["seed"], r["side"]): r["result"] for r in mine}
         factors = {(r["seed"], r["side"]): r.get("speed_factor") for r in mine}
+        raws = {(r["seed"], r["side"]): r.get("raw") or {} for r in mine}
         seeds = sorted({seed for seed, _ in runs})
         pairs = [s for s in seeds if (s, "parent") in runs and (s, "change") in runs]
         entry = {"seeds": pairs,
@@ -127,10 +143,18 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict:
             wins = sum(sign * (c - p) > 0
                        for p, c in zip(vals["parent"], vals["change"]))
             parent, change = spread(vals["parent"]), spread(vals["change"])
+            raw = {side: [raws[s, side].get(metric) for s in pairs]
+                   for side in ("parent", "change")}
+            raw_parent, raw_change = (None if None in raw[side]
+                                      else statistics.median(raw[side])
+                                      for side in ("parent", "change"))
             entry["metrics"][metric] = {
                 "unit": unit, "parent": parent, "change": change,
                 "ratio": (change["median"] / parent["median"]
                           if parent["median"] else None),
+                "raw_ratio": (raw_change / raw_parent
+                              if raw_parent and raw_change is not None
+                              else None),
                 "change_wins": f"{wins}/{len(pairs)}"}
         out[workload] = entry
     return out

@@ -120,12 +120,28 @@ MUTANTS = [
             "tests/test_ranksupport.py::"
             "test_decomposition_rank_select_match_bisection")),
     Mutant("memo-takes-wider-windows", SC,
-           "            if len(w) > WINDOW_BITS:",
-           "            if len(w) > WINDOW_BITS + 1:",
+           "        if len(w) > WINDOW_BITS:",
+           "        if len(w) > WINDOW_BITS + 1:",
            ("tests/test_sparsecodec.py::"
             "test_parse_digits_memo_holds_each_window_once",)),
+    Mutant("step-swaps-the-zero-run-flags", SC,
+           "info.b > 0 and not values[0],\n"
+           "                                info.b > 0 and not values[-1], info)",
+           "info.b > 0 and not values[-1],\n"
+           "                                info.b > 0 and not values[0], info)",
+           ("tests/test_sparsecodec.py::"
+            "test_memo_step_holds_what_the_walk_reads",
+            "tests/test_sparsecodec.py::"
+            "test_reader_matches_reference_on_corruptions")),
+    Mutant("step-keys-a-plus-from-a", SC,
+           "(info.b, info.a, info.a_plus,",
+           "(info.b, info.a, info.a,",
+           ("tests/test_sparsecodec.py::"
+            "test_memo_step_holds_what_the_walk_reads",
+            "tests/test_ranksupport.py::"
+            "test_decomposition_rank_select_match_bisection")),
     Mutant("walk-no-adjacency-check-at-a-piece-boundary", SC,
-           "            if after_zero_run and not info.values[0]:\n"
+           "            if after_zero_run and opens_with_zero_run:\n"
            "                raise DecodeError(\"adjacent zero-run tokens\", pos)\n",
            "",
            ("tests/test_ranksupport.py::test_decompose_rejects_like_window_loop"
@@ -389,6 +405,12 @@ MUTANTS = [
            "    top = max(level, 0)\n",
            ("tests/test_recompress.py::"
             "test_cli_recompress_past_lambda_4n_runs_no_round",)),
+    Mutant("lines-drop-the-last-newline", CLI,
+           '    return "%s\\n" * len(values) % values\n',
+           '    return ("%s\\n" * len(values))[:-1] % values\n',
+           ("tests/test_cli.py::test_lines_match_the_joined_lines",
+            "tests/test_cli.py::test_query_out_writes_the_answers",
+            "tests/test_cli.py::test_cli_sync_matches_the_whole_index")),
     Mutant("decimal-field-check-takes-one-field", CLI,
            "<= {0, 2}:",
            "<= {0, 1, 2}:",
