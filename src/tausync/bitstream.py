@@ -8,10 +8,10 @@ order, as does the serialized container format.
 A stream is built once, in bulk -- empty by ``BitStream()``, or by
 ``from01``, ``from_digits``, ``from_int`` or ``from_bytes`` -- and never
 changes after that, so it hashes by value and can be shared across
-threads.  ``from_digits`` is the one place that
-turns a stream-order digit string into a stream.  A stream is read whole,
-by ``to01``, ``to_int``, ``to_positions`` or ``to_bytes``; it has no
-reader of single bits or words.
+threads.  ``from_digits`` is the one place that turns a stream-order
+digit string into a stream.  A stream is read whole, by ``to01``,
+``to_int``, ``to_positions`` or ``to_bytes``; it has no reader of single
+bits or words.
 """
 
 from __future__ import annotations

@@ -245,8 +245,10 @@ def test_prefix_parse_rank_select_fields(rng):
 
 def test_parse_digits_memo_holds_each_window_once():
     """The memo holds one entry per string asked for, every string of at
-    most 12 digits and windows of the full 16, the parse of that string,
-    and takes no wider window."""
+    most 12 digits and windows of the full 16, and takes no wider window.
+    Each entry is the walk's step: the parse's b, a and a_plus, whether
+    its first and last values are zero (both False for b = 0), and the
+    parse of that string."""
     tables = sc.ParseTables()
     k = sc.WINDOW_BITS
     windows = digit_strings(12) + ["0" * k, "1" * k, "0011" * (k // 4)]
@@ -254,27 +256,16 @@ def test_parse_digits_memo_holds_each_window_once():
         info = tables.parse_digits(digits)
         assert info == tables._parse(digits)
         assert tables.parse_digits(digits) is info
+        flags = ((not info.values[0], not info.values[-1]) if info.b
+                 else (False, False))
+        step = tables._memo[digits]
+        assert type(step) is tuple
+        assert step == (info.b, info.a, info.a_plus) + flags + (info,), digits
+        assert step[5] is info
     assert len(tables._memo) == len(windows)
     with pytest.raises(InvalidArgument):
         tables.parse_digits("0" * (k + 1))
     assert len(tables._memo) == len(windows)
-
-
-def test_memo_step_holds_what_the_walk_reads():
-    """Each memo entry is the walk's step: the parse's b, a and a_plus,
-    whether its first and last values are zero (both False for b = 0),
-    and the parse itself, for every window of at most 12 digits and the
-    three 16-digit windows of the memo test."""
-    tables = sc.ParseTables()
-    k = sc.WINDOW_BITS
-    for w in digit_strings(12) + ["0" * k, "1" * k, "0011" * (k // 4)]:
-        info = tables._parse(w)
-        step = tables.step(w)
-        assert type(step) is tuple and tables._memo[w] is step
-        flags = ((not info.values[0], not info.values[-1]) if info.b
-                 else (False, False))
-        assert step == (info.b, info.a, info.a_plus) + flags + (info,), w
-        assert tables.parse_digits(w) is step[5]
 
 
 def test_parse_is_the_longest_decodable_prefix_exhaustively():

@@ -130,14 +130,14 @@ MUTANTS = [
            "info.b > 0 and not values[-1],\n"
            "                                info.b > 0 and not values[0], info)",
            ("tests/test_sparsecodec.py::"
-            "test_memo_step_holds_what_the_walk_reads",
+            "test_parse_digits_memo_holds_each_window_once",
             "tests/test_sparsecodec.py::"
             "test_reader_matches_reference_on_corruptions")),
     Mutant("step-keys-a-plus-from-a", SC,
            "(info.b, info.a, info.a_plus,",
            "(info.b, info.a, info.a,",
            ("tests/test_sparsecodec.py::"
-            "test_memo_step_holds_what_the_walk_reads",
+            "test_parse_digits_memo_holds_each_window_once",
             "tests/test_ranksupport.py::"
             "test_decomposition_rank_select_match_bisection")),
     Mutant("walk-no-adjacency-check-at-a-piece-boundary", SC,
