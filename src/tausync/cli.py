@@ -5,14 +5,20 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed input,
 All commands are thin wrappers over the library.  The one-shot commands
 `sync` and `recompress` build the recompression chain only down to the
 level they read; `bench` serves many tau and builds all of it.
+
+One parser, built on the first call, serves every call.  A call whose
+first argument names a command is parsed by that command's parser alone,
+as argparse's subparser action would parse it, and the top-level parser
+reports what is left over; any other call goes through the top-level
+parser.  A command loads only the modules it uses: `verify` and `sync
+--verify` import `tausync.oracle`, and `bench` imports `csv` and
+`random`, when they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import random
 import sys
 import time
 from functools import lru_cache
@@ -23,7 +29,6 @@ from . import recompress as rc
 from . import runs as rn
 from . import sparsecodec as sc
 from . import syncset as ss
-from .oracle import TextIndex, verify_sync
 from .ranksupport import decompose
 from .text import PackedText
 
@@ -114,6 +119,7 @@ def _write(path, data: str | bytes) -> None:
 
 def _verified(t: PackedText, tau: int, members) -> bool:
     """Whether `members` is a tau-synchronizing set of t; says why not."""
+    from .oracle import TextIndex, verify_sync
     text = t.text()
     report = verify_sync(text, tau, members, TextIndex(text))
     if not report.ok:
@@ -220,6 +226,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv
+    import random
     if args.generate is not None:
         if args.input is not None or args.decimal:
             raise UsageError("--generate takes no input file and no --decimal")
@@ -289,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tausync",
         description="tau-synchronizing sets over packed texts")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices   # each command's name -> its parser
 
     p = sub.add_parser("sync", help="build a synchronizing set")
     _add_common(p)
@@ -346,9 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=1)(build_parser)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one call, read as `build_parser().parse_args`
+    reads them.  A leading command name hands the rest to its parser,
+    whose leftovers the top-level parser reports as unrecognized."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         # looked up at call time, so a wrapped or patched cmd_* is called
         return globals()[f"cmd_{args.command}"](args)
     except (UsageError, InvalidArgument, InvalidInput) as exc:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict, deque, namedtuple
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, islice, repeat
 from math import inf
 from operator import ne, sub
-from typing import NamedTuple
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
@@ -166,9 +165,10 @@ def round_pair(t: PackedText, bounds: list[int], k: int,
         fs for (u, v), fs in pairs.items() if u in L and v in R))
 
 
-class ChainHandle(NamedTuple):
+class ChainHandle(namedtuple("ChainHandle", "levels")):
     """The chain B_0 >= B_1 >= ... >= B_q = empty, one sorted list per level."""
-    levels: list[list[int]]
+
+    __slots__ = ()
 
 
 # -- the chain as one depth byte per boundary ---------------------------------

@@ -13,20 +13,21 @@ p passes cost more than probing, periodic probes are extended with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
 from .text import PackedText
 
 
-@dataclass(order=True, slots=True)
-class Run:
-    """Maximal periodic fragment T[start..end) with smallest period."""
+class Run(namedtuple("Run", "start end period")):
+    """Maximal periodic fragment T[start..end) with smallest period.
 
-    start: int
-    end: int
-    period: int
+    Its len is the fragment's length, so the namedtuple's `_make` and
+    `_replace`, which count the fields by len, do not apply.
+    """
+
+    __slots__ = ()
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -139,12 +140,20 @@ PASS_BYTES, PROBE_BYTES = 470, 280
 _NONZERO = re.compile(rb"[^\x00]")
 
 
-#: m -> zero lanes of each byte below its lowest and above its top set lane
-_ZERO_LANES = {m: (bytes([m] + [((v & -v).bit_length() - 1) * m // 8
-                                for v in range(1, 256)]),
-                   bytes([m] + [m - 1 - (v.bit_length() - 1) * m // 8
-                                for v in range(1, 256)]))
-               for m in (1, 2, 4, 8)}
+class _ZeroLanes(dict):
+    """m -> zero lanes of each byte below its lowest and above its top set
+    lane, of m lanes a byte.  Filled on first use of each m."""
+
+    def __missing__(self, m: int) -> tuple[bytes, bytes]:
+        tables = self[m] = (
+            bytes([m] + [((v & -v).bit_length() - 1) * m // 8
+                         for v in range(1, 256)]),
+            bytes([m] + [m - 1 - (v.bit_length() - 1) * m // 8
+                         for v in range(1, 256)]))
+        return tables
+
+
+_ZERO_LANES = _ZeroLanes()
 
 
 def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
@@ -191,7 +200,10 @@ def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
                 if e - b >= ell - q:
                     found.setdefault((b, e + q), q)
             at = diff.find(zeros, to + 1, end)
-    return [Run(b, e, q) for (b, e), q in sorted(found.items())]
+    # tuple.__new__ skips the namedtuple's Python-level __new__, which
+    # would double the cost of making each run
+    new = tuple.__new__
+    return [new(Run, (b, e, q)) for (b, e), q in sorted(found.items())]
 
 
 def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:

@@ -41,20 +41,22 @@ stream with the same error.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import compress, count
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
+from itertools import compress, count, islice
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
 
 
-@dataclass(frozen=True)
-class SparseEncoding:
-    """A token stream plus the cached length of the decoded sequence."""
+class SparseEncoding(namedtuple("SparseEncoding", "stream decoded_len")):
+    """A token stream plus the cached length of the decoded sequence.
 
-    stream: BitStream
-    decoded_len: int
+    Its len is the stream's length in bits, so the namedtuple's `_make`
+    and `_replace`, which count the fields by len, do not apply.
+    """
+
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.stream)
@@ -191,20 +193,16 @@ def senc_from_gaps(n: int, pieces) -> SparseEncoding:
     return SparseEncoding(_digits_to_stream(digits), n)
 
 
-@dataclass(frozen=True)
-class ParseInfo:
+class ParseInfo(namedtuple("ParseInfo", "b a a_plus values selects")):
     """Longest-valid-prefix parse of an encoding window.
 
     ``b`` is the largest prefix length (within the requested limit) that is
     a complete sparse encoding; the remaining fields describe the decoded
-    length-``a`` sequence.
+    length-``a`` sequence: its ``a_plus`` non-zeros, its ``values`` and
+    ``selects``, where selects[j-1] is the position of the j-th non-zero.
     """
 
-    b: int
-    a: int
-    a_plus: int
-    values: tuple[int, ...]
-    selects: tuple[int, ...]  # selects[j-1] = position of j-th non-zero
+    __slots__ = ()
 
     def rank(self, j: int) -> int:
         """Number of non-zeros before position j."""
@@ -345,9 +343,9 @@ def read_pieces(enc: SparseEncoding):
 def _expand(p: list[int], parses: list[ParseInfo | None]) -> list[int]:
     """The dense sequence of the pieces: zeros but for their parses."""
     values = [0] * p[-1]
-    for start, info in zip(p, parses):
+    for start, stop, info in zip(p, islice(p, 1, None), parses):
         if info is not None:
-            values[start:start + info.a] = info.values
+            values[start:stop] = info.values
     return values
 
 

@@ -14,7 +14,7 @@ and kept.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InvalidArgument, InvalidInput
 

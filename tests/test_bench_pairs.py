@@ -2,6 +2,7 @@
 stderr, and the raw ratios it summarizes from them."""
 
 import importlib.util
+import json
 import os
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools",
@@ -67,3 +68,33 @@ def test_summary_keeps_raw_ratios_and_reads_old_logs_as_null():
     assert got["change_wins"] == "2/2"
     got = tool.summarize(old, {})["cli-small"]["metrics"]["cli_read_s"]
     assert got["ratio"] == 0.5 and got["raw_ratio"] is None
+
+
+def test_cold_summary_reads_medians_quartiles_and_wins(tmp_path):
+    # a synthetic `cold` log beside one benchmark run: summarize keeps the
+    # two apart and reads each process's wall time; no process is started
+    tool = _tool()
+    walls = {"parent": [0.070, 0.075, 0.072, 0.080, 0.071],
+             "change": [0.060, 0.076, 0.061, 0.062, 0.059]}
+    args = ["query", "c.ssb", "--rank", "3"]
+    cold = [{"cold": args, "pair": i, "side": side, "first": True,
+             "wall_s": walls[side][i], "returncode": 0}
+            for i in range(5) for side in ("parent", "change")]
+    metrics = {"cli_read_s": {"value": 1.0, "unit": "s"}}
+    bench = [{"workload": "cli-small", "seed": 1, "side": side, "seconds": 12,
+              "result": {"correct": True, "failed": 0, "attempted": 1,
+                         "metrics": metrics}}
+             for side in ("parent", "change")]
+    log = tmp_path / "pairs.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in cold + bench))
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["summarize", str(log), "--parent-rev", "p",
+                      "--change-rev", "c", "--out", str(out)]) == 0
+    trend = json.loads(out.read_text())
+    assert list(trend["workloads"]) == ["cli-small"]
+    got = trend["cold"]["query c.ssb --rank 3"]
+    assert got["pairs"] == 5 and got["change_wins"] == "4/5"
+    assert got["parent"] == {"median": 0.072, "q1": 0.071, "q3": 0.075}
+    assert got["change"] == {"median": 0.061, "q1": 0.06, "q3": 0.062}
+    assert got["ratio"] == 0.061 / 0.072
+    assert got["returncodes"] == {"parent": [0], "change": [0]}

@@ -78,11 +78,13 @@ def test_sync_sparse_support_roundtrip(tmp_path, text_file, capsys):
                  "--set", str(cont)]) == 0
 
 
-def _run_fresh(script):
-    """stdout lines of `script` run by a fresh interpreter on this tausync."""
+def _run_fresh(script, *flags):
+    """stdout lines of `script` run by a fresh interpreter on this tausync,
+    started with the interpreter `flags`."""
     src = os.path.dirname(os.path.dirname(tausync.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    result = subprocess.run([sys.executable, *flags, "-c", script],
+                            capture_output=True,
                             text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
@@ -144,6 +146,32 @@ def test_cli_loads_no_reference_or_transducer_module(tmp_path, text_file):
               "             if m.startswith('tausync.reference')\n"
               "             or m == 'tausync.transducer'))\n")
     assert _run_fresh(script) == ["[]"]
+
+
+def test_commands_load_no_module_they_do_not_use(tmp_path, text_file):
+    # without site (which may load typing and re), the package and the
+    # commands but verify load no dataclasses, inspect, typing or oracle
+    path, _ = text_file
+    sync = ["sync", path, "--sigma", "4", "--tau", "8"]
+    cont = str(tmp_path / "sync.ssb")
+    calls = [sync + ["--format", "list", "--out", str(tmp_path / "l")],
+             sync + ["--format", "bitmask", "--out", str(tmp_path / "m")],
+             sync + ["--format", "sparse", "--out", cont],
+             ["decode", cont, "--out", str(tmp_path / "d")],
+             ["query", cont, "--rank", "40", "--select", "2"],
+             ["recompress", path, "--sigma", "4", "--level", "2"],
+             ["runs", path, "--sigma", "4", "--ell", "8", "--period", "2"]]
+    verify = ["verify", path, "--sigma", "4", "--tau", "8", "--set", cont]
+    script = ("import contextlib, io, sys, tausync.cli\n"
+              "unused = ('dataclasses', 'inspect', 'typing', 'tausync.oracle')\n"
+              "print(sorted(m for m in unused if m in sys.modules))\n"
+              f"for argv in {calls!r} + [{verify!r}]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert tausync.cli.main(argv) == 0, argv\n"
+              "    print(sorted(m for m in unused if m in sys.modules))\n")
+    *before, after_verify = _run_fresh(script, "-S")
+    assert before == ["[]"] * (1 + len(calls))
+    assert "'tausync.oracle'" in after_verify   # verify may load it
 
 
 def test_sync_bitmask_and_sparse_verified(tmp_path, text_file, monkeypatch):
@@ -747,18 +775,53 @@ def test_successive_calls_share_no_arguments(tmp_path, capsys):
     assert capsys.readouterr() == ("17\n", "")
 
 
+COMMANDS = ["sync", "recompress", "runs", "encode", "decode", "query",
+            "verify", "bench"]
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["sync", "--help"], ["recompress", "--help"],
     ["bench", "--help"], ["sync", "text.bin"], ["nope"],
-    ["query", "c.bin", "--rank", "x"], ["runs", "t", "--ell", "2"]])
+    ["query", "c.bin", "--rank", "x"], ["runs", "t", "--ell", "2"],
+    # leftovers after a command, reported by the top-level parser
+    ["query", "c.bin", "--rank", "1", "extra"],
+    ["decode", "c.bin", "d.bin", "--fast"],
+    ["sync", "t", "--tau", "2", "more", "--x"],
+    # an abbreviated option, "--" and an option before the positional
+    ["query", "c.bin", "--ra", "x"], ["query", "--", "c.bin", "--rank"],
+    ["decode", "--out", "o"], ["runs", "-h", "t"],
+    *([command, "-h"] for command in COMMANDS)])
 def test_shared_parser_prints_as_a_fresh_one(argv, capsys):
-    # help and usage errors read as from a parser built for the call
+    # help and usage errors read as from a parser built for the call; a
+    # call that names a command goes to that command's parser alone
     def run(parse):
         with pytest.raises(SystemExit) as exc:
             parse(argv)
         return exc.value.code, capsys.readouterr()
     first = run(main)
     assert run(build_parser().parse_args) == first == run(main)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sync", "t.txt", "--decimal", "--sigma", "9", "--tau", "4", "--format",
+     "sparse", "--verify", "--out", "o"],
+    ["recompress", "t.bin", "--level", "3", "--format", "bitmask",
+     "--sigma", "4", "--out", "o"],
+    ["runs", "--ell", "8", "t.bin", "--period", "2", "--format", "list",
+     "--sigma", "2", "--decimal", "--out", "o"],
+    ["encode", "v.txt", "--out", "o"],
+    ["decode", "--out", "o", "--", "-c.ssb"],
+    ["query", "c.ssb", "--ra", "7", "--select=2", "--out", "o"],
+    ["verify", "t.bin", "--tau", "8", "--set", "s.ssb", "--sigma", "4",
+     "--decimal", "--out", "o"],
+    ["bench", "--tau-list", "4,8", "--generate", "64", "--seed", "3",
+     "--sigma", "4", "--out", "o"]], ids=COMMANDS)
+def test_dispatch_parses_as_the_whole_parser(argv):
+    # every option of each command, read by its own parser, gives the
+    # namespace that the whole parser gives
+    got = cli._parse(argv)
+    assert got.command == argv[0]
+    assert vars(got) == vars(build_parser().parse_args(argv))
 
 
 def test_main_calls_the_module_command(monkeypatch, capsys):

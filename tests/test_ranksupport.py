@@ -480,3 +480,31 @@ def test_support_rank_directory_on_a_dense_k0_set(rng):
         full = sum(b - a == step for a, b in zip(sup.directory,
                                                   sup.directory[1:]))
         assert full > 0 or tau == 40, tau
+
+
+def test_decomposition_is_a_frozen_record():
+    enc = sc.senc_from_list(5, [(1, 2), (4, 1)])
+    d = rs.decompose(enc)
+    assert repr(d) == (
+        "Decomposition(encoding=SparseEncoding(stream=BitStream("
+        "'011010001011'), decoded_len=5), p=[0, 5], e=[0, 12], r=[0, 2], "
+        "parses=[ParseInfo(b=12, a=5, a_plus=2, values=(0, 2, 0, 0, 1), "
+        "selects=(1, 4))])")
+    assert d == rs.decompose(sc.senc_from_list(5, [(1, 2), (4, 1)]))
+    assert d != rs.decompose(sc.senc_from_list(5, [(1, 2), (3, 1)]))
+    assert (d.h, d.size) == (1, 2)
+    for field in ("encoding", "p", "parses"):
+        with pytest.raises(AttributeError):
+            setattr(d, field, None)
+
+
+def test_support_rank_checks_its_stored_n():
+    # rank reads the decoded length from its own slot, kept at build
+    for n, positions in ((0, []), (1, [0]), (40, [1, 5, 17, 30])):
+        sup = _support(n, positions)
+        assert sup.n == sup.encoding.decoded_len == n
+        assert sup.rank(n) == len(positions)
+        for j in (-1, n + 1):
+            with pytest.raises(InvalidArgument) as info:
+                sup.rank(j)
+            assert str(info.value) == f"rank argument {j} outside [0..{n}]"

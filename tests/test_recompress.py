@@ -234,6 +234,14 @@ def test_chain_n1_and_n0():
     assert rc.RecompressionIndex(PackedText([], 1)).chain.levels == [[]]
 
 
+def test_chain_handle_is_a_frozen_record():
+    chain = rc.RecompressionIndex(PackedText([0, 1], 2)).chain
+    assert repr(chain) == "ChainHandle(levels=[[1], [1], []])"
+    assert chain == rc.ChainHandle([[1], [1], []]) != rc.ChainHandle([[]])
+    with pytest.raises(AttributeError):
+        chain.levels = []
+
+
 # SHA-256 of repr(RecompressionIndex(t).chain.levels) for seeded texts.  The
 # chain is a function of the text alone, so a round that picks another
 # valid cut changes these even where verify_chain still passes.

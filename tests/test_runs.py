@@ -468,3 +468,20 @@ def test_runs_bitmask_packed_table_path():
     value = rn.runs_bitmask(t, 6, 3).to_int()
     for i in range(t.n - 6 + 1):
         assert value >> i & 1 == (brute_period(syms[i:i + 6]) <= 3)
+
+
+def test_run_is_an_ordered_frozen_record():
+    # repr, equality and order by (start, end, period), len as the
+    # fragment's length, and no assignment to a field
+    run = rn.Run(1, 5, 2)
+    assert repr(run) == "Run(start=1, end=5, period=2)"
+    assert len(run) == 4 and len(rn.Run(3, 3, 1)) == 0
+    assert run == rn.Run(1, 5, 2) and run != rn.Run(1, 5, 3)
+    runs = [rn.Run(2, 3, 1), rn.Run(1, 5, 2), rn.Run(1, 4, 3),
+            rn.Run(1, 5, 1)]
+    assert sorted(runs) == [rn.Run(1, 4, 3), rn.Run(1, 5, 1), rn.Run(1, 5, 2),
+                            rn.Run(2, 3, 1)]
+    assert rn.Run(1, 4, 9) < rn.Run(1, 5, 1) < rn.Run(2, 0, 0)
+    for field in ("start", "end", "period"):
+        with pytest.raises(AttributeError):
+            setattr(run, field, 0)

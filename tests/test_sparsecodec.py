@@ -446,3 +446,25 @@ def test_parse_tables_cache_is_bounded():
         assert step[5] is info
     assert max(map(len, sc.TABLES._memo)) <= sc.WINDOW_BITS
     assert len(sc.TABLES._memo) < 2 ** (sc.WINDOW_BITS + 1)
+
+
+def test_encoding_and_parse_are_frozen_records():
+    # the reprs that the behaviour digest hashes, equality by fields, the
+    # encoding's length in bits, and no assignment to a field
+    enc = sc.senc_from_list(5, [(1, 2), (4, 1)])
+    assert repr(enc) == ("SparseEncoding(stream=BitStream('011010001011'), "
+                         "decoded_len=5)")
+    assert len(enc) == len(enc.stream) == 12
+    assert enc == sc.SparseEncoding(enc.stream, 5)
+    assert enc != sc.SparseEncoding(enc.stream, 6)
+    info = sc.TABLES.parse_digits("1011")
+    assert repr(info) == ("ParseInfo(b=4, a=1, a_plus=1, values=(3,), "
+                          "selects=(0,))")
+    assert info == sc.ParseInfo(4, 1, 1, (3,), (0,))
+    assert info != sc.ParseInfo(4, 1, 1, (3,), (1,))
+    for record, field in ((enc, "decoded_len"), (enc, "stream"),
+                          (info, "b"), (info, "selects")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.other = 0   # no per-instance dict

@@ -26,6 +26,16 @@ none) and the number of pairs the change won:
 
 Each side runs its own checkout's benchmark, so both must carry the
 same `perfbench/`.
+
+`cold` times whole processes instead: it alternates fresh
+`python -m tausync ARGS` processes of the two checkouts, one at a time,
+each with only its checkout's `src/` on PYTHONPATH and the current
+directory as its own, and appends each process's wall time and exit
+code to the log; `summarize` reports each such ARGS's medians,
+quartiles and wins per side under "cold":
+
+    python3 tools/bench_pairs.py cold PARENT CHANGE --pairs 20 \\
+        --log cold.jsonl -- query c.ssb --rank 100
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 
 
 def seed_list(spec: str) -> list[int]:
@@ -99,6 +110,51 @@ def cmd_run(args) -> int:
                       f"failed={result['failed']} correct={result['correct']}",
                       file=sys.stderr)
     return 0
+
+
+def cmd_cold(args) -> int:
+    envs = {side: dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.abspath(root), "src"))
+        for side, root in (("parent", args.parent), ("change", args.change))}
+    argv = [sys.executable, "-m", "tausync", *args.args]
+    with open(args.log, "a") as log:
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                start = time.perf_counter()
+                code = subprocess.run(argv, env=envs[side],
+                                      stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.DEVNULL).returncode
+                wall = time.perf_counter() - start
+                log.write(json.dumps({"cold": args.args, "pair": i,
+                                      "side": side, "first": side == order[0],
+                                      "wall_s": wall, "returncode": code})
+                          + "\n")
+                log.flush()
+    return 0
+
+
+def summarize_cold(records: list[dict]) -> dict:
+    """Per ARGS (joined by spaces): each side's wall-time spread and exit
+    codes, the ratio of the medians and the pairs the change won."""
+    out: dict = {}
+    for key in dict.fromkeys(tuple(r["cold"]) for r in records):
+        mine = {(r["pair"], r["side"]): r for r in records
+                if tuple(r["cold"]) == key}
+        pairs = sorted({i for i, _ in mine
+                        if (i, "parent") in mine and (i, "change") in mine})
+        walls = {side: [mine[i, side]["wall_s"] for i in pairs]
+                 for side in ("parent", "change")}
+        parent, change = spread(walls["parent"]), spread(walls["change"])
+        out[" ".join(key)] = {
+            "pairs": len(pairs), "parent": parent, "change": change,
+            "ratio": change["median"] / parent["median"],
+            "change_wins": f"{sum(c < p for p, c in zip(*walls.values()))}"
+                           f"/{len(pairs)}",
+            "returncodes": {side: sorted({mine[i, side]["returncode"]
+                                          for i in pairs})
+                            for side in ("parent", "change")}}
+    return out
 
 
 def spread(values: list[float]) -> dict:
@@ -167,12 +223,16 @@ def cmd_summarize(args) -> int:
             records.extend(json.loads(line) for line in fh if line.strip())
     better = {m["name"]: m["better"]
               for m in load_benchmark(args.benchmark)["end_to_end"]}
+    cold = [r for r in records if "cold" in r]
     trend = {"python": platform.python_version(),
              "cpu_count": os.cpu_count(),
              "parent_rev": args.parent_rev,
              "change_rev": args.change_rev,
              "note": args.note,
-             "workloads": summarize(records, better)}
+             "workloads": summarize([r for r in records if "cold" not in r],
+                                    better)}
+    if cold:
+        trend["cold"] = summarize_cold(cold)
     with open(args.out, "w") as fh:
         json.dump(trend, fh, indent=1)
         fh.write("\n")
@@ -193,6 +253,14 @@ def main(argv=None) -> int:
     r.add_argument("--seeds", required=True, help="e.g. 601-610 or 601,603")
     r.add_argument("--log", required=True, help="JSON lines file to append to")
     r.set_defaults(func=cmd_run)
+    c = sub.add_parser("cold", help="alternate fresh parent/change "
+                                     "tausync processes")
+    c.add_argument("parent")
+    c.add_argument("change")
+    c.add_argument("--pairs", type=int, required=True)
+    c.add_argument("--log", required=True, help="JSON lines file to append to")
+    c.add_argument("args", nargs="+", help="tausync arguments, after --")
+    c.set_defaults(func=cmd_cold)
     s = sub.add_parser("summarize", parents=[bench],
                        help="write a BENCH_*.json trend file")
     s.add_argument("logs", nargs="+")

@@ -78,6 +78,7 @@ PAIR_TESTS = ROUND_TESTS + ("tests/test_recompress.py::"
                             "test_round_pair_rekeys_the_neighbours_of_a_"
                             "merged_run",)
 DECIMAL_RULE = "tests/test_cli.py::test_decimal_read_matches_the_line_rule"
+SHARED_PARSER = "tests/test_cli.py::test_shared_parser_prints_as_a_fresh_one"
 DIRECTORY_TESTS = ("tests/test_ranksupport.py::"
                    "test_support_rank_directory_edge_cases",
                    "tests/test_ranksupport.py::"
@@ -382,6 +383,11 @@ MUTANTS = [
            SUPPORT_TESTS + ("tests/test_fastpath.py::test_sync_with_support",
                             "tests/test_fastpath.py::"
                             "test_support_never_reads_its_stream")),
+    Mutant("support-stores-n-plus-one", RS,
+           "        self.n = encoding.decoded_len\n",
+           "        self.n = encoding.decoded_len + 1\n",
+           ("tests/test_ranksupport.py::test_support_rank_checks_its_stored_n",
+            DIRECTORY_TESTS[0])),
     Mutant("support-select-accepts-zero", RS,
            "        if not 1 <= j <= self.size:\n",
            "        if not 0 <= j <= self.size:\n",
@@ -405,6 +411,15 @@ MUTANTS = [
            "    top = max(level, 0)\n",
            ("tests/test_recompress.py::"
             "test_cli_recompress_past_lambda_4n_runs_no_round",)),
+    Mutant("dispatch-drops-leftover-arguments", CLI,
+           "    if extras:\n"
+           "        parser.error(\"unrecognized arguments: %s\" % \" \".join(extras))\n",
+           "",
+           (SHARED_PARSER,)),
+    Mutant("dispatch-reports-leftovers-with-the-command-parser", CLI,
+           "        parser.error(\"unrecognized arguments: %s\"",
+           "        command.error(\"unrecognized arguments: %s\"",
+           (SHARED_PARSER,)),
     Mutant("lines-drop-the-last-newline", CLI,
            '    return "%s\\n" * len(values) % values\n',
            '    return ("%s\\n" * len(values))[:-1] % values\n',
