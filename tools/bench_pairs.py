@@ -146,11 +146,11 @@ def summarize_cold(records: list[dict]) -> dict:
         walls = {side: [mine[i, side]["wall_s"] for i in pairs]
                  for side in ("parent", "change")}
         parent, change = spread(walls["parent"]), spread(walls["change"])
+        wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
         out[" ".join(key)] = {
             "pairs": len(pairs), "parent": parent, "change": change,
             "ratio": change["median"] / parent["median"],
-            "change_wins": f"{sum(c < p for p, c in zip(*walls.values()))}"
-                           f"/{len(pairs)}",
+            "change_wins": f"{wins}/{len(pairs)}",
             "returncodes": {side: sorted({mine[i, side]["returncode"]
                                           for i in pairs})
                             for side in ("parent", "change")}}
