@@ -787,7 +787,7 @@ COMMANDS = ["sync", "recompress", "runs", "encode", "decode", "query",
     ["query", "c.bin", "--rank", "1", "extra"],
     ["decode", "c.bin", "d.bin", "--fast"],
     ["sync", "t", "--tau", "2", "more", "--x"],
-    # an abbreviated option, "--" and an option before the positional
+    # an abbreviated option, "--", a missing positional and help first
     ["query", "c.bin", "--ra", "x"], ["query", "--", "c.bin", "--rank"],
     ["decode", "--out", "o"], ["runs", "-h", "t"],
     *([command, "-h"] for command in COMMANDS)])
