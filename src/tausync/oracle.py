@@ -19,9 +19,6 @@ class OracleReport:
     detail: str = ""
     position: Optional[int] = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def brute_period(s: Sequence[int]) -> int:
     for p in range(1, len(s) + 1):

@@ -8,12 +8,17 @@ conditions and has fewer than 70n/tau members.
 
 `sync_gaps` is the one construction of the set, as its gap sequence in
 a few pieces, with nothing cached between queries.  One enumeration of
-the tau-runs RUNS_{tau, tau//3} gives both edits to the boundary
-candidates: the few run candidates that are not boundaries, and one
-block of windows inside each run of length >= 2*tau, which are exactly
-the highly periodic windows.  At k = 0, B_0 is [1..n), so the set is
-the intervals between the blocks.  At k >= 2, the members between two
-edits are a slice of B_k's gap string, found by counting B_k's digits.
+runs of period <= tau//3 gives both edits to the boundary candidates:
+the few run candidates that are not boundaries, and one block of
+windows inside each run of length >= 2*tau, which are exactly the
+highly periodic windows.  At k >= 2 it lists the tau-runs
+RUNS_{tau, tau//3}, and the members between two edits are a slice of
+B_k's gap string, found by counting B_k's digits.  At k = 0, B_0 is
+[1..n), so every run candidate is already a boundary and the set is the
+intervals between the blocks; the blocks come only from runs of length
+>= 2*tau, and RUNS_{2tau, tau//3} is exactly those members of
+RUNS_{tau, tau//3}, so the enumeration asks only for them
+(`_run_length`) and the set is unchanged.
 `members_of` accumulates the pieces' gaps into the sorted list, which
 `build_sync_explicit` returns, and `build_sync_sparse` writes them with
 `senc_from_gaps`; neither lists the candidates.
@@ -72,6 +77,13 @@ def _blocks(runs: list[Run], tau: int) -> list[tuple[int, int]]:
             if r.end - r.start >= 2 * tau]
 
 
+def _run_length(tau: int, k: int) -> int:
+    """The least run length the run step lists at level k: 2*tau at
+    k = 0, where B_0 = [1..n) holds every run candidate and only the
+    blocks of runs of length >= 2*tau edit the set, else tau."""
+    return 2 * tau if k == 0 else tau
+
+
 # the edits to the boundary candidates, in the order they sort at one f
 _BLOCK, _NEW, _END = range(3)
 
@@ -79,11 +91,15 @@ _BLOCK, _NEW, _END = range(3)
 def sync_gaps(index: SyncIndex, tau: int) -> list[tuple]:
     """The set for one tau as pieces (first, gaps, last) in order, as
     `senc_from_gaps` reads them: the members first, first + gaps[0], ...,
-    last, or every position in [first..last] if `gaps` is None."""
+    last, or every position in [first..last] if `gaps` is None.
+
+    At k = 0 the runs come from RUNS_{2tau, tau//3} (`_run_length`): the
+    set is the intervals between the blocks, and a run shorter than
+    2*tau has none, so the set is that of RUNS_{tau, tau//3}."""
     t = index.t
     _check_tau(t, tau)
     n, k = t.n, k_of_tau(tau)
-    runs = enumerate_runs(t, tau, tau // 3)
+    runs = enumerate_runs(t, _run_length(tau, k), tau // 3)
     # the blocks are disjoint and in order: two runs of period <= tau // 3
     # overlap by fewer than 2 * tau symbols
     blocks = _blocks(runs, tau)
@@ -138,12 +154,17 @@ def build_sync_sparse(index: SyncIndex, tau: int) -> SparseEncoding:
 
 
 def build_sync_bitmask(index: SyncIndex, tau: int) -> BitStream:
-    """The same set as an n-bit mask, built without listing it."""
+    """The same set as an n-bit mask, built without listing it.
+
+    At k = 0 the runs come from RUNS_{2tau, tau//3} (`_run_length`): B_0's
+    digits are already '1' at every run candidate, and only the blocks of
+    runs of length >= 2*tau clear any, so the mask is that of
+    RUNS_{tau, tau//3}."""
     t = index.t
     _check_tau(t, tau)
-    n = t.n
-    runs = enumerate_runs(t, tau, tau // 3)
-    digits = index.recomp.level_digits(k_of_tau(tau))[tau:n - tau + 1]
+    n, k = t.n, k_of_tau(tau)
+    runs = enumerate_runs(t, _run_length(tau, k), tau // 3)
+    digits = index.recomp.level_digits(k)[tau:n - tau + 1]
     for i in _run_candidates(runs, tau, n - 2 * tau):
         digits[i] = ord("1")
     for first, last in _blocks(runs, tau):

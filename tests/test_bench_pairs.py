@@ -1,9 +1,12 @@
 """`tools/bench_pairs.py`: the raw medians it reads from a benchmark run's
-stderr, and the raw ratios it summarizes from them."""
+stderr, the raw ratios it summarizes from them, and its in-process pairs
+of two package trees."""
 
+import gc
 import importlib.util
 import json
 import os
+import sys
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools",
                     "bench_pairs.py")
@@ -98,3 +101,93 @@ def test_cold_summary_reads_medians_quartiles_and_wins(tmp_path):
     assert got["change"] == {"median": 0.061, "q1": 0.06, "q3": 0.062}
     assert got["ratio"] == 0.061 / 0.072
     assert got["returncodes"] == {"parent": [0], "change": [0]}
+
+
+def _tree(root, name, loops):
+    """A two-module package whose `spin` sums range(loops)."""
+    pkg = root / name / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .work import LOOPS, spin\n")
+    (pkg / "work.py").write_text(f"LOOPS = {loops}\n\n\ndef spin():\n"
+                                 f"    return sum(range(LOOPS))\n")
+    return str(pkg)
+
+
+def test_inproc_runs_two_trees_in_lockstep(tmp_path):
+    # two tiny trees of one package, loaded side by side; the change's
+    # spin does a hundredth of the parent's work.  No process is started.
+    tool = _tool()
+    names = ("bench_pairs_test_parent", "bench_pairs_test_change")
+    try:
+        sides = {"parent": tool.load_tree(_tree(tmp_path, "a", 20000), names[0]),
+                 "change": tool.load_tree(_tree(tmp_path, "b", 200), names[1])}
+        assert sys.modules[names[0] + ".work"].LOOPS == 20000
+        assert sys.modules[names[1] + ".work"].LOOPS == 200
+        trace = []
+
+        def round_fn(pkg, timer, keep):
+            for step in range(3):
+                def call():
+                    trace.append((pkg.LOOPS, step, gc.isenabled()))
+                    return pkg.spin()
+                timer("spin", call)
+                keep(step)
+                yield
+            timer.tally("rounds", 1)
+
+        records, same = tool.alternate(sides, round_fn, 3)
+        assert same and gc.isenabled()
+        assert not any(enabled for _, _, enabled in trace)
+        # one untimed round a side, then per pair two rounds in lockstep,
+        # the parent first in one and the change first in the other
+        steps = [(n, step) for n, step, _ in trace]
+        ab = [x for step in range(3) for x in ((20000, step), (200, step))]
+        ba = [x for step in range(3) for x in ((200, step), (20000, step))]
+        assert steps == ([(20000, s) for s in range(3)]
+                         + [(200, s) for s in range(3)] + (ab + ba) * 3)
+        assert [(r["pair"], r["side"]) for r in records] == [
+            (i, side) for i in range(3) for side in ("parent", "change")]
+        assert all(r["values"]["rounds"] == 2 for r in records)
+
+        log = tmp_path / "inproc.jsonl"
+        log.write_text("".join(json.dumps(dict(r, inproc="spin", seed=1,
+                                               same_outputs=same)) + "\n"
+                               for r in records))
+        out = tmp_path / "BENCH.json"
+        assert tool.main(["summarize", str(log), "--parent-rev", "p",
+                          "--change-rev", "c", "--out", str(out)]) == 0
+        trend = json.loads(out.read_text())
+        assert trend["workloads"] == {}
+        got = trend["inproc"]["spin"]
+        assert got["pairs"] == 3 and got["same_outputs"]
+        assert got["ops"]["spin"]["ratio"] < 0.5
+        assert got["ops"]["spin"]["change_wins"] == "3/3"
+        assert got["ops"]["rounds"]["ratio"] == 1.0
+        # a second tree loaded under a name drops the first one's modules
+        tool.load_tree(_tree(tmp_path, "c", 7), names[0])
+        assert sys.modules[names[0] + ".work"].LOOPS == 7
+    finally:
+        for name in [m for m in sys.modules if m.startswith(names)]:
+            del sys.modules[name]
+
+
+def test_inproc_rounds_of_one_checkout_give_equal_outputs(tmp_path):
+    # the package's rounds on a small random text, the checkout against
+    # itself under two package names, in this process
+    tool = _tool()
+    root = os.path.join(os.path.dirname(TOOL), "..")
+    log = tmp_path / "inproc.jsonl"
+    try:
+        assert tool.main(["inproc", root, root, "--text", "300:4:3,8",
+                          "--pairs", "1", "--log", str(log)]) == 0
+    finally:
+        for name in [m for m in sys.modules
+                     if m.startswith(("tausync_parent", "tausync_change"))]:
+            del sys.modules[name]
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["side"] for r in records] == ["parent", "change"]
+    assert all(r["same_outputs"] and r["inproc"] == "300:4:3,8"
+               for r in records)
+    assert {op for r in records for op in r["values"]} == {
+        "setup_s", "query_explicit_s", "query_bitmask_s", "query_sparse_s",
+        "query_support_s", "sparse_bits", "select_ns", "rank_ns"}

@@ -81,6 +81,23 @@ def test_positions_rejected(n, positions):
         from_positions(n, positions)
 
 
+@pytest.mark.parametrize("bits, bad", [("0120", "'2'"), ("10 1", "' '"),
+                                       ("x", "'x'"), ("01\n", "'\\n'")])
+def test_from01_rejects_a_non_bit(bits, bad):
+    with pytest.raises(InvalidArgument) as err:
+        BitStream.from01(bits)
+    assert str(err.value) == f"not a bit: {bad}"
+
+
+@pytest.mark.parametrize("value, length", [(-1, 4), (16, 4), (1, 0),
+                                           (1 << 64, 64)])
+def test_from_int_rejects_a_value_that_does_not_fit(value, length):
+    with pytest.raises(InvalidArgument,
+                       match="^value does not fit in length bits$"):
+        BitStream.from_int(value, length)
+    assert len(BitStream.from_int((1 << length) - 1, length)) == length
+
+
 @pytest.mark.parametrize("n, positions, text", [
     (4, [4], "positions outside [0..4)"),
     (8, [-1, 3], "positions outside [0..8)"),

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import glob
 import io
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -109,6 +111,64 @@ def test_python_m_tausync_runs_the_cli(tmp_path, text_file, capsys, fmt):
         assert result.stderr == capsys.readouterr().err
         written = [out.read_bytes() if out.exists() else None for out in outs]
         assert written[0] == written[1] and (written[0] is None) == bool(want)
+
+
+def _python310():
+    """A Python 3.10 interpreter that runs: python3.10 on PATH, else one in
+    pyenv's versions directory; None if there is none."""
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    found = glob.glob(os.path.join(root, "versions", "3.10.*", "bin",
+                                   "python3.10"))
+    for exe in filter(None, [shutil.which("python3.10"), *sorted(found)]):
+        probe = subprocess.run(
+            [exe, "-S", "-c",
+             "import sys; sys.exit(sys.version_info[:2] != (3, 10))"],
+            capture_output=True, timeout=60)
+        if probe.returncode == 0:
+            return exe
+    return None
+
+
+def test_python_3_10_writes_what_main_writes(tmp_path, text_file,
+                                             capsysbinary):
+    # pyproject.toml sets the floor at Python 3.10: each command, run by a
+    # fresh 3.10 interpreter without site, exits and writes to stdout as
+    # main does here, byte for byte
+    exe = _python310()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter")
+    path, symbols = text_file
+    decimal = tmp_path / "text.txt"
+    decimal.write_text("".join(f"{i} {s}\n" for i, s in enumerate(symbols)))
+    cont = str(tmp_path / "sync.ssb")
+    sync = ["sync", path, "--sigma", "4"]
+    assert main(sync + ["--tau", "8", "--format", "sparse",
+                        "--out", cont]) == 0
+    calls = [sync + ["--tau", "4", "--format", "list"],
+             sync + ["--tau", "16", "--format", "sparse"],
+             ["query", cont, "--rank", "40", "--select", "2"],
+             ["decode", cont],
+             ["recompress", path, "--sigma", "4", "--level", "2"],
+             ["runs", path, "--sigma", "4", "--ell", "4", "--period", "2"],
+             ["verify", path, "--sigma", "4", "--tau", "8", "--set", cont],
+             ["sync", str(decimal), "--decimal", "--sigma", "4", "--tau", "8",
+              "--format", "list"],
+             sync + ["--tau", "200"]]
+    src = os.path.dirname(os.path.dirname(tausync.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    capsysbinary.readouterr()
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([exe, "-S", "-m", "tausync", *argv],
+                               capture_output=True, timeout=120, env=env)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsysbinary.readouterr().out
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv
+        codes.append((code, bool(out)))
+    assert codes == [(0, True)] * 8 + [(2, False)]
 
 
 def test_query_loads_no_reference_module(tmp_path):

@@ -163,6 +163,26 @@ def test_enumerate_requires_ell_ge_2p():
         rn.enumerate_runs(t, 3, 2)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 4), (3, 3), (5, 2), (0, 11)])
+def test_run_extend_rejects_a_fragment_out_of_range(i, j):
+    t = PackedText([0, 1] * 5, 2)
+    with pytest.raises(InvalidArgument, match="^fragment out of range$"):
+        rn.run_extend(t, i, j)
+
+
+@pytest.mark.parametrize("ell, p, text", [
+    (0, 0, "window length must be positive"),
+    (-3, 1, "window length must be positive"),
+    (4, 4, "period bound must be below the window length"),
+    (4, 9, "period bound must be below the window length"),
+])
+def test_runs_bitmask_rejects_bad_arguments(ell, p, text):
+    t = PackedText([0, 1] * 5, 2)
+    with pytest.raises(InvalidArgument) as err:
+        rn.runs_bitmask(t, ell, p)
+    assert str(err.value) == text
+
+
 def test_enumerate_matches_brute(rng):
     for _ in range(50):
         n = rng.randint(1, 70)

@@ -1,5 +1,6 @@
 import random
 from array import array
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from tausync.oracle import TextIndex, brute_period, brute_runs, verify_sync
 from tausync.recompress import RecompressionIndex
 from tausync.reference.ranksupport import from_positions
 from tausync.runs import enumerate_runs
+from tausync import fastpath as fp
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.text import PackedText
@@ -118,8 +120,12 @@ def test_explicit_matches_definition(rng):
 
 
 def test_one_run_enumeration_per_query(monkeypatch):
+    # every query form lists the runs once: at k = 0 (tau < 16) only those
+    # of length >= 2 tau, which cut the blocks, else the tau-runs.  Both
+    # give the same set, so only a spy tells the two apart.
     syms = [0, 1] * 40 + [0, 0, 1, 2] * 10
-    index = ss.SyncIndex(PackedText(syms, 3))
+    handle = fp.FastSyncIndex(PackedText(syms, 3))
+    index = handle.sync_index
     calls = []
     real = ss.enumerate_runs
 
@@ -128,10 +134,73 @@ def test_one_run_enumeration_per_query(monkeypatch):
         return real(t, ell, p)
 
     monkeypatch.setattr(ss, "enumerate_runs", counting)
-    for tau in (1, 3, 7, 30):
-        calls.clear()
-        ss.build_sync_explicit(index, tau)
-        assert calls == [(tau, tau // 3)]
+    queries = {"explicit": lambda tau: ss.build_sync_explicit(index, tau),
+               "bitmask": lambda tau: ss.build_sync_bitmask(index, tau),
+               "sparse": handle.sync_sparse,
+               "support": handle.sync_with_support}
+    for tau in (1, 3, 7, 15, 16, 30, 60):
+        assert (ss.k_of_tau(tau) == 0) == (tau < 16)
+        for name, query in queries.items():
+            calls.clear()
+            query(tau)
+            assert calls == [(2 * tau if tau < 16 else tau, tau // 3)], (
+                name, tau)
+
+
+def _run_rich_texts():
+    """(symbols, sigma) of random, periodic-with-edits and blocky texts
+    over each sigma, n < 3,000, with many runs shorter than 2 * tau."""
+    rng = random.Random(0x2B0)
+    texts = []
+    for sigma in (1, 2, 3, 4, 16, 300):
+        def word(p):
+            return [rng.randrange(sigma) for _ in range(p)]
+
+        n = rng.randint(1500, 2999)
+        texts.append((word(n), sigma))
+        periodic = (word(rng.randint(1, 5)) * n)[:n]
+        for _ in range(n // 12):   # an edit every 12 symbols on average
+            periodic[rng.randrange(n)] = rng.randrange(sigma)
+        texts.append((periodic, sigma))
+        blocky = []
+        while len(blocky) < n:     # short periodic stretches, noise between
+            blocky += (word(rng.randint(1, 4)) * 40)[:rng.randint(2, 40)]
+            blocky += word(rng.randint(0, 3))
+        texts.append((blocky[:n], sigma))
+    return texts
+
+
+def test_k0_forms_match_the_oracle_on_run_rich_texts():
+    # tau = 1..15: every form of the set from the runs of length >= 2 tau
+    # alone is the set the definition gives from the tau-runs, and passes
+    # the oracle's consistency and density checks
+    short = dict.fromkeys((2, 3, 4, 16, 300), 0)
+    for syms, sigma in _run_rich_texts():
+        t = PackedText(syms, sigma)
+        n = t.n
+        handle = fp.FastSyncIndex(t)
+        index = handle.sync_index
+        tidx = TextIndex(syms)
+        for tau in range(1, 16):
+            explicit = ss.build_sync_explicit(index, tau)
+            assert verify_sync(syms, tau, explicit, tidx).ok, (sigma, tau)
+            assert explicit == _oracle_set(syms, index.recomp.level_list(0),
+                                           tau, tidx), (sigma, tau)
+            assert ss.build_sync_bitmask(index, tau).to_positions() == explicit
+            sparse = handle.sync_sparse(tau)
+            assert [i for i, bit in enumerate(sc.senc_decode(sparse))
+                    if bit] == explicit, (sigma, tau)
+            support = handle.sync_with_support(tau)
+            assert support.encoding == sparse
+            assert [support.select(j) for j in range(1, support.size + 1)
+                    ] == explicit
+            assert [support.rank(j) for j in range(0, n + 1, 97)] == [
+                bisect_left(explicit, j) for j in range(0, n + 1, 97)]
+            if sigma > 1:
+                short[sigma] += sum(len(r) < 2 * tau for r in
+                                    enumerate_runs(t, tau, tau // 3))
+    # each sigma > 1 holds many tau-runs that the queries no longer list
+    assert min(short.values()) >= 20, short
 
 
 def test_bitmask_equals_explicit(rng):

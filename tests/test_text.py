@@ -56,6 +56,23 @@ def test_counter_overlapping():
     assert c.count([1]) == 0
 
 
+@pytest.mark.parametrize("i", [-6, 10, -100, 1000])
+def test_symbol_outside_the_padding_rejected(i):
+    t = PackedText([0, 1, 2, 1, 0], 3)
+    with pytest.raises(InvalidArgument) as err:
+        t.symbol(i)
+    assert str(err.value) == f"index {i} outside [-n..2n)"
+    assert t.symbol(-5) == t.symbol(9) == t.sentinel   # the ends inside
+
+
+@pytest.mark.parametrize("i, length", [(0, -1), (-6, 2), (8, 3), (-5, 16)])
+def test_symbols_outside_the_padding_rejected(i, length):
+    t = PackedText([0, 1, 2, 1, 0], 3)
+    with pytest.raises(InvalidArgument, match=r"^range outside \[-n\.\.2n\)$"):
+        t.symbols(i, length)
+    assert len(t.symbols(-5, 15)) == 15
+
+
 def test_counter_limit_enforced():
     c = SubstringCounter([0, 1, 0], 1)
     with pytest.raises(InvalidArgument):

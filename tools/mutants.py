@@ -361,6 +361,11 @@ MUTANTS = [
            "if 0 <= i <= hi}",
            "if 0 <= i < hi}",
            GAP_TESTS[:2]),
+    # the set is the same either way: only the spy on the call tells
+    Mutant("k0-asks-runs-of-length-tau", SS,
+           "    return 2 * tau if k == 0 else tau\n",
+           "    return tau\n",
+           ("tests/test_syncset.py::test_one_run_enumeration_per_query",)),
     Mutant("blocks-skip-runs-of-exactly-2-tau", SS,
            "if r.end - r.start >= 2 * tau]",
            "if r.end - r.start > 2 * tau]",
