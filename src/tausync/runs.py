@@ -5,15 +5,19 @@ A run is a maximal periodic fragment: extending it one symbol in either
 direction would increase its smallest period.  RUNS_{l,p} keeps the runs
 of length >= l and period <= p; tau-runs are RUNS_{tau, tau//3}.  One
 scanner, `_shift_runs`, finds them by XOR-ing the text, read as one int
-of packed, byte or four-byte lanes, with its shifts by 1..p; where those
-p passes cost more than probing, periodic probes are extended with
-`run_extend`.  The same scanner answers `runs_bitmask` for ell < 2p.
+of packed, byte or four-byte lanes, with its shifts by q in (p/2..p]:
+each such run shows at a multiple of its period there (Fine and Wilf),
+and the gcd of the shifts that show it, or one slice comparison, gives
+that period.  Where those p - p//2 passes cost more than probing,
+periodic probes are extended with `run_extend`.  The same scanner
+answers `runs_bitmask` for ell < 2p.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from math import gcd
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
@@ -90,13 +94,14 @@ def _extend_left(s: str, b: int, p: int) -> int:
 def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     """RUNS_{ell,p}(T): each qualifying run once, sorted by start and end.
 
-    One rule picks the path: the shifts by 1..p (`_shift_runs`) if those p
-    passes cost less than the probes, a pass about its bytes plus
-    PASS_BYTES and a probe PROBE_BYTES.  A pass reads n/m bytes in lanes
-    of 8/m bits (m > 1 where at most 16 symbols fit, `PackedText.lanes`,
-    else 1), or 8n past 256 symbols, where folding four-byte lanes into
-    one costs about twice their 4n bytes.  Otherwise fragments of length
-    2p spaced ell + 1 - 2p apart are probed: every qualifying run has one.
+    One rule picks the path: the shifts by q in (p/2..p] (`_shift_runs`)
+    if those p - p//2 passes cost less than the probes, a pass about its
+    bytes plus PASS_BYTES and a probe PROBE_BYTES.  A pass reads n/m bytes
+    in lanes of 8/m bits (m > 1 where at most 16 symbols fit,
+    `PackedText.lanes`, else 1), or 8n past 256 symbols, where folding
+    four-byte lanes into one costs about twice their 4n bytes.  Otherwise
+    fragments of length 2p spaced ell + 1 - 2p apart are probed: every
+    qualifying run has one.
     """
     if ell < 2 * p:
         raise InvalidArgument("enumerate_runs requires ell >= 2p")
@@ -110,10 +115,21 @@ def enumerate_runs(t: PackedText, ell: int, p: int) -> list[Run]:
     # holds two whole zero bytes (3m - 1 <= d) of 8 bits of ranks (k^2m >= 256)
     m = (8 if k == 2 and d >= 23 else 4 if 2 <= k <= 4 and d >= 11
          else 2 if 4 <= k <= 16 and d >= 5 else 1)
-    cost = p * ((n // m if k <= 256 else 8 * n) + PASS_BYTES)
+    cost = (p - p // 2) * ((n // m if k <= 256 else 8 * n) + PASS_BYTES)
     if cost <= PROBE_BYTES * ((n - 2 * p) // delta + 1):
         x, w = (t.lanes(8 // m), 8 // m) if m > 1 else t.byte_lanes()
-        return _shift_runs(x, w, n, m, ell, p)
+        found = _shift_runs(x, w, n, m, ell, p).items()
+        if p > 2:   # one shift lists its stretches in order
+            found = sorted(found)
+        # tuple.__new__ skips the namedtuple's Python-level __new__, which
+        # would double the cost of making each run
+        new = tuple.__new__
+        # a run's period is the gcd of the shifts that show it or, if only
+        # q does, q/2 where 3q/2 > p and its halves match (`_shift_runs`)
+        return [new(Run, (b, e, q // 2 if q % 2 == 0 and 3 * q > 2 * p
+                          and s[n + b:n + b + q // 2]
+                          == s[n + b + q // 2:n + b + q] else q))
+                for (b, e), q in found]
     # a probe whose first half does not recur in it is aperiodic, and
     # run_extend would return None: only periodic probes are extended
     probes = (start for start in range(0, n - 2 * p + 1, delta)
@@ -157,10 +173,11 @@ _ZERO_LANES = _ZeroLanes()
 
 
 def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
-                p: int) -> list[Run]:
-    """The maximal stretches [b, e) of a period q <= p and length >= ell
-    that the shifts show, each once with its smallest such q, for x the
-    text in lanes of w bits, m a byte (m = 1 for w = 8 and w = 32).
+                p: int) -> dict[tuple[int, int], int]:
+    """The maximal stretches [b, e) of a period q in (p/2..p] and length
+    >= ell that the shifts by those q show, each mapped to the gcd of the
+    q that show it, for x the text in lanes of w bits, m a byte (m = 1 for
+    w = 8 and w = 32).
 
     Lane i of x ^ (x >> q lanes) is 0 iff T[i] = T[i + q], for i < n - q
     (above, the shift fills with zeros, which rank 0 matches, so the scan
@@ -169,15 +186,23 @@ def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
     bytes; `find` meets them.  At m = 1 they are the stretch; four-byte
     lanes are first folded into their low byte.  At m > 1 (3m - 1 <=
     ell - p) there are at least two, and the zero lanes of the nonzero
-    bytes beside them fix the stretch's ends.  With ell >= 2p >= q + q'
-    the stretches are the runs of RUNS_{ell,p}: Fine and Wilf put a run of
-    smallest period q' first at q = q', then, with the same bounds, only
-    at multiples of q'.
+    bytes beside them fix the stretch's ends.
+
+    With ell >= 2p the stretches are the runs of RUNS_{ell,p}.  A run of
+    smallest period q' <= p and length >= 2p shows at every multiple of
+    q' up to p, by Fine and Wilf only there, and (p/2..p] holds one.  Two
+    shifts there differ by less than p/2, so a run shown at two has their
+    gcd, at most p//2, as q'.  A run shown at q alone has q' = q, or
+    q' = q/2 with 3q' > p: were q = cq' with c >= 3, (c - 1)q' <= p/2
+    and (c + 1)q' > p would need c < 3.  Its first q symbols have period
+    q/2 just when q' = q/2.  With ell < 2p a window of a period q' <= p <
+    ell has the period of that multiple too, so the windows of the
+    stretches are those of every q <= p.
     """
     nb = -(-n * w // 8)
     low, high = _ZERO_LANES[m]
     found: dict[tuple[int, int], int] = {}
-    for q in range(1, p + 1):
+    for q in range(p // 2 + 1, p + 1):
         z = x ^ (x >> w * q)
         if w == 32:   # fold each lane into its low byte
             z |= z >> 16
@@ -187,23 +212,22 @@ def _shift_runs(x: int, w: int, n: int, m: int, ell: int,
             diff = z.to_bytes(nb, "little")
         stop = n - q
         end = stop // m   # the bytes below hold only lanes below stop
-        zeros = bytes((ell - q + 1) // m - 1)
+        need = (ell - q + 1) // m - 1   # whole zero bytes of a stretch
+        zeros = bytes(need)
         at = diff.find(zeros, 0, end)
         while at >= 0:
-            nz = _NONZERO.search(diff, at + len(zeros), end)
+            nz = _NONZERO.search(diff, at + need, end)
             to = nz.start() if nz else end
             if m == 1:
-                found.setdefault((at, to + q), q)
+                key = at, to + q
             else:
                 e = min(to * m + low[diff[to]], stop)
                 b = at * m - high[diff[at - 1]] if at else 0
-                if e - b >= ell - q:
-                    found.setdefault((b, e + q), q)
+                key = (b, e + q) if e - b >= ell - q else None
+            if key and (g := found.setdefault(key, q)) != q:
+                found[key] = gcd(g, q)
             at = diff.find(zeros, to + 1, end)
-    # tuple.__new__ skips the namedtuple's Python-level __new__, which
-    # would double the cost of making each run
-    new = tuple.__new__
-    return [new(Run, (b, e, q)) for (b, e), q in sorted(found.items())]
+    return found
 
 
 def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
@@ -213,7 +237,7 @@ def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
     maximal zero stretch [b, e) of the q-shift, so the mask sets the
     windows [b..e + q - ell] of every stretch with q <= p: the runs of
     `enumerate_runs` for ell >= 2p, else every stretch `_shift_runs`
-    finds over byte lanes.
+    finds over byte lanes, whose shifts in (p/2..p] cover those windows.
     """
     if ell < 1:
         raise InvalidArgument("window length must be positive")
@@ -222,10 +246,10 @@ def runs_bitmask(t: PackedText, ell: int, p: int) -> BitStream:
         raise InvalidArgument("period bound must be below the window length")
     width = max(0, n - ell + 1)
     if ell >= 2 * p:
-        runs = enumerate_runs(t, ell, p)
+        spans = [(r.start, r.end) for r in enumerate_runs(t, ell, p)]
     else:
-        runs = _shift_runs(*t.byte_lanes(), n, 1, ell, p) if width else []
+        spans = _shift_runs(*t.byte_lanes(), n, 1, ell, p) if width else {}
     digits = bytearray(b"0") * width
-    for r in runs:
-        digits[r.start:r.end - ell + 1] = b"1" * (r.end - ell + 1 - r.start)
+    for b, e in spans:
+        digits[b:e - ell + 1] = b"1" * (e - ell + 1 - b)
     return BitStream.from_digits(digits, width)

@@ -73,6 +73,32 @@ def test_summary_keeps_raw_ratios_and_reads_old_logs_as_null():
     assert got["ratio"] == 0.5 and got["raw_ratio"] is None
 
 
+def test_summary_reports_a_workload_with_no_complete_pair():
+    # runs-heavy has only its parent's run, as when the change's run was
+    # stopped; it is reported with no seeds and no metrics, beside a
+    # complete pair of cli-small
+    tool = _tool()
+    metrics = {"setup_s": {"value": 1.0, "unit": "s"}}
+
+    def record(workload, seed, side):
+        return {"workload": workload, "seed": seed, "side": side,
+                "seconds": 12, "speed_factor": 2.0,
+                "result": {"correct": True, "failed": 0, "attempted": 1,
+                           "metrics": metrics}}
+
+    records = [record("runs-heavy", 5, "parent"),
+               record("cli-small", 1, "parent"),
+               record("cli-small", 1, "change")]
+    got = tool.summarize(records, {})
+    assert list(got) == ["runs-heavy", "cli-small"]
+    lone = got["runs-heavy"]
+    assert lone["seeds"] == [] and lone["metrics"] == {}
+    assert lone["failed_of_attempted"] == {"parent": [], "change": []}
+    assert lone["speed_factor"] == {"parent": None, "change": None}
+    assert got["cli-small"]["seeds"] == [1]
+    assert got["cli-small"]["metrics"]["setup_s"]["change_wins"] == "0/1"
+
+
 def test_cold_summary_reads_medians_quartiles_and_wins(tmp_path):
     # a synthetic `cold` log beside one benchmark run: summarize keeps the
     # two apart and reads each process's wall time; no process is started

@@ -110,3 +110,25 @@ def test_positions_rejection_texts(n, positions, text):
     with pytest.raises(InvalidArgument) as err:
         from_positions(n, positions)
     assert str(err.value) == text
+
+
+def test_value_semantics_equality_hash_and_repr():
+    # a stream equals only a stream: against an int __eq__ returns
+    # NotImplemented, so Python falls back to identity
+    empty = BitStream()
+    assert empty.__eq__(0) is NotImplemented
+    assert not empty == 0 and empty != 0 and empty != ""
+    # equal (length, value) pairs hash equal and dedupe in a set; the same
+    # value at another length is another stream
+    a, b = BitStream.from01("0110"), BitStream.from_int(0b0110, 4)
+    assert a == b and hash(a) == hash(b) and a is not b
+    wider = BitStream.from_int(0b0110, 5)
+    assert a != wider
+    assert {a, b, wider, BitStream(), BitStream.from01("")} == {
+        a, wider, empty}
+    assert len({a, b, wider, empty}) == 3
+    # up to 80 bits the repr spells the bits; past that, only the length
+    assert repr(BitStream.from01("1" * 80)) == f"BitStream({'1' * 80!r})"
+    assert repr(a) == "BitStream('0110')" and repr(empty) == "BitStream('')"
+    assert repr(BitStream.from_int(1, 81)) == "BitStream(len=81)"
+    assert repr(BitStream.from_int(0, 1000)) == "BitStream(len=1000)"

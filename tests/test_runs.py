@@ -351,6 +351,53 @@ def test_packed_runs_match_brute(distinct, n, p, d, extra, rng):
         _check_packed(monkeypatch, syms, distinct, p + d, p)
 
 
+#: lane kind -> (distinct symbols, least ell - p) that takes it
+_LANE_KINDS = {"1-bit": (2, 23), "2-bit": (4, 11), "4-bit": (16, 5),
+               "byte": (17, 1), "four-byte": (300, 1)}
+
+
+@st.composite
+def planted_period_texts(draw):
+    """(symbols, sigma, p, ell - p, ell'): random symbols, every one of the
+    lane kind's alphabet among them, with one to three runs of a smallest
+    period drawn from one band each, [1..p/4], (p/4..p/2] or (p/2..p],
+    planted; p < ell' < 2p is a window length for `runs_bitmask`."""
+    distinct, least = _LANE_KINDS[draw(st.sampled_from(sorted(_LANE_KINDS)))]
+    p = draw(st.integers(2, 24))
+    d = max(p, least) + draw(st.integers(0, 6))
+    symbol = st.integers(0, distinct - 1)
+    syms = list(draw(st.permutations(range(distinct))))
+    syms += draw(st.lists(symbol, max_size=40))
+    bands = [(1, p // 4), (p // 4 + 1, p // 2), (p // 2 + 1, p)]
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = draw(st.sampled_from([b for b in bands if b[0] <= b[1]]))
+        word = draw(st.lists(symbol, min_size=lo, max_size=hi))
+        length = draw(st.integers(p + d, p + d + 2 * p))
+        at = draw(st.integers(0, len(syms)))
+        syms[at:at] = (word * length)[:length]
+    return syms, distinct, p, d, draw(st.integers(p + 1, 2 * p - 1))
+
+
+# a run of period 3 at p = 4, shown only at q = 3, the first shift; a run
+# of period 3 at p = 6, shown only at q = 6, whose halves match; at p = 7,
+# periods 2 (at 4 and 6) and 3 (at 6 alone)
+@settings(max_examples=150, deadline=None)
+@given(planted_period_texts())
+@example(([0, 1, 2] + [0, 0, 1] * 7 + [2, 1], 3, 4, 4, 5))
+@example(([2, 0, 1] + [0, 0, 1] * 10 + [2, 2], 3, 6, 6, 7))
+@example(([3, 2] + [0, 1] * 9 + [2] + [0, 0, 1] * 8 + [3], 4, 7, 11, 9))
+def test_shifts_recover_the_smallest_period_of_planted_runs(text):
+    # the shifts by (p/2..p] forced on every lane width: each run's period
+    # is the gcd of the shifts that show it, or half the one that does
+    syms, sigma, p, d, ell2 = text
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_packed(monkeypatch, syms, sigma, p + d, p)
+    value = rn.runs_bitmask(PackedText(syms, sigma), ell2, p).to_int()
+    assert [value >> i & 1 for i in range(len(syms) - ell2 + 1)] == [
+        brute_period(syms[i:i + ell2]) <= p
+        for i in range(len(syms) - ell2 + 1)]
+
+
 def test_enumerate_runs_paths_agree_on_surrogate_ranks(monkeypatch):
     # every rank in 0..0xE063 occurs, so the four-byte lanes encode the
     # UTF-16 surrogate code points 0xD800..0xDFFF; the planted words differ

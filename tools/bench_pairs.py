@@ -229,8 +229,9 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict:
                      side: [[runs[s, side]["failed"], runs[s, side]["attempted"]]
                             for s in pairs] for side in ("parent", "change")},
                  "metrics": {}}
-        for metric, unit in ((m, v["unit"]) for m, v in
-                             runs[pairs[0], "parent"]["metrics"].items()):
+        # a workload with no complete pair has seeds [] and no metrics
+        first = runs[pairs[0], "parent"]["metrics"] if pairs else {}
+        for metric, unit in ((m, v["unit"]) for m, v in first.items()):
             vals = {side: [runs[s, side]["metrics"][metric]["value"] for s in pairs]
                     for side in ("parent", "change")}
             sign = -1 if better.get(metric, "lower") == "lower" else 1

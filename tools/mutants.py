@@ -86,6 +86,9 @@ DIRECTORY_TESTS = ("tests/test_ranksupport.py::"
 PACKED_TESTS = ("tests/test_runs.py::"
                 "test_packed_runs_match_brute_at_every_boundary",
                 "tests/test_runs.py::test_packed_runs_match_brute")
+PERIOD_TESTS = ("tests/test_runs.py::"
+                "test_shifts_recover_the_smallest_period_of_planted_runs",
+                "tests/test_runs.py::test_enumerate_short_periods_match_brute")
 BITMASK_TESTS = ("tests/test_runs.py::test_runs_bitmask_matches_periods",
                  "tests/test_runs.py::test_period_at_most_exhaustive_small")
 
@@ -226,8 +229,8 @@ MUTANTS = [
             "test_criterion_5_transducer_master_property")),
     # -- shifts over packed, byte and four-byte lanes --------------------------
     Mutant("bitmask-union-ends-a-window-short", RN,
-           "digits[r.start:r.end - ell + 1]",
-           "digits[r.start:r.end - ell]",
+           "digits[b:e - ell + 1]",
+           "digits[b:e - ell]",
            BITMASK_TESTS),
     Mutant("wide-lane-fold-skips-the-second-byte", RN,
            "            z |= z >> 8\n",
@@ -236,10 +239,22 @@ MUTANTS = [
             "test_enumerate_runs_paths_agree_on_surrogate_ranks",
             "tests/test_runs.py::test_period_at_most_exhaustive_small")),
     Mutant("byte-lane-stretch-recorded-without-q", RN,
-           "found.setdefault((at, to + q), q)",
-           "found.setdefault((at, to), q)",
+           "key = at, to + q",
+           "key = at, to",
            BITMASK_TESTS + ("tests/test_runs.py::"
                             "test_enumerate_short_periods_match_brute",)),
+    Mutant("shift-scan-starts-one-shift-late", RN,
+           "range(p // 2 + 1, p + 1)",
+           "range(p // 2 + 2, p + 1)",
+           PERIOD_TESTS),
+    Mutant("single-shift-run-keeps-its-shift", RN,
+           "q // 2 if q % 2 == 0 and 3 * q > 2 * p",
+           "q // 2 if False",
+           PERIOD_TESTS),
+    Mutant("two-shift-run-keeps-its-first-shift", RN,
+           "found[key] = gcd(g, q)",
+           "found[key] = g",
+           PERIOD_TESTS),
     Mutant("lanes-left-end-off-by-one", RN,
            "b = at * m - high[diff[at - 1]] if at else 0",
            "b = at * m - high[diff[at - 1]] + 1 if at else 0",
