@@ -3,7 +3,7 @@ optionally with rank/select support.
 
 A tau query writes the set's gap sequence (`syncset.build_sync_sparse`)
 as tokens without listing the set.  Its rank/select support
-(`ranksupport.SyncSupport`) is built in the same pass: the encoding
+(`ranksupport.sync_support`) is built in the same pass: the encoding
 written from the `syncset.sync_gaps` pieces, beside the member list
 accumulated from the same pieces, so it never reads the stream back.
 
@@ -13,7 +13,7 @@ kept in :mod:`tausync.reference.sync_transducer`.
 
 from __future__ import annotations
 
-from .ranksupport import SyncSupport
+from .ranksupport import SyncSupport, sync_support
 from .sparsecodec import SparseEncoding, senc_from_gaps
 from .syncset import SyncIndex, build_sync_sparse, members_of, sync_gaps
 from .text import PackedText
@@ -34,4 +34,4 @@ class FastSyncIndex:
         """The encoding of `sync_sparse` and the member list, from one
         `sync_gaps` call."""
         pieces = sync_gaps(self.sync_index, tau)
-        return SyncSupport(senc_from_gaps(self.t.n, pieces), members_of(pieces))
+        return sync_support(senc_from_gaps(self.t.n, pieces), members_of(pieces))

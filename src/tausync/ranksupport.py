@@ -2,15 +2,17 @@
 
 `SyncSupport` answers from a tau query's sorted member list, kept
 beside its encoding; rank bisects only the bucket of positions that
-holds j.  `Decomposition` answers from an encoding alone,
-as CLI `query` must: it is the split that the package's one token
-reader, `sparsecodec.read_pieces`, walks it in: pieces of at most
-``sparsecodec.WINDOW_BITS`` = 16 bits (lg N for N = 2**16), each with
-its window parse, and a piece of its own for each token too wide for a
-window (a long zero run or a literal of 256 or more).  A query finds
-its piece by bisection over the sorted piece arrays -- the symbol starts
-for rank, the ones before each piece for select -- and answers inside
-the piece from its parse.
+holds j.  On texts of at most ``RANK_TABLE_N`` = 2**12 positions,
+`sync_support` makes a `UnitSyncSupport` instead, whose buckets are one
+position wide, so its rank is one lookup.  `Decomposition` answers from
+an encoding alone, as CLI `query` must: it is the split that the
+package's one token reader, `sparsecodec.read_pieces`, walks it in:
+pieces of at most ``sparsecodec.WINDOW_BITS`` = 16 bits (lg N for
+N = 2**16), each with its window parse, and a piece of its own for each
+token too wide for a window (a long zero run or a literal of 256 or
+more).  A query finds its piece by bisection over the sorted piece
+arrays -- the symbol starts for rank, the ones before each piece for
+select -- and answers inside the piece from its parse.
 
 The paper's constant-time select and van Emde Boas rank over the same
 decomposition are kept in :mod:`tausync.reference.ranksupport`.
@@ -20,10 +22,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import InvalidArgument
 from . import sparsecodec as sc
 from .sparsecodec import SparseEncoding
+
+# the largest text whose support answers rank from a table of every
+# position: the table's build repays itself only after about n/8 ranks
+RANK_TABLE_N = 2 ** 12
 
 
 class SyncSupport:
@@ -35,7 +42,8 @@ class SyncSupport:
     ``directory[b]`` counts the members before position ``b << shift``,
     so rank searches only j's bucket.  It is a per-support cache of at
     most ceil(n / 2**shift) + 2 entries, built by the first rank, never by
-    select; two concurrent first ranks build the same list.
+    select; two concurrent first ranks build the same list.  Make one
+    with `sync_support`, which picks the bucket width's class by n.
     """
 
     __slots__ = ("encoding", "n", "members", "size", "shift", "directory")
@@ -76,6 +84,37 @@ class SyncSupport:
         if not 1 <= j <= self.size:
             raise InvalidArgument(f"select argument {j} out of range")
         return self.members[j - 1]
+
+
+class UnitSyncSupport(SyncSupport):
+    """`SyncSupport` with buckets one position wide (``shift`` 0):
+    ``directory[j]`` is rank(j) itself, for each position 0..n+1."""
+
+    __slots__ = ()
+
+    def rank(self, j: int) -> int:
+        """Number of ones at positions < j, for j in [0..n]."""
+        n = self.n
+        if j < 0 or j > n:
+            raise InvalidArgument(f"rank argument {j} outside [0..{n}]")
+        return (self.directory or self._build_directory(n))[j]
+
+    def _build_directory(self, n: int) -> list[int]:
+        """The running count of a 0/1 byte per position 0..n."""
+        self.shift = 0
+        flags = bytearray(n + 1)
+        for m in self.members:
+            flags[m] = 1
+        d = self.directory = list(accumulate(flags, initial=0))
+        return d
+
+
+def sync_support(encoding: SparseEncoding, members: list[int]) -> SyncSupport:
+    """The rank/select support of `encoding`'s mask, whose sorted ones are
+    `members`: a `UnitSyncSupport` up to ``RANK_TABLE_N`` positions, where
+    a rank table repays its build, and a `SyncSupport` above."""
+    small = encoding.decoded_len <= RANK_TABLE_N
+    return (UnitSyncSupport if small else SyncSupport)(encoding, members)
 
 
 class Decomposition(namedtuple("Decomposition", "encoding p e r parses")):

@@ -129,6 +129,27 @@ def test_cold_summary_reads_medians_quartiles_and_wins(tmp_path):
     assert got["returncodes"] == {"parent": [0], "change": [0]}
 
 
+def test_cold_summary_reports_a_key_with_no_complete_pair():
+    # a one-record log: the parent's process ran, the change's did not
+    tool = _tool()
+    record = {"cold": ["query", "c.ssb", "--rank", "3"], "pair": 0,
+              "side": "parent", "first": True, "wall_s": 0.07,
+              "returncode": 0}
+    got = tool.summarize_cold([record])
+    assert got == {"query c.ssb --rank 3": {
+        "pairs": 0, "returncodes": {"parent": [], "change": []}}}
+
+
+def test_inproc_summary_reports_a_key_with_no_complete_pair():
+    # a one-record log: one parent round and no change round
+    tool = _tool()
+    record = {"inproc": "cli-small", "seed": 1, "same_outputs": True,
+              "pair": 0, "side": "parent", "values": {"rank_ns": 200.0}}
+    got = tool.summarize_inproc([record], {})
+    assert got == {"cli-small": {"seeds": [], "pairs": 0,
+                                 "same_outputs": True, "ops": {}}}
+
+
 def _tree(root, name, loops):
     """A two-module package whose `spin` sums range(loops)."""
     pkg = root / name / "pkg"

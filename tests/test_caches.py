@@ -132,32 +132,39 @@ def test_module_caches_stay_within_their_bounds(tmp_path):
 
 def test_rank_directory_belongs_to_its_support():
     """The rank directory is a cache of its `SyncSupport` alone: at most
-    ceil(n / 2**shift) + 2 entries, built by the support's first rank.
-    Two concurrent first ranks build the same list, so either may be kept.
+    ceil(n / 2**shift) + 2 entries, built by the support's first rank and
+    never by select.  The bound holds for both bucket widths: a text of
+    3,000 symbols takes buckets one position wide (shift 0), and one of
+    5,000 the wide ones.  Two concurrent first ranks build the same list,
+    so either may be kept.
     """
     rng = random.Random(25)
-    syms = [rng.randrange(4) for _ in range(3000)]
-    n = len(syms)
-    handle = FastSyncIndex(PackedText(syms, 4))
-    a, b = handle.sync_with_support(8), handle.sync_with_support(8)
-    assert a.directory is None and b.directory is None
-    assert a.rank(n) == a.size
-    assert b.directory is None   # another support of the same query
-    # threads give a fresh support its first ranks at once
-    answers = {}
-    threads = [threading.Thread(target=lambda j=j: answers.update(
-        {j: b.rank(j)})) for j in range(0, n + 1, 250)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert answers == {j: a.rank(j) for j in answers}
-    assert a.directory == b.directory and a.directory is not b.directory
-    for support in (a, b):
-        bound = -(-n // (1 << support.shift)) + 2
-        assert len(support.directory) <= bound
-        assert id(support.directory) not in map(id, _tables(handle))
-    # a new index's support of the same text builds one of its own
-    c = FastSyncIndex(PackedText(syms, 4)).sync_with_support(8)
-    assert c.rank(n // 2) == a.rank(n // 2)
-    assert c.directory == a.directory and c.directory is not a.directory
+    for n, unit in ((3000, True), (5000, False)):
+        syms = [rng.randrange(4) for _ in range(n)]
+        handle = FastSyncIndex(PackedText(syms, 4))
+        a, b = handle.sync_with_support(8), handle.sync_with_support(8)
+        assert a.directory is None and b.directory is None
+        assert [a.select(j) for j in (1, a.size)] == [a.members[0],
+                                                      a.members[-1]]
+        assert a.directory is None   # select builds nothing
+        assert a.rank(n) == a.size
+        assert (a.shift == 0) == unit
+        assert b.directory is None   # another support of the same query
+        # threads give a fresh support its first ranks at once
+        answers = {}
+        threads = [threading.Thread(target=lambda j=j: answers.update(
+            {j: b.rank(j)})) for j in range(0, n + 1, 250)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert answers == {j: a.rank(j) for j in answers}
+        assert a.directory == b.directory and a.directory is not b.directory
+        for support in (a, b):
+            bound = -(-n // (1 << support.shift)) + 2
+            assert len(support.directory) <= bound
+            assert id(support.directory) not in map(id, _tables(handle))
+        # a new index's support of the same text builds one of its own
+        c = FastSyncIndex(PackedText(syms, 4)).sync_with_support(8)
+        assert c.rank(n // 2) == a.rank(n // 2)
+        assert c.directory == a.directory and c.directory is not a.directory

@@ -213,13 +213,19 @@ def test_sync_sparse_adversarial(rng):
 
 
 def test_sync_with_support(rng):
+    cases = []
     for trial in range(8):
         n = rng.randint(8, 110)
         syms = make_text(rng, n, 4, rng.choice(["random", "rle"]))
+        cases.append((syms, range(1, n // 2 + 1, 2)))
+    # a text past the rank table's limit, whose buckets are wide
+    cases.append((make_text(rng, 4500, 4, "rle"), (1, 5, 16, 40)))
+    for syms, taus in cases:
+        n = len(syms)
         t = PackedText(syms, 4)
         handle = fp.FastSyncIndex(t)
         tidx = TextIndex(syms)
-        for tau in range(1, n // 2 + 1, 2):
+        for tau in taus:
             sup = handle.sync_with_support(tau)
             members = ss.build_sync_explicit(handle.sync_index, tau)
             assert verify_sync(syms, tau, members, tidx).ok
@@ -247,7 +253,9 @@ def test_support_answers_as_the_decomposition(rng):
     out of range, that the decomposition of the same stream gives."""
     texts = [make_text(rng, rng.randint(40, 260), 4, kind)
              for kind in ("random", "rle", "periodic") for _ in range(2)]
-    texts += [[0, 1] * 40, make_text(rng, 1500, 2, "rle")]
+    # the last text is past the rank table's limit: its buckets are wide
+    texts += [[0, 1] * 40, make_text(rng, 1500, 2, "rle"),
+              make_text(rng, 4500, 2, "rle")]
     empty = 0
     for syms in texts:
         n = len(syms)

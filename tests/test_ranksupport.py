@@ -416,17 +416,18 @@ def test_decompose_accepts_what_decode_accepts(enc):
 
 # -- the member-list support's rank directory ----------------------------------
 
-def _support(n, positions):
+def _support(n, positions, make=rs.sync_support):
     enc = sc.senc_from_list(n, [(i, 1) for i in positions])
-    return rs.SyncSupport(enc, list(positions))
+    return make(enc, list(positions))
 
 
-def _check_directory(n, positions, queries=None):
+def _check_directory(n, positions, queries=None, make=rs.sync_support):
     """rank(j) == bisect_left at every j of `queries` (every j in [0..n]
     by default) and at every bucket edge and its neighbours; the
     directory counts the members before each edge, within its bound, and
-    select neither builds nor reads it."""
-    sup = _support(n, positions)
+    select neither builds nor reads it.  `make` makes the support: by
+    default the bucket width is the one `sync_support` picks for n."""
+    sup = _support(n, positions, make)
     for j in range(1, len(positions) + 1):
         assert sup.select(j) == positions[j - 1]
     assert sup.directory is None
@@ -461,11 +462,70 @@ def test_support_rank_directory_edge_cases():
     # clusters at both ends of a long, otherwise empty, text
     cases.append((5000, list(range(40)) + list(range(4960, 5000))))
     cases.append((70082, [0, 1, 2, 70079, 70080, 70081]))
-    widths = set()
+    # both sides of the rank table's size limit
+    for n in (rs.RANK_TABLE_N - 1, rs.RANK_TABLE_N, rs.RANK_TABLE_N + 1):
+        cases += [(n, []), (n, list(range(n))), (n, list(range(0, n, 2))),
+                  (n, list(range(30)) + list(range(n - 30, n)))]
+    widths, shifts = set(), set()
     for n, positions in cases:
         sup = _check_directory(n, positions)
         widths.add(n % (1 << sup.shift) != 0)
-    assert widths == {False, True}
+        shifts.add(sup.shift > 0)
+        if n <= rs.RANK_TABLE_N:   # the wide buckets on the same case
+            sup = _check_directory(n, positions, make=rs.SyncSupport)
+            widths.add(n % (1 << sup.shift) != 0)
+    assert widths == shifts == {False, True}
+
+
+def test_support_picks_unit_buckets_up_to_the_table_limit():
+    # n = 2**12 takes the rank table, n = 2**12 + 1 the wide buckets,
+    # whatever the members, and so does `sync_with_support`
+    for n in (0, 1, rs.RANK_TABLE_N, rs.RANK_TABLE_N + 1):
+        for positions in ([], list(range(n)), list(range(0, n, 3))):
+            sup = _support(n, positions)
+            assert sup.rank(n) == len(positions)
+            small = n <= rs.RANK_TABLE_N
+            assert type(sup) is (rs.UnitSyncSupport if small
+                                 else rs.SyncSupport)
+            assert (sup.shift == 0) == small, (n, len(positions))
+            assert len(sup.directory) == n + 2 or not small
+    for n in (rs.RANK_TABLE_N, rs.RANK_TABLE_N + 1):
+        handle = FastSyncIndex(PackedText([i % 3 for i in range(n)], 3))
+        sup = handle.sync_with_support(4)
+        assert sup.rank(n) == sup.size
+        assert (sup.shift == 0) == (n == rs.RANK_TABLE_N)
+
+
+@st.composite
+def unit_and_wide_sets(draw):
+    """(n, sorted member positions) of a random density, small or around
+    the rank table's size limit."""
+    n = draw(st.one_of(st.integers(0, 300),
+                       st.integers(rs.RANK_TABLE_N - 8, rs.RANK_TABLE_N + 8)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.3, 0.9, 1.0]))
+    r = draw(st.randoms(use_true_random=False))
+    return n, [i for i in range(n) if r.random() < density]
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_and_wide_sets())
+@example((0, []))
+@example((1, [0]))
+def test_unit_and_wide_buckets_agree(members):
+    n, positions = members
+    unit = _support(n, positions, rs.UnitSyncSupport)
+    wide = _support(n, positions, rs.SyncSupport)
+    for sup in (unit, wide):
+        assert [sup.rank(j) for j in range(n + 1)] == [
+            bisect_left(positions, j) for j in range(n + 1)]
+    assert unit.shift == 0 and (wide.shift > 0) == (n > 0)
+    for j in (-1, n + 1):
+        errors = []
+        for sup in (unit, wide):
+            with pytest.raises(InvalidArgument) as info:
+                sup.rank(j)
+            errors.append(str(info.value))
+        assert errors == [f"rank argument {j} outside [0..{n}]"] * 2
 
 
 def test_support_rank_directory_on_a_dense_k0_set(rng):

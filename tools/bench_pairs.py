@@ -181,17 +181,20 @@ def summarize_cold(records: list[dict]) -> dict:
                 if tuple(r["cold"]) == key}
         pairs = sorted({i for i, _ in mine
                         if (i, "parent") in mine and (i, "change") in mine})
+        entry = out[" ".join(key)] = {
+            "pairs": len(pairs),
+            "returncodes": {side: sorted({mine[i, side]["returncode"]
+                                          for i in pairs})
+                            for side in ("parent", "change")}}
+        if not pairs:   # no complete pair: no spreads
+            continue
         walls = {side: [mine[i, side]["wall_s"] for i in pairs]
                  for side in ("parent", "change")}
         parent, change = spread(walls["parent"]), spread(walls["change"])
         wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
-        out[" ".join(key)] = {
-            "pairs": len(pairs), "parent": parent, "change": change,
-            "ratio": change["median"] / parent["median"],
-            "change_wins": f"{wins}/{len(pairs)}",
-            "returncodes": {side: sorted({mine[i, side]["returncode"]
-                                          for i in pairs})
-                            for side in ("parent", "change")}}
+        entry.update({"parent": parent, "change": change,
+                      "ratio": change["median"] / parent["median"],
+                      "change_wins": f"{wins}/{len(pairs)}"})
     return out
 
 
@@ -521,7 +524,8 @@ def summarize_inproc(records: list[dict], better: dict[str, str]) -> dict:
                         if (seed, i, "parent") in values
                         and (seed, i, "change") in values})
         ops = {}
-        for op in values[pairs[0] + ("parent",)]:
+        # a key with no complete pair has pairs 0 and no ops
+        for op in values[pairs[0] + ("parent",)] if pairs else ():
             vals = {side: [values[p + (side,)][op] for p in pairs]
                     for side in ("parent", "change")}
             sign = -1 if better.get(op, "lower") == "lower" else 1

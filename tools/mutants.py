@@ -412,6 +412,18 @@ MUTANTS = [
            "        if not 1 <= j <= self.size:\n",
            "        if not 0 <= j <= self.size:\n",
            SUPPORT_TESTS),
+    Mutant("unit-directory-drops-initial", RS,
+           "list(accumulate(flags, initial=0))",
+           "list(accumulate(flags))",
+           ("tests/test_ranksupport.py::test_unit_and_wide_buckets_agree",
+            "tests/test_ranksupport.py::"
+            "test_support_picks_unit_buckets_up_to_the_table_limit")),
+    # the answers stay the same: only the width tells
+    Mutant("rank-table-threshold-strict", RS,
+           "small = encoding.decoded_len <= RANK_TABLE_N",
+           "small = encoding.decoded_len < RANK_TABLE_N",
+           ("tests/test_ranksupport.py::"
+            "test_support_picks_unit_buckets_up_to_the_table_limit",)),
     # -- the reference structures ----------------------------------------------
     Mutant("reference-select-walk-skips-the-first-token", REF_RS,
            "        starts = []\n        pos = 0\n",
