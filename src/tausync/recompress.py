@@ -6,8 +6,8 @@ Rounds compare phrases by content, as slices of the text's code-point
 string, and name the boundaries they drop.  Even round k and odd round
 k + 1 share floor(lambda_k), and only a boundary between two short
 phrases can drop, so `round_pair` runs both from one pass that keys those
-boundaries by their (left, right) phrase pair; the cut is one sweep over
-the nodes.  Round 0 is read off the symbols.
+boundaries by their (left, right) phrase pair; the cut is one pass over
+its edges, sorted by later endpoint.  Round 0 is read off the symbols.
 `RecompressionIndex` stores the chain as one depth byte per boundary f,
 the number of levels that contain f, so B_k = {f : depth[f] > k}, and
 `level_digits` reads every level, the list, the mask and the whole chain
@@ -30,7 +30,7 @@ from collections import defaultdict, deque, namedtuple
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, islice, repeat
 from math import inf
-from operator import ne, sub
+from operator import itemgetter, ne, sub
 
 from .bitstream import BitStream
 from .errors import InvalidArgument
@@ -79,31 +79,33 @@ def max_dicut(nodes: list, edges: dict) -> tuple[set, set]:
     order on the side maximizing the expected cut, undecided endpoints
     counting as fair coins; ties go to L.  A node's doubled score
     difference, L minus R, is its out-weight minus its in-weight, less
-    (plus) w per earlier neighbour in L (R), which the node reads when it
-    is placed.  Deterministic for a fixed node order and weight map.
+    (plus) w per earlier neighbour in L (R).  So its score is final once
+    every edge whose later endpoint it is has been read: one pass over
+    the edges sorted by later endpoint places the nodes in order.
+    Deterministic for a fixed node order and weight map.
     """
     at = {u: i for i, u in enumerate(nodes)}
     lean = [0] * len(nodes)
-    near: list[list] = [[] for _ in nodes]   # earlier neighbour, weight, ...
+    later = []   # (later endpoint, earlier endpoint, weight)
     for (u, v), w in edges.items():
         if u == v:
             raise InvalidArgument("self-loop in cut instance")
         i, j = at[u], at[v]
         lean[i] += w
         lean[j] -= w
-        if i < j:
-            i, j = j, i
-        near[i] += j, w
+        later.append((i, j, w) if i > j else (j, i, w))
+    later.sort(key=itemgetter(0))
     left = bytearray(len(nodes))
-    for i, ws in enumerate(near):
-        x = lean[i]
-        step = iter(ws)
-        for j, w in zip(step, step):
-            if left[j]:
-                x -= w
-            else:
-                x += w
-        left[i] = x >= 0
+    placed = 0   # the nodes before it are placed
+    for i, j, w in later:
+        while placed < i:
+            left[placed] = lean[placed] >= 0
+            placed += 1
+        if left[j]:
+            lean[i] -= w
+        else:
+            lean[i] += w
+    left[placed:] = map((0).__le__, lean[placed:])
     L = set(compress(nodes, left))
     return L, set(nodes).difference(L)
 

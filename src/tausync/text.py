@@ -46,12 +46,17 @@ class PackedText:
 
     def lanes(self, bits: int) -> int:
         """T[0..n) as one int with T[i] in lane i of `bits` bits, for bits in
-        {1, 2, 4} and at most 2^bits distinct symbols: the ranks read
-        backwards as base-2^bits digits, parsed on first use."""
+        {1, 2, 4} and at most 2^bits distinct symbols, built on first use.
+
+        With m = 8/bits lanes a byte, the bytes T[j], T[j + m], ... read as
+        one int hold lane j of every byte once shifted up by j * bits.  No
+        rank reaches past its `bits`, so the m ints add without a carry."""
         if bits not in self._lanes:
-            hexits = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
-            digits = self._padded[self.n:2 * self.n].encode("latin-1")
-            self._lanes[bits] = int(digits.translate(hexits)[::-1], 1 << bits)
+            text = self._padded[self.n:2 * self.n].encode("latin-1")
+            m = 8 // bits
+            self._lanes[bits] = sum(
+                int.from_bytes(text[j::m], "little") << bits * j
+                for j in range(m))
         return self._lanes[bits]
 
     def byte_lanes(self) -> tuple[int, int]:

@@ -9,6 +9,7 @@ import threading
 from array import array
 
 from tausync import cli
+from tausync import ranksupport as rs
 from tausync import recompress as rc
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
@@ -134,12 +135,12 @@ def test_rank_directory_belongs_to_its_support():
     """The rank directory is a cache of its `SyncSupport` alone: at most
     ceil(n / 2**shift) + 2 entries, built by the support's first rank and
     never by select.  The bound holds for both bucket widths: a text of
-    3,000 symbols takes buckets one position wide (shift 0), and one of
-    5,000 the wide ones.  Two concurrent first ranks build the same list,
-    so either may be kept.
+    3,000 symbols takes buckets one position wide (shift 0), and one 904
+    symbols past the rank table's limit the wide ones.  Two concurrent
+    first ranks build the same list, so either may be kept.
     """
     rng = random.Random(25)
-    for n, unit in ((3000, True), (5000, False)):
+    for n, unit in ((3000, True), (rs.RANK_TABLE_N + 904, False)):
         syms = [rng.randrange(4) for _ in range(n)]
         handle = FastSyncIndex(PackedText(syms, 4))
         a, b = handle.sync_with_support(8), handle.sync_with_support(8)

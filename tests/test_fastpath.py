@@ -7,6 +7,7 @@ from tausync.bitstream import BitStream
 from tausync.errors import InvalidArgument
 from tausync.oracle import TextIndex, verify_sync
 from tausync import fastpath as fp
+from tausync import ranksupport as rs
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.ranksupport import decompose
@@ -219,7 +220,8 @@ def test_sync_with_support(rng):
         syms = make_text(rng, n, 4, rng.choice(["random", "rle"]))
         cases.append((syms, range(1, n // 2 + 1, 2)))
     # a text past the rank table's limit, whose buckets are wide
-    cases.append((make_text(rng, 4500, 4, "rle"), (1, 5, 16, 40)))
+    cases.append((make_text(rng, rs.RANK_TABLE_N + 404, 4, "rle"),
+                  (1, 5, 16, 40)))
     for syms, taus in cases:
         n = len(syms)
         t = PackedText(syms, 4)
@@ -255,7 +257,7 @@ def test_support_answers_as_the_decomposition(rng):
              for kind in ("random", "rle", "periodic") for _ in range(2)]
     # the last text is past the rank table's limit: its buckets are wide
     texts += [[0, 1] * 40, make_text(rng, 1500, 2, "rle"),
-              make_text(rng, 4500, 2, "rle")]
+              make_text(rng, rs.RANK_TABLE_N + 404, 2, "rle")]
     empty = 0
     for syms in texts:
         n = len(syms)

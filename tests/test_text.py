@@ -39,6 +39,24 @@ def test_lanes_hold_each_rank_in_its_lane():
             assert t.lanes(bits) is x and list(t._lanes) == [bits]
 
 
+def _hex_lanes(t: PackedText, bits: int) -> int:
+    """The lanes as an earlier `PackedText.lanes` parsed them: the ranks
+    as hex digits, read backwards in base 2^bits."""
+    hexits = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+    digits = t._padded[t.n:2 * t.n].encode("latin-1").translate(hexits)
+    return int(digits[::-1], 1 << bits) if digits else 0
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4])
+def test_lanes_equal_the_hex_parse(bits):
+    rng = random.Random(39 + bits)
+    for n in (0, 1, 7, 8, 9, 2 ** 12 + 3):
+        for distinct in range(1, (1 << bits) + 1):
+            t = PackedText([rng.randrange(distinct) for _ in range(n)],
+                           distinct)
+            assert t.lanes(bits) == _hex_lanes(t, bits), (n, distinct)
+
+
 def test_remap_rejects_out_of_range():
     with pytest.raises(InvalidInput):
         PackedText([0, 5], 4)

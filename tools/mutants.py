@@ -58,6 +58,7 @@ ST = "src/tausync/reference/sync_transducer.py"
 REF_RS = "src/tausync/reference/ranksupport.py"
 RN = "src/tausync/runs.py"
 OR = "src/tausync/oracle.py"
+TX = "src/tausync/text.py"
 
 SUPPORT_TESTS = ("tests/test_fastpath.py::"
                  "test_support_answers_as_the_decomposition",
@@ -255,6 +256,10 @@ MUTANTS = [
            "found[key] = gcd(g, q)",
            "found[key] = g",
            PERIOD_TESTS),
+    Mutant("lanes-reversed-within-a-byte", TX,
+           "<< bits * j",
+           "<< bits * (m - 1 - j)",
+           ("tests/test_text.py::test_lanes_equal_the_hex_parse",)),
     Mutant("lanes-left-end-off-by-one", RN,
            "b = at * m - high[diff[at - 1]] if at else 0",
            "b = at * m - high[diff[at - 1]] + 1 if at else 0",
@@ -315,12 +320,12 @@ MUTANTS = [
            "if f - a <= lim and b - f < lim:",
            ROUND_TESTS),
     Mutant("cut-ties-go-to-r", RC,
-           "        left[i] = x >= 0\n",
-           "        left[i] = x > 0\n",
+           "            left[placed] = lean[placed] >= 0\n",
+           "            left[placed] = lean[placed] > 0\n",
            CUT_TESTS),
     Mutant("cut-reads-earlier-sides-swapped", RC,
-           "            if left[j]:\n",
-           "            if not left[j]:\n",
+           "        if left[j]:\n",
+           "        if not left[j]:\n",
            CUT_TESTS),
     # -- one lambda step: the even round's drops are the self-loop pairs ------
     Mutant("pair-rekey-skips-the-right-neighbour", RC,
