@@ -135,9 +135,9 @@ def test_rank_directory_belongs_to_its_support():
     """The rank directory is a cache of its `SyncSupport` alone: at most
     ceil(n / 2**shift) + 2 entries, built by the support's first rank and
     never by select.  The bound holds for both bucket widths: a text of
-    3,000 symbols takes buckets one position wide (shift 0), and one 904
-    symbols past the rank table's limit the wide ones.  Two concurrent
-    first ranks build the same list, so either may be kept.
+    3,000 symbols takes buckets one position wide (shift 0), and one of
+    ``RANK_TABLE_N`` + 904 the wide ones.  Two concurrent first ranks
+    build the same list, so either may be kept.
     """
     rng = random.Random(25)
     for n, unit in ((3000, True), (rs.RANK_TABLE_N + 904, False)):
