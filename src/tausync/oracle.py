@@ -252,9 +252,7 @@ def run_reference_by_runs(delta, start_state: int,
     state = start_state
     out: list[tuple[int, int]] = []
 
-    def emit(sym: int, cnt: int):
-        if cnt <= 0:
-            return
+    def emit(sym: int, cnt: int):   # every call has cnt >= 1
         if out and out[-1][0] == sym:
             out[-1] = (sym, out[-1][1] + cnt)
         else:

@@ -29,11 +29,16 @@ keyed by the window's digits, which the transducers share.  Each entry
 is the walk's step for its window, one plain tuple built on a miss: the
 parse's bit, symbol and non-zero counts, whether its first and last
 tokens are zero runs, and the parse.  So a piece costs one memo lookup
-and one unpacking.  A parse keeps what its readers use: the bits and
-symbols it covers, its values and the positions of its non-zeros, which
-answer select by index and rank by bisection.  A token wider than the
-window is read by `gamma_at`, which finds a gamma code's terminating 1
-with ``str.find``.  `senc_decode`, `senc_to_list` and
+and one unpacking.  The window of sixteen 1-bits, eight literal 1s, is
+the one window whose step holds b = 0 (a real b = 0 has no symbols): at
+it the walk finds the stretch's next 0 with ``str.find`` and takes every
+all-ones window before it as one step, so a run of consecutive members
+of a 0/1 mask costs one step, not one per eight members.  A parse
+keeps what its readers use: the bits and symbols it covers, its values
+and the positions of its non-zeros, which answer select by index and
+rank by bisection.  A token wider than the window is read by
+`gamma_at`, which finds a gamma code's terminating 1 with
+``str.find``.  `senc_decode`, `senc_to_list` and
 `ranksupport.decompose` all read this way, and so reject a corrupt
 stream with the same error.
 """
@@ -43,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 
 from .bitstream import BitStream
 from .errors import DecodeError, InvalidArgument
@@ -229,7 +234,9 @@ class ParseTables:
     is the plain tuple that `_walk` unpacks per piece, ``(b, a, a_plus,
     opens_with_zero_run, ends_with_zero_run, parse)``: the parse's counts,
     whether its first and last tokens are zero runs (never, for b = 0),
-    and the parse itself.
+    and the parse itself.  The window of sixteen 1-bits, the one window
+    with ``a_plus == WINDOW_BITS // 2``, steps with b = 0, which sends the
+    walk to its rare branch, where ``a > 0`` tells it from a wide token.
     """
 
     def __init__(self):
@@ -246,7 +253,10 @@ class ParseTables:
                                   f"than {WINDOW_BITS}")
         info = self._parse(w)
         values = info.values
-        step = self._memo[w] = (info.b, info.a, info.a_plus,
+        # the window of sixteen 1-bits steps with b = 0: `_walk` reads
+        # the stretch of all-ones windows it starts in one step
+        b = 0 if info.a_plus == WINDOW_BITS // 2 else info.b
+        step = self._memo[w] = (b, info.a, info.a_plus,
                                 info.b > 0 and not values[0],
                                 info.b > 0 and not values[-1], info)
         return step
@@ -286,7 +296,11 @@ def _walk(stream: BitStream):
     """(p, e, r, parses) of the greedy split of a token stream into
     pieces, as `ranksupport.Decomposition` holds them.
 
-    Each window piece is one memo step (see `ParseTables`).  A token
+    Each window piece is one memo step (see `ParseTables`), but for a
+    stretch of all-ones windows, which is one step: its c = R // 16
+    pieces, for the R 1-bits up to the next 0, are the same eight literal
+    1s, so `p`, `e` and `r` take one range each and `parses` c references
+    to that one parse.  The greedy split is unchanged.  A token
     wider than the window is a piece of its own: a wide literal gets a
     one-symbol parse, a long zero run None.  A window parse never holds
     two adjacent zero-run tokens, so a piece that starts with a zero run
@@ -312,6 +326,20 @@ def _walk(stream: BitStream):
             sym += a
             ones += a_plus
             parses.append(info)
+        elif a:
+            # sixteen 1-bits, eight literal 1s: each window up to the
+            # stretch's next 0 is the same piece, so take them all at once
+            end = digits.find("0", pos)
+            c = ((end if end >= 0 else total) - pos) // k
+            p += range(sym + a, sym + a * c + 1, a)
+            e += range(pos + k, pos + k * c + 1, k)
+            r += range(ones + a, ones + a * c + 1, a)
+            parses += repeat(info, c)
+            after_zero_run = False
+            pos += k * c
+            sym += a * c
+            ones += a * c
+            continue
         else:
             x, stop = gamma_at(digits, pos + 1)
             is_literal = digits[pos] == "1"

@@ -8,11 +8,13 @@ import shutil
 import subprocess
 import sys
 import time
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tausync
+from tausync import ranksupport as rs
 from tausync import sparsecodec as sc
 from tausync import syncset as ss
 from tausync.bitstream import BitStream
@@ -480,6 +482,46 @@ def test_query_container_with_wide_literal(tmp_path, capsys):
                       (["--rank", "2"], "1\n"), (["--select", "1"], "1\n")):
         assert main(["query", str(cont)] + argv) == 0, argv
         assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("tau", [2, 4, 8])
+def test_k0_sparse_set_answers_at_every_bulk_piece_edge(tmp_path, capsys,
+                                                        tau):
+    # at tau < 16 the set is every position outside the blocks of periodic
+    # windows, so its container is long stretches of literal 1s, which
+    # the reader takes in bulk: rank and select on both sides of each
+    # edge of those pieces answer as bisection over the explicit set, and
+    # decode gives the mask
+    rng = random.Random(40 + tau)
+    symbols = []
+    for _ in range(4):
+        symbols += [rng.randrange(4) for _ in range(rng.randint(80, 160))]
+        symbols += [rng.randrange(4), rng.randrange(4)] * rng.randint(8, 20)
+    path = tmp_path / "text.bin"
+    path.write_bytes(bytes(symbols))
+    cont = tmp_path / "set.ssb"
+    assert main(["sync", str(path), "--sigma", "4", "--tau", str(tau),
+                 "--format", "sparse", "--out", str(cont)]) == 0
+    members = ss.build_sync_explicit(ss.SyncIndex(PackedText(symbols, 4)),
+                                     tau)
+    d = rs.decompose(cli._container(cont.read_bytes()))
+    ones = sc.TABLES.parse_digits("1" * sc.WINDOW_BITS)
+    bulk = [i for i, info in enumerate(d.parses) if info is ones]
+    assert len(bulk) >= 20
+    n, size = len(symbols), len(members)
+    for i in bulk:
+        for at, rank in ((d.p[i], d.r[i]), (d.p[i + 1], d.r[i + 1])):
+            for j, k in ((at - 1, rank), (at, rank + 1), (at + 1, rank + 2)):
+                j, k = min(max(j, 0), n), min(max(k, 1), size)
+                assert main(["query", str(cont), "--select", str(k),
+                             "--rank", str(j)]) == 0
+                assert capsys.readouterr() == (
+                    f"{members[k - 1]}\n{bisect_left(members, j)}\n", "")
+    out = tmp_path / "mask.txt"
+    assert main(["decode", str(cont), "--out", str(out)]) == 0
+    member = set(members)
+    assert out.read_text().split() == [str(int(i in member))
+                                       for i in range(n)]
 
 
 def test_decode_huge_zero_run_fails_before_expanding(tmp_path, capsys):

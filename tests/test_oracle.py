@@ -223,6 +223,22 @@ def test_reference_transducer_matches_plain_loop(rng):
     assert got == want
 
 
+def test_references_on_empty_input():
+    # the empty sequence has period 0, a transducer of no input streams
+    # writes nothing, and an input run of count 0 writes nothing either
+    assert orc.brute_period([]) == 0
+    assert orc.run_reference_transducer(lambda s, x: (s, x), 0, []) == []
+
+    def delta(s, x):
+        return 1 - s, x + s
+
+    runs = [(2, 0), (1, 3), (1, 0), (0, 0), (1, 2), (3, 0)]
+    # outputs 1 2 1 2 1 from state 0, with the zero-count runs skipped
+    assert orc.run_reference_by_runs(delta, 0, runs) == [
+        (1, 1), (2, 1), (1, 1), (2, 1), (1, 1)]
+    assert orc.run_reference_by_runs(delta, 0, [(1, 0)]) == []
+
+
 def test_reference_by_runs_matches_dense(rng):
     for _ in range(40):
         q = rng.randint(1, 6)

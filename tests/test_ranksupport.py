@@ -186,11 +186,38 @@ def test_stored_piece_parses_match_fresh_parse(rng):
 
 
 @st.composite
+def interval_sets(draw):
+    """(n, members) of 1..8 stretches of 1..40 consecutive members with a
+    gap of 1..20 before each, or of 300..3000 (a zero-run token wider
+    than the window) before one; the first gap may be 0 and the last
+    stretch may end the stream."""
+    stretches = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    gaps = [draw(st.integers(0, 20))] + [draw(st.integers(1, 20))
+                                         for _ in stretches[1:]]
+    if draw(st.booleans()):
+        gaps[draw(st.integers(0, len(gaps) - 1))] = draw(
+            st.integers(300, 3000))
+    members, at = [], 0
+    for gap, length in zip(gaps, stretches):
+        at += gap
+        members += range(at, at + length)
+        at += length
+    return at + draw(st.sampled_from([0, 0, 1, 7, 20])), members
+
+
+@st.composite
 def member_sets(draw):
     """(n, sorted member positions): random sets of three densities, the
-    empty set, all ones, a single member at n - 1, and sets split by a zero
-    run longer than one parse window."""
-    kind = draw(st.sampled_from(["random", "empty", "full", "last", "gap"]))
+    empty set, all ones, a single member at n - 1, sets split by a zero
+    run longer than one parse window, and intervals: stretches of 1..40
+    consecutive members, gaps of 1..20 between them, that may end the
+    stream or follow a zero run wider than the window.  A stretch of L
+    members is 2L 1-bits after the 1 that may end its zero run, so its
+    bits take every residue mod 16."""
+    kind = draw(st.sampled_from(["random", "empty", "full", "last", "gap",
+                                 "intervals"]))
+    if kind == "intervals":
+        return draw(interval_sets())
     if kind == "gap":
         gap = draw(st.integers(70000, 100000))
         head = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
@@ -301,6 +328,8 @@ def outcome(call, *args):
 @given(member_sets())
 @example((0, []))
 @example((70082, [3, 70050]))
+@example((60, list(range(20, 60))))              # a stretch ends the stream
+@example((340, [0] + list(range(300, 339))))     # one after a wide zero run
 def test_decompose_matches_window_loop(members):
     n, positions = members
     enc = sc.senc_from_list(n, [(i, 1) for i in positions])
@@ -308,8 +337,28 @@ def test_decompose_matches_window_loop(members):
     assert (d.p, d.e, d.r, d.parses) == window_loop_decompose(enc)
 
 
+def test_decompose_matches_window_loop_on_every_stretch():
+    # a stretch of 1..40 members, alone, after a gap of 1, 2 or 300, and
+    # followed by nothing, a gap or another member: every count of
+    # all-ones windows and every residue of the stretch's bits mod 16
+    for head in (0, 1, 2, 300):
+        for length in range(1, 41):
+            for tail in ([], [2], [4, 5]):
+                members = list(range(head, head + length))
+                members += [head + length + t for t in tail]
+                n = members[-1] + 1 + (len(tail) == 1)
+                enc = sc.senc_from_list(n, [(i, 1) for i in members])
+                d = rs.decompose(enc)
+                assert (d.p, d.e, d.r, d.parses) == window_loop_decompose(enc)
+                assert sc.senc_decode(enc) == [int(i in members)
+                                               for i in range(n)]
+
+
 def _tokens(*tokens):
     return sc.tokens_to_stream(tokens).to01()
+
+
+ONES = "1" * 32   # sixteen literal 1s: two all-ones windows
 
 
 # (stream digits, declared length, the error both decompositions raise)
@@ -339,6 +388,18 @@ CORRUPT_STREAMS = [
     pytest.param(_tokens((False, 70000), (True, 1)), 70000,
                  "decoded length 70001 != declared 70000",
                  id="length-long-run"),
+    # the same faults after a stretch of all-ones windows
+    pytest.param(ONES + "0" * 20, 46,
+                 "gamma code has no terminating 1-bit (bit offset 33)",
+                 id="ones-no-terminator"),
+    pytest.param(ONES + _tokens((False, 1024))[:15], 1040,
+                 "truncated gamma code (bit offset 33)",
+                 id="ones-truncated"),
+    pytest.param(ONES + _tokens((False, 3), (False, 2), (True, 1)), 22,
+                 "adjacent zero-run tokens (bit offset 36)",
+                 id="ones-adjacent"),
+    pytest.param(ONES + "11" * 5, 20, "decoded length 21 != declared 20",
+                 id="ones-length"),
 ]
 
 

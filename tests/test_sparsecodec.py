@@ -246,9 +246,10 @@ def test_prefix_parse_rank_select_fields(rng):
 def test_parse_digits_memo_holds_each_window_once():
     """The memo holds one entry per string asked for, every string of at
     most 12 digits and windows of the full 16, and takes no wider window.
-    Each entry is the walk's step: the parse's b, a and a_plus, whether
-    its first and last values are zero (both False for b = 0), and the
-    parse of that string."""
+    Each entry is the walk's step: the parse's b (0 for the sixteen
+    1-bits, which the walk reads with the stretch they start), a and
+    a_plus, whether its first and last values are zero (both False for
+    b = 0), and the parse of that string."""
     tables = sc.ParseTables()
     k = sc.WINDOW_BITS
     windows = digit_strings(12) + ["0" * k, "1" * k, "0011" * (k // 4)]
@@ -260,7 +261,8 @@ def test_parse_digits_memo_holds_each_window_once():
                  else (False, False))
         step = tables._memo[digits]
         assert type(step) is tuple
-        assert step == (info.b, info.a, info.a_plus) + flags + (info,), digits
+        b = 0 if digits == "1" * k else info.b
+        assert step == (b, info.a, info.a_plus) + flags + (info,), digits
         assert step[5] is info
     assert len(tables._memo) == len(windows)
     with pytest.raises(InvalidArgument):

@@ -139,8 +139,8 @@ MUTANTS = [
             "tests/test_sparsecodec.py::"
             "test_reader_matches_reference_on_corruptions")),
     Mutant("step-keys-a-plus-from-a", SC,
-           "(info.b, info.a, info.a_plus,",
-           "(info.b, info.a, info.a,",
+           "(b, info.a, info.a_plus,",
+           "(b, info.a, info.a,",
            ("tests/test_sparsecodec.py::"
             "test_parse_digits_memo_holds_each_window_once",
             "tests/test_ranksupport.py::"
@@ -184,6 +184,18 @@ MUTANTS = [
             "test_decompose_accepts_what_decode_accepts",
             "tests/test_sparsecodec.py::"
             "test_reader_matches_reference_on_corruptions")),
+    Mutant("walk-bulk-count-one-window-long", SC,
+           "- pos) // k",
+           "- pos) // k + 1",
+           ("tests/test_ranksupport.py::"
+            "test_decompose_matches_window_loop_on_every_stretch",
+            "tests/test_ranksupport.py::test_decompose_rejects_like_window_loop"
+            "[ones-length-65536]")),
+    Mutant("walk-bulk-parses-one-short", SC,
+           "parses += repeat(info, c)",
+           "parses += repeat(info, c - 1)",
+           ("tests/test_ranksupport.py::"
+            "test_decompose_matches_window_loop_on_every_stretch",)),
     # -- the transducers --------------------------------------------------------
     Mutant("jump-cycle-index-off-by-one", TD,
            "walk[cycle + (d - cycle) % (len(walk) - cycle)]",
