@@ -253,8 +253,7 @@ class ParseTables:
                                   f"than {WINDOW_BITS}")
         info = self._parse(w)
         values = info.values
-        # the window of sixteen 1-bits steps with b = 0: `_walk` reads
-        # the stretch of all-ones windows it starts in one step
+        # sixteen 1-bits step with b = 0: `_walk` reads their stretch
         b = 0 if info.a_plus == WINDOW_BITS // 2 else info.b
         step = self._memo[w] = (b, info.a, info.a_plus,
                                 info.b > 0 and not values[0],
@@ -296,15 +295,16 @@ def _walk(stream: BitStream):
     """(p, e, r, parses) of the greedy split of a token stream into
     pieces, as `ranksupport.Decomposition` holds them.
 
-    Each window piece is one memo step (see `ParseTables`), but for a
-    stretch of all-ones windows, which is one step: its c = R // 16
-    pieces, for the R 1-bits up to the next 0, are the same eight literal
-    1s, so `p`, `e` and `r` take one range each and `parses` c references
-    to that one parse.  The greedy split is unchanged.  A token
-    wider than the window is a piece of its own: a wide literal gets a
-    one-symbol parse, a long zero run None.  A window parse never holds
-    two adjacent zero-run tokens, so a piece that starts with a zero run
-    after one that ends with a zero run is rejected here.
+    Each window piece is one memo step (see `ParseTables`), and a
+    stretch of all-ones windows is one step for all its pieces: its
+    c = R // 16 pieces, for the R 1-bits up to the next 0, are the same
+    eight literal 1s, so `p`, `e` and `r` take one range each and
+    `parses` c references to that one parse, as the greedy split would
+    give them one by one.  A token wider than the window is a piece of
+    its own: a wide literal gets a one-symbol parse, a long zero run
+    None.  A window parse never holds two adjacent zero-run tokens, so a
+    piece that starts with a zero run after one that ends with a zero
+    run is rejected here.
     """
     memo, step = TABLES._memo, TABLES.step
     digits = stream.to01()
